@@ -48,6 +48,23 @@ def _write_json(path: Path, payload) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
+def _read_json(path: str, load):
+    """Parse the JSON file at path with the given serialize loader.
+
+    A missing or unreadable file and text that is not JSON are parameter
+    errors, like a payload the loader rejects.
+    """
+    try:
+        data = Path(path).read_bytes()
+    except OSError as exc:
+        raise ParameterError(f"cannot read {path}: {exc.strerror or exc}") from exc
+    try:
+        obj = json.loads(data)
+    except ValueError as exc:
+        raise ParameterError(f"{path} is not valid JSON: {exc}") from exc
+    return load(obj)
+
+
 def _write_manifest(out: Path, command: str, params: dict, seed: int, outcome: dict, started: float):
     manifest = {
         "command": command,
@@ -128,10 +145,12 @@ def _params_of(args) -> dict:
 
 def _cmd_verify(args) -> int:
     started = time.perf_counter()
-    code = serialize.code_from_json(json.loads(Path(args.code).read_text()))
+    if args.threads < 1:
+        raise ParameterError(f"--threads must be at least 1, got {args.threads}")
+    code = _read_json(args.code, serialize.code_from_json)
     report: dict
     if args.patterns:
-        pats = serialize.patterns_from_json(json.loads(Path(args.patterns).read_text()))
+        pats = _read_json(args.patterns, serialize.patterns_from_json)
         failures = [t for t in pats if not pattern_correctable(code, t)]
         ok = not failures
         report = {
@@ -169,8 +188,8 @@ def _cmd_verify(args) -> int:
 
 def _cmd_decode(args) -> int:
     started = time.perf_counter()
-    code = serialize.code_from_json(json.loads(Path(args.code).read_text()))
-    rw = serialize.received_from_json(json.loads(Path(args.received).read_text()))
+    code = _read_json(args.code, serialize.code_from_json)
+    rw = _read_json(args.received, serialize.received_from_json)
     result = decode_word(code, rw)
     report = {
         "status": result.status,
@@ -203,7 +222,7 @@ def _cmd_udm(args) -> int:
         if not args.json:
             print(f"wrote {out} ({u.n} matrices {u.alpha}x{u.m} over GF({field.order}))")
         return 0
-    u = serialize.udms_from_json(json.loads(Path(args.udm).read_text()))
+    u = _read_json(args.udm, serialize.udms_from_json)
     check = verify_udm(u)
     report = {
         "ok": check.ok,
@@ -337,7 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--family", help="full:m | balanced | power | bounded:r (default: the code's claim)")
     v.add_argument("--patterns", help="JSON file with an explicit pattern list")
     v.add_argument("--all-patterns", action="store_true", help="audit dominated patterns too")
-    v.add_argument("--threads", type=int, default=1)
+    v.add_argument("--threads", type=int, default=1, help="accepted for compatibility; checks run in one thread")
     v.add_argument("--out")
     v.add_argument("--json", action="store_true")
     v.set_defaults(func=_cmd_verify)

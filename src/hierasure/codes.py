@@ -21,6 +21,11 @@ class LinearCode:
     correct.  The actual rank of H is computed at construction time and
     ``dim`` is n - rank, which may exceed n - r when rows are dependent.
     A 0-row H is legal (the whole space) but then ``length`` must be given.
+
+    ``expansion(i, j)`` is H's base-field expansion against ``omega`` over
+    the prime field, one column block at a time, built on first use and
+    kept on the code: every correctability check and every decode reads
+    its columns from there.
     """
 
     ext: ExtSpec
@@ -31,6 +36,7 @@ class LinearCode:
     length: int | None = None
     rank: int = field(init=False)
     dim: int = field(init=False)
+    _expansion: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         rows = tuple(tuple(row) for row in self.H)
@@ -54,6 +60,31 @@ class LinearCode:
         rank = linalg.rank([list(r) for r in rows], self.ext)
         object.__setattr__(self, "rank", rank)
         object.__setattr__(self, "dim", n - rank)
+        object.__setattr__(self, "_expansion", {})
+
+    def expansion(self, i: int, j: int) -> tuple[tuple[int, ...], ...]:
+        """The prime-field columns of H[:, i] * omega_j.
+
+        One column per digit d of the base field: the coordinates over
+        ``omega`` of H[k][i] * omega_j * x^d for every row k, written as
+        prime-field digits (``OrderedBasis.coordinate_digits``) and stacked
+        row by row, ``r * alpha * e`` entries.  Computed on first use and
+        memoized on the code.
+        """
+        cols = self._expansion.get((i, j))
+        if cols is None:
+            omega = self.omega
+            e = self.ext.base.e
+            cols = tuple(
+                tuple(
+                    d
+                    for row in self.H
+                    for d in omega.coordinate_digits(row[i] * w)
+                )
+                for w in omega.digit_elements[j * e : (j + 1) * e]
+            )
+            self._expansion[(i, j)] = cols
+        return cols
 
     @property
     def n(self) -> int:

@@ -2,19 +2,19 @@
 
 A code corrects a pattern t exactly when no nonzero codeword is erased to
 look like zero under t.  That intersection test linearizes over the base
-field: stack the base-field coordinates of H applied to each invisible
-generator into a matrix, and t is correctable iff the matrix has full
-column rank.  The same matrix, fed the known suffix as a right-hand side,
-is the decoder.
+field: the base-field coordinates of H applied to each invisible generator
+form a column, and t is correctable iff those columns are independent.
+The columns are a prefix of each symbol's block of the code's stored
+expansion (``LinearCode.expansion``), written over the prime field, so
+every check is one small elimination over Z/p (``modp``).  The same
+columns, fed the known suffix as a right-hand side, are the decoder.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import lru_cache
 
-from . import linalg
+from . import linalg, modp
 from .codes import LinearCode
 from .errors import ParameterError
 from .fields import Element
@@ -27,7 +27,6 @@ from .patterns import (
     PowerFamily,
     ReceivedWord,
     enumerate_family,
-    invisible_generators,
     maximal_patterns,
 )
 
@@ -45,45 +44,48 @@ class ExpandedSystem:
     labels: tuple[tuple[int, int], ...]
 
 
-def pattern_system(code: LinearCode, t) -> ExpandedSystem:
-    # codes are immutable and compare by identity, so memoizing per
-    # (code, pattern) lets repeated decodes share one expansion
-    return _pattern_system_cached(code, tuple(t))
-
-
-@lru_cache(maxsize=4096)
-def _pattern_system_cached(code: LinearCode, t: tuple) -> ExpandedSystem:
+def _checked_pattern(code: LinearCode, t) -> tuple[int, ...]:
+    t = tuple(t)
     if len(t) != code.n:
         raise ParameterError("pattern length does not match the code length")
-    ext = code.ext
-    alpha = ext.alpha
+    alpha = code.ext.alpha
     if any(v < 0 or v > alpha for v in t):
         raise ParameterError(f"pattern {t} exceeds alpha={alpha}")
-    omega = code.omega
-    labels = []
-    columns = []
-    for i, ti in enumerate(t):
-        for j in range(ti):
-            gen = omega.elements[j]
-            col = []
-            for row in code.H:
-                col.extend(omega.coordinates(row[i] * gen))
-            columns.append(col)
-            labels.append((i, j))
-    nrows = alpha * code.r
+    return t
+
+
+def _labels(t) -> list[tuple[int, int]]:
+    return [(i, j) for i, ti in enumerate(t) for j in range(ti)]
+
+
+def _erased_columns(code: LinearCode, t) -> list[tuple[int, ...]]:
+    # prime-field columns of every erased (symbol, coordinate, digit)
+    return [col for i, j in _labels(t) for col in code.expansion(i, j)]
+
+
+def pattern_system(code: LinearCode, t) -> ExpandedSystem:
+    """The pattern's expanded system as base-field Element entries.
+
+    A view of the code's stored expansion, for inspection; the oracle and
+    the decoder work on the integer columns directly.
+    """
+    t = _checked_pattern(code, t)
+    base = code.ext.base
+    e = base.e
+    labels = _labels(t)
+    # digit 0 of each block is H[:, i] * omega_j itself
+    cols = [code.expansion(i, j)[0] for i, j in labels]
     matrix = tuple(
-        tuple(columns[c][k] for c in range(len(columns))) for k in range(nrows)
+        tuple(Element(base, col[k * e : (k + 1) * e]) for col in cols)
+        for k in range(code.ext.alpha * code.r)
     )
     return ExpandedSystem(matrix, tuple(labels))
 
 
 def pattern_correctable(code: LinearCode, t) -> bool:
     """True iff no nonzero codeword is invisible under pattern t."""
-    system = pattern_system(code, t)
-    ncols = len(system.labels)
-    if ncols == 0:
-        return True
-    return linalg.rank(system.matrix, code.ext.base) == ncols
+    t = _checked_pattern(code, t)
+    return modp.first_dependent(_erased_columns(code, t), code.ext.base.p) is None
 
 
 @dataclass(frozen=True)
@@ -94,18 +96,30 @@ class CorrectabilityReport:
 
 
 def _pattern_witness(code: LinearCode, t) -> tuple[Element, ...]:
-    # a nonzero codeword invisible under t, from the expanded-system kernel
-    system = pattern_system(code, t)
-    kernel = linalg.right_kernel(system.matrix, len(system.labels), code.ext.base)
-    if not kernel:
+    """The nonzero codeword invisible under t given by the first kernel vector.
+
+    That vector is the first of the canonical kernel basis of the pattern's
+    system over F_q.  Over the prime field (e = 1) it is what the integer
+    elimination finds; for e > 1 the F_p kernel differs, so it is taken
+    from the Element system.
+    """
+    base = code.ext.base
+    e = base.e
+    labels = _labels(t)
+    if e == 1:
+        kernel = modp.dependency(_erased_columns(code, t), base.p)
+        coeffs = None if kernel is None else [(lam,) for lam in kernel]
+    else:
+        system = pattern_system(code, t)
+        kernel = linalg.right_kernel(system.matrix, len(labels), base)
+        coeffs = [lam.coeffs for lam in kernel[0]] if kernel else None
+    if coeffs is None:
         raise ParameterError(f"pattern {t} is correctable; no witness exists")
-    coeffs = kernel[0]
-    omega = code.omega
-    ext = code.ext
-    word = [ext.zero()] * code.n
-    for (i, j), lam in zip(system.labels, coeffs):
-        word[i] = word[i] + ext.lift(lam) * omega.elements[j]
-    return tuple(word)
+    alpha = code.ext.alpha
+    digits = [[0] * (alpha * e) for _ in range(code.n)]
+    for (i, j), lam in zip(labels, coeffs):
+        digits[i][j * e : (j + 1) * e] = lam
+    return tuple(code.omega.from_coordinate_digits(d) for d in digits)
 
 
 def _patterns_for(code: LinearCode, fam: PatternFamily, all_patterns: bool):
@@ -127,20 +141,13 @@ def is_correcting(
     """Check the whole family; on failure report the first bad pattern.
 
     Dominated patterns are skipped unless ``all_patterns`` is set, which
-    forces a full-family audit.  ``threads`` distributes the per-pattern
-    rank checks; the verdict and reported counterexample are independent
-    of the thread count.
+    forces a full-family audit.  ``threads`` is validated (at least 1) and
+    otherwise ignored: the checks are pure-Python integer work, which
+    threads cannot overlap under the interpreter lock.
     """
-    pats = list(_patterns_for(code, fam, all_patterns))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            verdicts = list(pool.map(lambda t: pattern_correctable(code, t), pats))
-        failing = [t for t, ok in zip(pats, verdicts) if not ok]
-        if failing:
-            worst = min(failing)
-            return CorrectabilityReport(False, worst, _pattern_witness(code, worst))
-        return CorrectabilityReport(True)
-    for t in pats:
+    if threads < 1:
+        raise ParameterError(f"threads must be at least 1, got {threads}")
+    for t in _patterns_for(code, fam, all_patterns):
         if not pattern_correctable(code, t):
             return CorrectabilityReport(False, t, _pattern_witness(code, t))
     return CorrectabilityReport(True)
@@ -169,40 +176,48 @@ class DecodeResult:
 def decode(code: LinearCode, received: ReceivedWord) -> DecodeResult:
     """Fill in the erased leading coordinates of an erased codeword.
 
-    Solves the expanded system against the contribution of the known
-    suffix.  A unique solution reproduces the codeword; anything else is
-    reported rather than guessed.
+    Solves the erased columns of the expansion against minus the known
+    columns times the known digits, over the prime field.  A unique
+    solution reproduces the codeword; anything else is reported rather
+    than guessed.
     """
     if received.omega != code.omega:
         raise ParameterError("received word uses a different basis than the code")
     t = received.pattern
     if len(t) != code.n:
         raise ParameterError("received word length does not match the code")
-    ext = code.ext
-    base = ext.base
-    alpha = ext.alpha
-    omega = code.omega
+    base = code.ext.base
+    p, e = base.p, base.e
+    alpha = code.ext.alpha
 
-    known_symbols = []
-    for ti, suffix in zip(t, received.known):
-        coords = [base.zero()] * ti + list(suffix)
-        known_symbols.append(omega.combine(coords))
+    erased = []
+    known_cols = []
+    known_digits = []
+    digits = []  # per symbol: coordinate digits, erased ones filled in below
+    for i, (ti, suffix) in enumerate(zip(t, received.known)):
+        sym = [0] * (ti * e)
+        for j in range(ti):
+            erased.extend(code.expansion(i, j))
+        for j, c in zip(range(ti, alpha), suffix):
+            base._check_same(c)
+            sym.extend(c.coeffs)
+            for d, col in zip(c.coeffs, code.expansion(i, j)):
+                if d:
+                    known_cols.append(col)
+                    known_digits.append(d)
+        digits.append(sym)
+    height = alpha * e * code.r
+    rhs = [-sum(d * col[k] for d, col in zip(known_digits, known_cols)) % p for k in range(height)]
 
-    system = pattern_system(code, t)
-    rhs = []
-    for row in code.H:
-        acc = ext.zero()
-        for h, k in zip(row, known_symbols):
-            acc = acc + h * k
-        rhs.extend(omega.coordinates(-acc))
-
-    result = linalg.solve(system.matrix, rhs, len(system.labels), base)
+    result = modp.solve(erased, rhs, p)
     if result.status == "inconsistent":
         return DecodeResult("inconsistent")
     if result.status == "ambiguous":
-        return DecodeResult("ambiguous", None, result.free_count)
+        # the F_p kernel of an F_q-linear map has e times its F_q dimension
+        return DecodeResult("ambiguous", None, result.free_count // e)
 
-    word = list(known_symbols)
-    for (i, j), lam in zip(system.labels, result.solution):
-        word[i] = word[i] + ext.lift(lam) * omega.elements[j]
-    return DecodeResult("decoded", tuple(word))
+    start = 0
+    for i, ti in enumerate(t):
+        digits[i][: ti * e] = result.solution[start : start + ti * e]
+        start += ti * e
+    return DecodeResult("decoded", tuple(code.omega.from_coordinate_digits(d) for d in digits))

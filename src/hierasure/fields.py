@@ -26,6 +26,7 @@ import random
 from dataclasses import dataclass
 from typing import Iterator, Sequence, Union
 
+from . import modp
 from .errors import ConstructionError, InvalidBasisError, ParameterError
 
 _TABLE_LIMIT = 1 << 15
@@ -239,6 +240,7 @@ class _Field:
         self._raws = None
         self._ridx = None
         self._generator_raw = None
+        self._prime_modulus = None  # set when the coefficients are 1-tuples over F_p
 
     # -- raw arithmetic ----------------------------------------------------
 
@@ -259,6 +261,21 @@ class _Field:
         d = self._deg
         if d == 1:
             return (cops.rmul(a[0], b[0]),)
+        pm = self._prime_modulus
+        if pm is not None:
+            # same schoolbook product and reduction, on the plain ints mod p
+            p = cops.p
+            prod = [0] * (2 * d - 1)
+            for i, (ai,) in enumerate(a):
+                if ai:
+                    for j, (bj,) in enumerate(b):
+                        prod[i + j] += ai * bj
+            for k in range(2 * d - 2, d - 1, -1):
+                c = prod[k] % p
+                if c:
+                    for t in range(d):
+                        prod[k - d + t] -= c * pm[t]
+            return tuple((x % p,) for x in prod[:d])
         prod = [cops.rzero] * (2 * d - 1)
         for i, ai in enumerate(a):
             if ai == cops.rzero:
@@ -509,6 +526,8 @@ class ExtSpec(_Field):
         self._cops = base
         self._modlist = list(mod)
         self._init_engine()
+        if base.e == 1:
+            self._prime_modulus = [c[0] for c in mod]
         self._hash = hash(("ExtSpec", base, alpha, mod))
         self._poly_basis = None
 
@@ -686,12 +705,26 @@ def make_tower(p: int, e: int, alpha: int, seed: int = 0) -> ExtSpec:
 # Bases.
 
 
+def _power_digits(el: Element) -> list[int]:
+    """The prime-field digits of an extension element, y-power major.
+
+    Digit u*e + d is the x^d digit of the y^u coefficient.
+    """
+    return [d for c in el.coeffs for d in c]
+
+
 class OrderedBasis:
     """An ordered basis of the extension over its base field.
 
     Construction fails if the coordinate matrix is rank deficient.  The
     basis caches the change-of-coordinates transform, so per-element
     coordinate extraction is a cached matrix-vector product.
+
+    The same transform is also kept over the prime field, built on first
+    use: the ``alpha * e`` elements ``digit_elements[j*e + d] = omega_j *
+    x^d`` form an F_p-basis, and ``coordinate_digits`` /
+    ``from_coordinate_digits`` convert between an element and its digits
+    against it (digit d of coordinate j at index j*e + d).
     """
 
     def __init__(self, ext: ExtSpec, elements: Sequence[Element]):
@@ -704,6 +737,37 @@ class OrderedBasis:
         self.elements = elems
         self._inv_rows = self._invert_coordinate_matrix()
         self._hash = hash((ext, tuple(el.coeffs for el in elems)))
+        self._digit_maps = None
+
+    def _digits(self):
+        # (F_p-basis elements, rows of digits -> power digits, rows of the inverse)
+        if self._digit_maps is None:
+            base = self.ext.base
+            # from_index(p**d) is x^d, the d-th power-basis element of the base
+            units = [self.ext.lift(base.from_index(base.p**d)) for d in range(base.e)]
+            elems = tuple(w * x for w in self.elements for x in units)
+            columns = [_power_digits(el) for el in elems]
+            to_power = [list(row) for row in zip(*columns)]
+            self._digit_maps = (elems, to_power, modp.inverse(columns, base.p))
+        return self._digit_maps
+
+    @property
+    def digit_elements(self) -> tuple[Element, ...]:
+        return self._digits()[0]
+
+    def coordinate_digits(self, x: Element) -> list[int]:
+        """Prime-field digits of the coordinates of x (see the class notes)."""
+        self.ext._check_same(x)
+        return modp.mat_vec(self._digits()[2], _power_digits(x), self.ext.base.p)
+
+    def from_coordinate_digits(self, digits: Sequence[int]) -> Element:
+        """Inverse of coordinate_digits."""
+        ext = self.ext
+        e = ext.base.e
+        if len(digits) != ext.alpha * e:
+            raise ParameterError("coordinate digit vector has the wrong length")
+        flat = modp.mat_vec(self._digits()[1], digits, ext.base.p)
+        return Element(ext, tuple(tuple(flat[u * e : (u + 1) * e]) for u in range(ext.alpha)))
 
     def _invert_coordinate_matrix(self):
         from . import linalg

@@ -14,15 +14,19 @@ from typing import Sequence
 from .errors import ParameterError
 
 
-def rref(rows: Sequence[Sequence], spec) -> tuple[list[list], list[int]]:
-    """Reduced row echelon form; returns (rows, pivot column indices)."""
+def rref(rows: Sequence[Sequence], spec, ncols: int | None = None) -> tuple[list[list], list[int]]:
+    """Reduced row echelon form; returns (rows, pivot column indices).
+
+    Pivots are searched only in the first ``ncols`` columns (all of them by
+    default), so augmented columns are carried along without pivoting.
+    """
     m = [list(r) for r in rows]
     if not m:
         return m, []
-    ncols = len(m[0])
+    bound = len(m[0]) if ncols is None else ncols
     pivots = []
     r = 0
-    for col in range(ncols):
+    for col in range(bound):
         pivot_row = None
         for i in range(r, len(m)):
             if m[i][col]:
@@ -81,7 +85,7 @@ def solve(rows: Sequence[Sequence], rhs: Sequence, ncols: int, spec) -> SolveRes
     if not aug:
         zero = spec.zero()
         return SolveResult("unique" if ncols == 0 else "ambiguous", [zero] * ncols, ncols)
-    reduced, pivots = _rref_bounded(aug, ncols)
+    reduced, pivots = rref(aug, spec, ncols)
     for i in range(len(reduced)):
         if all(not x for x in reduced[i][:ncols]) and reduced[i][ncols]:
             return SolveResult("inconsistent", None, 0)
@@ -95,32 +99,6 @@ def solve(rows: Sequence[Sequence], rhs: Sequence, ncols: int, spec) -> SolveRes
     return SolveResult("ambiguous", solution, free_count)
 
 
-def _rref_bounded(aug: list[list], ncols: int) -> tuple[list[list], list[int]]:
-    # echelon form pivoting only on the first ncols columns
-    pivots = []
-    r = 0
-    for col in range(ncols):
-        pivot_row = None
-        for i in range(r, len(aug)):
-            if aug[i][col]:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        aug[r], aug[pivot_row] = aug[pivot_row], aug[r]
-        inv = aug[r][col].inverse()
-        aug[r] = [inv * x for x in aug[r]]
-        for i in range(len(aug)):
-            if i != r and aug[i][col]:
-                factor = aug[i][col]
-                aug[i] = [x - factor * y for x, y in zip(aug[i], aug[r])]
-        pivots.append(col)
-        r += 1
-        if r == len(aug):
-            break
-    return aug, pivots
-
-
 def identity(n: int, spec) -> list[list]:
     zero, one = spec.zero(), spec.one()
     return [[one if i == j else zero for j in range(n)] for i in range(n)]
@@ -131,7 +109,7 @@ def invert(rows: Sequence[Sequence], spec) -> list[list]:
     if any(len(r) != n for r in rows):
         raise ParameterError("only square matrices can be inverted")
     aug = [list(r) + ident_row for r, ident_row in zip(rows, identity(n, spec))]
-    reduced, pivots = _rref_bounded(aug, n)
+    reduced, pivots = rref(aug, spec, n)
     if len(pivots) != n:
         raise ParameterError("matrix is singular")
     return [row[n:] for row in reduced]

@@ -9,10 +9,14 @@ coefficient arrays throughout, so round trips are bit exact:
 * udms:     {"field", "alpha", "m", "matrices", "meta"}
 * received: {"field", "ext", "omega", "t", "known"}
 * patterns: [[t1, ..., tn], ...]
+
+Every ``*_from_json`` loader is an input boundary: a payload with a
+missing key or a value of the wrong shape raises ``ParameterError``.
 """
 
 from __future__ import annotations
 
+import functools
 from typing import Any
 
 from .codes import LinearCode, code_from_rows
@@ -29,6 +33,27 @@ from .patterns import (
 from .udm import UdmSet
 
 
+def _loader(kind: str):
+    """Turn the errors a malformed payload raises into ParameterError."""
+
+    def wrap(load):
+        @functools.wraps(load)
+        def checked(*args):
+            try:
+                return load(*args)
+            except ParameterError:
+                raise
+            except KeyError as exc:
+                raise ParameterError(f"malformed {kind} payload: missing key {exc.args[0]!r}") from exc
+            except (TypeError, ValueError, IndexError, AttributeError) as exc:
+                detail = " ".join(str(exc).split())
+                raise ParameterError(f"malformed {kind} payload: {detail}") from exc
+
+        return checked
+
+    return wrap
+
+
 # -- fields -----------------------------------------------------------------
 
 
@@ -36,6 +61,7 @@ def field_to_json(field: FieldSpec) -> dict:
     return {"p": field.p, "e": field.e, "modulus": [int(c) for c in field.modulus]}
 
 
+@_loader("field")
 def field_from_json(obj: dict) -> FieldSpec:
     return FieldSpec(obj["p"], obj["e"], tuple(obj["modulus"]))
 
@@ -47,6 +73,7 @@ def tower_to_json(ext: ExtSpec) -> dict:
     return out
 
 
+@_loader("tower")
 def tower_from_json(obj: dict) -> ExtSpec:
     base = field_from_json(obj)
     return ExtSpec(base, obj["alpha"], tuple(tuple(c) for c in obj["ext_modulus"]))
@@ -61,10 +88,12 @@ def element_to_json(el: Element) -> list:
     return [int(x) for x in el.coeffs]
 
 
+@_loader("element")
 def base_element_from_json(field: FieldSpec, obj) -> Element:
     return field.element(tuple(obj))
 
 
+@_loader("element")
 def ext_element_from_json(ext: ExtSpec, obj) -> Element:
     return ext.element(tuple(tuple(c) for c in obj))
 
@@ -73,6 +102,7 @@ def basis_to_json(basis: OrderedBasis) -> list:
     return [element_to_json(el) for el in basis.elements]
 
 
+@_loader("basis")
 def basis_from_json(ext: ExtSpec, obj) -> OrderedBasis:
     return OrderedBasis(ext, [ext_element_from_json(ext, e) for e in obj])
 
@@ -92,6 +122,7 @@ def family_to_json(fam: PatternFamily) -> dict:
     raise ParameterError(f"unknown family {fam!r}")
 
 
+@_loader("family")
 def family_from_json(obj: dict) -> PatternFamily:
     kind = obj["kind"]
     if kind == "full":
@@ -109,6 +140,7 @@ def patterns_to_json(patterns) -> list:
     return [list(t) for t in patterns]
 
 
+@_loader("patterns")
 def patterns_from_json(obj) -> list[tuple[int, ...]]:
     return [tuple(int(v) for v in t) for t in obj]
 
@@ -131,6 +163,7 @@ def code_to_json(code: LinearCode) -> dict:
     }
 
 
+@_loader("code")
 def code_from_json(obj: dict) -> LinearCode:
     base = field_from_json(obj["field"])
     ext = ExtSpec(base, obj["ext"]["alpha"], tuple(tuple(c) for c in obj["ext"]["modulus"]))
@@ -155,6 +188,7 @@ def udms_to_json(u: UdmSet) -> dict:
     }
 
 
+@_loader("udms")
 def udms_from_json(obj: dict) -> UdmSet:
     field = field_from_json(obj["field"])
     mats = tuple(
@@ -178,6 +212,7 @@ def received_to_json(rw: ReceivedWord) -> dict:
     }
 
 
+@_loader("received word")
 def received_from_json(obj: dict) -> ReceivedWord:
     base = field_from_json(obj["field"])
     ext = ExtSpec(base, obj["ext"]["alpha"], tuple(tuple(c) for c in obj["ext"]["modulus"]))
@@ -192,5 +227,6 @@ def codeword_to_json(word) -> list:
     return [element_to_json(c) for c in word]
 
 
+@_loader("codeword")
 def codeword_from_json(ext: ExtSpec, obj) -> tuple[Element, ...]:
     return tuple(ext_element_from_json(ext, c) for c in obj)

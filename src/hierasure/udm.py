@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 from typing import Mapping, Sequence
 
-from . import linalg
+from . import modp
 from .errors import ConstructionError, MissingEigenvectorError, ParameterError
 from .fields import Element, FieldSpec, OrderedBasis, lucas_binom
 from .patterns import ErasurePattern, FullFamily, maximal_patterns
@@ -58,14 +58,31 @@ class UdmCheck:
     counterexample: ErasurePattern | None = None
 
 
+def _digit_rows(u: UdmSet) -> list[list[list[int]]]:
+    # per matrix, each F_q row v as the e prime-field rows x^d * v, so a
+    # prefix of t_i rows becomes a prefix of t_i * e digit rows
+    field = u.field
+    units = [field.from_index(field.p**d) for d in range(field.e)]  # x^d
+    return [
+        [[c for entry in row for c in (x * entry).coeffs] for row in mat for x in units]
+        for mat in u.matrices
+    ]
+
+
 def verify_udm(u: UdmSet) -> UdmCheck:
-    """Exhaustive stacked-prefix rank check over the maximal patterns."""
+    """Exhaustive stacked-prefix rank check over the maximal patterns.
+
+    Each check is the prime-field independence test of
+    ``modp.first_dependent``, the same oracle that decides code
+    correctability; F_q-independence of rows is F_p-independence of their
+    digit expansions.
+    """
     budget = min(u.m, u.n * u.alpha)
+    e = u.field.e
+    rows = _digit_rows(u)
     for t in maximal_patterns(FullFamily(u.alpha, budget, u.n)):
-        stacked = []
-        for mat, ti in zip(u.matrices, t):
-            stacked.extend(list(row) for row in mat[:ti])
-        if linalg.rank(stacked, u.field) != sum(t):
+        stacked = [v for mat, ti in zip(rows, t) for v in mat[: ti * e]]
+        if modp.first_dependent(stacked, u.field.p) is not None:
             return UdmCheck(False, t)
     return UdmCheck(True)
 

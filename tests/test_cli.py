@@ -220,3 +220,83 @@ class TestDemo:
         run("demo", "storage-straggler", "--seed", "9")
         second = capsys.readouterr().out
         assert first == second
+
+
+class TestInputBoundary:
+    """Bad input exits 2 with one ``error:`` line and no traceback."""
+
+    @pytest.fixture
+    def code_file(self, tmp_path):
+        out = tmp_path / "code.json"
+        run("construct", "length2", "--p", "2", "--alpha", "2", "--out", str(out))
+        return str(out)
+
+    @pytest.fixture
+    def received_file(self, tmp_path, code_file):
+        code = serialize.code_from_json(json.loads(open(code_file).read()))
+        word = kernel_basis(code)[0]
+        path = tmp_path / "rw.json"
+        path.write_text(json.dumps(serialize.received_to_json(apply_erasure(word, (1, 1), code.omega))))
+        return str(path)
+
+    def assert_usage_error(self, capsys, rc):
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error:") and err.count("\n") == 1, err
+
+    def test_missing_code_file(self, tmp_path, capsys):
+        rc = run("verify", "--code", str(tmp_path / "absent.json"))
+        self.assert_usage_error(capsys, rc)
+
+    def test_missing_received_file(self, tmp_path, code_file, capsys):
+        rc = run("decode", "--code", code_file, "--received", str(tmp_path / "absent.json"))
+        self.assert_usage_error(capsys, rc)
+
+    def test_missing_patterns_file(self, tmp_path, code_file, capsys):
+        rc = run("verify", "--code", code_file, "--patterns", str(tmp_path / "absent.json"))
+        self.assert_usage_error(capsys, rc)
+
+    def test_code_not_json(self, tmp_path, capsys):
+        path = tmp_path / "code.json"
+        path.write_text("not json at all")
+        self.assert_usage_error(capsys, run("verify", "--code", str(path)))
+
+    def test_received_not_json(self, tmp_path, code_file, capsys):
+        path = tmp_path / "rw.json"
+        path.write_bytes(b"\xff\xfe{")
+        self.assert_usage_error(capsys, run("decode", "--code", code_file, "--received", str(path)))
+
+    def test_code_missing_key(self, tmp_path, capsys):
+        path = tmp_path / "code.json"
+        path.write_text('{"a": 1}')
+        self.assert_usage_error(capsys, run("verify", "--code", str(path)))
+
+    def test_received_missing_key(self, tmp_path, code_file, capsys):
+        path = tmp_path / "rw.json"
+        path.write_text('{"a": 1}')
+        self.assert_usage_error(capsys, run("decode", "--code", code_file, "--received", str(path)))
+
+    def test_received_wrong_shape(self, tmp_path, code_file, received_file, capsys):
+        payload = json.loads(open(received_file).read())
+        payload["known"] = 7
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(payload))
+        self.assert_usage_error(capsys, run("decode", "--code", code_file, "--received", str(path)))
+
+    def test_patterns_wrong_shape(self, tmp_path, code_file, capsys):
+        path = tmp_path / "pats.json"
+        path.write_text('[[1, "x"]]')
+        self.assert_usage_error(capsys, run("verify", "--code", code_file, "--patterns", str(path)))
+
+    def test_udm_missing_key(self, tmp_path, capsys):
+        path = tmp_path / "u.json"
+        path.write_text('{"a": 1}')
+        self.assert_usage_error(capsys, run("udm", "verify", "--udm", str(path)))
+
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_threads_below_one(self, code_file, capsys, threads):
+        self.assert_usage_error(capsys, run("verify", "--code", code_file, "--threads", threads))
+
+    def test_decode_still_works(self, code_file, received_file, capsys):
+        assert run("decode", "--code", code_file, "--received", received_file, "--json") == 0
+        assert json.loads(capsys.readouterr().out)["status"] == "decoded"

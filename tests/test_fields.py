@@ -104,6 +104,21 @@ class TestArithmetic:
             assert a * (b + c) == a * b + a * c
             assert a + b == b + a
 
+    @pytest.mark.parametrize("p,alpha", [(2, 5), (7, 4), (11, 8)])
+    def test_prime_base_product_matches_generic_polynomials(self, p, alpha):
+        # over a prime base the direct product runs on plain ints; it must
+        # agree with the generic polynomial helpers the modulus search uses
+        from hierasure.fields import _poly_mul, _poly_rem
+
+        ext = tower(p, 1, alpha)
+        base = ext.base
+        rng = random.Random(p)
+        for _ in range(40):
+            a, b = (ext.from_index(rng.randrange(ext.order)).coeffs for _ in range(2))
+            want = _poly_rem(_poly_mul(list(a), list(b), base), ext._modlist, base)
+            want = tuple(want) + (base.rzero,) * (alpha - len(want))
+            assert ext._rmul_direct(a, b) == want
+
     def test_inverse_of_zero(self):
         ext = tower(2, 1, 2)
         with pytest.raises(ZeroDivisionError):
