@@ -45,7 +45,7 @@ def _loader(kind: str):
                 raise
             except KeyError as exc:
                 raise ParameterError(f"malformed {kind} payload: missing key {exc.args[0]!r}") from exc
-            except (TypeError, ValueError, IndexError, AttributeError) as exc:
+            except (TypeError, ValueError, IndexError) as exc:
                 detail = " ".join(str(exc).split())
                 raise ParameterError(f"malformed {kind} payload: {detail}") from exc
 
