@@ -45,7 +45,11 @@ import random
 
 
 def _write_json(path: Path, payload) -> None:
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    try:
+        path.write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise ParameterError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 def _read_json(path: str, load):
@@ -87,7 +91,18 @@ def _tower_args(sub: argparse.ArgumentParser):
 def _parse_nodes(spec_text, ext):
     if spec_text is None:
         return None
-    return [ext.base.from_index(int(s)) for s in spec_text.split(",") if s.strip()]
+    try:
+        indices = [int(s) for s in spec_text.split(",") if s.strip()]
+    except ValueError as exc:
+        raise ParameterError(f"--nu must be comma-separated integers, got {spec_text!r}") from exc
+    return [ext.base.from_index(k) for k in indices]
+
+
+def _fraction(text: str, flag: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ParameterError(f"{flag} must be a rational number, got {text!r}") from exc
 
 
 _CONSTRUCT_NEEDS = {
@@ -252,7 +267,7 @@ def _cmd_bounds(args) -> int:
         eb = excluded_columns_bound(args.n, args.m, args.alpha, args.q)
         report = {"loose": eb.loose, "tight": eb.tight}
     else:
-        lim = asymptotic_field_size(args.regime, Fraction(args.c1), Fraction(args.c2))
+        lim = asymptotic_field_size(args.regime, _fraction(args.c1, "--c1"), _fraction(args.c2, "--c2"))
         report = {"value": lim.value, "closed_form": lim.closed_form}
     if args.out:
         _write_json(Path(args.out), report)
@@ -299,7 +314,10 @@ def _cmd_demo(args) -> int:
     print(f"decode: {result.status}")
     if args.out:
         outdir = Path(args.out)
-        outdir.mkdir(parents=True, exist_ok=True)
+        try:
+            outdir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ParameterError(f"cannot create {outdir}: {exc.strerror or exc}") from exc
         _write_json(outdir / "code.json", serialize.code_to_json(code))
         _write_json(outdir / "received.json", serialize.received_to_json(received))
         _write_json(

@@ -99,26 +99,21 @@ def _pattern_witness(code: LinearCode, t) -> tuple[Element, ...]:
     """The nonzero codeword invisible under t given by the first kernel vector.
 
     That vector is the first of the canonical kernel basis of the pattern's
-    system over F_q.  Over the prime field (e = 1) it is what the integer
-    elimination finds; for e > 1 the F_p kernel differs, so it is taken
-    from the Element system.
+    system over F_q, and it is the prime-field dependency of the erased
+    columns written digit by digit: a column outside the F_q span of the
+    earlier ones raises the F_p rank by a full e, so the first dependent
+    F_p column is digit 0 of the first dependent F_q column, and the F_p
+    coefficients on each independent earlier block are the e digits of
+    its unique F_q coefficient.
     """
     base = code.ext.base
     e = base.e
-    labels = _labels(t)
-    if e == 1:
-        kernel = modp.dependency(_erased_columns(code, t), base.p)
-        coeffs = None if kernel is None else [(lam,) for lam in kernel]
-    else:
-        system = pattern_system(code, t)
-        kernel = linalg.right_kernel(system.matrix, len(labels), base)
-        coeffs = [lam.coeffs for lam in kernel[0]] if kernel else None
-    if coeffs is None:
+    kernel = modp.dependency(_erased_columns(code, t), base.p)
+    if kernel is None:
         raise ParameterError(f"pattern {t} is correctable; no witness exists")
-    alpha = code.ext.alpha
-    digits = [[0] * (alpha * e) for _ in range(code.n)]
-    for (i, j), lam in zip(labels, coeffs):
-        digits[i][j * e : (j + 1) * e] = lam
+    digits = [[0] * (code.ext.alpha * e) for _ in range(code.n)]
+    for k, (i, j) in enumerate(_labels(t)):
+        digits[i][j * e : (j + 1) * e] = kernel[k * e : (k + 1) * e]
     return tuple(code.omega.from_coordinate_digits(d) for d in digits)
 
 
@@ -190,14 +185,11 @@ def decode(code: LinearCode, received: ReceivedWord) -> DecodeResult:
     p, e = base.p, base.e
     alpha = code.ext.alpha
 
-    erased = []
     known_cols = []
     known_digits = []
     digits = []  # per symbol: coordinate digits, erased ones filled in below
     for i, (ti, suffix) in enumerate(zip(t, received.known)):
         sym = [0] * (ti * e)
-        for j in range(ti):
-            erased.extend(code.expansion(i, j))
         for j, c in zip(range(ti, alpha), suffix):
             base._check_same(c)
             sym.extend(c.coeffs)
@@ -209,7 +201,7 @@ def decode(code: LinearCode, received: ReceivedWord) -> DecodeResult:
     height = alpha * e * code.r
     rhs = [-sum(d * col[k] for d, col in zip(known_digits, known_cols)) % p for k in range(height)]
 
-    result = modp.solve(erased, rhs, p)
+    result = modp.solve(_erased_columns(code, t), rhs, p)
     if result.status == "inconsistent":
         return DecodeResult("inconsistent")
     if result.status == "ambiguous":

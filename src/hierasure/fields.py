@@ -13,6 +13,12 @@ through them.  Larger fields use schoolbook polynomial arithmetic with a
 square-and-multiply inverse.  Both paths are exact and give identical
 results.
 
+A basis omega of the extension over F_q (``OrderedBasis``) keeps one
+coordinate transform, over the prime field: the digits of x's
+coordinates over omega, each base-field coordinate spelled as its e
+digits.  Every coordinate question, including whether a tuple is a
+basis at all, goes through that one integer map.
+
 Deterministic search orders are part of the contract: modulus searches
 shuffle the candidate list with a seeded RNG, while element searches
 (primitive elements, quadratic roots, subfield representatives) run in
@@ -716,15 +722,14 @@ def _power_digits(el: Element) -> list[int]:
 class OrderedBasis:
     """An ordered basis of the extension over its base field.
 
-    Construction fails if the coordinate matrix is rank deficient.  The
-    basis caches the change-of-coordinates transform, so per-element
-    coordinate extraction is a cached matrix-vector product.
-
-    The same transform is also kept over the prime field, built on first
-    use: the ``alpha * e`` elements ``digit_elements[j*e + d] = omega_j *
-    x^d`` form an F_p-basis, and ``coordinate_digits`` /
-    ``from_coordinate_digits`` convert between an element and its digits
-    against it (digit d of coordinate j at index j*e + d).
+    The basis keeps one change-of-coordinates transform, over the prime
+    field, built at construction: the ``alpha * e`` elements
+    ``digit_elements[j*e + d] = omega_j * x^d`` form an F_p-basis exactly
+    when omega is an F_q-basis, so a singular digit matrix is the basis
+    check.  ``coordinate_digits`` / ``from_coordinate_digits`` convert
+    between an element and its digits against it (digit d of coordinate j
+    at index j*e + d); ``coordinates`` / ``combine`` group those digits
+    into base-field elements.
     """
 
     def __init__(self, ext: ExtSpec, elements: Sequence[Element]):
@@ -735,30 +740,22 @@ class OrderedBasis:
             ext._check_same(el)
         self.ext = ext
         self.elements = elems
-        self._inv_rows = self._invert_coordinate_matrix()
+        base = ext.base
+        # from_index(p**d) is x^d, the d-th power-basis element of the base
+        units = [ext.lift(base.from_index(base.p**d)) for d in range(base.e)]
+        self.digit_elements = tuple(w * x for w in elems for x in units)
+        columns = [_power_digits(el) for el in self.digit_elements]
+        try:
+            self._from_power = modp.inverse(columns, base.p)
+        except ParameterError:
+            raise InvalidBasisError("elements are linearly dependent over the base field")
+        self._to_power = [list(row) for row in zip(*columns)]
         self._hash = hash((ext, tuple(el.coeffs for el in elems)))
-        self._digit_maps = None
-
-    def _digits(self):
-        # (F_p-basis elements, rows of digits -> power digits, rows of the inverse)
-        if self._digit_maps is None:
-            base = self.ext.base
-            # from_index(p**d) is x^d, the d-th power-basis element of the base
-            units = [self.ext.lift(base.from_index(base.p**d)) for d in range(base.e)]
-            elems = tuple(w * x for w in self.elements for x in units)
-            columns = [_power_digits(el) for el in elems]
-            to_power = [list(row) for row in zip(*columns)]
-            self._digit_maps = (elems, to_power, modp.inverse(columns, base.p))
-        return self._digit_maps
-
-    @property
-    def digit_elements(self) -> tuple[Element, ...]:
-        return self._digits()[0]
 
     def coordinate_digits(self, x: Element) -> list[int]:
         """Prime-field digits of the coordinates of x (see the class notes)."""
         self.ext._check_same(x)
-        return modp.mat_vec(self._digits()[2], _power_digits(x), self.ext.base.p)
+        return modp.mat_vec(self._from_power, _power_digits(x), self.ext.base.p)
 
     def from_coordinate_digits(self, digits: Sequence[int]) -> Element:
         """Inverse of coordinate_digits."""
@@ -766,44 +763,23 @@ class OrderedBasis:
         e = ext.base.e
         if len(digits) != ext.alpha * e:
             raise ParameterError("coordinate digit vector has the wrong length")
-        flat = modp.mat_vec(self._digits()[1], digits, ext.base.p)
+        flat = modp.mat_vec(self._to_power, digits, ext.base.p)
         return Element(ext, tuple(tuple(flat[u * e : (u + 1) * e]) for u in range(ext.alpha)))
-
-    def _invert_coordinate_matrix(self):
-        from . import linalg
-
-        base = self.ext.base
-        alpha = self.ext.alpha
-        cols = [[Element(base, el.coeffs[k]) for k in range(alpha)] for el in self.elements]
-        matrix = [[cols[i][k] for i in range(alpha)] for k in range(alpha)]
-        try:
-            return linalg.invert(matrix, base)
-        except ParameterError:
-            raise InvalidBasisError("elements are linearly dependent over the base field")
 
     def coordinates(self, x: Element) -> tuple:
         """Base-field coordinates of x with respect to this basis."""
-        self.ext._check_same(x)
         base = self.ext.base
-        xcol = x.coeffs
-        out = []
-        for row in self._inv_rows:
-            acc = base.rzero
-            for entry, c in zip(row, xcol):
-                acc = base.radd(acc, base.rmul(entry.coeffs, c))
-            out.append(Element(base, acc))
-        return tuple(out)
+        e = base.e
+        digits = self.coordinate_digits(x)
+        return tuple(Element(base, tuple(digits[j * e : (j + 1) * e])) for j in range(self.ext.alpha))
 
     def combine(self, coords: Sequence[Element]) -> Element:
         """Inverse of coordinates: sum coords[j] * basis[j]."""
         if len(coords) != self.ext.alpha:
             raise ParameterError("coordinate vector has the wrong length")
-        ext = self.ext
-        acc = ext.rzero
-        for c, w in zip(coords, self.elements):
-            ext.base._check_same(c)
-            acc = ext.radd(acc, ext.rmul(ext.lift(c).coeffs, w.coeffs))
-        return Element(ext, acc)
+        for c in coords:
+            self.ext.base._check_same(c)
+        return self.from_coordinate_digits([d for c in coords for d in c.coeffs])
 
     def __eq__(self, other):
         return (
@@ -820,19 +796,12 @@ class OrderedBasis:
 
 
 def is_basis(ext: ExtSpec, elements: Sequence[Element]) -> bool:
-    """True when the tuple's base-field coordinate matrix has full rank."""
-    from . import linalg
-
-    elems = tuple(elements)
-    if len(elems) != ext.alpha:
+    """True when the elements form a basis of the extension over its base field."""
+    try:
+        OrderedBasis(ext, elements)
+    except InvalidBasisError:
         return False
-    for el in elems:
-        ext._check_same(el)
-    base = ext.base
-    matrix = [
-        [Element(base, el.coeffs[k]) for el in elems] for k in range(ext.alpha)
-    ]
-    return linalg.rank(matrix, base) == ext.alpha
+    return True
 
 
 def dual_basis(omega: OrderedBasis) -> OrderedBasis:

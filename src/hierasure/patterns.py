@@ -265,6 +265,13 @@ def apply_erasure(word: Sequence[Element], t: Sequence[int], omega: OrderedBasis
     return ReceivedWord(omega, t, known)
 
 
+def _int_arg(text: str, what: str) -> int:
+    try:
+        return int(text)
+    except ValueError as exc:
+        raise ParameterError(f"family {what} must be an integer, got {text!r}") from exc
+
+
 def parse_family(text: str, alpha: int, n: int) -> PatternFamily:
     """Parse a family descriptor: full:m | balanced | power | bounded:r."""
     name, _, arg = text.partition(":")
@@ -272,7 +279,7 @@ def parse_family(text: str, alpha: int, n: int) -> PatternFamily:
     if name == "full":
         if not arg:
             raise ParameterError("full family needs a budget, e.g. full:2")
-        return FullFamily(alpha, int(arg), n)
+        return FullFamily(alpha, _int_arg(arg, "budget"), n)
     if name == "balanced":
         return BalancedFamily(alpha, n)
     if name == "power":
@@ -280,5 +287,5 @@ def parse_family(text: str, alpha: int, n: int) -> PatternFamily:
     if name == "bounded":
         if not arg:
             raise ParameterError("bounded family needs a radius, e.g. bounded:1")
-        return BoundedFamily(int(arg), n)
+        return BoundedFamily(_int_arg(arg, "radius"), n)
     raise ParameterError(f"unknown family descriptor {text!r}")

@@ -1,24 +1,61 @@
 """The Element-object route to correctability, decoding and UDM checks.
 
 This is the slow path the prime-field kernel replaced, kept only as a
-reference for differential tests: every pattern expands H against the
-basis with ``OrderedBasis.coordinates`` and runs ``linalg`` elimination
-over the base field F_q; decoding rebuilds the known symbols with
-``combine`` and solves over F_q; UDM verification ranks stacked F_q rows.
+reference for differential tests.  It never goes through the basis
+transform it checks: coordinates over omega come from its own ``linalg``
+inverse of the alpha x alpha F_q coordinate matrix, and a word is rebuilt
+as sum c_j * omega_j in the extension.  Every pattern expands H against
+the basis and runs ``linalg`` elimination over the base field F_q;
+decoding solves over F_q; UDM verification ranks stacked F_q rows.
 """
 
-from hierasure import FullFamily, linalg, maximal_patterns
+from hierasure import Element, FullFamily, linalg, maximal_patterns
+
+
+def _coordinate_matrix(ext, elements):
+    # column j: the F_q coefficients of elements[j] over 1, y, ..., y^(alpha-1)
+    return [[Element(ext.base, el.coeffs[k]) for el in elements] for k in range(ext.alpha)]
+
+
+def coordinate_inverse(ext, elements):
+    """Rows of the inverse of the elements' F_q coordinate matrix.
+
+    Raises ParameterError when the elements are dependent or not alpha of them.
+    """
+    return linalg.invert(_coordinate_matrix(ext, elements), ext.base)
+
+
+def reference_is_basis(ext, elements):
+    matrix = _coordinate_matrix(ext, elements)
+    return len(elements) == ext.alpha and linalg.rank(matrix, ext.base) == ext.alpha
+
+
+def reference_coordinates(omega, x, inverse=None):
+    """Base-field coordinates of x over omega (``inverse`` may be precomputed)."""
+    base = omega.ext.base
+    if inverse is None:
+        inverse = coordinate_inverse(omega.ext, omega.elements)
+    return tuple(linalg.mat_vec(inverse, [Element(base, c) for c in x.coeffs], base))
+
+
+def reference_combine(omega, coords):
+    ext = omega.ext
+    acc = ext.zero()
+    for c, w in zip(coords, omega.elements):
+        acc = acc + ext.lift(c) * w
+    return acc
 
 
 def reference_system(code, t):
     """(matrix over F_q, labels) of pattern t: column (i, j) is H[:, i] * omega_j."""
     omega = code.omega
+    inverse = coordinate_inverse(code.ext, omega.elements)
     labels, columns = [], []
     for i, ti in enumerate(t):
         for j in range(ti):
             col = []
             for row in code.H:
-                col.extend(omega.coordinates(row[i] * omega.elements[j]))
+                col.extend(reference_coordinates(omega, row[i] * omega.elements[j], inverse))
             columns.append(col)
             labels.append((i, j))
     nrows = code.ext.alpha * code.r
@@ -56,9 +93,10 @@ def reference_is_correcting(code, fam, all_patterns=True):
 def reference_decode(code, received):
     """(status, codeword, solution_space_dim) by F_q elimination."""
     ext, base, omega = code.ext, code.ext.base, code.omega
+    inverse = coordinate_inverse(ext, omega.elements)
     t = received.pattern
     known = [
-        omega.combine([base.zero()] * ti + list(suffix))
+        reference_combine(omega, [base.zero()] * ti + list(suffix))
         for ti, suffix in zip(t, received.known)
     ]
     matrix, labels = reference_system(code, t)
@@ -67,7 +105,7 @@ def reference_decode(code, received):
         acc = ext.zero()
         for h, k in zip(row, known):
             acc = acc + h * k
-        rhs.extend(omega.coordinates(-acc))
+        rhs.extend(reference_coordinates(omega, -acc, inverse))
     result = linalg.solve(matrix, rhs, len(labels), base)
     if result.status == "inconsistent":
         return "inconsistent", None, 0

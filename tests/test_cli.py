@@ -297,6 +297,34 @@ class TestInputBoundary:
     def test_threads_below_one(self, code_file, capsys, threads):
         self.assert_usage_error(capsys, run("verify", "--code", code_file, "--threads", threads))
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("construct", "length2", "--p", "2", "--alpha", "2", "--out", "{missing}/c.json"),
+            ("udm", "build", "--p", "3", "--alpha", "2", "--m", "2", "--n", "3", "--out", "{missing}/u.json"),
+            ("bounds", "singleton", "--n", "4", "--k", "2", "--m", "2", "--alpha", "2", "--out", "{missing}/b.json"),
+            ("demo", "check-node", "--out", "{code}"),
+        ],
+    )
+    def test_unwritable_out(self, tmp_path, code_file, capsys, argv):
+        # a directory that does not exist, or a demo directory that is a file
+        fill = {"missing": tmp_path / "missing_dir", "code": code_file}
+        self.assert_usage_error(capsys, run(*(a.format(**fill) for a in argv)))
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("verify", "--code", "{code}", "--family", "full:x"),
+            ("verify", "--code", "{code}", "--family", "bounded:y"),
+            ("construct", "balanced", "--p", "5", "--alpha", "4", "--n", "3", "--nu", "1,x", "--out", "{out}"),
+            ("bounds", "asymptotic", "--regime", "alpha_large", "--c1", "abc"),
+            ("bounds", "asymptotic", "--regime", "alpha_large", "--c1", "1/0"),
+        ],
+    )
+    def test_malformed_number_in_flag(self, tmp_path, code_file, capsys, argv):
+        fill = {"code": code_file, "out": tmp_path / "c.json"}
+        self.assert_usage_error(capsys, run(*(a.format(**fill) for a in argv)))
+
     def test_decode_still_works(self, code_file, received_file, capsys):
         assert run("decode", "--code", code_file, "--received", received_file, "--json") == 0
         assert json.loads(capsys.readouterr().out)["status"] == "decoded"

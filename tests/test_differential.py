@@ -13,12 +13,15 @@ import pytest
 
 from hierasure import (
     FullFamily,
+    InvalidBasisError,
+    OrderedBasis,
     ReceivedWord,
     UdmSet,
     apply_erasure,
     code_from_rows,
     decode,
     enumerate_family,
+    is_basis,
     is_correcting,
     kernel_basis,
     length2_code,
@@ -29,7 +32,10 @@ from hierasure import (
     vontobel_udms,
 )
 from reference import (
+    reference_combine,
+    reference_coordinates,
     reference_decode,
+    reference_is_basis,
     reference_is_correcting,
     reference_correctable,
     reference_system,
@@ -38,8 +44,10 @@ from reference import (
 from semantic import all_flat_codewords, semantic_correctable
 from towers import field, tower
 
-# (p, e, alpha): prime towers for p = 2, 3, 5 and two towers over F_4, F_9
-TOWERS = [(2, 1, 2), (2, 1, 3), (3, 1, 2), (5, 1, 2), (2, 2, 2), (3, 2, 2)]
+# (p, e, alpha): prime towers for p = 2, 3, 5, two towers over F_4, F_9,
+# then F_8 with alpha = 2 and F_4 with alpha = 3 (appended, so the codes
+# drawn for the earlier towers stay the same)
+TOWERS = [(2, 1, 2), (2, 1, 3), (3, 1, 2), (5, 1, 2), (2, 2, 2), (3, 2, 2), (2, 3, 2), (2, 2, 3)]
 
 
 def random_code(ext, n, r, rng, zero_col=False, dependent_row=False):
@@ -56,8 +64,6 @@ def random_code(ext, n, r, rng, zero_col=False, dependent_row=False):
 
 
 def _random_basis(ext, rng):
-    from hierasure import OrderedBasis, is_basis
-
     while True:
         elems = [ext.from_index(rng.randrange(1, ext.order)) for _ in range(ext.alpha)]
         if is_basis(ext, elems):
@@ -109,7 +115,7 @@ class TestOracle:
                 ), (code.ext, code.H, t)
 
     def test_first_counterexample_and_witness_match_reference(self):
-        refuted = {1: 0, 2: 0}
+        refuted = {e: 0 for _, e, _ in TOWERS}
         for code, fam in grid(3):
             report = is_correcting(code, fam, all_patterns=True)
             ok, t, witness = reference_is_correcting(code, fam)
@@ -118,7 +124,7 @@ class TestOracle:
             assert report.witness == witness
             if not ok:
                 refuted[code.ext.base.e] += 1
-        assert refuted[1] > 0 and refuted[2] > 0
+        assert all(refuted.values()), refuted
 
     def test_pattern_system_view_matches_reference(self):
         for code, fam in grid(4, per_tower=2):
@@ -137,6 +143,41 @@ class TestOracle:
         assert not report.correcting and report.witness == reference_is_correcting(
             code, FullFamily(2, 1, 2)
         )[2]
+
+
+class TestBasis:
+    def test_transform_matches_reference(self):
+        # seeded random tuples over every tower, every third one forced
+        # dependent (its last element an F_q combination of the others)
+        rng = random.Random(10)
+        seen = set()
+        for p, e, alpha in TOWERS:
+            ext = tower(p, e, alpha)
+            base = ext.base
+            for k in range(9):
+                elems = [ext.from_index(rng.randrange(ext.order)) for _ in range(alpha)]
+                if k % 3 == 0:
+                    scalars = [base.from_index(rng.randrange(base.order)) for _ in elems[1:]]
+                    elems[-1] = sum(
+                        (ext.lift(c) * w for c, w in zip(scalars, elems[:-1])), ext.zero()
+                    )
+                ok = reference_is_basis(ext, elems)
+                assert is_basis(ext, elems) == ok
+                assert not is_basis(ext, elems[:-1])
+                seen.add((e, ok))
+                if not ok:
+                    with pytest.raises(InvalidBasisError):
+                        OrderedBasis(ext, elems)
+                    continue
+                omega = OrderedBasis(ext, elems)
+                for _ in range(4):
+                    x = ext.from_index(rng.randrange(ext.order))
+                    coords = reference_coordinates(omega, x)
+                    assert omega.coordinates(x) == coords
+                    assert omega.coordinate_digits(x) == [d for c in coords for d in c.coeffs]
+                    scalars = [base.from_index(rng.randrange(base.order)) for _ in range(alpha)]
+                    assert omega.combine(scalars) == reference_combine(omega, scalars)
+        assert seen == {(e, ok) for e in (1, 2, 3) for ok in (True, False)}
 
 
 class TestDecode:
