@@ -233,8 +233,11 @@ def _cmd_udm(args) -> int:
         u = vontobel_udms(args.n, args.alpha, args.m, field, index_convention=args.convention)
         out = Path(args.out)
         _write_json(out, serialize.udms_to_json(u))
-        _write_manifest(out, "udm build", _params_of(args), args.seed, {"n": u.n}, started)
-        if not args.json:
+        outcome = {"n": u.n}
+        _write_manifest(out, "udm build", _params_of(args), args.seed, outcome, started)
+        if args.json:
+            print(json.dumps(outcome, sort_keys=True))
+        else:
             print(f"wrote {out} ({u.n} matrices {u.alpha}x{u.m} over GF({field.order}))")
         return 0
     u = _read_json(args.udm, serialize.udms_from_json)
@@ -429,7 +432,6 @@ def build_parser() -> argparse.ArgumentParser:
     dm.add_argument("--seed", type=int, default=0)
     dm.add_argument("--corrupt", action="store_true")
     dm.add_argument("--out", help="directory for the demo artifacts")
-    dm.add_argument("--json", action="store_true")
     dm.set_defaults(func=_cmd_demo)
 
     return parser

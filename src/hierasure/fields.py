@@ -7,11 +7,9 @@ Scalars never leave this nested-tuple form, so every value is hashable and
 immutable, and every operation is a pure function; contexts and elements
 can be shared between threads without synchronization.
 
-Fields with at most ``_TABLE_LIMIT`` elements lazily build discrete-log
-tables (generator walk) and route multiplication, inversion and powering
-through them.  Larger fields use schoolbook polynomial arithmetic with a
-square-and-multiply inverse.  Both paths are exact and give identical
-results.
+Multiplication is schoolbook polynomial arithmetic reduced by the
+modulus (on plain ints when the coefficients are prime-field digits);
+powers are square-and-multiply and the inverse is a^(order-2).
 
 A basis omega of the extension over F_q (``OrderedBasis``) keeps one
 coordinate transform, over the prime field: the digits of x's
@@ -35,7 +33,6 @@ from typing import Iterator, Sequence, Union
 from . import modp
 from .errors import ConstructionError, InvalidBasisError, ParameterError
 
-_TABLE_LIMIT = 1 << 15
 _MODULUS_SEARCH_BUDGET = 100_000
 
 
@@ -241,10 +238,6 @@ class _Field:
         self.size = self.order
         self._zero_el = Element(self, self.rzero)
         self._one_el = Element(self, self.rone)
-        self._exp = None
-        self._log = None
-        self._raws = None
-        self._ridx = None
         self._generator_raw = None
         self._prime_modulus = None  # set when the coefficients are 1-tuples over F_p
 
@@ -262,7 +255,7 @@ class _Field:
         cops = self._cops
         return tuple(cops.rneg(x) for x in a)
 
-    def _rmul_direct(self, a, b):
+    def rmul(self, a, b):
         cops = self._cops
         d = self._deg
         if d == 1:
@@ -282,65 +275,25 @@ class _Field:
                     for t in range(d):
                         prod[k - d + t] -= c * pm[t]
             return tuple((x % p,) for x in prod[:d])
-        prod = [cops.rzero] * (2 * d - 1)
-        for i, ai in enumerate(a):
-            if ai == cops.rzero:
-                continue
-            for j, bj in enumerate(b):
-                if bj == cops.rzero:
-                    continue
-                prod[i + j] = cops.radd(prod[i + j], cops.rmul(ai, bj))
-        mod = self._modlist
-        for k in range(2 * d - 2, d - 1, -1):
-            c = prod[k]
-            if c == cops.rzero:
-                continue
-            for t in range(d):
-                prod[k - d + t] = cops.rsub(prod[k - d + t], cops.rmul(c, mod[t]))
-        return tuple(prod[:d])
+        r = _poly_rem(_poly_mul(a, b, cops), self._modlist, cops)
+        return tuple(r) + (cops.rzero,) * (d - len(r))
 
-    def _rpow_direct(self, a, k: int):
+    def rpow(self, a, k: int):
         if k < 0:
-            return self._rpow_direct(self._rinv_direct(a), -k)
+            return self.rpow(self.rinv(a), -k)
         result = self.rone
         acc = a
         while k:
             if k & 1:
-                result = self._rmul_direct(result, acc)
-            acc = self._rmul_direct(acc, acc)
+                result = self.rmul(result, acc)
+            acc = self.rmul(acc, acc)
             k >>= 1
         return result
-
-    def _rinv_direct(self, a):
-        if a == self.rzero:
-            raise ZeroDivisionError("inverse of zero")
-        return self._rpow_direct(a, self.order - 2)
-
-    def rmul(self, a, b):
-        if self._ensure_tables():
-            if a == self.rzero or b == self.rzero:
-                return self.rzero
-            n = self.order - 1
-            return self._raws[self._exp[(self._log[self._ridx[a]] + self._log[self._ridx[b]]) % n]]
-        return self._rmul_direct(a, b)
 
     def rinv(self, a):
         if a == self.rzero:
             raise ZeroDivisionError("inverse of zero")
-        if self._ensure_tables():
-            n = self.order - 1
-            return self._raws[self._exp[(n - self._log[self._ridx[a]]) % n]]
-        return self._rinv_direct(a)
-
-    def rpow(self, a, k: int):
-        if a == self.rzero:
-            if k < 0:
-                raise ZeroDivisionError("negative power of zero")
-            return self.rone if k == 0 else self.rzero
-        if self._ensure_tables():
-            n = self.order - 1
-            return self._raws[self._exp[(self._log[self._ridx[a]] * k) % n]]
-        return self._rpow_direct(a, k)
+        return self.rpow(a, self.order - 2)
 
     # -- enumeration and encoding ------------------------------------------
 
@@ -373,33 +326,7 @@ class _Field:
         lex = list(self._cops.riter_lex())
         return (t for t in itertools.product(lex, repeat=self._deg))
 
-    # -- discrete-log tables -------------------------------------------------
-
-    def _ensure_tables(self) -> bool:
-        if self._exp is not None:
-            return True
-        if self.order > _TABLE_LIMIT:
-            return False
-        raws = [self.rfrom_index(k) for k in range(self.order)]
-        self._raws = raws
-        self._ridx = {a: k for k, a in enumerate(raws)}
-        g = self._find_generator_raw()
-        self._generator_raw = g
-        n = self.order - 1
-        exp = [0] * n
-        log = [0] * self.order
-        acc = self.rone
-        for i in range(n):
-            idx = self._ridx[acc]
-            exp[i] = idx
-            log[idx] = i
-            acc = self._rmul_direct(acc, g)
-        if acc != self.rone:
-            raise ConstructionError("generator walk did not return to one")
-        # _exp gates the table path, so it must be published last
-        self._log = log
-        self._exp = exp
-        return True
+    # -- primitive elements ----------------------------------------------------
 
     def _find_generator_raw(self):
         n = self.order - 1
@@ -419,7 +346,7 @@ class _Field:
         for cand in self.riter_lex():
             if cand == self.rzero:
                 continue
-            if all(self._rpow_direct(cand, n // f) != self.rone for f in factors):
+            if all(self.rpow(cand, n // f) != self.rone for f in factors):
                 return cand
         raise ConstructionError("no primitive element found")  # pragma: no cover
 
@@ -456,7 +383,7 @@ class _Field:
 
     def primitive_element(self) -> "Element":
         """Lexicographically first element of full multiplicative order."""
-        if self._generator_raw is None and not self._ensure_tables():
+        if self._generator_raw is None:
             self._generator_raw = self._find_generator_raw()
         return Element(self, self._generator_raw)
 

@@ -2,7 +2,7 @@
 
 Each criterion is independent and rebuilds what it needs; a conftest hook
 prints a PASS/FAIL line per criterion.  Field towers are cached across
-criteria so table construction costs are paid once.
+criteria so each modulus search runs once.
 """
 
 import math

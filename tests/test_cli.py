@@ -162,6 +162,14 @@ class TestUdmCommands:
         )
         assert run("udm", "verify", "--udm", str(out)) == 0
 
+    def test_build_json_prints_outcome(self, tmp_path, capsys):
+        out = tmp_path / "udm.json"
+        argv = ("udm", "build", "--p", "3", "--alpha", "2", "--m", "3", "--n", "3")
+        assert run(*argv, "--out", str(out), "--json") == 0
+        assert capsys.readouterr().out == json.dumps({"n": 3}, sort_keys=True) + "\n"
+        manifest = json.loads((tmp_path / "udm.json.manifest.json").read_text())
+        assert manifest["outcome"] == {"n": 3}
+
     def test_verify_detects_failure(self, tmp_path, capsys):
         from hierasure import UdmSet
         from towers import field
@@ -220,6 +228,13 @@ class TestDemo:
         run("demo", "storage-straggler", "--seed", "9")
         second = capsys.readouterr().out
         assert first == second
+
+    def test_json_flag_rejected(self, capsys):
+        # the walkthrough has no machine output, so --json is a usage error
+        with pytest.raises(SystemExit) as exc:
+            run("demo", "check-node", "--json")
+        assert exc.value.code == 2
+        assert "--json" in capsys.readouterr().err
 
 
 class TestInputBoundary:

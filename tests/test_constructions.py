@@ -305,11 +305,12 @@ class TestBalancedCode:
         with pytest.raises(ParameterError):
             balanced_code(2, ext, [one, one])
 
-    def test_deeper_tower_without_tables(self):
-        # q=9, alpha=8: above the discrete-log table limit, so this walks the
-        # schoolbook arithmetic path end to end, with a three-level chain
+    def test_deeper_tower_over_nonprime_base(self):
+        # q=9, alpha=8: the base field is not prime, so every extension
+        # product takes the generic polynomial branch rather than the plain
+        # int one, end to end with a three-level chain
         ext = tower(3, 2, 8)
-        assert ext.order > 32768
+        assert ext._prime_modulus is None
         code = balanced_code(3, ext)
         assert code.dim == 2
         assert is_correcting(code, BalancedFamily(8, 3)).correcting

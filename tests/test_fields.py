@@ -106,8 +106,8 @@ class TestArithmetic:
 
     @pytest.mark.parametrize("p,alpha", [(2, 5), (7, 4), (11, 8)])
     def test_prime_base_product_matches_generic_polynomials(self, p, alpha):
-        # over a prime base the direct product runs on plain ints; it must
-        # agree with the generic polynomial helpers the modulus search uses
+        # over a prime base the product runs on plain ints; it must agree
+        # with the generic polynomial helpers the modulus search uses
         from hierasure.fields import _poly_mul, _poly_rem
 
         ext = tower(p, 1, alpha)
@@ -117,7 +117,7 @@ class TestArithmetic:
             a, b = (ext.from_index(rng.randrange(ext.order)).coeffs for _ in range(2))
             want = _poly_rem(_poly_mul(list(a), list(b), base), ext._modlist, base)
             want = tuple(want) + (base.rzero,) * (alpha - len(want))
-            assert ext._rmul_direct(a, b) == want
+            assert ext.rmul(a, b) == want
 
     def test_inverse_of_zero(self):
         ext = tower(2, 1, 2)
@@ -130,8 +130,9 @@ class TestArithmetic:
         with pytest.raises(ParameterError):
             a + b
 
-    def test_pow_matches_repeated_multiplication(self):
-        ext = tower(5, 1, 2)
+    @pytest.mark.parametrize("p,e,alpha", [(5, 1, 2), (2, 2, 2), (3, 2, 2), (11, 1, 8)])
+    def test_pow_matches_repeated_multiplication(self, p, e, alpha):
+        ext = tower(p, e, alpha)
         w = w_elem(ext)
         acc = ext.one()
         for k in range(10):
@@ -139,6 +140,15 @@ class TestArithmetic:
             acc = acc * w
         assert w**-1 == w.inverse()
         assert w**-3 == (w.inverse()) ** 3
+        assert w ** (ext.order - 1) == ext.one()
+
+    def test_powers_of_zero(self):
+        ext = tower(2, 2, 2)
+        zero = ext.zero()
+        assert zero**0 == ext.one()
+        assert zero**3 == zero
+        with pytest.raises(ZeroDivisionError):
+            zero**-1
 
 
 class TestTrace:
@@ -359,3 +369,18 @@ class TestEncodingOrders:
         f4 = field(2, 2)
         g4 = f4.primitive_element()
         assert g4.coeffs == (0, 1)  # x comes before 1 in coefficient lex order
+
+    @pytest.mark.parametrize("p,e,alpha", [(2, 1, 3), (3, 1, 2), (2, 2, 2)])
+    def test_primitive_element_by_brute_force(self, p, e, alpha):
+        # the order of each element by repeated multiplication, no powering
+        ext = tower(p, e, alpha)
+        one = ext.one()
+
+        def order(x):
+            k, acc = 1, x
+            while acc != one:
+                k, acc = k + 1, acc * x
+            return k
+
+        first = next(x for x in ext.lex_elements() if x and order(x) == ext.order - 1)
+        assert ext.primitive_element() == first

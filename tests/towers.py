@@ -1,4 +1,4 @@
-"""Shared field towers, cached so discrete-log tables build once per run."""
+"""Shared field towers, cached so each modulus search runs once per session."""
 
 from functools import lru_cache
 
