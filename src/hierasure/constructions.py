@@ -41,9 +41,9 @@ from .fields import (
     QuadraticRoot,
     dual_basis,
     find_quadratic_root,
+    iter_subfield_members,
     quadratic_root_with_constant,
     subfield_basis,
-    subfield_members,
 )
 from .patterns import BalancedFamily, BoundedFamily, FullFamily, PowerFamily
 from .udm import UdmSet, trace_check_matrix, verify_udm, vontobel_udms
@@ -91,13 +91,8 @@ def b_symmetric_basis(ext: ExtSpec, root: QuadraticRoot) -> OrderedBasis:
 
 def _first_outside(ext: ExtSpec, big_d: int, small_d: int) -> Element:
     # lexicographically first member of the degree big_d subfield outside
-    # the degree small_d one; when the big subfield is the whole field,
-    # iterate lazily instead of materializing it
-    if big_d == ext.alpha:
-        candidates = ext.lex_elements()
-    else:
-        candidates = subfield_members(ext, big_d)
-    for el in candidates:
+    # the degree small_d one
+    for el in iter_subfield_members(ext, big_d):
         if not _in_subfield(ext, el, small_d):
             return el
     raise ConstructionError("nested subfields are equal; tower bug")  # pragma: no cover

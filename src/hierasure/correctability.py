@@ -50,7 +50,7 @@ def _checked_pattern(code: LinearCode, t) -> tuple[int, ...]:
         raise ParameterError("pattern length does not match the code length")
     alpha = code.ext.alpha
     if any(v < 0 or v > alpha for v in t):
-        raise ParameterError(f"pattern {t} exceeds alpha={alpha}")
+        raise ParameterError(f"pattern {t}: entries must lie in [0, alpha={alpha}]")
     return t
 
 

@@ -787,18 +787,32 @@ def subfield_basis(ext: ExtSpec, d: int) -> list[Element]:
     return [Element(ext, tuple(v[k].coeffs for k in range(alpha))) for v in kernel]
 
 
+def iter_subfield_members(ext: ExtSpec, d: int) -> Iterator[Element]:
+    """The q^d elements of the degree-d subfield, lazily, by coefficient tuple.
+
+    The subfield basis is put in reduced row echelon form over the base
+    field, with first-nonzero pivots p_1 < ... < p_d.  The coordinate of
+    sum c_k v_k at p_k is then c_k itself, and every coordinate before p_k
+    depends only on c_1 .. c_(k-1); so walking the coefficient tuples in
+    lexicographic order walks the members in lexicographic order.
+    """
+    from . import linalg
+
+    base = ext.base
+    rows = [[Element(base, c) for c in v.coeffs] for v in subfield_basis(ext, d)]
+    echelon = [Element(ext, tuple(c.coeffs for c in row)) for row in linalg.rref(rows, base)[0]]
+    scalars = [ext.lift(c) for c in base.lex_elements()]
+    multiples = [[c * v for c in scalars] for v in echelon]
+    for parts in itertools.product(*multiples):
+        acc = parts[0]
+        for x in parts[1:]:
+            acc = acc + x
+        yield acc
+
+
 def subfield_members(ext: ExtSpec, d: int) -> list[Element]:
     """All q^d elements of the degree-d subfield, sorted by coefficient tuple."""
-    basis = subfield_basis(ext, d)
-    base = ext.base
-    members = []
-    for combo in itertools.product(list(base.lex_elements()), repeat=d):
-        acc = ext.zero()
-        for c, v in zip(combo, basis):
-            acc = acc + ext.lift(c) * v
-        members.append(acc)
-    members.sort(key=lambda el: el.coeffs)
-    return members
+    return list(iter_subfield_members(ext, d))
 
 
 @dataclass(frozen=True, slots=True)
@@ -817,7 +831,7 @@ def _quadratic_root_in_plane(ext: ExtSpec, a0: Element, a1: Element) -> "Quadrat
     if not poly_is_irreducible(poly, base):
         return None
     la0, la1 = ext.lift(a0), ext.lift(a1)
-    for b in subfield_members(ext, 2):
+    for b in iter_subfield_members(ext, 2):
         if b * b + la1 * b + la0 == ext.zero():
             return QuadraticRoot(a0, a1, b)
     return None  # pragma: no cover

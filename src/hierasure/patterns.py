@@ -11,9 +11,14 @@ four families:
   fractions sum to one (plus the empty pattern by convention);
 * bounded(r): every entry at most r.
 
-Enumeration is lexicographic and restartable; ``maximal_patterns`` keeps
-only patterns not dominated componentwise inside their family, which is
-all a correctability check ever needs, since erasing less is easier.
+Enumeration is lexicographic and restartable.  ``maximal_patterns``
+yields the patterns not dominated componentwise inside their family,
+which is all a correctability check ever needs, since erasing less is
+easier.  Every family has them in closed form: full(alpha, m) has the
+patterns of total exactly min(m, n*alpha); balanced(alpha) has, for
+each scale i with 2^i <= n, the value alpha/2^i on exactly 2^i
+positions; power(alpha) has every nonzero member, since all of them sum
+to exactly alpha; bounded(r) has the one all-r pattern.
 """
 
 from __future__ import annotations
@@ -105,15 +110,18 @@ def _bounded_sum_tuples(n: int, cap: int, budget: int) -> Iterator[ErasurePatter
             yield (head,) + tail
 
 
-def _exact_sum_tuples(n: int, cap: int, total: int) -> Iterator[ErasurePattern]:
+def _exact_sum_tuples(n: int, values: Sequence[int], total: int) -> Iterator[ErasurePattern]:
+    # lexicographic tuples with entries from ascending ``values`` and sum == total
     if n == 0:
         if total == 0:
             yield ()
         return
-    if total > n * cap:
+    if total > n * values[-1]:
         return
-    for head in range(min(cap, total) + 1):
-        for tail in _exact_sum_tuples(n - 1, cap, total - head):
+    for head in values:
+        if head > total:
+            break
+        for tail in _exact_sum_tuples(n - 1, values, total - head):
             yield (head,) + tail
 
 
@@ -172,25 +180,37 @@ def enumerate_family(fam: PatternFamily) -> Iterator[ErasurePattern]:
         raise ParameterError(f"unknown family {fam!r}")
 
 
-def _dominated(t: Sequence[int], by: Sequence[int]) -> bool:
-    return t != tuple(by) and all(a <= b for a, b in zip(t, by))
+def _balanced_maxima(alpha: int, n: int) -> list[ErasurePattern]:
+    # scale i: value alpha >> i on exactly 2^i of the n positions (none when 2^i > n)
+    out = []
+    for i in range(alpha.bit_length()):
+        value = alpha >> i
+        for support in itertools.combinations(range(n), 1 << i):
+            t = [0] * n
+            for j in support:
+                t[j] = value
+            out.append(tuple(t))
+    return sorted(out)
 
 
 def maximal_patterns(fam: PatternFamily) -> Iterator[ErasurePattern]:
     """Patterns of the family not componentwise dominated within it.
 
     Every family member lies below some yielded pattern, so a check that
-    passes on these passes on the whole family.
+    passes on these passes on the whole family.  Each family's maxima are
+    generated directly (see the module notes), in lexicographic order.
     """
     if isinstance(fam, FullFamily):
-        yield from _exact_sum_tuples(fam.n, fam.alpha, min(fam.m, fam.n * fam.alpha))
+        yield from _exact_sum_tuples(fam.n, range(fam.alpha + 1), min(fam.m, fam.n * fam.alpha))
     elif isinstance(fam, BoundedFamily):
         yield (fam.r,) * fam.n
+    elif isinstance(fam, BalancedFamily):
+        yield from _balanced_maxima(fam.alpha, fam.n)
+    elif isinstance(fam, PowerFamily):
+        powers = [0] + [1 << k for k in range(fam.beta + 1)]
+        yield from _exact_sum_tuples(fam.n, powers, fam.alpha)
     else:
-        members = list(enumerate_family(fam))
-        for t in members:
-            if not any(_dominated(t, other) for other in members):
-                yield t
+        raise ParameterError(f"unknown family {fam!r}")
 
 
 def hierarchical_weight(word: Sequence[Element], omega: OrderedBasis) -> int:
@@ -219,7 +239,7 @@ def invisible_generators(t: Sequence[int], omega: OrderedBasis) -> list[tuple[El
     n = len(t)
     ext = omega.ext
     if any(v < 0 or v > ext.alpha for v in t):
-        raise ParameterError(f"pattern {t} exceeds alpha={ext.alpha}")
+        raise ParameterError(f"pattern {t}: entries must lie in [0, alpha={ext.alpha}]")
     zero = ext.zero()
     out = []
     for i, ti in enumerate(t):
@@ -260,7 +280,7 @@ def apply_erasure(word: Sequence[Element], t: Sequence[int], omega: OrderedBasis
         raise ParameterError("word and pattern lengths differ")
     alpha = omega.ext.alpha
     if any(v < 0 or v > alpha for v in t):
-        raise ParameterError(f"pattern {t} exceeds alpha={alpha}")
+        raise ParameterError(f"pattern {t}: entries must lie in [0, alpha={alpha}]")
     known = tuple(tuple(omega.coordinates(c)[ti:]) for c, ti in zip(word, t))
     return ReceivedWord(omega, t, known)
 

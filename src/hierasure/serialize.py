@@ -140,9 +140,18 @@ def patterns_to_json(patterns) -> list:
     return [list(t) for t in patterns]
 
 
+def _int_entries(values, what: str) -> tuple[int, ...]:
+    # JSON integers only: a float, string or boolean is rejected, not truncated
+    out = tuple(values)
+    for v in out:
+        if isinstance(v, bool) or not isinstance(v, int):
+            raise ParameterError(f"{what} entries must be integers, got {v!r}")
+    return out
+
+
 @_loader("patterns")
 def patterns_from_json(obj) -> list[tuple[int, ...]]:
-    return [tuple(int(v) for v in t) for t in obj]
+    return [_int_entries(t, "pattern") for t in obj]
 
 
 # -- codes --------------------------------------------------------------------
@@ -220,7 +229,7 @@ def received_from_json(obj: dict) -> ReceivedWord:
     known = tuple(
         tuple(base_element_from_json(base, c) for c in suffix) for suffix in obj["known"]
     )
-    return ReceivedWord(omega, tuple(int(v) for v in obj["t"]), known)
+    return ReceivedWord(omega, _int_entries(obj["t"], "erasure pattern"), known)
 
 
 def codeword_to_json(word) -> list:

@@ -7,9 +7,100 @@ inverse of the alpha x alpha F_q coordinate matrix, and a word is rebuilt
 as sum c_j * omega_j in the extension.  Every pattern expands H against
 the basis and runs ``linalg`` elimination over the base field F_q;
 decoding solves over F_q; UDM verification ranks stacked F_q rows.
+
+It also keeps the exhaustive searches the closed forms replaced: the
+pairwise dominance filter over a family's members, and the sorted list
+of every member of a subfield.
 """
 
-from hierasure import Element, FullFamily, linalg, maximal_patterns
+import itertools
+
+from hierasure import (
+    Element,
+    FullFamily,
+    enumerate_family,
+    family_contains,
+    linalg,
+    maximal_patterns,
+    subfield_basis,
+)
+
+
+def reference_maximal_patterns(fam):
+    """Members of the family not componentwise dominated by another, in enumeration order.
+
+    Pairwise comparison over every member; only members of strictly larger
+    total are compared, since any other member dominating t has one.
+    """
+    members = list(enumerate_family(fam))
+    above = {s: [u for u in members if sum(u) > s] for s in {sum(t) for t in members}}
+    return [
+        t
+        for t in members
+        if not any(all(a <= b for a, b in zip(t, u)) for u in above[sum(t)])
+    ]
+
+
+def reference_local_maxima(fam):
+    """Maximal members of a downward-closed family (full, balanced, bounded), by local search.
+
+    The members come from a prefix walk on ``family_contains``: in a
+    downward-closed family a prefix extends to a member exactly when it
+    does with zeros.  A member is kept when no single entry can grow by
+    one inside the family; that is the dominance filter, because another
+    member above t lies above some t + e_j, which downward closure keeps
+    in the family.
+    """
+    n = fam.n
+
+    def walk(prefix):
+        if len(prefix) == n:
+            yield prefix
+            return
+        pad = (0,) * (n - len(prefix) - 1)
+        v = 0
+        while family_contains(fam, prefix + (v,) + pad):
+            yield from walk(prefix + (v,))
+            v += 1
+
+    return [
+        t
+        for t in walk(())
+        if not any(family_contains(fam, t[:j] + (t[j] + 1,) + t[j + 1 :]) for j in range(n))
+    ]
+
+
+def reference_subfield_members(ext, d):
+    """Every combination of the degree-d subfield basis, sorted by coefficient tuple."""
+    basis = subfield_basis(ext, d)
+    members = []
+    for combo in itertools.product(list(ext.base.lex_elements()), repeat=d):
+        acc = ext.zero()
+        for c, v in zip(combo, basis):
+            acc = acc + ext.lift(c) * v
+        members.append(acc)
+    members.sort(key=lambda el: el.coeffs)
+    return members
+
+
+def _in_subfield(ext, el, d):
+    img = el
+    for _ in range(d):
+        img = ext.frobenius(img)
+    return img == el
+
+
+def reference_first_outside(ext, big_d, small_d):
+    """Lexicographically first member of the degree big_d subfield outside the degree small_d one.
+
+    The whole field (big_d == alpha) is walked by ``lex_elements`` instead
+    of being materialised.
+    """
+    candidates = ext.lex_elements() if big_d == ext.alpha else reference_subfield_members(ext, big_d)
+    for el in candidates:
+        if not _in_subfield(ext, el, small_d):
+            return el
+    raise AssertionError("nested subfields are equal")
 
 
 def _coordinate_matrix(ext, elements):
@@ -81,8 +172,6 @@ def reference_witness(code, t):
 
 def reference_is_correcting(code, fam, all_patterns=True):
     """(verdict, first failing pattern, its witness) in enumeration order."""
-    from hierasure import enumerate_family
-
     pats = enumerate_family(fam) if all_patterns else maximal_patterns(fam)
     for t in pats:
         if not reference_correctable(code, t):

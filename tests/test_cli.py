@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -205,6 +209,22 @@ class TestBoundsCommands:
         assert report["value"] == pytest.approx(4.0)
 
 
+class TestModuleEntryPoint:
+    def test_python_m_runs_the_cli(self):
+        # ``python -m hierasure`` works from a checkout, with only src on the path
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-m", "hierasure", "bounds", "--help"],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("usage: hierasure bounds")
+
+
 class TestDemo:
     def test_storage_scenario_round_trips(self, capsys):
         assert run("demo", "storage-straggler", "--seed", "3") == 0
@@ -302,6 +322,21 @@ class TestInputBoundary:
         path = tmp_path / "pats.json"
         path.write_text('[[1, "x"]]')
         self.assert_usage_error(capsys, run("verify", "--code", code_file, "--patterns", str(path)))
+
+    @pytest.mark.parametrize("pattern", ["[[1.5, 1]]", '[["2", 0]]', "[[true, 0]]", "[[-1, 0]]"])
+    def test_patterns_non_integer_or_negative_entry(self, tmp_path, code_file, capsys, pattern):
+        # a float or string used to be truncated by int() and verified as a real pattern
+        path = tmp_path / "pats.json"
+        path.write_text(pattern)
+        self.assert_usage_error(capsys, run("verify", "--code", code_file, "--patterns", str(path)))
+
+    @pytest.mark.parametrize("t", [[1.7, 1], ["1", 1], [True, 1]])
+    def test_received_non_integer_erasure_count(self, tmp_path, code_file, received_file, capsys, t):
+        payload = json.loads(open(received_file).read())
+        payload["t"] = t
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(payload))
+        self.assert_usage_error(capsys, run("decode", "--code", code_file, "--received", str(path)))
 
     def test_udm_missing_key(self, tmp_path, capsys):
         path = tmp_path / "u.json"

@@ -111,6 +111,12 @@ class TestIsCorrecting:
         with pytest.raises(ParameterError):
             is_correcting(code, FullFamily(2, 2, 3))
 
+    @pytest.mark.parametrize("t", [(-1, 0), (3, 0)])
+    def test_pattern_entry_range(self, t):
+        code = length2_code(tower(2, 1, 2))
+        with pytest.raises(ParameterError, match=r"entries must lie in \[0, alpha=2\]"):
+            pattern_correctable(code, t)
+
 
 class TestSemanticAgreement:
     # the expanded-rank verdict must match brute-force collision counting
