@@ -30,9 +30,8 @@ import random
 import warnings
 from dataclasses import dataclass
 
-from . import linalg
+from . import linalg, modp
 from .codes import LinearCode, code_from_rows
-from .correctability import is_correcting
 from .errors import ConstructionError, ParameterError
 from .fields import (
     Element,
@@ -45,7 +44,7 @@ from .fields import (
     quadratic_root_with_constant,
     subfield_basis,
 )
-from .patterns import BalancedFamily, BoundedFamily, FullFamily, PowerFamily
+from .patterns import BalancedFamily, BoundedFamily, FullFamily, PowerFamily, maximal_patterns
 from .udm import UdmSet, trace_check_matrix, verify_udm, vontobel_udms
 
 
@@ -483,11 +482,25 @@ def greedy_gv_code(
     """Grow an m-good parity check column by column, starting from identity.
 
     A matrix is m-good when its right kernel holds no nonzero word of
-    hierarchical weight at most m; appending any column outside the bad
+    hierarchical weight at most m, i.e. when it corrects every pattern of
+    ``FullFamily(alpha, m, length)``; appending any column outside the bad
     set preserves goodness, and a large enough field guarantees such a
     column exists.  Columns are sampled with the seeded RNG; if the budget
     runs dry and the column space is small, a deterministic sweep finishes
     the search before giving up.
+
+    A candidate column is checked only against the patterns that can fail.
+    The accepted prefix is m-good, so a pattern that leaves the new symbol
+    intact is one of its own patterns and is correctable.  A pattern of
+    total m that erases k >= 1 leading coordinates of the new symbol is
+    correctable iff the erased prefix columns (independent, since the
+    prefix is good) together with the first k*e prime-field columns of the
+    candidate are independent.  So once per column position, for each k,
+    the erased columns of every maximal pattern of ``FullFamily(alpha,
+    m - k, L)`` on the L accepted columns are put in echelon form, and a
+    candidate is accepted when its first k*e columns insert into a copy of
+    each of them without a dependency.  (m - k always fits in the prefix:
+    m < alpha*(r-1) and L >= r.)
     """
     alpha = ext.alpha
     if not 1 <= r <= n:
@@ -503,37 +516,52 @@ def greedy_gv_code(
         )
     omega = ext.polynomial_basis()
     rng = random.Random(seed)
+    p, e = ext.base.p, ext.base.e
+    height = r * alpha * e
+    k_max = min(alpha, m)
+    # prime-field columns of g * omega_j * x^d for j < k_max, laid out as
+    # LinearCode.expansion lays out a column of H
+    digit_elements = omega.digit_elements[: k_max * e]
+
+    def expand(g):
+        return [[d for x in g for d in omega.coordinate_digits(x * w)] for w in digit_elements]
+
     rows = [[ext.one() if j == i else ext.zero() for j in range(r)] for i in range(r)]
+    expanded = [expand(col) for col in zip(*rows)]
 
-    def prefix_good(candidate_rows, length):
-        probe = code_from_rows(ext, candidate_rows, omega, length=length)
-        return is_correcting(probe, FullFamily(alpha, m, length)).correcting
-
-    for col in range(r, n):
-        extended = None
+    def candidates():
         for _ in range(budget):
-            g = [ext.from_index(rng.randrange(ext.order)) for _ in range(r)]
-            candidate = [row + [gi] for row, gi in zip(rows, g)]
-            if prefix_good(candidate, col + 1):
-                extended = candidate
-                break
-        if extended is None and ext.order**r <= (1 << 20):
+            yield [ext.from_index(rng.randrange(ext.order)) for _ in range(r)]
+        if ext.order**r <= (1 << 20):
             for idx in range(ext.order**r):
                 g = []
                 k = idx
                 for _ in range(r):
                     g.append(ext.from_index(k % ext.order))
                     k //= ext.order
-                candidate = [row + [gi] for row, gi in zip(rows, g)]
-                if prefix_good(candidate, col + 1):
-                    extended = candidate
-                    break
-        if extended is None:
+                yield g
+
+    for col in range(r, n):
+        checks = []  # (how many candidate columns, prefix echelon)
+        for k in range(1, k_max + 1):
+            for t in maximal_patterns(FullFamily(alpha, m - k, col)):
+                ech = modp.Echelon(p, height)
+                for block, ti in zip(expanded, t):
+                    for v in block[: ti * e]:
+                        ech.insert(v)
+                checks.append((k * e, ech))
+        for g in candidates():
+            cols = expand(g)
+            if all(_extends(ech, cols[:width]) for width, ech in checks):
+                break
+        else:
             raise ConstructionError(
                 f"no eligible column found for position {col} "
                 f"(have {col} good columns; budget {budget})"
             )
-        rows = extended
+        for row, gi in zip(rows, g):
+            row.append(gi)
+        expanded.append(cols)
 
     return code_from_rows(
         ext,
@@ -542,6 +570,12 @@ def greedy_gv_code(
         FullFamily(alpha, m, n),
         {"construction": "greedy_gv", "n": n, "r": r, "m": m, "seed": seed},
     )
+
+
+def _extends(ech: modp.Echelon, vectors) -> bool:
+    # True iff the vectors are independent modulo the echelon's span
+    trial = ech.copy()
+    return all(trial.insert(v) is None for v in vectors)
 
 
 def _gv_bound_base(n: int, m: int) -> int:

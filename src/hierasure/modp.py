@@ -34,6 +34,13 @@ class Echelon:
         self.width = width
         self.rows: list[tuple[int, list[int]]] = []  # (pivot, vector)
 
+    def copy(self) -> "Echelon":
+        """The same basis, open to further inserts; rows are shared, since
+        no row changes after it is inserted."""
+        twin = Echelon(self.p, self.width)
+        twin.rows = list(self.rows)
+        return twin
+
     def reduce(self, v: Sequence[int]) -> list[int]:
         """v minus its projection onto the basis, pivot by pivot."""
         p = self.p

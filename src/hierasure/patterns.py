@@ -11,7 +11,10 @@ four families:
   fractions sum to one (plus the empty pattern by convention);
 * bounded(r): every entry at most r.
 
-Enumeration is lexicographic and restartable.  ``maximal_patterns``
+Enumeration is lexicographic and restartable, and visits only members:
+balanced members by a prefix walk that stops where a prefix leaves the
+family, power members as the empty pattern followed by the maxima
+below.  ``maximal_patterns``
 yields the patterns not dominated componentwise inside their family,
 which is all a correctability check ever needs, since erasing less is
 easier.  Every family has them in closed form: full(alpha, m) has the
@@ -23,6 +26,7 @@ to exactly alpha; bounded(r) has the one all-r pattern.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 from dataclasses import dataclass
 from typing import Iterator, Sequence, Union
@@ -31,6 +35,15 @@ from .errors import ParameterError
 from .fields import Element, OrderedBasis
 
 ErasurePattern = tuple[int, ...]
+
+
+def _check_int_fields(fam):
+    # a float, string or boolean field would pass comparisons like 4.0 == 4
+    # and fail later inside enumeration
+    for f in dataclasses.fields(fam):
+        v = getattr(fam, f.name)
+        if isinstance(v, bool) or not isinstance(v, int):
+            raise ParameterError(f"family {f.name} must be an integer, got {v!r}")
 
 
 def _check_power_of_two(alpha: int):
@@ -47,6 +60,7 @@ class FullFamily:
     n: int
 
     def __post_init__(self):
+        _check_int_fields(self)
         if self.n < 1 or self.alpha < 0:
             raise ParameterError("need n >= 1 and alpha >= 0")
         if not 0 <= self.m <= self.n * self.alpha:
@@ -59,6 +73,7 @@ class BalancedFamily:
     n: int
 
     def __post_init__(self):
+        _check_int_fields(self)
         if self.n < 1:
             raise ParameterError("need n >= 1")
         _check_power_of_two(self.alpha)
@@ -74,6 +89,7 @@ class PowerFamily:
     n: int
 
     def __post_init__(self):
+        _check_int_fields(self)
         if self.n < 1:
             raise ParameterError("need n >= 1")
         _check_power_of_two(self.alpha)
@@ -91,6 +107,7 @@ class BoundedFamily:
     n: int
 
     def __post_init__(self):
+        _check_int_fields(self)
         if self.n < 1 or self.r < 0:
             raise ParameterError("need n >= 1 and r >= 0")
         if self.r >= self.n:
@@ -166,14 +183,35 @@ def family_contains(fam: PatternFamily, t: Sequence[int]) -> bool:
     raise ParameterError(f"unknown family {fam!r}")
 
 
+def _power_maxima(fam: PowerFamily) -> Iterator[ErasurePattern]:
+    powers = [0] + [1 << k for k in range(fam.beta + 1)]
+    return _exact_sum_tuples(fam.n, powers, fam.alpha)
+
+
+def _balanced_members(fam: BalancedFamily, prefix: ErasurePattern) -> Iterator[ErasurePattern]:
+    # prefix walk: the family is downward closed, so a prefix extends to a
+    # member iff it does with zeros (which change neither the support nor
+    # the largest entry), and once prefix + (v,) fails so does every larger v
+    if len(prefix) == fam.n:
+        yield prefix
+        return
+    for v in range(fam.alpha + 1):
+        head = prefix + (v,)
+        if not _is_balanced(head, fam.alpha, fam.n):
+            break
+        yield from _balanced_members(fam, head)
+
+
 def enumerate_family(fam: PatternFamily) -> Iterator[ErasurePattern]:
     """Every pattern in the family exactly once, in lexicographic order."""
     if isinstance(fam, FullFamily):
         yield from _bounded_sum_tuples(fam.n, fam.alpha, fam.m)
-    elif isinstance(fam, (BalancedFamily, PowerFamily)):
-        for t in _bounded_sum_tuples(fam.n, fam.alpha, fam.alpha):
-            if family_contains(fam, t):
-                yield t
+    elif isinstance(fam, BalancedFamily):
+        yield from _balanced_members(fam, ())
+    elif isinstance(fam, PowerFamily):
+        # the empty pattern, then every member of total exactly alpha
+        yield (0,) * fam.n
+        yield from _power_maxima(fam)
     elif isinstance(fam, BoundedFamily):
         yield from itertools.product(range(fam.r + 1), repeat=fam.n)
     else:
@@ -207,8 +245,7 @@ def maximal_patterns(fam: PatternFamily) -> Iterator[ErasurePattern]:
     elif isinstance(fam, BalancedFamily):
         yield from _balanced_maxima(fam.alpha, fam.n)
     elif isinstance(fam, PowerFamily):
-        powers = [0] + [1 << k for k in range(fam.beta + 1)]
-        yield from _exact_sum_tuples(fam.n, powers, fam.alpha)
+        yield from _power_maxima(fam)
     else:
         raise ParameterError(f"unknown family {fam!r}")
 

@@ -9,21 +9,48 @@ the basis and runs ``linalg`` elimination over the base field F_q;
 decoding solves over F_q; UDM verification ranks stacked F_q rows.
 
 It also keeps the exhaustive searches the closed forms replaced: the
-pairwise dominance filter over a family's members, and the sorted list
-of every member of a subfield.
+pairwise dominance filter over a family's members, the filter of the
+bounded simplex that enumerated balanced and power members, and the
+sorted list of every member of a subfield.  ``reference_greedy_gv_code``
+is the greedy construction as it was before it cached prefix echelons:
+each candidate column builds a probe code and rechecks every maximal
+pattern of the full family.
 """
 
 import itertools
+import random
+import warnings
 
 from hierasure import (
+    BalancedFamily,
+    ConstructionError,
     Element,
+    ExtSpec,
     FullFamily,
+    LinearCode,
+    ParameterError,
+    PowerFamily,
+    code_from_rows,
     enumerate_family,
     family_contains,
+    is_correcting,
     linalg,
     maximal_patterns,
     subfield_basis,
 )
+from hierasure.constructions import _gv_bound_base
+from hierasure.patterns import _bounded_sum_tuples
+
+
+def reference_enumerate_family(fam):
+    """Every member in lexicographic order; balanced and power by filtering.
+
+    Balanced and power members are picked out of every tuple with entries
+    and total at most alpha; other families use ``enumerate_family``.
+    """
+    if isinstance(fam, (BalancedFamily, PowerFamily)):
+        return [t for t in _bounded_sum_tuples(fam.n, fam.alpha, fam.alpha) if family_contains(fam, t)]
+    return list(enumerate_family(fam))
 
 
 def reference_maximal_patterns(fam):
@@ -32,7 +59,7 @@ def reference_maximal_patterns(fam):
     Pairwise comparison over every member; only members of strictly larger
     total are compared, since any other member dominating t has one.
     """
-    members = list(enumerate_family(fam))
+    members = reference_enumerate_family(fam)
     above = {s: [u for u in members if sum(u) > s] for s in {sum(t) for t in members}}
     return [
         t
@@ -214,3 +241,75 @@ def reference_verify_udm(u):
         if linalg.rank(stacked, u.field) != sum(t):
             return False, t
     return True, None
+
+
+def reference_greedy_gv_code(
+    n: int,
+    r: int,
+    m: int,
+    ext: ExtSpec,
+    seed: int = 0,
+    budget: int = 10_000,
+) -> LinearCode:
+    """Grow an m-good parity check column by column, starting from identity.
+
+    A matrix is m-good when its right kernel holds no nonzero word of
+    hierarchical weight at most m; appending any column outside the bad
+    set preserves goodness, and a large enough field guarantees such a
+    column exists.  Columns are sampled with the seeded RNG; if the budget
+    runs dry and the column space is small, a deterministic sweep finishes
+    the search before giving up.
+    """
+    alpha = ext.alpha
+    if not 1 <= r <= n:
+        raise ParameterError("need 1 <= r <= n")
+    if m < 0 or m >= alpha * (r - 1):
+        raise ParameterError(f"need m < alpha*(r-1) = {alpha * (r - 1)}")
+    base_size = ext.base.order
+    bound_base = _gv_bound_base(n, m)
+    if base_size ** (alpha * (r - 1) - m) <= bound_base:
+        warnings.warn(
+            f"field size {base_size} is at or below the existence threshold; "
+            "the greedy search may exhaust its budget"
+        )
+    omega = ext.polynomial_basis()
+    rng = random.Random(seed)
+    rows = [[ext.one() if j == i else ext.zero() for j in range(r)] for i in range(r)]
+
+    def prefix_good(candidate_rows, length):
+        probe = code_from_rows(ext, candidate_rows, omega, length=length)
+        return is_correcting(probe, FullFamily(alpha, m, length)).correcting
+
+    for col in range(r, n):
+        extended = None
+        for _ in range(budget):
+            g = [ext.from_index(rng.randrange(ext.order)) for _ in range(r)]
+            candidate = [row + [gi] for row, gi in zip(rows, g)]
+            if prefix_good(candidate, col + 1):
+                extended = candidate
+                break
+        if extended is None and ext.order**r <= (1 << 20):
+            for idx in range(ext.order**r):
+                g = []
+                k = idx
+                for _ in range(r):
+                    g.append(ext.from_index(k % ext.order))
+                    k //= ext.order
+                candidate = [row + [gi] for row, gi in zip(rows, g)]
+                if prefix_good(candidate, col + 1):
+                    extended = candidate
+                    break
+        if extended is None:
+            raise ConstructionError(
+                f"no eligible column found for position {col} "
+                f"(have {col} good columns; budget {budget})"
+            )
+        rows = extended
+
+    return code_from_rows(
+        ext,
+        rows,
+        omega,
+        FullFamily(alpha, m, n),
+        {"construction": "greedy_gv", "n": n, "r": r, "m": m, "seed": seed},
+    )

@@ -338,6 +338,18 @@ class TestInputBoundary:
         path.write_text(json.dumps(payload))
         self.assert_usage_error(capsys, run("decode", "--code", code_file, "--received", str(path)))
 
+    @pytest.mark.parametrize("field,value", [("n", 4.0), ("alpha", 4.0), ("n", "4"), ("alpha", True)])
+    @pytest.mark.parametrize("extra", [(), ("--all-patterns",)])
+    def test_claim_non_integer_field(self, tmp_path, capsys, field, value, extra):
+        # "n": 4.0 used to pass the length check and end in a TypeError traceback
+        path = tmp_path / "code.json"
+        run("construct", "balanced", "--p", "5", "--alpha", "4", "--n", "4", "--out", str(path))
+        payload = json.loads(path.read_text())
+        payload["claim"][field] = value
+        path.write_text(json.dumps(payload))
+        capsys.readouterr()
+        self.assert_usage_error(capsys, run("verify", "--code", str(path), *extra))
+
     def test_udm_missing_key(self, tmp_path, capsys):
         path = tmp_path / "u.json"
         path.write_text('{"a": 1}')

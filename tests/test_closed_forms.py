@@ -1,9 +1,11 @@
-"""Closed-form maximal patterns and the lazy subfield walk against exhaustive searches.
+"""Closed-form maximal patterns, member walks and the lazy subfield walk against exhaustive searches.
 
-``maximal_patterns`` generates the balanced and power maxima directly and
+``maximal_patterns`` generates the balanced and power maxima directly,
+``enumerate_family`` walks only balanced and power members, and
 ``iter_subfield_members`` walks a subfield in lexicographic order without
 sorting; the references in ``reference.py`` are the dominance filter over
-every family member and the sorted list of every subfield member.
+every family member, the filter of the bounded simplex, and the sorted
+list of every subfield member.
 """
 
 import itertools
@@ -13,12 +15,14 @@ import pytest
 from hierasure import (
     BalancedFamily,
     PowerFamily,
+    enumerate_family,
     maximal_patterns,
     subfield_chain_basis,
     subfield_members,
 )
 from hierasure.fields import iter_subfield_members
 from reference import (
+    reference_enumerate_family,
     reference_first_outside,
     reference_local_maxima,
     reference_maximal_patterns,
@@ -53,6 +57,14 @@ class TestMaximalPatterns:
     @pytest.mark.parametrize("n,count", [(6, 36), (8, 107), (10, 310)])
     def test_balanced_counts(self, n, count):
         assert len(list(maximal_patterns(BalancedFamily(8, n)))) == count
+
+
+class TestEnumeration:
+    @pytest.mark.parametrize("family", [BalancedFamily, PowerFamily])
+    @pytest.mark.parametrize("alpha,n", [(alpha, n) for alpha in (1, 2, 4, 8) for n in range(1, 9)])
+    def test_walk_matches_filter(self, family, alpha, n):
+        fam = family(alpha, n)
+        assert list(enumerate_family(fam)) == reference_enumerate_family(fam)
 
 
 def _divisors(ext):

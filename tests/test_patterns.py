@@ -137,6 +137,28 @@ class TestFamilyValidation:
         with pytest.raises(ParameterError):
             FullFamily(2, 7, 3)
 
+    @pytest.mark.parametrize("bad", [4.0, "4", True, None])
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda v: FullFamily(v, 2, 4),
+            lambda v: FullFamily(4, v, 4),
+            lambda v: FullFamily(4, 2, v),
+            lambda v: BalancedFamily(v, 4),
+            lambda v: BalancedFamily(4, v),
+            lambda v: PowerFamily(v, 4),
+            lambda v: PowerFamily(4, v),
+            lambda v: BoundedFamily(v, 4),
+            lambda v: BoundedFamily(1, v),
+        ],
+        ids=["full.alpha", "full.m", "full.n", "balanced.alpha", "balanced.n",
+             "power.alpha", "power.n", "bounded.r", "bounded.n"],
+    )
+    def test_fields_must_be_integers(self, make, bad):
+        # 4.0 == 4 and True == 1 would pass the range checks and fail later
+        with pytest.raises(ParameterError, match="must be an integer"):
+            make(bad)
+
 
 class TestWeight:
     def test_zero_word(self):
