@@ -160,8 +160,6 @@ def _params_of(args) -> dict:
 
 def _cmd_verify(args) -> int:
     started = time.perf_counter()
-    if args.threads < 1:
-        raise ParameterError(f"--threads must be at least 1, got {args.threads}")
     code = _read_json(args.code, serialize.code_from_json)
     report: dict
     if args.patterns:
@@ -179,7 +177,7 @@ def _cmd_verify(args) -> int:
             fam = parse_family(args.family, code.ext.alpha, code.n)
         if fam is None:
             raise ParameterError("code carries no claim; pass --family or --patterns")
-        result = is_correcting(code, fam, all_patterns=args.all_patterns, threads=args.threads)
+        result = is_correcting(code, fam, all_patterns=args.all_patterns)
         report = {
             "correcting": result.correcting,
             "family": serialize.family_to_json(fam),
@@ -377,7 +375,6 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--family", help="full:m | balanced | power | bounded:r (default: the code's claim)")
     v.add_argument("--patterns", help="JSON file with an explicit pattern list")
     v.add_argument("--all-patterns", action="store_true", help="audit dominated patterns too")
-    v.add_argument("--threads", type=int, default=1, help="accepted for compatibility; checks run in one thread")
     v.add_argument("--out")
     v.add_argument("--json", action="store_true")
     v.set_defaults(func=_cmd_verify)

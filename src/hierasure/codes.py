@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Mapping
 
-from . import linalg
-from .errors import ParameterError
+from . import modp
+from .errors import ParameterError, require_int
 from .fields import Element, ExtSpec, OrderedBasis
 from .patterns import PatternFamily
 
@@ -18,9 +20,10 @@ class LinearCode:
     ``H`` has r rows and n columns; the code is its right kernel.  ``omega``
     is the basis codeword symbols are expanded over when erased, and
     ``claim`` names the pattern family the construction promises to
-    correct.  The actual rank of H is computed at construction time and
-    ``dim`` is n - rank, which may exceed n - r when rows are dependent.
-    A 0-row H is legal (the whole space) but then ``length`` must be given.
+    correct.  ``rank`` is the actual rank of H, computed on first read
+    from the expansion, and ``dim`` is n - rank, which may exceed n - r
+    when rows are dependent.  A 0-row H is legal (the whole space) but then
+    ``length`` must be given.
 
     ``expansion(i, j)`` is H's base-field expansion against ``omega`` over
     the prime field, one column block at a time, built on first use and
@@ -34,8 +37,6 @@ class LinearCode:
     claim: PatternFamily | None = None
     provenance: Mapping = field(default_factory=dict)
     length: int | None = None
-    rank: int = field(init=False)
-    dim: int = field(init=False)
     _expansion: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -52,14 +53,12 @@ class LinearCode:
                     self.ext._check_same(entry)
         elif n is None:
             raise ParameterError("a 0-row parity check needs an explicit length")
+        require_int(n, "code length")
         object.__setattr__(self, "length", n)
         if self.omega.ext != self.ext:
             raise ParameterError("decoding basis belongs to a different extension")
         if self.claim is not None and self.claim.n != n:
             raise ParameterError("claimed family length does not match the code length")
-        rank = linalg.rank([list(r) for r in rows], self.ext)
-        object.__setattr__(self, "rank", rank)
-        object.__setattr__(self, "dim", n - rank)
         object.__setattr__(self, "_expansion", {})
 
     def expansion(self, i: int, j: int) -> tuple[tuple[int, ...], ...]:
@@ -85,6 +84,29 @@ class LinearCode:
             )
             self._expansion[(i, j)] = cols
         return cols
+
+    @cached_property
+    def rank(self) -> int:
+        """Rank of H over the extension, from the F_p rank of the expansion.
+
+        The alpha * e expansion columns of H[:, i] are all independent of
+        the columns before them when H[:, i] is independent of H's columns
+        before it, and all dependent otherwise; the first of them decides.
+        """
+        ext = self.ext
+        ech = modp.Echelon(ext.base.p, self.r * ext.alpha * ext.base.e)
+        rank = 0
+        for i in range(self.n):
+            first, *rest = self.expansion(i, 0)
+            if ech.insert(first) is None:
+                rank += 1
+                for col in itertools.chain(rest, *(self.expansion(i, j) for j in range(1, ext.alpha))):
+                    ech.insert(col)
+        return rank
+
+    @cached_property
+    def dim(self) -> int:
+        return self.n - self.rank
 
     @property
     def n(self) -> int:

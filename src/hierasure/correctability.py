@@ -131,17 +131,12 @@ def is_correcting(
     code: LinearCode,
     fam: PatternFamily,
     all_patterns: bool = False,
-    threads: int = 1,
 ) -> CorrectabilityReport:
     """Check the whole family; on failure report the first bad pattern.
 
     Dominated patterns are skipped unless ``all_patterns`` is set, which
-    forces a full-family audit.  ``threads`` is validated (at least 1) and
-    otherwise ignored: the checks are pure-Python integer work, which
-    threads cannot overlap under the interpreter lock.
+    forces a full-family audit.
     """
-    if threads < 1:
-        raise ParameterError(f"threads must be at least 1, got {threads}")
     for t in _patterns_for(code, fam, all_patterns):
         if not pattern_correctable(code, t):
             return CorrectabilityReport(False, t, _pattern_witness(code, t))

@@ -1,8 +1,15 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the integer check at its input boundaries."""
 
 
 class ParameterError(ValueError):
     """An argument violates a documented precondition."""
+
+
+def require_int(value, what: str) -> int:
+    """value itself when it is an int; a float, string or boolean is rejected, not truncated."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ParameterError(f"{what} must be an integer, got {value!r}")
+    return value
 
 
 class ConstructionError(RuntimeError):

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from typing import Iterator, Sequence, Union
 
 from . import modp
-from .errors import ConstructionError, InvalidBasisError, ParameterError
+from .errors import ConstructionError, InvalidBasisError, ParameterError, require_int
 
 _MODULUS_SEARCH_BUDGET = 100_000
 
@@ -110,7 +110,7 @@ class _PrimeOps:
         return pow(a, -1, self.p)
 
     def rcheck(self, a) -> bool:
-        return isinstance(a, int) and 0 <= a < self.p
+        return isinstance(a, int) and not isinstance(a, bool) and 0 <= a < self.p
 
     def rfrom_index(self, k: int):
         return k
@@ -396,11 +396,11 @@ class FieldSpec(_Field):
     """The base field F_q with q = p**e, as F_p[x]/(modulus)."""
 
     def __init__(self, p: int, e: int, modulus: Sequence[int]):
-        if not is_prime(p):
+        if not is_prime(require_int(p, "characteristic")):
             raise ParameterError(f"characteristic {p} is not prime")
-        if e < 1:
+        if require_int(e, "extension degree") < 1:
             raise ParameterError("extension degree must be at least 1")
-        mod = tuple(int(c) % p for c in modulus)
+        mod = tuple(require_int(c, "modulus coefficient") % p for c in modulus)
         if len(mod) != e + 1 or mod[-1] != 1:
             raise ParameterError("modulus must be monic of degree e")
         ops = _PrimeOps(p)
@@ -441,7 +441,7 @@ class ExtSpec(_Field):
     """The extension F_{q^alpha} = F_q[y]/(modulus) over a base FieldSpec."""
 
     def __init__(self, base: FieldSpec, alpha: int, modulus: Sequence):
-        if alpha < 1:
+        if require_int(alpha, "alpha") < 1:
             raise ParameterError("alpha must be at least 1")
         mod = tuple(tuple(c) for c in modulus)
         if len(mod) != alpha + 1 or mod[-1] != base.rone:
@@ -759,49 +759,58 @@ def dual_basis(omega: OrderedBasis) -> OrderedBasis:
 # Subfields and quadratic roots.
 
 
-def subfield_basis(ext: ExtSpec, d: int) -> list[Element]:
-    """A base-field basis of the subfield with q^d elements inside the extension.
-
-    Computed as the kernel of the base-linear map x -> x^(q^d) - x in
-    coordinates over the polynomial basis; reduced row echelon form makes
-    the result canonical.
-    """
-    from . import linalg
-
+def _subfield_map(ext: ExtSpec, d: int) -> list[list[Element]]:
+    # the base-linear map x -> x^(q^d) - x in coordinates over the
+    # polynomial basis; its kernel is the subfield with q^d elements
     if d < 1 or ext.alpha % d != 0:
         raise ParameterError(f"{d} does not divide alpha={ext.alpha}")
     base = ext.base
     alpha = ext.alpha
-    pb = ext.polynomial_basis().elements
     cols = []
-    for el in pb:
+    for el in ext.polynomial_basis().elements:
         img = el
         for _ in range(d):
             img = ext.frobenius(img)
         diff = img - el
         cols.append([Element(base, diff.coeffs[k]) for k in range(alpha)])
-    matrix = [[cols[j][k] for j in range(alpha)] for k in range(alpha)]
-    kernel = linalg.right_kernel(matrix, alpha, base)
+    return [[cols[j][k] for j in range(alpha)] for k in range(alpha)]
+
+
+def subfield_basis(ext: ExtSpec, d: int) -> list[Element]:
+    """A base-field basis of the subfield with q^d elements inside the extension.
+
+    Computed as the kernel of the base-linear map x -> x^(q^d) - x in
+    coordinates over the polynomial basis; the canonical kernel basis (one
+    vector per free column) makes the result canonical.
+    """
+    from . import linalg
+
+    kernel = linalg.right_kernel(_subfield_map(ext, d), ext.alpha, ext.base)
     if len(kernel) != d:  # pragma: no cover
         raise ConstructionError("subfield kernel has unexpected dimension")
-    return [Element(ext, tuple(v[k].coeffs for k in range(alpha))) for v in kernel]
+    return [Element(ext, tuple(c.coeffs for c in v)) for v in kernel]
 
 
 def iter_subfield_members(ext: ExtSpec, d: int) -> Iterator[Element]:
     """The q^d elements of the degree-d subfield, lazily, by coefficient tuple.
 
-    The subfield basis is put in reduced row echelon form over the base
-    field, with first-nonzero pivots p_1 < ... < p_d.  The coordinate of
-    sum c_k v_k at p_k is then c_k itself, and every coordinate before p_k
-    depends only on c_1 .. c_(k-1); so walking the coefficient tuples in
-    lexicographic order walks the members in lexicographic order.
+    The walk uses the subfield's basis in reduced row echelon form over
+    the base field, with first-nonzero pivots p_1 < ... < p_d.  The
+    coordinate of sum c_k v_k at p_k is then c_k itself, and every
+    coordinate before p_k depends only on c_1 .. c_(k-1); so walking the
+    coefficient tuples in lexicographic order walks the members in
+    lexicographic order.  That echelon basis comes from the canonical
+    kernel of the subfield map with its columns reversed: each kernel
+    vector is 1 at its free column, 0 at the other free columns and zero
+    after it, so read back to front it is an echelon row, and the list
+    reversed has its pivots ascending.
     """
     from . import linalg
 
-    base = ext.base
-    rows = [[Element(base, c) for c in v.coeffs] for v in subfield_basis(ext, d)]
-    echelon = [Element(ext, tuple(c.coeffs for c in row)) for row in linalg.rref(rows, base)[0]]
-    scalars = [ext.lift(c) for c in base.lex_elements()]
+    reversed_map = [row[::-1] for row in _subfield_map(ext, d)]
+    kernel = linalg.right_kernel(reversed_map, ext.alpha, ext.base)
+    echelon = [Element(ext, tuple(c.coeffs for c in reversed(v))) for v in reversed(kernel)]
+    scalars = [ext.lift(c) for c in ext.base.lex_elements()]
     multiples = [[c * v for c in scalars] for v in echelon]
     for parts in itertools.product(*multiples):
         acc = parts[0]

@@ -1,128 +1,112 @@
-"""Exact linear algebra over any field exposing Element values.
+"""Exact linear algebra over any field of the tower, on the prime-field kernel.
 
 Matrices are sequences of sequences of Element; the owning field context
 is passed alongside so empty matrices still know where their zeros and
-ones live.  Everything reduces to row echelon form with first-nonzero
-pivoting; no floating point anywhere.
+ones live.  Results are those of reduced row echelon form with
+first-nonzero pivoting, but no elimination runs on Element objects: every
+question is answered by ``modp.Echelon`` on the matrix linearized over F_p.
+
+A field K of the tower has a prime-field basis of ``deg`` unit digits
+(x^d for the base field, y^u x^d for the extension), the first of them 1,
+and each column of a K-matrix becomes a block of ``deg`` F_p columns, its
+entries times each unit digit.  The blocks are inserted left to right.  A
+column in the K-span of the columns before it is found by its digit-0
+F_p column alone: that column then reduces to zero, and its tags hold,
+digit by digit, the coefficients of the column's canonical kernel vector.
+Any other column raises the F_p rank by a full ``deg``, so a K-rank is a
+count of independent blocks.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
+from . import modp
 from .errors import ParameterError
+from .fields import Element, ExtSpec
+from .modp import SolveResult
 
 
-def rref(rows: Sequence[Sequence], spec, ncols: int | None = None) -> tuple[list[list], list[int]]:
-    """Reduced row echelon form; returns (rows, pivot column indices).
+def _digits(el: Element) -> list[int]:
+    # prime-field digits of a field value, in unit-digit order
+    if isinstance(el.spec, ExtSpec):
+        return [d for c in el.coeffs for d in c]
+    return list(el.coeffs)
 
-    Pivots are searched only in the first ``ncols`` columns (all of them by
-    default), so augmented columns are carried along without pivoting.
-    """
-    m = [list(r) for r in rows]
-    if not m:
-        return m, []
-    bound = len(m[0]) if ncols is None else ncols
-    pivots = []
-    r = 0
-    for col in range(bound):
-        pivot_row = None
-        for i in range(r, len(m)):
-            if m[i][col]:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        m[r], m[pivot_row] = m[pivot_row], m[r]
-        inv = m[r][col].inverse()
-        m[r] = [inv * x for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][col]:
-                factor = m[i][col]
-                m[i] = [x - factor * y for x, y in zip(m[i], m[r])]
-        pivots.append(col)
-        r += 1
-        if r == len(m):
-            break
-    return m, pivots
+
+def _element(spec, digits: Sequence[int]) -> Element:
+    if isinstance(spec, ExtSpec):
+        e = spec.base.e
+        return Element(spec, tuple(tuple(digits[u * e : (u + 1) * e]) for u in range(spec.alpha)))
+    return Element(spec, tuple(digits))
+
+
+def _linearize(rows: Sequence[Sequence], ncols: int, spec):
+    """p, deg and the F_p columns of the matrix, a block of deg per column."""
+    if isinstance(spec, ExtSpec):
+        p, deg = spec.base.p, spec.alpha * spec.base.e
+    else:
+        p, deg = spec.p, spec.e
+    units = [_element(spec, [int(k == t) for k in range(deg)]) for t in range(deg)]
+    columns = [[d for row in rows for d in _digits(row[j] * u)] for j in range(ncols) for u in units]
+    return p, deg, columns
+
+
+def _vector(spec, deg: int, digits: Sequence[int]) -> list[Element]:
+    return [_element(spec, digits[k : k + deg]) for k in range(0, len(digits), deg)]
+
+
+def _kernel_tags(rows: Sequence[Sequence], ncols: int, spec):
+    """deg and, per column, None when it is independent of the columns
+    before it, else the tags of its reduced digit-0 F_p column."""
+    p, deg, columns = _linearize(rows, ncols, spec)
+    height = len(rows) * deg
+    ech = modp.Echelon(p, height)
+    vectors = modp.tagged(columns)
+    tails = []
+    for start in range(0, len(vectors), deg):
+        left = ech.insert(vectors[start])
+        tails.append(None if left is None else left[height:])
+        if left is None:
+            for v in vectors[start + 1 : start + deg]:
+                ech.insert(v)
+    return deg, tails
 
 
 def rank(rows: Sequence[Sequence], spec) -> int:
-    return len(rref(rows, spec)[1])
+    return _kernel_tags(rows, len(rows[0]) if rows else 0, spec)[1].count(None)
 
 
 def right_kernel(rows: Sequence[Sequence], ncols: int, spec) -> list[list]:
     """Canonical basis of {x : M x = 0}, one vector per free column."""
-    reduced, pivots = rref(rows, spec)
-    pivot_set = set(pivots)
-    free = [c for c in range(ncols) if c not in pivot_set]
-    basis = []
-    zero, one = spec.zero(), spec.one()
-    for f in free:
-        vec = [zero] * ncols
-        vec[f] = one
-        for i, p in enumerate(pivots):
-            vec[p] = -reduced[i][f]
-        basis.append(vec)
-    return basis
-
-
-@dataclass(frozen=True)
-class SolveResult:
-    """Outcome of an exact linear solve."""
-
-    status: str  # "unique" | "ambiguous" | "inconsistent"
-    solution: list | None
-    free_count: int
+    deg, tails = _kernel_tags(rows, ncols, spec)
+    return [_vector(spec, deg, tail) for tail in tails if tail is not None]
 
 
 def solve(rows: Sequence[Sequence], rhs: Sequence, ncols: int, spec) -> SolveResult:
-    """Solve M x = rhs; ambiguity and inconsistency are reported, not raised."""
+    """Solve M x = rhs; ambiguity and inconsistency are reported, not raised.
+
+    The solution is zero at every free column, as in reduced row echelon
+    form: the F_p solution is zero at every free F_p column, and a free
+    column's whole block is free.
+    """
     if len(rows) != len(rhs):
         raise ParameterError("right-hand side length does not match row count")
-    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
-    if not aug:
-        zero = spec.zero()
-        return SolveResult("unique" if ncols == 0 else "ambiguous", [zero] * ncols, ncols)
-    reduced, pivots = rref(aug, spec, ncols)
-    for i in range(len(reduced)):
-        if all(not x for x in reduced[i][:ncols]) and reduced[i][ncols]:
-            return SolveResult("inconsistent", None, 0)
-    zero = spec.zero()
-    solution = [zero] * ncols
-    for i, p in enumerate(pivots):
-        solution[p] = reduced[i][ncols]
-    free_count = ncols - len(pivots)
-    if free_count == 0:
-        return SolveResult("unique", solution, 0)
-    return SolveResult("ambiguous", solution, free_count)
-
-
-def identity(n: int, spec) -> list[list]:
-    zero, one = spec.zero(), spec.one()
-    return [[one if i == j else zero for j in range(n)] for i in range(n)]
+    p, deg, columns = _linearize(rows, ncols, spec)
+    out = modp.solve(columns, [d for b in rhs for d in _digits(b)], p)
+    solution = None if out.solution is None else _vector(spec, deg, out.solution)
+    return SolveResult(out.status, solution, out.free_count // deg)
 
 
 def invert(rows: Sequence[Sequence], spec) -> list[list]:
     n = len(rows)
     if any(len(r) != n for r in rows):
         raise ParameterError("only square matrices can be inverted")
-    aug = [list(r) + ident_row for r, ident_row in zip(rows, identity(n, spec))]
-    reduced, pivots = rref(aug, spec, n)
-    if len(pivots) != n:
-        raise ParameterError("matrix is singular")
-    return [row[n:] for row in reduced]
-
-
-def mat_vec(rows: Sequence[Sequence], vec: Sequence, spec):
-    out = []
-    for row in rows:
-        acc = spec.zero()
-        for a, x in zip(row, vec):
-            acc = acc + a * x
-        out.append(acc)
-    return out
+    p, deg, columns = _linearize(rows, n, spec)
+    inv = modp.inverse(columns, p)
+    # column r of the inverse solves M x = e_r, whose digits are unit r*deg
+    cols = [_vector(spec, deg, [row[r * deg] for row in inv]) for r in range(n)]
+    return [list(row) for row in zip(*cols)]
 
 
 def mat_mul(a: Sequence[Sequence], b: Sequence[Sequence], spec) -> list[list]:

@@ -8,8 +8,9 @@ The F_q answers carry over because each F_q-linear map is also F_p-linear
 and injectivity (or solvability) does not depend on which subfield it is
 linearized over.
 
-Vectors are sequences of ints in [0, p).  The one elimination routine is
-``Echelon.insert``: it keeps the inserted vectors in echelon form, each
+Vectors are sequences of ints in [0, p).  The package's one elimination
+routine is ``Echelon.insert`` (``linalg`` answers its questions about
+Element matrices through it too): it keeps the inserted vectors in echelon form, each
 scaled to 1 at its pivot and zero at the pivots of the vectors before it.
 Pivots are searched only among the first ``width`` entries; entries past
 ``width`` ride along, which is how callers track which combination of
@@ -18,10 +19,19 @@ their inputs produced a vector.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import ParameterError
-from .linalg import SolveResult
+
+
+@dataclass(frozen=True)
+class SolveResult:
+    """Outcome of an exact linear solve."""
+
+    status: str  # "unique" | "ambiguous" | "inconsistent"
+    solution: list | None
+    free_count: int
 
 
 class Echelon:
@@ -84,9 +94,9 @@ def first_dependent(vectors: Sequence[Sequence[int]], p: int) -> int | None:
     return None
 
 
-def _tagged(columns: Sequence[Sequence[int]]) -> list[list[int]]:
-    # column k followed by the k-th unit vector, so a reduced vector's tail
-    # records the combination of input columns that produced it
+def tagged(columns: Sequence[Sequence[int]]) -> list[list[int]]:
+    """Column k followed by the k-th unit vector, so a reduced vector's tail
+    records the combination of input columns that produced it."""
     k = len(columns)
     return [list(col) + [int(i == j) for i in range(k)] for j, col in enumerate(columns)]
 
@@ -102,7 +112,7 @@ def dependency(columns: Sequence[Sequence[int]], p: int) -> list[int] | None:
         return None
     width = len(columns[0])
     ech = Echelon(p, width)
-    for v in _tagged(columns):
+    for v in tagged(columns):
         left = ech.insert(v)
         if left is not None:
             return left[width:]
@@ -112,15 +122,16 @@ def dependency(columns: Sequence[Sequence[int]], p: int) -> list[int] | None:
 def solve(columns: Sequence[Sequence[int]], rhs: Sequence[int], p: int) -> SolveResult:
     """Solve sum_k x_k columns[k] = rhs over Z/p.
 
-    Same outcomes as ``linalg.solve``: inconsistency is reported before
-    ambiguity, and ``free_count`` is the kernel dimension.
+    Inconsistency is reported before ambiguity; a consistent system gets
+    the solution that is zero at every free column, and ``free_count`` is
+    the kernel dimension.
     """
     ncols = len(columns)
     height = len(rhs)
     if any(len(col) != height for col in columns):
         raise ParameterError("right-hand side length does not match row count")
     ech = Echelon(p, height)
-    for v in _tagged(columns):
+    for v in tagged(columns):
         ech.insert(v)
     left = ech.reduce(list(rhs) + [0] * ncols)
     if any(left[:height]):
@@ -138,7 +149,7 @@ def inverse(columns: Sequence[Sequence[int]], p: int) -> list[list[int]]:
     if any(len(col) != n for col in columns):
         raise ParameterError("only square matrices can be inverted")
     ech = Echelon(p, n)
-    for v in _tagged(columns):
+    for v in tagged(columns):
         if ech.insert(v) is not None:
             raise ParameterError("matrix is singular")
     # column r of the inverse solves M x = e_r

@@ -31,7 +31,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterator, Sequence, Union
 
-from .errors import ParameterError
+from .errors import ParameterError, require_int
 from .fields import Element, OrderedBasis
 
 ErasurePattern = tuple[int, ...]
@@ -41,9 +41,7 @@ def _check_int_fields(fam):
     # a float, string or boolean field would pass comparisons like 4.0 == 4
     # and fail later inside enumeration
     for f in dataclasses.fields(fam):
-        v = getattr(fam, f.name)
-        if isinstance(v, bool) or not isinstance(v, int):
-            raise ParameterError(f"family {f.name} must be an integer, got {v!r}")
+        require_int(getattr(fam, f.name), f"family {f.name}")
 
 
 def _check_power_of_two(alpha: int):

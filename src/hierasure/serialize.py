@@ -3,9 +3,8 @@
 All payloads are plain integers, lists and objects, ascending-power
 coefficient arrays throughout, so round trips are bit exact:
 
-* tower:    {"p", "e", "modulus", "alpha", "ext_modulus"}
 * element:  base [c0, ...], extension [[c0, ...], ...]
-* code:     {"field", "ext", "H", "omega", "claim", "provenance"}
+* code:     {"field", "ext", "H", "omega", "claim", "provenance", "n"}
 * udms:     {"field", "alpha", "m", "matrices", "meta"}
 * received: {"field", "ext", "omega", "t", "known"}
 * patterns: [[t1, ..., tn], ...]
@@ -20,7 +19,7 @@ import functools
 from typing import Any
 
 from .codes import LinearCode, code_from_rows
-from .errors import ParameterError
+from .errors import ParameterError, require_int
 from .fields import Element, ExtSpec, FieldSpec, OrderedBasis
 from .patterns import (
     BalancedFamily,
@@ -66,17 +65,17 @@ def field_from_json(obj: dict) -> FieldSpec:
     return FieldSpec(obj["p"], obj["e"], tuple(obj["modulus"]))
 
 
-def tower_to_json(ext: ExtSpec) -> dict:
-    out = field_to_json(ext.base)
-    out["alpha"] = ext.alpha
-    out["ext_modulus"] = [[int(x) for x in c] for c in ext.modulus]
-    return out
+def _tower_to_json(ext: ExtSpec) -> dict:
+    # the "field" and "ext" keys shared by codes and received words
+    return {
+        "field": field_to_json(ext.base),
+        "ext": {"alpha": ext.alpha, "modulus": [[int(x) for x in c] for c in ext.modulus]},
+    }
 
 
-@_loader("tower")
-def tower_from_json(obj: dict) -> ExtSpec:
-    base = field_from_json(obj)
-    return ExtSpec(base, obj["alpha"], tuple(tuple(c) for c in obj["ext_modulus"]))
+def _tower_from_json(obj: dict) -> ExtSpec:
+    base = field_from_json(obj["field"])
+    return ExtSpec(base, obj["ext"]["alpha"], tuple(tuple(c) for c in obj["ext"]["modulus"]))
 
 
 # -- elements ---------------------------------------------------------------
@@ -141,12 +140,7 @@ def patterns_to_json(patterns) -> list:
 
 
 def _int_entries(values, what: str) -> tuple[int, ...]:
-    # JSON integers only: a float, string or boolean is rejected, not truncated
-    out = tuple(values)
-    for v in out:
-        if isinstance(v, bool) or not isinstance(v, int):
-            raise ParameterError(f"{what} entries must be integers, got {v!r}")
-    return out
+    return tuple(require_int(v, f"{what} entry") for v in values)
 
 
 @_loader("patterns")
@@ -159,11 +153,7 @@ def patterns_from_json(obj) -> list[tuple[int, ...]]:
 
 def code_to_json(code: LinearCode) -> dict:
     return {
-        "field": field_to_json(code.ext.base),
-        "ext": {
-            "alpha": code.ext.alpha,
-            "modulus": [[int(x) for x in c] for c in code.ext.modulus],
-        },
+        **_tower_to_json(code.ext),
         "H": [[element_to_json(e) for e in row] for row in code.H],
         "omega": basis_to_json(code.omega),
         "claim": None if code.claim is None else family_to_json(code.claim),
@@ -174,8 +164,7 @@ def code_to_json(code: LinearCode) -> dict:
 
 @_loader("code")
 def code_from_json(obj: dict) -> LinearCode:
-    base = field_from_json(obj["field"])
-    ext = ExtSpec(base, obj["ext"]["alpha"], tuple(tuple(c) for c in obj["ext"]["modulus"]))
+    ext = _tower_from_json(obj)
     rows = [[ext_element_from_json(ext, e) for e in row] for row in obj["H"]]
     omega = basis_from_json(ext, obj["omega"])
     claim = None if obj.get("claim") is None else family_from_json(obj["claim"])
@@ -211,10 +200,8 @@ def udms_from_json(obj: dict) -> UdmSet:
 
 
 def received_to_json(rw: ReceivedWord) -> dict:
-    ext = rw.omega.ext
     return {
-        "field": field_to_json(ext.base),
-        "ext": {"alpha": ext.alpha, "modulus": [[int(x) for x in c] for c in ext.modulus]},
+        **_tower_to_json(rw.omega.ext),
         "omega": basis_to_json(rw.omega),
         "t": list(rw.pattern),
         "known": [[element_to_json(c) for c in suffix] for suffix in rw.known],
@@ -223,11 +210,10 @@ def received_to_json(rw: ReceivedWord) -> dict:
 
 @_loader("received word")
 def received_from_json(obj: dict) -> ReceivedWord:
-    base = field_from_json(obj["field"])
-    ext = ExtSpec(base, obj["ext"]["alpha"], tuple(tuple(c) for c in obj["ext"]["modulus"]))
+    ext = _tower_from_json(obj)
     omega = basis_from_json(ext, obj["omega"])
     known = tuple(
-        tuple(base_element_from_json(base, c) for c in suffix) for suffix in obj["known"]
+        tuple(base_element_from_json(ext.base, c) for c in suffix) for suffix in obj["known"]
     )
     return ReceivedWord(omega, _int_entries(obj["t"], "erasure pattern"), known)
 

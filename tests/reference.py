@@ -1,12 +1,15 @@
 """The Element-object route to correctability, decoding and UDM checks.
 
 This is the slow path the prime-field kernel replaced, kept only as a
-reference for differential tests.  It never goes through the basis
-transform it checks: coordinates over omega come from its own ``linalg``
-inverse of the alpha x alpha F_q coordinate matrix, and a word is rebuilt
-as sum c_j * omega_j in the extension.  Every pattern expands H against
-the basis and runs ``linalg`` elimination over the base field F_q;
-decoding solves over F_q; UDM verification ranks stacked F_q rows.
+reference for differential tests.  Its linear algebra is
+``element_linalg``, reduced row echelon form on Element objects, which
+shares no code with the package's prime-field kernel.  It never goes
+through the basis transform it checks: coordinates over omega come from
+an ``element_linalg`` inverse of the alpha x alpha F_q coordinate matrix,
+and a word is rebuilt as sum c_j * omega_j in the extension.  Every
+pattern expands H against the basis and runs ``element_linalg``
+elimination over the base field F_q; decoding solves over F_q; UDM
+verification ranks stacked F_q rows.
 
 It also keeps the exhaustive searches the closed forms replaced: the
 pairwise dominance filter over a family's members, the filter of the
@@ -34,12 +37,13 @@ from hierasure import (
     enumerate_family,
     family_contains,
     is_correcting,
-    linalg,
     maximal_patterns,
     subfield_basis,
 )
 from hierasure.constructions import _gv_bound_base
 from hierasure.patterns import _bounded_sum_tuples
+
+import element_linalg
 
 
 def reference_enumerate_family(fam):
@@ -140,12 +144,12 @@ def coordinate_inverse(ext, elements):
 
     Raises ParameterError when the elements are dependent or not alpha of them.
     """
-    return linalg.invert(_coordinate_matrix(ext, elements), ext.base)
+    return element_linalg.invert(_coordinate_matrix(ext, elements), ext.base)
 
 
 def reference_is_basis(ext, elements):
     matrix = _coordinate_matrix(ext, elements)
-    return len(elements) == ext.alpha and linalg.rank(matrix, ext.base) == ext.alpha
+    return len(elements) == ext.alpha and element_linalg.rank(matrix, ext.base) == ext.alpha
 
 
 def reference_coordinates(omega, x, inverse=None):
@@ -153,7 +157,7 @@ def reference_coordinates(omega, x, inverse=None):
     base = omega.ext.base
     if inverse is None:
         inverse = coordinate_inverse(omega.ext, omega.elements)
-    return tuple(linalg.mat_vec(inverse, [Element(base, c) for c in x.coeffs], base))
+    return tuple(element_linalg.mat_vec(inverse, [Element(base, c) for c in x.coeffs], base))
 
 
 def reference_combine(omega, coords):
@@ -183,13 +187,13 @@ def reference_system(code, t):
 
 def reference_correctable(code, t):
     matrix, labels = reference_system(code, t)
-    return not labels or linalg.rank(matrix, code.ext.base) == len(labels)
+    return not labels or element_linalg.rank(matrix, code.ext.base) == len(labels)
 
 
 def reference_witness(code, t):
     """The codeword from the first canonical kernel vector of the system."""
     matrix, labels = reference_system(code, t)
-    kernel = linalg.right_kernel(matrix, len(labels), code.ext.base)
+    kernel = element_linalg.right_kernel(matrix, len(labels), code.ext.base)
     ext, omega = code.ext, code.omega
     word = [ext.zero()] * code.n
     for (i, j), lam in zip(labels, kernel[0]):
@@ -222,7 +226,7 @@ def reference_decode(code, received):
         for h, k in zip(row, known):
             acc = acc + h * k
         rhs.extend(reference_coordinates(omega, -acc, inverse))
-    result = linalg.solve(matrix, rhs, len(labels), base)
+    result = element_linalg.solve(matrix, rhs, len(labels), base)
     if result.status == "inconsistent":
         return "inconsistent", None, 0
     if result.status == "ambiguous":
@@ -238,7 +242,7 @@ def reference_verify_udm(u):
     budget = min(u.m, u.n * u.alpha)
     for t in maximal_patterns(FullFamily(u.alpha, budget, u.n)):
         stacked = [list(row) for mat, ti in zip(u.matrices, t) for row in mat[:ti]]
-        if linalg.rank(stacked, u.field) != sum(t):
+        if element_linalg.rank(stacked, u.field) != sum(t):
             return False, t
     return True, None
 

@@ -51,11 +51,6 @@ class TestConstructVerify:
         pats.write_text(json.dumps([[1, 1], [2, 0], [0, 2]]))
         assert run("verify", "--code", str(out), "--patterns", str(pats)) == 0
 
-    def test_threads_flag_same_verdict(self, tmp_path):
-        out = tmp_path / "code.json"
-        run("construct", "balanced", "--p", "5", "--alpha", "4", "--n", "4", "--out", str(out))
-        assert run("verify", "--code", str(out), "--threads", "4") == 0
-
     @pytest.mark.parametrize(
         "kind,args",
         [
@@ -357,7 +352,48 @@ class TestInputBoundary:
 
     @pytest.mark.parametrize("threads", ["0", "-3"])
     def test_threads_below_one(self, code_file, capsys, threads):
-        self.assert_usage_error(capsys, run("verify", "--code", code_file, "--threads", threads))
+        # verify has no --threads flag: the checks never ran in threads
+        with pytest.raises(SystemExit) as exc:
+            run("verify", "--code", code_file, "--threads", threads)
+        assert exc.value.code == 2
+        assert "--threads" in capsys.readouterr().err
+
+    @pytest.fixture
+    def balanced_payload(self, tmp_path):
+        path = tmp_path / "balanced.json"
+        run("construct", "balanced", "--p", "5", "--alpha", "4", "--n", "4", "--out", str(path))
+        return json.loads(path.read_text())
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda c: c.update(n=4.0),
+            lambda c: c["field"].update(e=True),
+            lambda c: c["field"].update(p=5.0),
+            lambda c: c["field"].update(modulus=[0, 1.0]),
+            lambda c: c["ext"].update(alpha=4.0),
+            lambda c: c["ext"]["modulus"][-1].__setitem__(0, True),
+            lambda c: c["H"][0][0].__setitem__(0, [True]),
+            lambda c: c["omega"][0][0].__setitem__(0, True),
+        ],
+        ids=["n-float", "e-bool", "p-float", "modulus-float", "alpha-float", "ext-modulus-bool", "H-bool", "omega-bool"],
+    )
+    def test_code_non_integer_number(self, tmp_path, capsys, balanced_payload, edit):
+        # all but the p and alpha floats used to load, 4.0 passing as a
+        # length and True as the digit 1
+        edit(balanced_payload)
+        path = tmp_path / "code.json"
+        path.write_text(json.dumps(balanced_payload))
+        capsys.readouterr()
+        self.assert_usage_error(capsys, run("verify", "--code", str(path)))
+
+    @pytest.mark.parametrize("value", [True, 1.0])
+    def test_received_non_integer_coefficient(self, tmp_path, code_file, received_file, capsys, value):
+        payload = json.loads(open(received_file).read())
+        payload["known"][1][0][0] = value
+        path = tmp_path / "rw.json"
+        path.write_text(json.dumps(payload))
+        self.assert_usage_error(capsys, run("decode", "--code", code_file, "--received", str(path)))
 
     @pytest.mark.parametrize(
         "argv",

@@ -285,12 +285,3 @@ def test_greedy_gv_probes_are_released():
     assert live_codes() == before + 1
     del code
     assert live_codes() == before
-
-
-def test_threads_must_be_positive():
-    from hierasure import ParameterError
-
-    code = length2_code(tower(2, 1, 2))
-    for bad in (0, -3):
-        with pytest.raises(ParameterError):
-            is_correcting(code, code.claim, threads=bad)

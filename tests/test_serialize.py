@@ -10,6 +10,7 @@ from hierasure import (
     gabidulin_code,
     kernel_basis,
     length2_code,
+    modp,
     serialize,
     vontobel_udms,
 )
@@ -18,16 +19,6 @@ from towers import field, tower
 
 def canon(payload):
     return json.dumps(payload, sort_keys=True)
-
-
-class TestTower:
-    def test_round_trip_bits(self):
-        for p, e, alpha in ((2, 1, 2), (3, 1, 2), (2, 2, 2), (5, 1, 4)):
-            ext = tower(p, e, alpha)
-            payload = serialize.tower_to_json(ext)
-            back = serialize.tower_from_json(json.loads(canon(payload)))
-            assert back == ext
-            assert canon(serialize.tower_to_json(back)) == canon(payload)
 
 
 class TestElements:
@@ -74,6 +65,26 @@ class TestCodes:
             assert back.claim == code.claim
             assert back.dim == code.dim
             assert canon(serialize.code_to_json(back)) == canon(payload)
+
+    def test_load_does_no_rank_elimination(self, monkeypatch):
+        # Echelon.insert is the package's one elimination routine.  A load
+        # runs only omega's basis check, one insert per F_p digit element;
+        # the rank of H waits for its first read
+        inserts = []
+        insert = modp.Echelon.insert
+
+        def counted(ech, v):
+            inserts.append(v)
+            return insert(ech, v)
+
+        monkeypatch.setattr(modp.Echelon, "insert", counted)
+        for code in self.codes():
+            payload = json.loads(canon(serialize.code_to_json(code)))
+            inserts.clear()
+            back = serialize.code_from_json(payload)
+            assert len(inserts) == code.ext.alpha * code.ext.base.e
+            assert back.rank == code.rank
+            assert len(inserts) > code.ext.alpha * code.ext.base.e
 
     def test_zero_row_code_keeps_length(self):
         code = gabidulin_code(2, 0, tower(2, 1, 2))
