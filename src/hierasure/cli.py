@@ -37,7 +37,7 @@ from .constructions import (
 from .correctability import decode as decode_word
 from .correctability import is_correcting, kernel_basis, pattern_correctable
 from .errors import ConstructionError, ParameterError
-from .fields import make_tower
+from .fields import make_field, make_tower
 from .patterns import apply_erasure, maximal_patterns, parse_family
 from .udm import verify_udm, vontobel_udms
 
@@ -227,7 +227,7 @@ def _cmd_decode(args) -> int:
 def _cmd_udm(args) -> int:
     started = time.perf_counter()
     if args.action == "build":
-        field = make_tower(args.p, args.e, 1, args.seed).base
+        field = make_field(args.p, args.e, args.seed)
         u = vontobel_udms(args.n, args.alpha, args.m, field, index_convention=args.convention)
         out = Path(args.out)
         _write_json(out, serialize.udms_to_json(u))

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Mapping
@@ -11,6 +10,22 @@ from . import modp
 from .errors import ParameterError, require_int
 from .fields import Element, ExtSpec, OrderedBasis
 from .patterns import PatternFamily
+
+
+def expand_column(
+    omega: OrderedBasis, column, width: int | None = None
+) -> tuple[tuple[int, ...], ...]:
+    """The prime-field columns of column * omega_j * x^d, j-major, d-minor.
+
+    Each is the coordinates over ``omega`` of every entry times
+    ``omega.digit_elements[j * e + d]``, written as prime-field digits
+    (``OrderedBasis.coordinate_digits``) and stacked entry by entry.  Only
+    the first ``width`` columns are built; by default all alpha * e.
+    """
+    return tuple(
+        tuple(d for x in column for d in omega.coordinate_digits(x * w))
+        for w in omega.digit_elements[:width]
+    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -25,10 +40,11 @@ class LinearCode:
     when rows are dependent.  A 0-row H is legal (the whole space) but then
     ``length`` must be given.
 
-    ``expansion(i, j)`` is H's base-field expansion against ``omega`` over
-    the prime field, one column block at a time, built on first use and
-    kept on the code: every correctability check and every decode reads
-    its columns from there.
+    ``expansion(i)`` is H's base-field expansion against ``omega`` over
+    the prime field, one block of alpha * e columns per symbol, so the
+    t_i leading coordinates of symbol i are the prefix ``[: t_i * e]``.
+    Blocks are built on first use and kept on the code: every
+    correctability check and every decode reads its columns from there.
     """
 
     ext: ExtSpec
@@ -61,29 +77,13 @@ class LinearCode:
             raise ParameterError("claimed family length does not match the code length")
         object.__setattr__(self, "_expansion", {})
 
-    def expansion(self, i: int, j: int) -> tuple[tuple[int, ...], ...]:
-        """The prime-field columns of H[:, i] * omega_j.
-
-        One column per digit d of the base field: the coordinates over
-        ``omega`` of H[k][i] * omega_j * x^d for every row k, written as
-        prime-field digits (``OrderedBasis.coordinate_digits``) and stacked
-        row by row, ``r * alpha * e`` entries.  Computed on first use and
-        memoized on the code.
-        """
-        cols = self._expansion.get((i, j))
-        if cols is None:
-            omega = self.omega
-            e = self.ext.base.e
-            cols = tuple(
-                tuple(
-                    d
-                    for row in self.H
-                    for d in omega.coordinate_digits(row[i] * w)
-                )
-                for w in omega.digit_elements[j * e : (j + 1) * e]
-            )
-            self._expansion[(i, j)] = cols
-        return cols
+    def expansion(self, i: int) -> tuple[tuple[int, ...], ...]:
+        """Symbol i's block: ``expand_column`` of H[:, i], all alpha * e
+        columns, computed on first use and memoized on the code."""
+        block = self._expansion.get(i)
+        if block is None:
+            block = self._expansion[i] = expand_column(self.omega, [row[i] for row in self.H])
+        return block
 
     @cached_property
     def rank(self) -> int:
@@ -91,16 +91,17 @@ class LinearCode:
 
         The alpha * e expansion columns of H[:, i] are all independent of
         the columns before them when H[:, i] is independent of H's columns
-        before it, and all dependent otherwise; the first of them decides.
+        before it, and all dependent otherwise; the first of them decides,
+        so a dependent symbol's block is never built.
         """
         ext = self.ext
         ech = modp.Echelon(ext.base.p, self.r * ext.alpha * ext.base.e)
         rank = 0
         for i in range(self.n):
-            first, *rest = self.expansion(i, 0)
-            if ech.insert(first) is None:
+            block = self._expansion.get(i) or expand_column(self.omega, [row[i] for row in self.H], 1)
+            if ech.insert(block[0]) is None:
                 rank += 1
-                for col in itertools.chain(rest, *(self.expansion(i, j) for j in range(1, ext.alpha))):
+                for col in self.expansion(i)[1:]:
                     ech.insert(col)
         return rank
 

@@ -31,7 +31,7 @@ import warnings
 from dataclasses import dataclass
 
 from . import linalg, modp
-from .codes import LinearCode, code_from_rows
+from .codes import LinearCode, code_from_rows, expand_column
 from .errors import ConstructionError, ParameterError
 from .fields import (
     Element,
@@ -301,6 +301,8 @@ def balanced_code(n: int, ext: ExtSpec, nu=None) -> LinearCode:
     folded down the subfield chain; its entries multiply out to
     prod_i (1 + step_i * node^(alpha / 2^i)).
     """
+    if n < 1:
+        raise ParameterError("need n >= 1")
     base = ext.base
     if base.order < n:
         raise ParameterError(f"need a field with at least n={n} elements")
@@ -330,6 +332,8 @@ def power_code(n: int, ext: ExtSpec, nu=None) -> LinearCode:
     Needs alpha even, (alpha/2) dividing q - 1, and nonzero nodes with
     pairwise distinct (alpha/2)-th powers, which caps n at 2(q-1)/alpha.
     """
+    if n < 1:
+        raise ParameterError("need n >= 1")
     base = ext.base
     alpha = ext.alpha
     if alpha < 2 or alpha & (alpha - 1):
@@ -507,6 +511,8 @@ def greedy_gv_code(
         raise ParameterError("need 1 <= r <= n")
     if m < 0 or m >= alpha * (r - 1):
         raise ParameterError(f"need m < alpha*(r-1) = {alpha * (r - 1)}")
+    if budget < 0:
+        raise ParameterError("need budget >= 0")
     base_size = ext.base.order
     bound_base = _gv_bound_base(n, m)
     if base_size ** (alpha * (r - 1) - m) <= bound_base:
@@ -517,17 +523,10 @@ def greedy_gv_code(
     omega = ext.polynomial_basis()
     rng = random.Random(seed)
     p, e = ext.base.p, ext.base.e
-    height = r * alpha * e
     k_max = min(alpha, m)
-    # prime-field columns of g * omega_j * x^d for j < k_max, laid out as
-    # LinearCode.expansion lays out a column of H
-    digit_elements = omega.digit_elements[: k_max * e]
-
-    def expand(g):
-        return [[d for x in g for d in omega.coordinate_digits(x * w)] for w in digit_elements]
-
+    width = k_max * e  # a candidate is erased in at most k_max coordinates
     rows = [[ext.one() if j == i else ext.zero() for j in range(r)] for i in range(r)]
-    expanded = [expand(col) for col in zip(*rows)]
+    expanded = [expand_column(omega, col, width) for col in zip(*rows)]
 
     def candidates():
         for _ in range(budget):
@@ -542,17 +541,16 @@ def greedy_gv_code(
                 yield g
 
     for col in range(r, n):
-        checks = []  # (how many candidate columns, prefix echelon)
-        for k in range(1, k_max + 1):
-            for t in maximal_patterns(FullFamily(alpha, m - k, col)):
-                ech = modp.Echelon(p, height)
-                for block, ti in zip(expanded, t):
-                    for v in block[: ti * e]:
-                        ech.insert(v)
-                checks.append((k * e, ech))
+        checks = [  # (how many candidate columns, prefix echelon)
+            (k * e, ech)
+            for k in range(1, k_max + 1)
+            for _, ech in modp.prefix_echelons(
+                expanded, maximal_patterns(FullFamily(alpha, m - k, col)), e, p
+            )
+        ]
         for g in candidates():
-            cols = expand(g)
-            if all(_extends(ech, cols[:width]) for width, ech in checks):
+            cols = expand_column(omega, g, width)
+            if all(_extends(ech, cols[:k_e]) for k_e, ech in checks):
                 break
         else:
             raise ConstructionError(

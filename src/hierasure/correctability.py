@@ -6,8 +6,9 @@ field: the base-field coordinates of H applied to each invisible generator
 form a column, and t is correctable iff those columns are independent.
 The columns are a prefix of each symbol's block of the code's stored
 expansion (``LinearCode.expansion``), written over the prime field, so
-every check is one small elimination over Z/p (``modp``).  The same
-columns, fed the known suffix as a right-hand side, are the decoder.
+every check is one small elimination over Z/p (``modp.prefix_echelons``,
+shared with UDM verification).  The same columns, fed the known suffix as
+a right-hand side, are the decoder.
 """
 
 from __future__ import annotations
@@ -60,7 +61,7 @@ def _labels(t) -> list[tuple[int, int]]:
 
 def _erased_columns(code: LinearCode, t) -> list[tuple[int, ...]]:
     # prime-field columns of every erased (symbol, coordinate, digit)
-    return [col for i, j in _labels(t) for col in code.expansion(i, j)]
+    return [col for i, ti in enumerate(t) for col in code.expansion(i)[: ti * code.ext.base.e]]
 
 
 def pattern_system(code: LinearCode, t) -> ExpandedSystem:
@@ -73,8 +74,8 @@ def pattern_system(code: LinearCode, t) -> ExpandedSystem:
     base = code.ext.base
     e = base.e
     labels = _labels(t)
-    # digit 0 of each block is H[:, i] * omega_j itself
-    cols = [code.expansion(i, j)[0] for i, j in labels]
+    # digit 0 of coordinate j is H[:, i] * omega_j itself
+    cols = [code.expansion(i)[j * e] for i, j in labels]
     matrix = tuple(
         tuple(Element(base, col[k * e : (k + 1) * e]) for col in cols)
         for k in range(code.ext.alpha * code.r)
@@ -85,7 +86,9 @@ def pattern_system(code: LinearCode, t) -> ExpandedSystem:
 def pattern_correctable(code: LinearCode, t) -> bool:
     """True iff no nonzero codeword is invisible under pattern t."""
     t = _checked_pattern(code, t)
-    return modp.first_dependent(_erased_columns(code, t), code.ext.base.p) is None
+    base = code.ext.base
+    blocks = [code.expansion(i) if ti else () for i, ti in enumerate(t)]
+    return next(modp.prefix_echelons(blocks, [t], base.e, base.p))[1] is not None
 
 
 @dataclass(frozen=True)
@@ -137,8 +140,10 @@ def is_correcting(
     Dominated patterns are skipped unless ``all_patterns`` is set, which
     forces a full-family audit.
     """
-    for t in _patterns_for(code, fam, all_patterns):
-        if not pattern_correctable(code, t):
+    patterns = _patterns_for(code, fam, all_patterns)
+    blocks = [code.expansion(i) for i in range(code.n)]
+    for t, ech in modp.prefix_echelons(blocks, patterns, code.ext.base.e, code.ext.base.p):
+        if ech is None:
             return CorrectabilityReport(False, t, _pattern_witness(code, t))
     return CorrectabilityReport(True)
 
@@ -185,13 +190,13 @@ def decode(code: LinearCode, received: ReceivedWord) -> DecodeResult:
     digits = []  # per symbol: coordinate digits, erased ones filled in below
     for i, (ti, suffix) in enumerate(zip(t, received.known)):
         sym = [0] * (ti * e)
-        for j, c in zip(range(ti, alpha), suffix):
+        for c in suffix:
             base._check_same(c)
             sym.extend(c.coeffs)
-            for d, col in zip(c.coeffs, code.expansion(i, j)):
-                if d:
-                    known_cols.append(col)
-                    known_digits.append(d)
+        for d, col in zip(sym[ti * e :], code.expansion(i)[ti * e :]):
+            if d:
+                known_cols.append(col)
+                known_digits.append(d)
         digits.append(sym)
     height = alpha * e * code.r
     rhs = [-sum(d * col[k] for d, col in zip(known_digits, known_cols)) % p for k in range(height)]

@@ -575,58 +575,49 @@ def trace(el: Element) -> Element:
 # Field construction.
 
 
-def make_field(p: int, e: int, seed: int = 0) -> FieldSpec:
-    """Build F_{p^e} with a modulus found by seeded random search.
+def _seeded_modulus(K, deg: int, seed: int, missing: str) -> tuple:
+    """A monic irreducible degree-``deg`` polynomial over the coefficient
+    field K, found by seeded search; ConstructionError naming ``missing``
+    if the search runs dry.
 
-    The search shuffles all monic degree-e candidates with the given seed
-    (sampling instead once the space is large) and returns the first
-    irreducible one, so the result is reproducible per seed.
+    The search shuffles all monic candidates with the given seed (sampling
+    instead once the space is large) and returns the first irreducible
+    one, so the result is reproducible per seed.
     """
+    if deg == 1:
+        return (K.rzero, K.rone)
+    rng = random.Random(seed)
+    if K.size**deg <= (1 << 16):
+        lows = list(itertools.product(list(K.riter_lex()), repeat=deg))
+        rng.shuffle(lows)
+    else:
+        lows = (
+            [K.rfrom_index(rng.randrange(K.size)) for _ in range(deg)]
+            for _ in range(_MODULUS_SEARCH_BUDGET)
+        )
+    for low in lows:
+        mod = list(low) + [K.rone]
+        if poly_is_irreducible(mod, K):
+            return tuple(mod)
+    raise ConstructionError(f"no irreducible {missing}")
+
+
+def make_field(p: int, e: int, seed: int = 0) -> FieldSpec:
+    """Build F_{p^e} with a modulus found by seeded random search."""
     if not is_prime(p):
         raise ParameterError(f"characteristic {p} is not prime")
     if e < 1:
         raise ParameterError("degree must be at least 1")
-    if e == 1:
-        return FieldSpec(p, 1, (0, 1))
-    ops = _PrimeOps(p)
-    rng = random.Random(seed)
-    if p**e <= (1 << 16):
-        candidates = list(itertools.product(range(p), repeat=e))
-        rng.shuffle(candidates)
-        for low in candidates:
-            mod = list(low) + [1]
-            if poly_is_irreducible(mod, ops):
-                return FieldSpec(p, e, tuple(mod))
-    else:
-        for _ in range(_MODULUS_SEARCH_BUDGET):
-            low = [rng.randrange(p) for _ in range(e)]
-            mod = low + [1]
-            if poly_is_irreducible(mod, ops):
-                return FieldSpec(p, e, tuple(mod))
-    raise ConstructionError(f"no irreducible modulus found for GF({p}^{e})")
+    mod = _seeded_modulus(_PrimeOps(p), e, seed, f"modulus found for GF({p}^{e})")
+    return FieldSpec(p, e, mod)
 
 
 def make_extension(base: FieldSpec, alpha: int, seed: int = 0) -> ExtSpec:
     """Build F_{q^alpha} over a base field; same seeded search as make_field."""
     if alpha < 1:
         raise ParameterError("alpha must be at least 1")
-    rng = random.Random(seed)
-    if alpha == 1:
-        return ExtSpec(base, 1, (base.rzero, base.rone))
-    if base.order**alpha <= (1 << 16):
-        candidates = list(itertools.product([el.coeffs for el in base.lex_elements()], repeat=alpha))
-        rng.shuffle(candidates)
-        for low in candidates:
-            mod = list(low) + [base.rone]
-            if poly_is_irreducible(mod, base):
-                return ExtSpec(base, alpha, tuple(mod))
-    else:
-        for _ in range(_MODULUS_SEARCH_BUDGET):
-            low = [base.rfrom_index(rng.randrange(base.order)) for _ in range(alpha)]
-            mod = low + [base.rone]
-            if poly_is_irreducible(mod, base):
-                return ExtSpec(base, alpha, tuple(mod))
-    raise ConstructionError(f"no irreducible extension modulus of degree {alpha}")
+    mod = _seeded_modulus(base, alpha, seed, f"extension modulus of degree {alpha}")
+    return ExtSpec(base, alpha, mod)
 
 
 def make_tower(p: int, e: int, alpha: int, seed: int = 0) -> ExtSpec:

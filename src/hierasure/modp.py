@@ -1,12 +1,13 @@
 """Exact linear algebra over the prime field Z/p on plain Python ints.
 
-Every hot question in the package reduces to one over the prime field:
-a code corrects a pattern when a set of base-field expansion columns is
-linearly independent, a UDM set is universally decodable when stacked
-row prefixes are, and decoding solves one system against those columns.
-The F_q answers carry over because each F_q-linear map is also F_p-linear
-and injectivity (or solvability) does not depend on which subfield it is
-linearized over.
+Every hot question in the package reduces to one over the prime field.
+A code corrects a pattern t when the first t_i * e expansion columns of
+each symbol, stacked, are independent, and a UDM set is universally
+decodable when its stacked row prefixes are: one question, answered for
+both by ``prefix_echelons``.  Decoding solves one system against those
+columns.  The F_q answers carry over because each F_q-linear map is also
+F_p-linear and injectivity (or solvability) does not depend on which
+subfield it is linearized over.
 
 Vectors are sequences of ints in [0, p).  The package's one elimination
 routine is ``Echelon.insert`` (``linalg`` answers its questions about
@@ -20,7 +21,7 @@ their inputs produced a vector.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import ParameterError
 
@@ -79,19 +80,19 @@ class Echelon:
         return v
 
 
-def first_dependent(vectors: Sequence[Sequence[int]], p: int) -> int | None:
-    """Index of the first vector in the span of those before it, else None.
-
-    None means the vectors are linearly independent: the full-rank test
-    behind every correctability and universal-decodability verdict.
-    """
-    if not vectors:
-        return None
-    ech = Echelon(p, len(vectors[0]))
-    for k, v in enumerate(vectors):
-        if ech.insert(v) is not None:
-            return k
-    return None
+def prefix_echelons(blocks: Sequence, patterns: Iterable, unit: int, p: int) -> Iterator:
+    """For each pattern t, (t, the echelon of the first t_i * unit vectors
+    of every block i, stacked), or (t, None) when those are dependent: the
+    full-rank test behind every correctability and UDM verdict."""
+    width = next((len(v) for block in blocks for v in block), 0)
+    for t in patterns:
+        ech = Echelon(p, width)
+        stacked = [v for block, ti in zip(blocks, t) for v in block[: ti * unit]]
+        for v in stacked:
+            if ech.insert(v) is not None:
+                ech = None
+                break
+        yield t, ech
 
 
 def tagged(columns: Sequence[Sequence[int]]) -> list[list[int]]:

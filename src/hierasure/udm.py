@@ -73,16 +73,14 @@ def verify_udm(u: UdmSet) -> UdmCheck:
     """Exhaustive stacked-prefix rank check over the maximal patterns.
 
     Each check is the prime-field independence test of
-    ``modp.first_dependent``, the same oracle that decides code
+    ``modp.prefix_echelons``, the same walk that decides code
     correctability; F_q-independence of rows is F_p-independence of their
     digit expansions.
     """
     budget = min(u.m, u.n * u.alpha)
-    e = u.field.e
-    rows = _digit_rows(u)
-    for t in maximal_patterns(FullFamily(u.alpha, budget, u.n)):
-        stacked = [v for mat, ti in zip(rows, t) for v in mat[: ti * e]]
-        if modp.first_dependent(stacked, u.field.p) is not None:
+    patterns = maximal_patterns(FullFamily(u.alpha, budget, u.n))
+    for t, ech in modp.prefix_echelons(_digit_rows(u), patterns, u.field.e, u.field.p):
+        if ech is None:
             return UdmCheck(False, t)
     return UdmCheck(True)
 

@@ -423,6 +423,34 @@ class TestInputBoundary:
         fill = {"code": code_file, "out": tmp_path / "c.json"}
         self.assert_usage_error(capsys, run(*(a.format(**fill) for a in argv)))
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("construct", "balanced", "--p", "5", "--alpha", "4", "--n", "-2"),
+            ("construct", "balanced", "--p", "5", "--alpha", "4", "--n", "0"),
+            ("construct", "power", "--p", "5", "--alpha", "4", "--n", "0"),
+            ("construct", "power", "--p", "5", "--alpha", "4", "--n", "-2"),
+            ("construct", "trace", "--p", "5", "--alpha", "2", "--m", "2", "--n", "0"),
+        ],
+    )
+    def test_length_below_one(self, tmp_path, capsys, argv):
+        # balanced used to slice its default nodes ("need exactly n=-2 nodes,
+        # got 2") and power to count its cosets first
+        out = tmp_path / "c.json"
+        rc = run(*argv, "--out", str(out))
+        err = capsys.readouterr().err
+        assert rc == 2 and err == "error: need n >= 1\n", err
+        assert not out.exists()
+
+    def test_negative_gv_budget(self, tmp_path, capsys):
+        # range(-5) is empty, so a negative budget would skip straight to the sweep
+        out = tmp_path / "c.json"
+        rc = run("construct", "gv", "--p", "2", "--alpha", "2", "--n", "4", "--r", "3", "--m", "1",
+                 "--budget", "-5", "--out", str(out))
+        err = capsys.readouterr().err
+        assert rc == 2 and err == "error: need budget >= 0\n", err
+        assert not out.exists()
+
     def test_decode_still_works(self, code_file, received_file, capsys):
         assert run("decode", "--code", code_file, "--received", received_file, "--json") == 0
         assert json.loads(capsys.readouterr().out)["status"] == "decoded"

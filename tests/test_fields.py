@@ -16,6 +16,7 @@ from hierasure import (
     is_basis,
     lucas_binom,
     make_field,
+    make_tower,
     subfield_basis,
     subfield_members,
     trace,
@@ -61,6 +62,37 @@ class TestMakeField:
     def test_reducible_modulus_rejected(self):
         with pytest.raises(ParameterError):
             FieldSpec(2, 2, (1, 0, 1))  # (x+1)^2
+
+    # (p, e, alpha, seed, base modulus, extension modulus), each modulus
+    # written as one integer with coefficient k (by its index) at digit k.
+    # Degree 1 at either level, the shuffled search (order**degree <= 2**16)
+    # and the sampled one (above it) at both levels.
+    PINNED_MODULI = [
+        (2, 1, 1, 0, 2, 2),
+        (3, 1, 2, 1, 3, 14),
+        (5, 1, 8, 0, 5, 605893),
+        (5, 1, 8, 3, 5, 763996),
+        (11, 1, 8, 2, 11, 307732237),
+        (3, 2, 3, 0, 14, 1214),
+        (3, 2, 3, 2, 10, 1023),
+        (2, 4, 4, 1, 31, 82717),
+        (7, 2, 2, 3, 97, 3629),
+        (5, 4, 2, 1, 856, 754512),
+        (2, 17, 1, 0, 193191, 131072),
+        (3, 11, 1, 2, 292646, 177147),
+        (2, 16, 2, 0, 75515, 6171375442),
+        (2, 17, 2, 1, 240925, 21231502640),
+    ]
+
+    @pytest.mark.parametrize("p,e,alpha,seed,base_mod,ext_mod", PINNED_MODULI)
+    def test_seeded_moduli_are_pinned(self, p, e, alpha, seed, base_mod, ext_mod):
+        # artifacts record moduli, but a tower rebuilt from (p, e, alpha, seed)
+        # must come out the same for replayed runs to match
+        ext = make_tower(p, e, alpha, seed)
+        base = ext.base
+        assert sum(c * p**k for k, c in enumerate(base.modulus)) == base_mod
+        assert sum(base.rindex(c) * base.order**k for k, c in enumerate(ext.modulus)) == ext_mod
+        assert make_field(p, e, seed) == base
 
 
 class TestArithmetic:

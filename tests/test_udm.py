@@ -193,3 +193,42 @@ class TestEigenvectorBridge:
                 correcting = is_correcting(code, fam).correcting
                 u = check_vector_to_udms(h, omega)
                 assert verify_udm(u).ok == correcting
+
+
+class TestUdmCodeEquivalence:
+    """verify_udm and is_correcting ask the same stacked-prefix question.
+
+    Matrix i of the UDM set has row j equal to the coordinates over omega of
+    H[:, i] * omega_j, stacked over H's rows, so its first t_i rows span the
+    same space as the expansion columns a pattern erases in symbol i.  Both
+    checks must agree on the verdict and on the first failing pattern.
+    """
+
+    @staticmethod
+    def _udms_of(code):
+        omega, ext = code.omega, code.ext
+        mats = [
+            [[c for row in code.H for c in omega.coordinates(row[i] * w)] for w in omega.elements]
+            for i in range(code.n)
+        ]
+        return UdmSet(ext.base, ext.alpha, code.r * ext.alpha, mats)
+
+    @pytest.mark.parametrize("p,e,alpha", [(2, 1, 3), (3, 1, 2), (2, 2, 2), (3, 2, 2)])
+    def test_random_codes(self, p, e, alpha):
+        ext = tower(p, e, alpha)
+        omega = ext.polynomial_basis()
+        rng = random.Random(p * 100 + e * 10 + alpha)
+        outcomes = []
+        for _ in range(40):
+            n = rng.randint(2, 4)
+            r = rng.randint(1, 2)
+            # about a third of the entries are zero
+            entry = lambda: ext.from_index(rng.randrange(ext.order)) if rng.random() < 2 / 3 else ext.zero()
+            rows = [[entry() for _ in range(n)] for _ in range(r)]
+            code = code_from_rows(ext, rows, omega)
+            report = is_correcting(code, FullFamily(alpha, min(r * alpha, n * alpha), n))
+            check = verify_udm(self._udms_of(code))
+            assert (check.ok, check.counterexample) == (report.correcting, report.pattern)
+            outcomes.append(check.ok)
+        # both verdicts occur, so the counterexample path runs too
+        assert True in outcomes and False in outcomes
