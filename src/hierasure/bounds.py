@@ -39,6 +39,8 @@ def singleton_check(n: int, k: int, m: int, alpha: int) -> SingletonReport:
     """Whole-symbol erasure capacity floor(m/alpha) against the n-k ceiling."""
     if min(n, k, alpha) < 1 or m < 0:
         raise ParameterError("parameters must be positive (m may be zero)")
+    if k > n:
+        raise ParameterError("need k <= n")
     m_prime = m // alpha
     return SingletonReport(m_prime, m_prime <= n - k)
 

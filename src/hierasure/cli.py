@@ -12,6 +12,7 @@ or parameter errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -202,7 +203,7 @@ def _cmd_verify(args) -> int:
 def _cmd_decode(args) -> int:
     started = time.perf_counter()
     code = _read_json(args.code, serialize.code_from_json)
-    rw = _read_json(args.received, serialize.received_from_json)
+    rw = _read_json(args.received, lambda obj: serialize.received_from_json(obj, like=code.omega))
     result = decode_word(code, rw)
     report = {
         "status": result.status,
@@ -434,9 +435,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# one parser per process: parse_args fills a fresh namespace on each call
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except ParameterError as exc:

@@ -9,7 +9,9 @@ can be shared between threads without synchronization.
 
 Multiplication is schoolbook polynomial arithmetic reduced by the
 modulus (on plain ints when the coefficients are prime-field digits);
-powers are square-and-multiply and the inverse is a^(order-2).
+powers are square-and-multiply and the inverse is a^(order-2).  The
+Frobenius x -> x^q is F_q-linear, so the extension keeps it as one
+prime-field matrix.
 
 A basis omega of the extension over F_q (``OrderedBasis``) keeps one
 coordinate transform, over the prime field: the digits of x's
@@ -194,8 +196,12 @@ def poly_is_irreducible(coeffs, K) -> bool:
     """Irreducibility of a monic polynomial over the coefficient field K.
 
     Uses gcd(f, x^(s^i) - x) for i up to deg/2, with s the field size; a
-    degree-1 polynomial is irreducible by convention.
+    degree-1 polynomial is irreducible by convention.  Over a prime-field
+    FieldSpec the 1-tuple coefficients become plain ints mod p first.
     """
+    if isinstance(K, FieldSpec) and K.e == 1:
+        coeffs = [c[0] for c in coeffs]
+        K = K._cops
     f = _poly_trim(coeffs, K)
     d = len(f) - 1
     if d <= 0:
@@ -463,6 +469,7 @@ class ExtSpec(_Field):
             self._prime_modulus = [c[0] for c in mod]
         self._hash = hash(("ExtSpec", base, alpha, mod))
         self._poly_basis = None
+        self._frobenius_rows = None
 
     def __eq__(self, other):
         return (
@@ -492,18 +499,33 @@ class ExtSpec(_Field):
         return Element(self.base, el.coeffs[0])
 
     def frobenius(self, el: "Element") -> "Element":
-        return Element(self, self.rpow(el.coeffs, self.base.order))
+        """x -> x^q, one prime-field matrix applied to the power digits.
+
+        The map is F_q-linear, so its matrix over F_p has as columns the
+        q-th powers of the alpha * e units y^u * x^d; it is built on first
+        use and kept on the field.
+        """
+        base = self.base
+        if self._frobenius_rows is None:
+            # from_index(p**k) is the unit with power digit k set
+            columns = [
+                _power_digits(self.from_index(base.p**k) ** base.order)
+                for k in range(self.alpha * base.e)
+            ]
+            self._frobenius_rows = [list(row) for row in zip(*columns)]
+        e = base.e
+        flat = modp.mat_vec(self._frobenius_rows, _power_digits(el), base.p)
+        return Element(self, tuple(tuple(flat[u * e : (u + 1) * e]) for u in range(self.alpha)))
 
     def trace(self, el: "Element") -> "Element":
         """Trace down to the base field: the sum of all q-power conjugates."""
         self._check_same(el)
-        acc = el.coeffs
-        conj = el.coeffs
-        q = self.base.order
+        acc = el
+        conj = el
         for _ in range(self.alpha - 1):
-            conj = self.rpow(conj, q)
-            acc = self.radd(acc, conj)
-        out = self.as_base(Element(self, acc))
+            conj = self.frobenius(conj)
+            acc = acc + conj
+        out = self.as_base(acc)
         if out is None:  # pragma: no cover
             raise ConstructionError("trace left the base field; tower is inconsistent")
         return out

@@ -37,9 +37,9 @@ def _loader(kind: str):
 
     def wrap(load):
         @functools.wraps(load)
-        def checked(*args):
+        def checked(*args, **kwargs):
             try:
-                return load(*args)
+                return load(*args, **kwargs)
             except ParameterError:
                 raise
             except KeyError as exc:
@@ -208,10 +208,30 @@ def received_to_json(rw: ReceivedWord) -> dict:
     }
 
 
+def _same_json(a, b) -> bool:
+    """Equality of JSON values that also tells 1 from 1.0 and from true."""
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, list):
+        return len(a) == len(b) and all(map(_same_json, a, b))
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(_same_json(a[k], b[k]) for k in a)
+    return a == b
+
+
 @_loader("received word")
-def received_from_json(obj: dict) -> ReceivedWord:
-    ext = _tower_from_json(obj)
-    omega = basis_from_json(ext, obj["omega"])
+def received_from_json(obj: dict, like: OrderedBasis | None = None) -> ReceivedWord:
+    """Load a received word; when its "field", "ext" and "omega" are
+    exactly ``like``'s JSON (the decoding code's omega, say), reuse
+    ``like`` and its tower instead of loading them again."""
+    if like is not None and isinstance(obj, dict) and _same_json(
+        {key: obj.get(key) for key in ("field", "ext", "omega")},
+        {**_tower_to_json(like.ext), "omega": basis_to_json(like)},
+    ):
+        ext, omega = like.ext, like
+    else:
+        ext = _tower_from_json(obj)
+        omega = basis_from_json(ext, obj["omega"])
     known = tuple(
         tuple(base_element_from_json(ext.base, c) for c in suffix) for suffix in obj["known"]
     )

@@ -115,9 +115,10 @@ def reference_subfield_members(ext, d):
 
 
 def _in_subfield(ext, el, d):
+    # x^q by square-and-multiply, not the Frobenius matrix under test
     img = el
     for _ in range(d):
-        img = ext.frobenius(img)
+        img = Element(ext, ext.rpow(img.coeffs, ext.base.order))
     return img == el
 
 

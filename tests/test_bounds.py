@@ -26,6 +26,11 @@ class TestSingleton:
         report = singleton_check(2, 2, 1, 2)
         assert report.m_prime == 0 and report.ok
 
+    def test_dimension_above_length_rejected(self):
+        with pytest.raises(ParameterError, match="need k <= n"):
+            singleton_check(4, 9, 1, 2)
+        assert singleton_check(4, 4, 1, 2).ok
+
 
 class TestGvThreshold:
     def test_acceptance_point(self):

@@ -7,7 +7,8 @@ from pathlib import Path
 import pytest
 
 from hierasure import FullFamily, code_from_rows, find_quadratic_root, serialize
-from hierasure import apply_erasure, b_symmetric_basis, kernel_basis, length2_code
+from hierasure import apply_erasure, b_symmetric_basis, kernel_basis, length2_code, maximal_patterns
+from hierasure import fields, make_tower
 from hierasure.cli import main
 from towers import tower
 
@@ -147,6 +148,97 @@ class TestDecodeCommand:
         code_path.write_text(json.dumps(serialize.code_to_json(bad)))
         rw_path.write_text(json.dumps(serialize.received_to_json(rw)))
         assert run("decode", "--code", str(code_path), "--received", str(rw_path)) == 1
+
+
+class TestDecodeTowerReuse:
+    """A received word that spells the code's tower and basis reuses them."""
+
+    @pytest.fixture
+    def files(self, tmp_path):
+        code_path = tmp_path / "code.json"
+        run("construct", "balanced", "--p", "5", "--alpha", "4", "--n", "4", "--out", str(code_path))
+        code = serialize.code_from_json(json.loads(code_path.read_text()))
+        word = kernel_basis(code)[0]
+        t = list(maximal_patterns(code.claim))[-1]
+        payload = serialize.received_to_json(apply_erasure(word, t, code.omega))
+        return code_path, payload, serialize.codeword_to_json(word)
+
+    def decode(self, tmp_path, code_path, payload, capsys):
+        rw_path = tmp_path / "rw.json"
+        rw_path.write_text(json.dumps(payload))
+        capsys.readouterr()
+        rc = run("decode", "--code", str(code_path), "--received", str(rw_path), "--json")
+        return rc, capsys.readouterr()
+
+    @pytest.fixture
+    def inits(self, monkeypatch):
+        # count field and basis constructions, as the load test counts inserts
+        made = []
+        for cls in (fields.ExtSpec, fields.OrderedBasis):
+            def counted(obj, *args, _init=cls.__init__, _name=cls.__name__):
+                made.append(_name)
+                _init(obj, *args)
+
+            monkeypatch.setattr(cls, "__init__", counted)
+        return made
+
+    def test_one_tower_and_basis_per_call(self, tmp_path, files, inits, capsys):
+        code_path, payload, word = files
+        rc, out = self.decode(tmp_path, code_path, payload, capsys)
+        assert rc == 0 and json.loads(out.out)["codeword"] == word
+        assert sorted(inits) == ["ExtSpec", "OrderedBasis"]
+
+    def test_coefficient_spelled_plus_p_loads_its_own_tower(self, tmp_path, files, inits, capsys):
+        # 5 means 0 in the base modulus, so the JSON differs but the tower does not
+        code_path, payload, word = files
+        payload["field"]["modulus"][0] += 5
+        rc, out = self.decode(tmp_path, code_path, payload, capsys)
+        assert rc == 0 and json.loads(out.out) == {"codeword": word, "solution_space_dim": 0, "status": "decoded"}
+        assert sorted(inits) == ["ExtSpec", "ExtSpec", "OrderedBasis", "OrderedBasis"]
+
+    @pytest.mark.parametrize(
+        "edit,error",
+        [
+            (lambda rw: rw["ext"].update(modulus=serialize._tower_to_json(make_tower(5, 1, 4, 1))["ext"]["modulus"]),
+             "error: received word uses a different basis than the code\n"),
+            (lambda rw: rw.update(omega=rw["omega"][1:] + rw["omega"][:1]),
+             "error: received word uses a different basis than the code\n"),
+            (lambda rw: rw.pop("ext"), "error: malformed received word payload: missing key 'ext'\n"),
+            (lambda rw: rw["field"].update(p=5.0), "error: characteristic must be an integer, got 5.0\n"),
+            (lambda rw: rw["omega"][0][0].__setitem__(0, True),
+             "error: invalid coefficient vector for GF(5^4)/GF(5): ((True,), (0,), (0,), (0,))\n"),
+        ],
+        ids=["ext-modulus", "permuted-omega", "no-ext", "p-float", "omega-bool"],
+    )
+    def test_mismatch_exits_2(self, tmp_path, files, capsys, edit, error):
+        code_path, payload, _ = files
+        edit(payload)
+        rc, out = self.decode(tmp_path, code_path, payload, capsys)
+        assert (rc, out.err, out.out) == (2, error, "")
+
+
+class TestParserReuse:
+    def test_second_call_sees_only_its_own_options(self, tmp_path):
+        code = tmp_path / "code.json"
+        run("construct", "length2", "--p", "3", "--alpha", "2", "--out", str(code))
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        assert run("verify", "--code", str(code), "--all-patterns", "--out", str(a)) == 0
+        assert run("verify", "--code", str(code), "--out", str(b)) == 0
+        manifest = json.loads((tmp_path / "b.json.manifest.json").read_text())
+        assert manifest["parameters"] == {
+            "command": "verify", "code": str(code), "all_patterns": False, "out": str(b),
+        }
+        fresh = tmp_path / "fresh.json"
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-m", "hierasure", "verify", "--code", str(code), "--out", str(fresh)],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert b.read_bytes() == fresh.read_bytes()
+        fresh_manifest = json.loads((tmp_path / "fresh.json.manifest.json").read_text())
+        assert fresh_manifest["parameters"] == {**manifest["parameters"], "out": str(fresh)}
 
 
 class TestUdmCommands:
@@ -450,6 +542,12 @@ class TestInputBoundary:
         err = capsys.readouterr().err
         assert rc == 2 and err == "error: need budget >= 0\n", err
         assert not out.exists()
+
+    def test_singleton_dimension_above_length(self, capsys):
+        # a length-4 code cannot have dimension 9; this used to print "ok: False"
+        rc = run("bounds", "singleton", "--n", "4", "--k", "9", "--m", "1", "--alpha", "2")
+        err = capsys.readouterr().err
+        assert rc == 2 and err == "error: need k <= n\n", err
 
     def test_decode_still_works(self, code_file, received_file, capsys):
         assert run("decode", "--code", code_file, "--received", received_file, "--json") == 0

@@ -6,6 +6,7 @@ import pytest
 
 from hierasure import (
     ConstructionError,
+    Element,
     ExtSpec,
     FieldSpec,
     InvalidBasisError,
@@ -21,6 +22,7 @@ from hierasure import (
     subfield_members,
     trace,
 )
+from hierasure.fields import _PrimeOps, poly_is_irreducible
 from towers import field, tower
 
 
@@ -230,6 +232,90 @@ class TestTrace:
             lhs = trace(ext.lift(g) * a + ext.lift(d) * b)
             rhs = g * trace(a) + d * trace(b)
             assert lhs == rhs
+
+
+FROBENIUS_TOWERS = [(11, 1, 8), (5, 1, 4), (2, 1, 8), (2, 2, 4), (3, 2, 2), (2, 3, 2)]
+
+
+class TestFrobenius:
+    """The F_p matrix behind ``frobenius`` against square-and-multiply."""
+
+    def samples(self, ext, count=30):
+        rng = random.Random(ext.order)
+        yield ext.zero()
+        yield ext.one()
+        yield w_elem(ext)
+        for _ in range(count):
+            yield ext.from_index(rng.randrange(ext.order))
+
+    @pytest.mark.parametrize("p,e,alpha", FROBENIUS_TOWERS)
+    def test_matches_q_th_power(self, p, e, alpha):
+        ext = tower(p, e, alpha)
+        for x in self.samples(ext):
+            assert ext.frobenius(x) == x ** ext.base.order
+
+    @pytest.mark.parametrize("p,e,alpha", FROBENIUS_TOWERS)
+    def test_alpha_fold_is_identity(self, p, e, alpha):
+        ext = tower(p, e, alpha)
+        for x in self.samples(ext, 10):
+            img = x
+            for _ in range(alpha):
+                img = ext.frobenius(img)
+            assert img == x
+
+    @pytest.mark.parametrize("p,e,alpha", FROBENIUS_TOWERS)
+    def test_trace_is_sum_of_power_conjugates(self, p, e, alpha):
+        ext = tower(p, e, alpha)
+        q = ext.base.order
+        for x in self.samples(ext, 10):
+            acc, conj = x, x
+            for _ in range(alpha - 1):
+                conj = Element(ext, ext.rpow(conj.coeffs, q))
+                acc = acc + conj
+            assert ext.lift(trace(x)) == acc
+
+
+def _moebius(n):
+    result, k = 1, 2
+    while k * k <= n:
+        if n % k == 0:
+            n //= k
+            if n % k == 0:
+                return 0
+            result = -result
+        k += 1
+    return -result if n > 1 else result
+
+
+def _gauss_count(q, d):
+    # number of monic irreducibles of degree d over GF(q)
+    return sum(_moebius(d // k) * q**k for k in range(1, d + 1) if d % k == 0) // d
+
+
+class TestIrreducibleCounts:
+    """``poly_is_irreducible`` finds exactly Gauss's count of monic irreducibles."""
+
+    def count(self, K, d):
+        lex = list(K.riter_lex())
+        return sum(
+            poly_is_irreducible(list(low) + [K.rone], K)
+            for low in itertools.product(lex, repeat=d)
+        )
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_prime_field_as_plain_ints(self, p, d):
+        assert self.count(_PrimeOps(p), d) == _gauss_count(p, d)
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_prime_field_as_one_tuples(self, p, d):
+        assert self.count(field(p, 1), d) == _gauss_count(p, d)
+
+    @pytest.mark.parametrize("p", [2, 3])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_nonprime_base(self, p, d):
+        assert self.count(field(p, 2), d) == _gauss_count(p * p, d)
 
 
 class TestDualBasis:

@@ -1,9 +1,12 @@
 import json
 
+import pytest
+
 from hierasure import (
     BalancedFamily,
     BoundedFamily,
     FullFamily,
+    ParameterError,
     PowerFamily,
     apply_erasure,
     balanced_code,
@@ -112,6 +115,43 @@ class TestReceived:
         back = serialize.received_from_json(json.loads(canon(payload)))
         assert back == rw
         assert canon(serialize.received_to_json(back)) == canon(payload)
+
+    def received(self):
+        code = balanced_code(4, tower(5, 1, 4))
+        word = tuple(kernel_basis(code)[0])
+        rw = apply_erasure(word, (2, 1, 0, 1), code.omega)
+        return code, rw, json.loads(canon(serialize.received_to_json(rw)))
+
+    def test_without_like_loads_its_own_tower(self):
+        code, rw, payload = self.received()
+        back = serialize.received_from_json(payload)
+        assert back == rw
+        assert back.omega is not code.omega and back.omega.ext is not code.ext
+
+    def test_like_with_the_same_json_is_reused(self):
+        code, rw, payload = self.received()
+        back = serialize.received_from_json(payload, like=code.omega)
+        assert back == rw
+        assert back.omega is code.omega and back.omega.ext is code.ext
+
+    def test_like_with_other_json_is_not_reused(self):
+        code, rw, payload = self.received()
+        # the same tower, spelled with 0 + p in the base modulus
+        payload["field"]["modulus"][0] += 5
+        back = serialize.received_from_json(payload, like=code.omega)
+        assert back == rw and back.omega is not code.omega
+        # a different basis is loaded as given, for decode to reject
+        payload["omega"] = payload["omega"][::-1]
+        back = serialize.received_from_json(payload, like=code.omega)
+        assert back.omega != code.omega
+
+    def test_like_does_not_accept_floats_or_booleans(self):
+        code, _, payload = self.received()
+        for edit in (lambda c: c["field"].update(p=5.0), lambda c: c["ext"]["modulus"][-1].__setitem__(0, True)):
+            bad = json.loads(canon(payload))
+            edit(bad)
+            with pytest.raises(ParameterError):
+                serialize.received_from_json(bad, like=code.omega)
 
     def test_codeword_payload(self):
         ext = tower(3, 1, 2)
