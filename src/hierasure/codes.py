@@ -22,9 +22,13 @@ def expand_column(
     (``OrderedBasis.coordinate_digits``) and stacked entry by entry.  Only
     the first ``width`` columns are built; by default all alpha * e.
     """
+    return _expand(omega, column, omega.digit_elements[:width])
+
+
+def _expand(omega: OrderedBasis, column, elements) -> tuple[tuple[int, ...], ...]:
+    # the prime-field columns of column * w for each w in elements
     return tuple(
-        tuple(d for x in column for d in omega.coordinate_digits(x * w))
-        for w in omega.digit_elements[:width]
+        tuple(d for x in column for d in omega.coordinate_digits(x * w)) for w in elements
     )
 
 
@@ -92,16 +96,22 @@ class LinearCode:
         The alpha * e expansion columns of H[:, i] are all independent of
         the columns before them when H[:, i] is independent of H's columns
         before it, and all dependent otherwise; the first of them decides,
-        so a dependent symbol's block is never built.
+        so a dependent symbol's block is never built, and an independent
+        one's is built around the digit-0 column already made.
         """
-        ext = self.ext
+        ext, omega = self.ext, self.omega
         ech = modp.Echelon(ext.base.p, self.r * ext.alpha * ext.base.e)
         rank = 0
         for i in range(self.n):
-            block = self._expansion.get(i) or expand_column(self.omega, [row[i] for row in self.H], 1)
-            if ech.insert(block[0]) is None:
+            block = self._expansion.get(i)
+            column = [row[i] for row in self.H]
+            head = block[:1] if block else _expand(omega, column, omega.digit_elements[:1])
+            if ech.insert(head[0]) is None:
                 rank += 1
-                for col in self.expansion(i)[1:]:
+                if block is None:
+                    block = head + _expand(omega, column, omega.digit_elements[1:])
+                    self._expansion[i] = block
+                for col in block[1:]:
                     ech.insert(col)
         return rank
 

@@ -502,9 +502,9 @@ def greedy_gv_code(
     candidate are independent.  So once per column position, for each k,
     the erased columns of every maximal pattern of ``FullFamily(alpha,
     m - k, L)`` on the L accepted columns are put in echelon form, and a
-    candidate is accepted when its first k*e columns insert into a copy of
-    each of them without a dependency.  (m - k always fits in the prefix:
-    m < alpha*(r-1) and L >= r.)
+    candidate is accepted when its first k*e columns insert into each of
+    them without a dependency; the rows a trial inserts are cut off again.
+    (m - k always fits in the prefix: m < alpha*(r-1) and L >= r.)
     """
     alpha = ext.alpha
     if not 1 <= r <= n:
@@ -542,7 +542,7 @@ def greedy_gv_code(
 
     for col in range(r, n):
         checks = [  # (how many candidate columns, prefix echelon)
-            (k * e, ech)
+            (k * e, ech.copy())
             for k in range(1, k_max + 1)
             for _, ech in modp.prefix_echelons(
                 expanded, maximal_patterns(FullFamily(alpha, m - k, col)), e, p
@@ -571,9 +571,12 @@ def greedy_gv_code(
 
 
 def _extends(ech: modp.Echelon, vectors) -> bool:
-    # True iff the vectors are independent modulo the echelon's span
-    trial = ech.copy()
-    return all(trial.insert(v) is None for v in vectors)
+    # True iff the vectors are independent modulo the echelon's span; the
+    # rows the trial inserts are appended, so cutting them off restores ech
+    mark = len(ech.rows)
+    independent = all(ech.insert(v) is None for v in vectors)
+    del ech.rows[mark:]
+    return independent
 
 
 def _gv_bound_base(n: int, m: int) -> int:

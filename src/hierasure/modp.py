@@ -16,6 +16,14 @@ scaled to 1 at its pivot and zero at the pivots of the vectors before it.
 Pivots are searched only among the first ``width`` entries; entries past
 ``width`` ride along, which is how callers track which combination of
 their inputs produced a vector.
+
+``Echelon.rows`` is append-only: an independent insert appends exactly
+one row and never changes an earlier one, so ``rows[:s]`` is the echelon
+of the first s independent vectors inserted, and ``del rows[s:]`` rolls
+the basis back to it.  ``prefix_echelons`` walks all its patterns on one
+echelon this way, keeping the rows of the stacked prefix a pattern shares
+with the one before; the echelon it yields is valid until the walk
+advances.
 """
 
 from __future__ import annotations
@@ -83,16 +91,48 @@ class Echelon:
 def prefix_echelons(blocks: Sequence, patterns: Iterable, unit: int, p: int) -> Iterator:
     """For each pattern t, (t, the echelon of the first t_i * unit vectors
     of every block i, stacked), or (t, None) when those are dependent: the
-    full-rank test behind every correctability and UDM verdict."""
+    full-rank test behind every correctability and UDM verdict.
+
+    One echelon serves the whole walk, and the yielded echelon is valid
+    only until the walk advances; copy it to keep it.  Its rows are
+    append-only, one per independent insert, so the echelon of the first
+    s stacked vectors is ``rows[:s]``: a pattern keeps the rows of the
+    stacked vectors it shares with the pattern before and inserts only the
+    rest, and it fails without an insert when the shared vectors already
+    held the earlier pattern's first dependency.  Any order of patterns
+    is exact; lex order shares the most.
+    """
     width = next((len(v) for block in blocks for v in block), 0)
+    ech = Echelon(p, width)
+    rows = ech.rows
+    lengths = [len(block) for block in blocks]
+    prev: list[int] = []  # stacked vectors per block of the pattern before
+    failed = None  # stacked position of its first dependent vector
     for t in patterns:
-        ech = Echelon(p, width)
-        stacked = [v for block, ti in zip(blocks, t) for v in block[: ti * unit]]
-        for v in stacked:
-            if ech.insert(v) is not None:
-                ech = None
+        counts = [c if (c := ti * unit) <= n else n for n, ti in zip(lengths, t)]
+        # the stacked prefix shared with the pattern before ends in block d
+        shared = d = start = 0
+        for c, c_prev in zip(counts, prev):
+            if c != c_prev:
+                start = min(c, c_prev)
                 break
-        yield t, ech
+            shared += c
+            d += 1
+        shared += start
+        prev = counts
+        if failed is not None and shared > failed:
+            yield t, None
+            continue
+        failed = None
+        del rows[shared:]
+        rest = (
+            v for i in range(d, len(counts)) for v in blocks[i][start if i == d else 0 : counts[i]]
+        )
+        for pos, v in enumerate(rest, shared):
+            if ech.insert(v) is not None:
+                failed = pos
+                break
+        yield t, None if failed is not None else ech
 
 
 def tagged(columns: Sequence[Sequence[int]]) -> list[list[int]]:

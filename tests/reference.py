@@ -17,7 +17,10 @@ bounded simplex that enumerated balanced and power members, and the
 sorted list of every member of a subfield.  ``reference_greedy_gv_code``
 is the greedy construction as it was before it cached prefix echelons:
 each candidate column builds a probe code and rechecks every maximal
-pattern of the full family.
+pattern of the full family.  ``reference_prefix_echelons`` is the
+stacked-prefix walk as it was before patterns shared their prefixes: a
+fresh ``modp.Echelon`` per pattern, so it checks the sharing, not the
+elimination.
 """
 
 import itertools
@@ -38,6 +41,7 @@ from hierasure import (
     family_contains,
     is_correcting,
     maximal_patterns,
+    modp,
     subfield_basis,
 )
 from hierasure.constructions import _gv_bound_base
@@ -246,6 +250,20 @@ def reference_verify_udm(u):
         if element_linalg.rank(stacked, u.field) != sum(t):
             return False, t
     return True, None
+
+
+def reference_prefix_echelons(blocks, patterns, unit, p):
+    """(t, a fresh echelon of the first t_i * unit vectors of every block,
+    stacked) per pattern, or (t, None) at the first dependency."""
+    width = next((len(v) for block in blocks for v in block), 0)
+    for t in patterns:
+        ech = modp.Echelon(p, width)
+        stacked = [v for block, ti in zip(blocks, t) for v in block[: ti * unit]]
+        for v in stacked:
+            if ech.insert(v) is not None:
+                ech = None
+                break
+        yield t, ech
 
 
 def reference_greedy_gv_code(
