@@ -20,15 +20,26 @@ def expand_column(
     Each is the coordinates over ``omega`` of every entry times
     ``omega.digit_elements[j * e + d]``, written as prime-field digits
     (``OrderedBasis.coordinate_digits``) and stacked entry by entry.  Only
-    the first ``width`` columns are built; by default all alpha * e.
+    the first ``width`` columns are built; by default all alpha * e.  This
+    is the digit view of ``pack_column``.
     """
-    return _expand(omega, column, omega.digit_elements[:width])
+    ext = omega.ext
+    lay = modp.layout(ext.base.p, len(column) * ext.alpha * ext.base.e)
+    return tuple(tuple(lay.digits(x)) for x in pack_column(omega, column, lay, width))
 
 
-def _expand(omega: OrderedBasis, column, elements) -> tuple[tuple[int, ...], ...]:
-    # the prime-field columns of column * w for each w in elements
+def pack_column(
+    omega: OrderedBasis, column, lay: modp.Layout, width: int | None = None
+) -> tuple[int, ...]:
+    """``expand_column``'s columns, each packed under ``lay`` (whose width
+    is len(column) * alpha * e)."""
+    return _expand(omega, column, omega.digit_elements[:width], lay)
+
+
+def _expand(omega: OrderedBasis, column, elements, lay: modp.Layout) -> tuple[int, ...]:
+    # the packed prime-field columns of column * w for each w in elements
     return tuple(
-        tuple(d for x in column for d in omega.coordinate_digits(x * w)) for w in elements
+        lay.pack([d for x in column for d in omega.coordinate_digits(x * w)]) for w in elements
     )
 
 
@@ -44,11 +55,22 @@ class LinearCode:
     when rows are dependent.  A 0-row H is legal (the whole space) but then
     ``length`` must be given.
 
-    ``expansion(i)`` is H's base-field expansion against ``omega`` over
-    the prime field, one block of alpha * e columns per symbol, so the
-    t_i leading coordinates of symbol i are the prefix ``[: t_i * e]``.
-    Blocks are built on first use and kept on the code: every
+    ``block(i)`` is H's base-field expansion against ``omega`` over the
+    prime field, one block of alpha * e columns per symbol, so the t_i
+    leading coordinates of symbol i are the prefix ``[: t_i * e]``.  Each
+    column is one int packed under ``layout`` (``modp.Layout``): digit k
+    of its width = r * alpha * e digits sits in lane k, bits [k*B,
+    (k+1)*B).  An elimination against these columns grows a lane by at
+    most (p-1)^2 per row operation and makes at most ``width`` of them,
+    so lanes stay at most A = (p-1) + width * (p-1)^2; s is the bit
+    length of A * (p-1), M = ceil(2^s / p) and B the bit length of A * M,
+    and one Barrett step, x - p * ((x * M >> s) & Q), then reduces every
+    lane.  The echelons these columns enter keep append-only rows, so a
+    walk rolls one back with ``del rows[s:]``.  Blocks are built on first
+    use and kept on the code, in that packed form only: every
     correctability check and every decode reads its columns from there.
+    ``expansion(i)`` is the same block unpacked to digit tuples, for
+    inspection.
     """
 
     ext: ExtSpec
@@ -81,13 +103,24 @@ class LinearCode:
             raise ParameterError("claimed family length does not match the code length")
         object.__setattr__(self, "_expansion", {})
 
-    def expansion(self, i: int) -> tuple[tuple[int, ...], ...]:
-        """Symbol i's block: ``expand_column`` of H[:, i], all alpha * e
+    @cached_property
+    def layout(self) -> modp.Layout:
+        """How an expansion column, r * alpha * e prime-field digits, packs."""
+        ext = self.ext
+        return modp.layout(ext.base.p, self.r * ext.alpha * ext.base.e)
+
+    def block(self, i: int) -> tuple[int, ...]:
+        """Symbol i's block: ``pack_column`` of H[:, i], all alpha * e
         columns, computed on first use and memoized on the code."""
         block = self._expansion.get(i)
         if block is None:
-            block = self._expansion[i] = expand_column(self.omega, [row[i] for row in self.H])
+            column = [row[i] for row in self.H]
+            block = self._expansion[i] = pack_column(self.omega, column, self.layout)
         return block
+
+    def expansion(self, i: int) -> tuple[tuple[int, ...], ...]:
+        """Symbol i's block unpacked: ``expand_column`` of H[:, i]."""
+        return tuple(tuple(self.layout.digits(x)) for x in self.block(i))
 
     @cached_property
     def rank(self) -> int:
@@ -99,17 +132,17 @@ class LinearCode:
         so a dependent symbol's block is never built, and an independent
         one's is built around the digit-0 column already made.
         """
-        ext, omega = self.ext, self.omega
-        ech = modp.Echelon(ext.base.p, self.r * ext.alpha * ext.base.e)
+        omega, lay = self.omega, self.layout
+        ech = modp.Echelon(lay)
         rank = 0
         for i in range(self.n):
             block = self._expansion.get(i)
             column = [row[i] for row in self.H]
-            head = block[:1] if block else _expand(omega, column, omega.digit_elements[:1])
+            head = block[:1] if block else _expand(omega, column, omega.digit_elements[:1], lay)
             if ech.insert(head[0]) is None:
                 rank += 1
                 if block is None:
-                    block = head + _expand(omega, column, omega.digit_elements[1:])
+                    block = head + _expand(omega, column, omega.digit_elements[1:], lay)
                     self._expansion[i] = block
                 for col in block[1:]:
                     ech.insert(col)

@@ -31,7 +31,7 @@ import warnings
 from dataclasses import dataclass
 
 from . import linalg, modp
-from .codes import LinearCode, code_from_rows, expand_column
+from .codes import LinearCode, code_from_rows, pack_column
 from .errors import ConstructionError, ParameterError
 from .fields import (
     Element,
@@ -525,8 +525,9 @@ def greedy_gv_code(
     p, e = ext.base.p, ext.base.e
     k_max = min(alpha, m)
     width = k_max * e  # a candidate is erased in at most k_max coordinates
+    lay = modp.layout(p, r * alpha * e)
     rows = [[ext.one() if j == i else ext.zero() for j in range(r)] for i in range(r)]
-    expanded = [expand_column(omega, col, width) for col in zip(*rows)]
+    expanded = [pack_column(omega, col, lay, width) for col in zip(*rows)]
 
     def candidates():
         for _ in range(budget):
@@ -545,11 +546,11 @@ def greedy_gv_code(
             (k * e, ech.copy())
             for k in range(1, k_max + 1)
             for _, ech in modp.prefix_echelons(
-                expanded, maximal_patterns(FullFamily(alpha, m - k, col)), e, p
+                expanded, maximal_patterns(FullFamily(alpha, m - k, col)), e, lay
             )
         ]
         for g in candidates():
-            cols = expand_column(omega, g, width)
+            cols = pack_column(omega, g, lay, width)  # packed once, read by every check
             if all(_extends(ech, cols[:k_e]) for k_e, ech in checks):
                 break
         else:

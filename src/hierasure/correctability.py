@@ -5,10 +5,10 @@ look like zero under t.  That intersection test linearizes over the base
 field: the base-field coordinates of H applied to each invisible generator
 form a column, and t is correctable iff those columns are independent.
 The columns are a prefix of each symbol's block of the code's stored
-expansion (``LinearCode.expansion``), written over the prime field, so
-every check is one small elimination over Z/p (``modp.prefix_echelons``,
-shared with UDM verification).  The same columns, fed the known suffix as
-a right-hand side, are the decoder.
+expansion (``LinearCode.block``), written over the prime field and
+packed one column per int, so every check is one small elimination over
+Z/p (``modp.prefix_echelons``, shared with UDM verification).  The same
+columns, fed the known suffix as a right-hand side, are the decoder.
 """
 
 from __future__ import annotations
@@ -59,23 +59,23 @@ def _labels(t) -> list[tuple[int, int]]:
     return [(i, j) for i, ti in enumerate(t) for j in range(ti)]
 
 
-def _erased_columns(code: LinearCode, t) -> list[tuple[int, ...]]:
-    # prime-field columns of every erased (symbol, coordinate, digit)
-    return [col for i, ti in enumerate(t) for col in code.expansion(i)[: ti * code.ext.base.e]]
+def _erased_columns(code: LinearCode, t) -> list[int]:
+    # packed prime-field columns of every erased (symbol, coordinate, digit)
+    return [col for i, ti in enumerate(t) for col in code.block(i)[: ti * code.ext.base.e]]
 
 
 def pattern_system(code: LinearCode, t) -> ExpandedSystem:
     """The pattern's expanded system as base-field Element entries.
 
     A view of the code's stored expansion, for inspection; the oracle and
-    the decoder work on the integer columns directly.
+    the decoder work on the packed columns directly.
     """
     t = _checked_pattern(code, t)
     base = code.ext.base
     e = base.e
     labels = _labels(t)
     # digit 0 of coordinate j is H[:, i] * omega_j itself
-    cols = [code.expansion(i)[j * e] for i, j in labels]
+    cols = [tuple(code.layout.digits(code.block(i)[j * e])) for i, j in labels]
     matrix = tuple(
         tuple(Element(base, col[k * e : (k + 1) * e]) for col in cols)
         for k in range(code.ext.alpha * code.r)
@@ -86,9 +86,8 @@ def pattern_system(code: LinearCode, t) -> ExpandedSystem:
 def pattern_correctable(code: LinearCode, t) -> bool:
     """True iff no nonzero codeword is invisible under pattern t."""
     t = _checked_pattern(code, t)
-    base = code.ext.base
-    blocks = [code.expansion(i) if ti else () for i, ti in enumerate(t)]
-    return next(modp.prefix_echelons(blocks, [t], base.e, base.p))[1] is not None
+    blocks = [code.block(i) if ti else () for i, ti in enumerate(t)]
+    return next(modp.prefix_echelons(blocks, [t], code.ext.base.e, code.layout))[1] is not None
 
 
 @dataclass(frozen=True)
@@ -109,9 +108,8 @@ def _pattern_witness(code: LinearCode, t) -> tuple[Element, ...]:
     coefficients on each independent earlier block are the e digits of
     its unique F_q coefficient.
     """
-    base = code.ext.base
-    e = base.e
-    kernel = modp.dependency(_erased_columns(code, t), base.p)
+    e = code.ext.base.e
+    kernel = modp.dependency(_erased_columns(code, t), code.layout)
     if kernel is None:
         raise ParameterError(f"pattern {t} is correctable; no witness exists")
     digits = [[0] * (code.ext.alpha * e) for _ in range(code.n)]
@@ -141,8 +139,8 @@ def is_correcting(
     forces a full-family audit.
     """
     patterns = _patterns_for(code, fam, all_patterns)
-    blocks = [code.expansion(i) for i in range(code.n)]
-    for t, ech in modp.prefix_echelons(blocks, patterns, code.ext.base.e, code.ext.base.p):
+    blocks = [code.block(i) for i in range(code.n)]
+    for t, ech in modp.prefix_echelons(blocks, patterns, code.ext.base.e, code.layout):
         if ech is None:
             return CorrectabilityReport(False, t, _pattern_witness(code, t))
     return CorrectabilityReport(True)
@@ -172,7 +170,8 @@ def decode(code: LinearCode, received: ReceivedWord) -> DecodeResult:
     """Fill in the erased leading coordinates of an erased codeword.
 
     Solves the erased columns of the expansion against minus the known
-    columns times the known digits, over the prime field.  A unique
+    columns times the known digits, over the prime field; that right-hand
+    side is a packed sum, normalized after every ``width`` terms.  A unique
     solution reproduces the codeword; anything else is reported rather
     than guessed.
     """
@@ -183,25 +182,24 @@ def decode(code: LinearCode, received: ReceivedWord) -> DecodeResult:
         raise ParameterError("received word length does not match the code")
     base = code.ext.base
     p, e = base.p, base.e
-    alpha = code.ext.alpha
 
     known_cols = []
-    known_digits = []
+    minus_digits = []
     digits = []  # per symbol: coordinate digits, erased ones filled in below
     for i, (ti, suffix) in enumerate(zip(t, received.known)):
         sym = [0] * (ti * e)
         for c in suffix:
             base._check_same(c)
             sym.extend(c.coeffs)
-        for d, col in zip(sym[ti * e :], code.expansion(i)[ti * e :]):
+        for d, col in zip(sym[ti * e :], code.block(i)[ti * e :]):
             if d:
                 known_cols.append(col)
-                known_digits.append(d)
+                minus_digits.append(p - d)
         digits.append(sym)
-    height = alpha * e * code.r
-    rhs = [-sum(d * col[k] for d, col in zip(known_digits, known_cols)) % p for k in range(height)]
+    lay = code.layout
+    rhs = lay.combination(minus_digits, known_cols)
 
-    result = modp.solve(_erased_columns(code, t), rhs, p)
+    result = modp.solve(_erased_columns(code, t), rhs, lay)
     if result.status == "inconsistent":
         return DecodeResult("inconsistent")
     if result.status == "ambiguous":

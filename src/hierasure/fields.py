@@ -30,6 +30,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator, Sequence, Union
 
 from . import modp
@@ -469,7 +470,7 @@ class ExtSpec(_Field):
             self._prime_modulus = [c[0] for c in mod]
         self._hash = hash(("ExtSpec", base, alpha, mod))
         self._poly_basis = None
-        self._frobenius_rows = None
+        self._frobenius_columns = None
 
     def __eq__(self, other):
         return (
@@ -484,6 +485,12 @@ class ExtSpec(_Field):
 
     def __repr__(self):
         return f"GF({self.base.p}^{self.base.e * self.alpha})/{self.base!r}"
+
+    @cached_property
+    def digit_layout(self) -> modp.Layout:
+        """How the alpha * e prime-field digits of an element pack into one
+        int (``modp.Layout``), for the Frobenius and basis matrices."""
+        return modp.layout(self.base.p, self.alpha * self.base.e)
 
     def lift(self, el: "Element") -> "Element":
         """Embed a base-field element as a constant of the extension."""
@@ -502,19 +509,19 @@ class ExtSpec(_Field):
         """x -> x^q, one prime-field matrix applied to the power digits.
 
         The map is F_q-linear, so its matrix over F_p has as columns the
-        q-th powers of the alpha * e units y^u * x^d; it is built on first
-        use and kept on the field.
+        q-th powers of the alpha * e units y^u * x^d, packed; it is built on
+        first use and kept on the field.
         """
         base = self.base
-        if self._frobenius_rows is None:
+        lay = self.digit_layout
+        if self._frobenius_columns is None:
             # from_index(p**k) is the unit with power digit k set
-            columns = [
-                _power_digits(self.from_index(base.p**k) ** base.order)
+            self._frobenius_columns = [
+                lay.pack(_power_digits(self.from_index(base.p**k) ** base.order))
                 for k in range(self.alpha * base.e)
             ]
-            self._frobenius_rows = [list(row) for row in zip(*columns)]
         e = base.e
-        flat = modp.mat_vec(self._frobenius_rows, _power_digits(el), base.p)
+        flat = modp.mat_vec(self._frobenius_columns, _power_digits(el), lay)
         return Element(self, tuple(tuple(flat[u * e : (u + 1) * e]) for u in range(self.alpha)))
 
     def trace(self, el: "Element") -> "Element":
@@ -669,7 +676,9 @@ class OrderedBasis:
     check.  ``coordinate_digits`` / ``from_coordinate_digits`` convert
     between an element and its digits against it (digit d of coordinate j
     at index j*e + d); ``coordinates`` / ``combine`` group those digits
-    into base-field elements.
+    into base-field elements.  Both matrices are kept as columns packed
+    under the extension's ``digit_layout``, so a conversion is one packed
+    matrix-vector product (``modp.mat_vec``).
     """
 
     def __init__(self, ext: ExtSpec, elements: Sequence[Element]):
@@ -684,26 +693,26 @@ class OrderedBasis:
         # from_index(p**d) is x^d, the d-th power-basis element of the base
         units = [ext.lift(base.from_index(base.p**d)) for d in range(base.e)]
         self.digit_elements = tuple(w * x for w in elems for x in units)
-        columns = [_power_digits(el) for el in self.digit_elements]
+        lay = ext.digit_layout
+        self._to_power = [lay.pack(_power_digits(el)) for el in self.digit_elements]
         try:
-            self._from_power = modp.inverse(columns, base.p)
+            self._from_power = modp.inverse(self._to_power, lay)
         except ParameterError:
             raise InvalidBasisError("elements are linearly dependent over the base field")
-        self._to_power = [list(row) for row in zip(*columns)]
         self._hash = hash((ext, tuple(el.coeffs for el in elems)))
 
     def coordinate_digits(self, x: Element) -> list[int]:
         """Prime-field digits of the coordinates of x (see the class notes)."""
         self.ext._check_same(x)
-        return modp.mat_vec(self._from_power, _power_digits(x), self.ext.base.p)
+        return modp.mat_vec(self._from_power, _power_digits(x), self.ext.digit_layout)
 
     def from_coordinate_digits(self, digits: Sequence[int]) -> Element:
-        """Inverse of coordinate_digits."""
+        """Inverse of coordinate_digits; digits are read mod p."""
         ext = self.ext
-        e = ext.base.e
+        p, e = ext.base.p, ext.base.e
         if len(digits) != ext.alpha * e:
             raise ParameterError("coordinate digit vector has the wrong length")
-        flat = modp.mat_vec(self._to_power, digits, ext.base.p)
+        flat = modp.mat_vec(self._to_power, [d % p for d in digits], ext.digit_layout)
         return Element(ext, tuple(tuple(flat[u * e : (u + 1) * e]) for u in range(ext.alpha)))
 
     def coordinates(self, x: Element) -> tuple:

@@ -4,7 +4,8 @@ Matrices are sequences of sequences of Element; the owning field context
 is passed alongside so empty matrices still know where their zeros and
 ones live.  Results are those of reduced row echelon form with
 first-nonzero pivoting, but no elimination runs on Element objects: every
-question is answered by ``modp.Echelon`` on the matrix linearized over F_p.
+question is answered by ``modp.Echelon`` on the matrix linearized over F_p,
+its columns packed one per int.
 
 A field K of the tower has a prime-field basis of ``deg`` unit digits
 (x^d for the base field, y^u x^d for the extension), the first of them 1,
@@ -42,14 +43,20 @@ def _element(spec, digits: Sequence[int]) -> Element:
 
 
 def _linearize(rows: Sequence[Sequence], ncols: int, spec):
-    """p, deg and the F_p columns of the matrix, a block of deg per column."""
+    """The layout, deg and the packed F_p columns of the matrix, a block of
+    deg per column."""
     if isinstance(spec, ExtSpec):
         p, deg = spec.base.p, spec.alpha * spec.base.e
     else:
         p, deg = spec.p, spec.e
+    lay = modp.layout(p, len(rows) * deg)
     units = [_element(spec, [int(k == t) for k in range(deg)]) for t in range(deg)]
-    columns = [[d for row in rows for d in _digits(row[j] * u)] for j in range(ncols) for u in units]
-    return p, deg, columns
+    columns = [
+        lay.pack([d for row in rows for d in _digits(row[j] * u)])
+        for j in range(ncols)
+        for u in units
+    ]
+    return lay, deg, columns
 
 
 def _vector(spec, deg: int, digits: Sequence[int]) -> list[Element]:
@@ -59,14 +66,13 @@ def _vector(spec, deg: int, digits: Sequence[int]) -> list[Element]:
 def _kernel_tags(rows: Sequence[Sequence], ncols: int, spec):
     """deg and, per column, None when it is independent of the columns
     before it, else the tags of its reduced digit-0 F_p column."""
-    p, deg, columns = _linearize(rows, ncols, spec)
-    height = len(rows) * deg
-    ech = modp.Echelon(p, height)
-    vectors = modp.tagged(columns)
+    lay, deg, columns = _linearize(rows, ncols, spec)
+    tags, vectors = modp.tagged(columns, lay)
+    ech = modp.Echelon(tags)
     tails = []
     for start in range(0, len(vectors), deg):
         left = ech.insert(vectors[start])
-        tails.append(None if left is None else left[height:])
+        tails.append(None if left is None else tags.digits(left, tags.width))
         if left is None:
             for v in vectors[start + 1 : start + deg]:
                 ech.insert(v)
@@ -92,8 +98,8 @@ def solve(rows: Sequence[Sequence], rhs: Sequence, ncols: int, spec) -> SolveRes
     """
     if len(rows) != len(rhs):
         raise ParameterError("right-hand side length does not match row count")
-    p, deg, columns = _linearize(rows, ncols, spec)
-    out = modp.solve(columns, [d for b in rhs for d in _digits(b)], p)
+    lay, deg, columns = _linearize(rows, ncols, spec)
+    out = modp.solve(columns, lay.pack([d for b in rhs for d in _digits(b)]), lay)
     solution = None if out.solution is None else _vector(spec, deg, out.solution)
     return SolveResult(out.status, solution, out.free_count // deg)
 
@@ -102,10 +108,10 @@ def invert(rows: Sequence[Sequence], spec) -> list[list]:
     n = len(rows)
     if any(len(r) != n for r in rows):
         raise ParameterError("only square matrices can be inverted")
-    p, deg, columns = _linearize(rows, n, spec)
-    inv = modp.inverse(columns, p)
+    lay, deg, columns = _linearize(rows, n, spec)
+    inv = modp.inverse(columns, lay)
     # column r of the inverse solves M x = e_r, whose digits are unit r*deg
-    cols = [_vector(spec, deg, [row[r * deg] for row in inv]) for r in range(n)]
+    cols = [_vector(spec, deg, lay.digits(inv[r * deg])) for r in range(n)]
     return [list(row) for row in zip(*cols)]
 
 

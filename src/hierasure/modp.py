@@ -1,4 +1,4 @@
-"""Exact linear algebra over the prime field Z/p on plain Python ints.
+"""Exact linear algebra over the prime field Z/p on packed Python ints.
 
 Every hot question in the package reduces to one over the prime field.
 A code corrects a pattern t when the first t_i * e expansion columns of
@@ -9,13 +9,32 @@ columns.  The F_q answers carry over because each F_q-linear map is also
 F_p-linear and injectivity (or solvability) does not depend on which
 subfield it is linearized over.
 
-Vectors are sequences of ints in [0, p).  The package's one elimination
-routine is ``Echelon.insert`` (``linalg`` answers its questions about
-Element matrices through it too): it keeps the inserted vectors in echelon form, each
-scaled to 1 at its pivot and zero at the pivots of the vectors before it.
-Pivots are searched only among the first ``width`` entries; entries past
-``width`` ride along, which is how callers track which combination of
-their inputs produced a vector.
+A vector is one int.  Its entry k is *lane* k, bits [k*B, (k+1)*B), and a
+``Layout`` fixes B for a prime p and a *width*, the number of lanes
+pivots are searched in; lanes past the width are tags that ride along,
+which is how callers track which combination of their inputs produced a
+vector.  Stored vectors are normalized, every lane in [0, p).  Adding
+c * row for c in [0, p) grows each lane by at most (p-1)^2, and an
+elimination makes at most ``width`` such row operations, so no lane
+exceeds A = (p-1) + width * (p-1)^2 between normalizations.  One Barrett
+step then reduces every lane at once:
+
+    x - p * ((x * M >> s) & Q)
+
+with s the bit length of A * (p-1), M = ceil(2^s / p) and B the bit
+length of A * M.  Lane k of x * M is a_k * M < 2^B, so the products do
+not overlap; shifted right by s, lane k holds floor(a_k * M / 2^s), which
+is floor(a_k / p) because a_k * (M*p - 2^s) < 2^s, under the top s bits
+of lane k+1's product, which Q, the low B - s bits of every lane, masks
+off.  Python ints make any p and width fit.
+
+The package's one elimination routine is ``Echelon.insert`` (``linalg``
+answers its questions about Element matrices through it too): it keeps
+the inserted vectors in echelon form, each scaled to 1 at its pivot, the
+lowest non-zero lane of its first ``width`` lanes, and zero at the pivots
+of the vectors before it.  A row operation is ``x += (p - c) * row``, with
+c read from one lane; an insert normalizes once after its row operations,
+and a vector is dependent iff its first ``width`` lanes are then zero.
 
 ``Echelon.rows`` is append-only: an independent insert appends exactly
 one row and never changes an earlier one, so ``rows[:s]`` is the echelon
@@ -29,6 +48,8 @@ advances.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from operator import mul
 from typing import Iterable, Iterator, Sequence
 
 from .errors import ParameterError
@@ -43,55 +64,112 @@ class SolveResult:
     free_count: int
 
 
-class Echelon:
-    """An echelon basis of the vectors inserted so far."""
+class Layout:
+    """How vectors over Z/p with ``width`` pivot lanes and ``tags`` tag
+    lanes pack into one int, and the constants that normalize every lane
+    at once (see the module notes).  B, M and s depend on p and the width
+    only, so vectors packed for a width stay valid with tag lanes added."""
 
-    __slots__ = ("p", "width", "rows")
+    __slots__ = ("p", "width", "lanes", "bits", "lane", "pivots", "mul", "shift", "quot")
 
-    def __init__(self, p: int, width: int):
+    def __init__(self, p: int, width: int, tags: int = 0):
+        top = (p - 1) + max(width, 1) * (p - 1) ** 2  # A: the largest lane between normalizations
+        self.shift = (top * (p - 1)).bit_length()  # s
+        self.mul = -(-(1 << self.shift) // p)  # M = ceil(2^s / p)
+        self.bits = bits = (top * self.mul).bit_length()  # B
         self.p = p
         self.width = width
-        self.rows: list[tuple[int, list[int]]] = []  # (pivot, vector)
+        self.lanes = lanes = width + tags
+        self.lane = (1 << bits) - 1
+        self.pivots = (1 << bits * width) - 1  # W: the pivot lanes
+        # Q: the low B - s bits of every lane, where the quotients sit
+        ones = ((1 << bits * lanes) - 1) // self.lane
+        self.quot = ones * ((1 << bits - self.shift) - 1)
+
+    def pack(self, digits: Sequence[int]) -> int:
+        """The int whose lane k is digits[k]; digits must lie in [0, p)."""
+        x = 0
+        for d in reversed(digits):
+            x = x << self.bits | d
+        return x
+
+    def digits(self, x: int, start: int = 0, stop: int | None = None) -> list[int]:
+        """Lanes start .. stop - 1 (by default all) of a normalized vector."""
+        b, lane = self.bits, self.lane
+        stop = self.lanes if stop is None else stop
+        return [x >> k & lane for k in range(start * b, stop * b, b)]
+
+    def normalize(self, x: int) -> int:
+        """x with every lane reduced mod p; lanes must not exceed A."""
+        return x - self.p * (x * self.mul >> self.shift & self.quot)
+
+    def combination(self, coeffs: Sequence[int], vectors: Sequence[int]) -> int:
+        """The normalized sum of coeffs[k] * vectors[k], coefficients in
+        [0, p), normalized after every ``width`` terms."""
+        step = max(self.width, 1)
+        acc = 0
+        for k in range(0, len(vectors), step):
+            acc = self.normalize(acc + sum(map(mul, coeffs[k : k + step], vectors[k : k + step])))
+        return acc
+
+
+@lru_cache(maxsize=1024)
+def layout(p: int, width: int, tags: int = 0) -> Layout:
+    """The shared ``Layout`` for (p, width, tags)."""
+    return Layout(p, width, tags)
+
+
+class Echelon:
+    """An echelon basis of the vectors inserted so far, packed under one layout."""
+
+    __slots__ = ("layout", "rows")
+
+    def __init__(self, layout: Layout):
+        self.layout = layout
+        self.rows: list[tuple[int, int]] = []  # (bit offset of the pivot lane, row)
 
     def copy(self) -> "Echelon":
         """The same basis, open to further inserts; rows are shared, since
         no row changes after it is inserted."""
-        twin = Echelon(self.p, self.width)
-        twin.rows = list(self.rows)
+        twin = Echelon(self.layout)
+        twin.rows = self.rows[:]
         return twin
 
-    def reduce(self, v: Sequence[int]) -> list[int]:
-        """v minus its projection onto the basis, pivot by pivot."""
-        p = self.p
-        v = list(v)
-        for piv, b in self.rows:
-            c = v[piv]
+    def reduce(self, x: int) -> int:
+        """x minus its projection onto the basis, pivot by pivot, normalized."""
+        lay = self.layout
+        p, lane = lay.p, lay.lane
+        for at, row in self.rows:
+            c = (x >> at & lane) % p
             if c:
-                v = [(x - c * y) % p for x, y in zip(v, b)]
-        return v
+                x += (p - c) * row
+        return lay.normalize(x)
 
-    def insert(self, v: Sequence[int]) -> list[int] | None:
-        """Add v to the basis; None when it was independent of the basis.
+    def insert(self, x: int) -> int | None:
+        """Add x to the basis; None when it was independent of the basis.
 
-        A dependent v is returned reduced: zero in the first ``width``
-        entries, with whatever the trailing entries accumulated.
+        A dependent x is returned reduced: zero in the first ``width``
+        lanes, with whatever the tag lanes accumulated.
         """
-        v = self.reduce(v)
-        for piv in range(self.width):
-            c = v[piv]
-            if c:
-                if c != 1:
-                    inv = pow(c, -1, self.p)
-                    v = [x * inv % self.p for x in v]
-                self.rows.append((piv, v))
-                return None
-        return v
+        x = self.reduce(x)
+        lay = self.layout
+        low = x & lay.pivots
+        if not low:
+            return x
+        at = (low & -low).bit_length() - 1
+        at -= at % lay.bits
+        c = x >> at & lay.lane
+        if c != 1:
+            x = lay.normalize(x * pow(c, -1, lay.p))
+        self.rows.append((at, x))
+        return None
 
 
-def prefix_echelons(blocks: Sequence, patterns: Iterable, unit: int, p: int) -> Iterator:
+def prefix_echelons(blocks: Sequence, patterns: Iterable, unit: int, lay: Layout) -> Iterator:
     """For each pattern t, (t, the echelon of the first t_i * unit vectors
     of every block i, stacked), or (t, None) when those are dependent: the
-    full-rank test behind every correctability and UDM verdict.
+    full-rank test behind every correctability and UDM verdict.  The
+    vectors are packed under ``lay``.
 
     One echelon serves the whole walk, and the yielded echelon is valid
     only until the walk advances; copy it to keep it.  Its rows are
@@ -102,8 +180,7 @@ def prefix_echelons(blocks: Sequence, patterns: Iterable, unit: int, p: int) -> 
     held the earlier pattern's first dependency.  Any order of patterns
     is exact; lex order shares the most.
     """
-    width = next((len(v) for block in blocks for v in block), 0)
-    ech = Echelon(p, width)
+    ech = Echelon(lay)
     rows = ech.rows
     lengths = [len(block) for block in blocks]
     prev: list[int] = []  # stacked vectors per block of the pattern before
@@ -135,71 +212,72 @@ def prefix_echelons(blocks: Sequence, patterns: Iterable, unit: int, p: int) -> 
         yield t, None if failed is not None else ech
 
 
-def tagged(columns: Sequence[Sequence[int]]) -> list[list[int]]:
-    """Column k followed by the k-th unit vector, so a reduced vector's tail
-    records the combination of input columns that produced it."""
-    k = len(columns)
-    return [list(col) + [int(i == j) for i in range(k)] for j, col in enumerate(columns)]
+def tagged(columns: Sequence[int], lay: Layout) -> tuple[Layout, list[int]]:
+    """The layout with one tag lane per column, and column k plus a 1 in
+    tag lane k, so a reduced vector's tags record the combination of input
+    columns that produced it."""
+    b, width = lay.bits, lay.width
+    vectors = [col + (1 << (width + k) * b) for k, col in enumerate(columns)]
+    return layout(lay.p, width, len(columns)), vectors
 
 
-def dependency(columns: Sequence[Sequence[int]], p: int) -> list[int] | None:
+def dependency(columns: Sequence[int], lay: Layout) -> list[int] | None:
     """The kernel vector of the first dependent column, else None.
 
     It is 1 at the first column f in the span of the earlier ones, zero
     after f, and the unique coefficients before f; this is the first
     vector of the canonical (reduced-echelon) kernel basis.
     """
-    if not columns:
-        return None
-    width = len(columns[0])
-    ech = Echelon(p, width)
-    for v in tagged(columns):
+    tags, vectors = tagged(columns, lay)
+    ech = Echelon(tags)
+    for v in vectors:
         left = ech.insert(v)
         if left is not None:
-            return left[width:]
+            return tags.digits(left, tags.width)
     return None
 
 
-def solve(columns: Sequence[Sequence[int]], rhs: Sequence[int], p: int) -> SolveResult:
-    """Solve sum_k x_k columns[k] = rhs over Z/p.
+def solve(columns: Sequence[int], rhs: int, lay: Layout) -> SolveResult:
+    """Solve sum_k x_k columns[k] = rhs over Z/p, every vector packed under
+    ``lay`` and normalized.
 
     Inconsistency is reported before ambiguity; a consistent system gets
     the solution that is zero at every free column, and ``free_count`` is
     the kernel dimension.
     """
-    ncols = len(columns)
-    height = len(rhs)
-    if any(len(col) != height for col in columns):
-        raise ParameterError("right-hand side length does not match row count")
-    ech = Echelon(p, height)
-    for v in tagged(columns):
+    tags, vectors = tagged(columns, lay)
+    ech = Echelon(tags)
+    for v in vectors:
         ech.insert(v)
-    left = ech.reduce(list(rhs) + [0] * ncols)
-    if any(left[:height]):
+    left = ech.reduce(rhs)
+    if left & tags.pivots:
         return SolveResult("inconsistent", None, 0)
     # rhs - sum c_b b = 0 and each basis vector b carries its combination
-    # of columns in its tail, so the tail of the reduced rhs is -x
-    solution = [-x % p for x in left[height:]]
-    free = ncols - len(ech.rows)
+    # of columns in its tags, so the tags of the reduced rhs are -x
+    p = lay.p
+    solution = [-x % p for x in tags.digits(left, tags.width)]
+    free = len(columns) - len(ech.rows)
     return SolveResult("unique" if free == 0 else "ambiguous", solution, free)
 
 
-def inverse(columns: Sequence[Sequence[int]], p: int) -> list[list[int]]:
-    """Rows of the inverse of the square matrix with the given columns."""
-    n = len(columns)
-    if any(len(col) != n for col in columns):
+def inverse(columns: Sequence[int], lay: Layout) -> list[int]:
+    """The columns of the inverse of the square matrix with the given
+    columns, all packed under ``lay``, whose width is the matrix size."""
+    n = lay.width
+    if len(columns) != n:
         raise ParameterError("only square matrices can be inverted")
-    ech = Echelon(p, n)
-    for v in tagged(columns):
+    tags, vectors = tagged(columns, lay)
+    ech = Echelon(tags)
+    for v in vectors:
         if ech.insert(v) is not None:
             raise ParameterError("matrix is singular")
-    # column r of the inverse solves M x = e_r
-    inv_cols = [
-        [-x % p for x in ech.reduce([int(i == r) for i in range(n)] + [0] * n)[n:]]
-        for r in range(n)
+    # column r of the inverse solves M x = e_r, and the tags of e_r reduced are -x
+    p, b = lay.p, lay.bits
+    return [
+        lay.pack([-x % p for x in tags.digits(ech.reduce(1 << r * b), n)]) for r in range(n)
     ]
-    return [list(row) for row in zip(*inv_cols)]
 
 
-def mat_vec(rows: Sequence[Sequence[int]], v: Sequence[int], p: int) -> list[int]:
-    return [sum(a * x for a, x in zip(row, v)) % p for row in rows]
+def mat_vec(columns: Sequence[int], v: Sequence[int], lay: Layout) -> list[int]:
+    """The lanes of sum_k v[k] * columns[k], entries of v in [0, p)."""
+    return lay.digits(lay.combination(v, columns))

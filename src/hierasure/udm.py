@@ -15,6 +15,7 @@ pattern with total up to alpha.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from functools import cached_property
 from typing import Mapping, Sequence
 
 from . import modp
@@ -23,6 +24,12 @@ from .fields import Element, FieldSpec, OrderedBasis, lucas_binom
 from .patterns import ErasurePattern, FullFamily, maximal_patterns
 
 INDEX_CONVENTIONS = ("zero_based", "one_based")
+
+
+@dataclass(frozen=True)
+class UdmCheck:
+    ok: bool
+    counterexample: ErasurePattern | None = None
 
 
 @dataclass(frozen=True, eq=False)
@@ -51,20 +58,29 @@ class UdmSet:
     def n(self) -> int:
         return len(self.matrices)
 
+    @cached_property
+    def verdict(self) -> UdmCheck:
+        """``verify_udm``'s answer, computed on first read and kept: the
+        matrices are immutable, so a set is walked once however often it
+        is checked."""
+        budget = min(self.m, self.n * self.alpha)
+        patterns = maximal_patterns(FullFamily(self.alpha, budget, self.n))
+        lay, rows = _digit_rows(self)
+        for t, ech in modp.prefix_echelons(rows, patterns, self.field.e, lay):
+            if ech is None:
+                return UdmCheck(False, t)
+        return UdmCheck(True)
 
-@dataclass(frozen=True)
-class UdmCheck:
-    ok: bool
-    counterexample: ErasurePattern | None = None
 
-
-def _digit_rows(u: UdmSet) -> list[list[list[int]]]:
+def _digit_rows(u: UdmSet) -> tuple[modp.Layout, list[list[int]]]:
     # per matrix, each F_q row v as the e prime-field rows x^d * v, so a
-    # prefix of t_i rows becomes a prefix of t_i * e digit rows
+    # prefix of t_i rows becomes a prefix of t_i * e digit rows, each
+    # packed under the layout of m * e digits
     field = u.field
+    lay = modp.layout(field.p, u.m * field.e)
     units = [field.from_index(field.p**d) for d in range(field.e)]  # x^d
-    return [
-        [[c for entry in row for c in (x * entry).coeffs] for row in mat for x in units]
+    return lay, [
+        [lay.pack([c for entry in row for c in (x * entry).coeffs]) for row in mat for x in units]
         for mat in u.matrices
     ]
 
@@ -75,14 +91,11 @@ def verify_udm(u: UdmSet) -> UdmCheck:
     Each check is the prime-field independence test of
     ``modp.prefix_echelons``, the same walk that decides code
     correctability; F_q-independence of rows is F_p-independence of their
-    digit expansions.
+    digit expansions.  The verdict is kept on the set (``UdmSet.verdict``),
+    so a set checked again, as ``trace_code`` checks the set
+    ``vontobel_udms`` just verified, is not walked again.
     """
-    budget = min(u.m, u.n * u.alpha)
-    patterns = maximal_patterns(FullFamily(u.alpha, budget, u.n))
-    for t, ech in modp.prefix_echelons(_digit_rows(u), patterns, u.field.e, u.field.p):
-        if ech is None:
-            return UdmCheck(False, t)
-    return UdmCheck(True)
+    return u.verdict
 
 
 def vontobel_udms(

@@ -18,9 +18,13 @@ sorted list of every member of a subfield.  ``reference_greedy_gv_code``
 is the greedy construction as it was before it cached prefix echelons:
 each candidate column builds a probe code and rechecks every maximal
 pattern of the full family.  ``reference_prefix_echelons`` is the
-stacked-prefix walk as it was before patterns shared their prefixes: a
-fresh ``modp.Echelon`` per pattern, so it checks the sharing, not the
-elimination.
+stacked-prefix walk as it was before patterns shared their prefixes, on
+the prime-field kernel as it was before vectors were packed into ints:
+a fresh ``ListEchelon`` per pattern, whose rows are lists of digits
+reduced entry by entry.  It shares no code with ``modp``, so it checks
+both the sharing and the packed elimination.  ``reference_dependency``,
+``reference_solve``, ``reference_inverse`` and ``reference_mat_vec`` are
+the list kernel's tagged systems and products.
 """
 
 import itertools
@@ -41,7 +45,6 @@ from hierasure import (
     family_contains,
     is_correcting,
     maximal_patterns,
-    modp,
     subfield_basis,
 )
 from hierasure.constructions import _gv_bound_base
@@ -252,12 +255,90 @@ def reference_verify_udm(u):
     return True, None
 
 
+class ListEchelon:
+    """The list-row echelon: each vector a list of ints in [0, p), reduced
+    entry by entry.  Pivots are searched among the first ``width``
+    entries; entries past ``width`` ride along as tags."""
+
+    def __init__(self, p, width):
+        self.p = p
+        self.width = width
+        self.rows = []  # (pivot, vector)
+
+    def reduce(self, v):
+        p = self.p
+        v = list(v)
+        for piv, b in self.rows:
+            c = v[piv]
+            if c:
+                v = [(x - c * y) % p for x, y in zip(v, b)]
+        return v
+
+    def insert(self, v):
+        """None when v was independent (and is now a row), else v reduced."""
+        v = self.reduce(v)
+        for piv in range(self.width):
+            c = v[piv]
+            if c:
+                if c != 1:
+                    inv = pow(c, -1, self.p)
+                    v = [x * inv % self.p for x in v]
+                self.rows.append((piv, v))
+                return None
+        return v
+
+
+def _tagged(columns):
+    k = len(columns)
+    return [list(col) + [int(i == j) for i in range(k)] for j, col in enumerate(columns)]
+
+
+def reference_dependency(columns, width, p):
+    """The first canonical kernel vector of the columns, else None."""
+    ech = ListEchelon(p, width)
+    for v in _tagged(columns):
+        left = ech.insert(v)
+        if left is not None:
+            return left[width:]
+    return None
+
+
+def reference_solve(columns, rhs, p):
+    """(status, solution, free count), as ``modp.solve`` reports them."""
+    height = len(rhs)
+    ech = ListEchelon(p, height)
+    for v in _tagged(columns):
+        ech.insert(v)
+    left = ech.reduce(list(rhs) + [0] * len(columns))
+    if any(left[:height]):
+        return "inconsistent", None, 0
+    free = len(columns) - len(ech.rows)
+    return "unique" if free == 0 else "ambiguous", [-x % p for x in left[height:]], free
+
+
+def reference_inverse(columns, p):
+    """Columns of the inverse of the square matrix with the given columns,
+    or None when it is singular."""
+    n = len(columns)
+    ech = ListEchelon(p, n)
+    for v in _tagged(columns):
+        if ech.insert(v) is not None:
+            return None
+    return [[-x % p for x in ech.reduce([int(i == r) for i in range(n)] + [0] * n)[n:]] for r in range(n)]
+
+
+def reference_mat_vec(columns, v, p):
+    """sum_k v[k] * columns[k] mod p, entry by entry."""
+    height = len(columns[0]) if columns else 0
+    return [sum(c * col[i] for c, col in zip(v, columns)) % p for i in range(height)]
+
+
 def reference_prefix_echelons(blocks, patterns, unit, p):
-    """(t, a fresh echelon of the first t_i * unit vectors of every block,
-    stacked) per pattern, or (t, None) at the first dependency."""
+    """(t, a fresh list echelon of the first t_i * unit vectors of every
+    block, stacked) per pattern, or (t, None) at the first dependency."""
     width = next((len(v) for block in blocks for v in block), 0)
     for t in patterns:
-        ech = modp.Echelon(p, width)
+        ech = ListEchelon(p, width)
         stacked = [v for block, ti in zip(blocks, t) for v in block[: ti * unit]]
         for v in stacked:
             if ech.insert(v) is not None:

@@ -144,6 +144,36 @@ class TestTraceCode:
         with pytest.raises(ParameterError):
             trace_code(bad, ext.polynomial_basis())
 
+    def test_vontobel_set_is_walked_once(self, monkeypatch):
+        # vontobel_udms verifies its set, and trace_code reads that verdict
+        from hierasure import modp
+
+        walks = []
+        real = modp.prefix_echelons
+        monkeypatch.setattr(
+            modp, "prefix_echelons", lambda *args: walks.append(args) or real(*args)
+        )
+        ext = tower(7, 1, 4)
+        u = vontobel_udms(8, 4, 5, ext.base)
+        assert len(walks) == 1
+        code = trace_code(u, ext.polynomial_basis())
+        assert len(walks) == 1 and verify_udm(u).ok and code.dim >= 3
+
+    def test_rejects_a_foreign_set_built_from_a_verified_one(self):
+        # the verdict is kept per set: a new set over the same matrices,
+        # one row changed, is walked again and refused
+        from hierasure import UdmSet
+
+        ext = tower(3, 1, 2)
+        good = vontobel_udms(4, 2, 3, ext.base)
+        assert verify_udm(good).ok
+        mats = list(good.matrices)
+        mats[3] = (mats[2][0],) + mats[3][1:]
+        bad = UdmSet(good.field, good.alpha, good.m, tuple(mats))
+        assert not verify_udm(bad).ok
+        with pytest.raises(ParameterError):
+            trace_code(bad, ext.polynomial_basis())
+
 
 class TestSquareTrace:
     @pytest.mark.parametrize("p", [2, 3])

@@ -12,6 +12,7 @@ import weakref
 import pytest
 
 from hierasure import (
+    Element,
     FullFamily,
     InvalidBasisError,
     OrderedBasis,
@@ -179,6 +180,21 @@ class TestBasis:
                     assert omega.combine(scalars) == reference_combine(omega, scalars)
         assert seen == {(e, ok) for e in (1, 2, 3) for ok in (True, False)}
 
+    def test_digit_maps_match_reference_on_random_digits(self):
+        # from_coordinate_digits on seeded random digit vectors, and
+        # coordinate_digits on the element it returns
+        rng = random.Random(11)
+        for p, e, alpha in TOWERS:
+            ext = tower(p, e, alpha)
+            base = ext.base
+            for omega in (ext.polynomial_basis(), _random_basis(ext, rng)):
+                for _ in range(8):
+                    digits = [rng.choice([rng.randrange(p), p - 1]) for _ in range(alpha * e)]
+                    coords = [Element(base, tuple(digits[j * e : (j + 1) * e])) for j in range(alpha)]
+                    x = omega.from_coordinate_digits(digits)
+                    assert x == reference_combine(omega, coords)
+                    assert omega.coordinate_digits(x) == digits
+
 
 class TestDecode:
     def test_matches_reference(self):
@@ -206,6 +222,31 @@ class TestDecode:
                         code.ext, code.H, t,
                     )
                     seen.add(got.status)
+        assert seen == {"decoded", "ambiguous", "inconsistent"}
+
+    def test_known_columns_beyond_the_width(self):
+        # one check row and six symbols: the known suffix has more nonzero
+        # digits than the expansion's r * alpha * e lanes, so the packed
+        # right-hand side is normalized more than once
+        rng = random.Random(13)
+        seen, longest = set(), 0
+        for p, e, alpha in TOWERS:
+            ext = tower(p, e, alpha)
+            code = random_code(ext, 6, 1, rng)
+            base = code.ext.base
+            basis = kernel_basis(code)
+            for t in [(1, 0, 0, 0, 0, 0), (0, 0, 0, 0, 0, alpha), (alpha, alpha, 0, 0, 0, 0)]:
+                received = apply_erasure(random_codeword(code, rng, basis), t, code.omega)
+                known = [list(s) for s in received.known]
+                longest = max(longest, sum(d != 0 for s in known for c in s for d in c.coeffs) - alpha * e)
+                known[2][0] = known[2][0] + base.one()  # symbol 2 is never erased
+                tampered = ReceivedWord(code.omega, t, tuple(tuple(s) for s in known))
+                for rw in (received, tampered):
+                    got = decode(code, rw)
+                    want = reference_decode(code, rw)
+                    assert (got.status, got.codeword, got.solution_space_dim) == want, (ext, t)
+                    seen.add(got.status)
+        assert longest > 0
         assert seen == {"decoded", "ambiguous", "inconsistent"}
 
 
