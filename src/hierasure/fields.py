@@ -7,11 +7,21 @@ Scalars never leave this nested-tuple form, so every value is hashable and
 immutable, and every operation is a pure function; contexts and elements
 can be shared between threads without synchronization.
 
-Multiplication is schoolbook polynomial arithmetic reduced by the
-modulus (on plain ints when the coefficients are prime-field digits);
-powers are square-and-multiply and the inverse is a^(order-2).  The
-Frobenius x -> x^q is F_q-linear, so the extension keeps it as one
-prime-field matrix.
+Each field spells its elements as prime-field digits (``digits`` /
+``from_digits``; y-power major in the extension), and every F_p matrix
+in the package is built on that spelling.  Multiplication is schoolbook
+polynomial arithmetic reduced by the modulus, one loop on plain ints
+mod p for the base field and for an extension of a prime field; powers
+are square-and-multiply and the inverse is a^(order-2).
+
+A modulus is irreducible by one test on the field's own arithmetic,
+Berlekamp's criterion: set up K[y]/(f) as if f were irreducible, and
+check by two prime-field ranks that a -> a^|K| - a has a kernel of one
+K-dimension and that f' is a unit.  The constructors run it, and the
+seeded searches run it once per candidate on the field they return.
+The images of a -> a^|K| are the matrix of the Frobenius x -> x^q,
+which is F_q-linear, so the extension keeps them for ``frobenius`` and
+``trace``.
 
 A basis omega of the extension over F_q (``OrderedBasis``) keeps one
 coordinate transform, over the prime field: the digits of x's
@@ -20,7 +30,7 @@ digits.  Every coordinate question, including whether a tuple is a
 basis at all, goes through that one integer map.
 
 Deterministic search orders are part of the contract: modulus searches
-shuffle the candidate list with a seeded RNG, while element searches
+shuffle the positions of the candidates with a seeded RNG, while element searches
 (primitive elements, quadratic roots, subfield representatives) run in
 lexicographic order over ascending-power coefficient tuples.
 """
@@ -30,7 +40,6 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterator, Sequence, Union
 
 from . import modp
@@ -77,52 +86,8 @@ def lucas_binom(b: int, a: int, p: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Generic polynomial helpers over a coefficient field.
-#
-# A coefficient field K exposes: rzero, rone, size, radd, rsub, rneg, rmul,
-# rinv, rcheck, rfrom_index, rindex, riter_lex.  Polynomials are trimmed
-# lists of raw coefficients, ascending powers.
-
-
-class _PrimeOps:
-    """Integers mod p acting as the bottom coefficient field."""
-
-    __slots__ = ("p", "rzero", "rone", "size")
-
-    def __init__(self, p: int):
-        self.p = p
-        self.rzero = 0
-        self.rone = 1 % p
-        self.size = p
-
-    def radd(self, a, b):
-        return (a + b) % self.p
-
-    def rsub(self, a, b):
-        return (a - b) % self.p
-
-    def rneg(self, a):
-        return -a % self.p
-
-    def rmul(self, a, b):
-        return a * b % self.p
-
-    def rinv(self, a):
-        if a == 0:
-            raise ZeroDivisionError("inverse of zero")
-        return pow(a, -1, self.p)
-
-    def rcheck(self, a) -> bool:
-        return isinstance(a, int) and not isinstance(a, bool) and 0 <= a < self.p
-
-    def rfrom_index(self, k: int):
-        return k
-
-    def rindex(self, a) -> int:
-        return a
-
-    def riter_lex(self):
-        return iter(range(self.p))
+# Products.  Polynomials over a base field are trimmed lists of its raws,
+# ascending powers; an extension of a non-prime base multiplies with them.
 
 
 def _poly_trim(c, K):
@@ -130,16 +95,6 @@ def _poly_trim(c, K):
     while c and c[-1] == K.rzero:
         c.pop()
     return c
-
-
-def _poly_sub(a, b, K):
-    n = max(len(a), len(b))
-    out = []
-    for i in range(n):
-        x = a[i] if i < len(a) else K.rzero
-        y = b[i] if i < len(b) else K.rzero
-        out.append(K.rsub(x, y))
-    return _poly_trim(out, K)
 
 
 def _poly_mul(a, b, K):
@@ -170,55 +125,35 @@ def _poly_rem(a, m, K):
     return _poly_trim(a[:dm], K)
 
 
-def _poly_gcd(a, b, K):
-    a, b = _poly_trim(a, K), _poly_trim(b, K)
-    while b:
-        inv = K.rinv(b[-1])
-        b_monic = [K.rmul(inv, c) for c in b]
-        a, b = b, _poly_rem(a, b_monic, K)
-    if a:
-        inv = K.rinv(a[-1])
-        a = [K.rmul(inv, c) for c in a]
-    return a
+def _int_mulmod(a, b, low, p: int) -> list[int]:
+    """The schoolbook product of a and b, each d prime-field raws (1-tuples
+    of ints mod p), reduced by the monic degree-d modulus whose low
+    coefficients are the ints ``low``: its d coefficients, not yet taken
+    mod p."""
+    d = len(low)
+    prod = [0] * (2 * d - 1)
+    for i, (ai,) in enumerate(a):
+        if ai:
+            for j, (bj,) in enumerate(b, i):
+                prod[j] += ai * bj
+    for k in range(2 * d - 2, d - 1, -1):
+        c = prod[k] % p
+        if c:
+            for t, mt in enumerate(low, k - d):
+                prod[t] -= c * mt
+    return prod[:d]
 
 
-def _poly_powmod(base, exp: int, m, K):
-    result = [K.rone]
-    acc = _poly_rem(base, m, K)
-    while exp:
-        if exp & 1:
-            result = _poly_rem(_poly_mul(result, acc, K), m, K)
-        acc = _poly_rem(_poly_mul(acc, acc, K), m, K)
-        exp >>= 1
-    return result
+def _grouped(digits: Sequence[int], e: int) -> tuple:
+    """Consecutive e-tuples of the digits: base raws from their digits."""
+    return tuple(zip(*[iter(digits)] * e))
 
 
-def poly_is_irreducible(coeffs, K) -> bool:
-    """Irreducibility of a monic polynomial over the coefficient field K.
-
-    Uses gcd(f, x^(s^i) - x) for i up to deg/2, with s the field size; a
-    degree-1 polynomial is irreducible by convention.  Over a prime-field
-    FieldSpec the 1-tuple coefficients become plain ints mod p first.
-    """
-    if isinstance(K, FieldSpec) and K.e == 1:
-        coeffs = [c[0] for c in coeffs]
-        K = K._cops
-    f = _poly_trim(coeffs, K)
-    d = len(f) - 1
-    if d <= 0:
-        return False
-    if f[-1] != K.rone:
-        raise ParameterError("irreducibility test expects a monic polynomial")
-    if d == 1:
-        return True
-    x = [K.rzero, K.rone]
-    frob = x
-    for _ in range(d // 2):
-        frob = _poly_powmod(frob, K.size, f, K)
-        g = _poly_gcd(_poly_sub(frob, x, K), f, K)
-        if len(g) > 1:
-            return False
-    return True
+def _rank(columns: Sequence[int], lay: modp.Layout) -> int:
+    ech = modp.Echelon(lay)
+    for col in columns:
+        ech.insert(col)
+    return len(ech.rows)
 
 
 # ---------------------------------------------------------------------------
@@ -226,112 +161,111 @@ def poly_is_irreducible(coeffs, K) -> bool:
 
 
 class _Field:
-    """Shared engine for a quotient field over a coefficient field.
+    """Shared engine for a quotient field K[y]/(modulus) over a coefficient
+    field K: F_p for ``FieldSpec``, the base field for ``ExtSpec``.
 
-    Subclasses populate ``_deg`` (vector length of an element), ``_cops``
-    (coefficient field), ``_modlist`` (trimmed monic modulus) and ``order``.
-    Raw values are length-``_deg`` tuples of coefficient raws.
+    A subclass's ``_setup`` sets ``order``, ``modulus``, ``_kdigits``
+    (K's F_p digit count) and ``digit_layout`` (one lane per F_p digit of
+    the field), then calls ``_init_engine``.  The subclass defines the raw
+    arithmetic (radd, rsub, rneg, rmul, rcheck) and the digit codec
+    (digits, from_digits), on which indices and lexicographic order are
+    built: the index of a raw value is its digits read base p, so
+    ``from_index(p**k)`` is the unit whose digit k is 1.
     """
 
-    _deg: int
-    _cops: "_PrimeOps | FieldSpec"
-    _modlist: list
+    _kdigits: int
+    digit_layout: modp.Layout
+    modulus: tuple
     order: int
 
-    def _init_engine(self):
-        cz, co = self._cops.rzero, self._cops.rone
-        self.rzero = (cz,) * self._deg
-        self.rone = tuple(co if i == 0 else cz for i in range(self._deg))
-        self.size = self.order
-        self._zero_el = Element(self, self.rzero)
-        self._one_el = Element(self, self.rone)
+    @classmethod
+    def _candidate(cls, *args):
+        """The field set up on ``args`` as the constructor does, its
+        modulus not yet tested."""
+        self = cls.__new__(cls)
+        self._setup(*args)
+        return self
+
+    def _init_engine(self, rzero, rone):
+        self.rzero = rzero
+        self.rone = rone
+        self._zero_el = Element(self, rzero)
+        self._one_el = Element(self, rone)
         self._generator_raw = None
-        self._prime_modulus = None  # set when the coefficients are 1-tuples over F_p
+
+    def _irreducible(self) -> bool:
+        """Berlekamp's criterion for the modulus f (Knuth, TAOCP vol. 2,
+        4.6.2).
+
+        In R = K[y]/(f) the fixed points of a -> a^|K| form a K-space whose
+        dimension is the number of distinct irreducible factors of f, and f
+        is squarefree exactly when its derivative is a unit of R.  So f is
+        irreducible iff, as F_p-linear maps of R's D digits, a -> a^|K| - a
+        has rank D - c, with c the digit count of K, and multiplication by
+        f' has rank D.  The images of a -> a^|K| are kept as the packed
+        ``_frobenius_columns``.
+        """
+        lay = self.digit_layout
+        p, n, c = lay.p, lay.width, self._kdigits
+        # f' has (u + 1) * f_(u+1) at y^u, and f_deg = 1
+        df = self.from_digits([(k // c + 1) * d % p for k, d in enumerate(self.digits(self.modulus[1:]))])
+        if df == self.rzero:
+            return False  # f is a p-th power
+        units = [self.rfrom_index(p**t) for t in range(n)]
+        # a -> a^|K| is K-linear and fixes K, so it sends the unit y^u * x^d
+        # to (y^|K|)^u * x^d; units[c] is y
+        images = units[:c]
+        if n > c:
+            step = acc = self.rpow(units[c], p**c)
+            for u in range(1, n // c):
+                if u > 1:
+                    acc = self.rmul(acc, step)
+                images.append(acc)
+                images.extend(self.rmul(acc, x) for x in units[1:c])
+        self._frobenius_columns = cols = [lay.pack(self.digits(a)) for a in images]
+        moved = [lay.normalize(col + (p - 1 << k * lay.bits)) for k, col in enumerate(cols)]
+        if _rank(moved, lay) != n - c:
+            return False
+        products = [df] + [self.rmul(u, df) for u in units[1:]]
+        return _rank([lay.pack(self.digits(a)) for a in products], lay) == n
 
     # -- raw arithmetic ----------------------------------------------------
-
-    def radd(self, a, b):
-        cops = self._cops
-        return tuple(cops.radd(x, y) for x, y in zip(a, b))
-
-    def rsub(self, a, b):
-        cops = self._cops
-        return tuple(cops.rsub(x, y) for x, y in zip(a, b))
-
-    def rneg(self, a):
-        cops = self._cops
-        return tuple(cops.rneg(x) for x in a)
-
-    def rmul(self, a, b):
-        cops = self._cops
-        d = self._deg
-        if d == 1:
-            return (cops.rmul(a[0], b[0]),)
-        pm = self._prime_modulus
-        if pm is not None:
-            # same schoolbook product and reduction, on the plain ints mod p
-            p = cops.p
-            prod = [0] * (2 * d - 1)
-            for i, (ai,) in enumerate(a):
-                if ai:
-                    for j, (bj,) in enumerate(b):
-                        prod[i + j] += ai * bj
-            for k in range(2 * d - 2, d - 1, -1):
-                c = prod[k] % p
-                if c:
-                    for t in range(d):
-                        prod[k - d + t] -= c * pm[t]
-            return tuple((x % p,) for x in prod[:d])
-        r = _poly_rem(_poly_mul(a, b, cops), self._modlist, cops)
-        return tuple(r) + (cops.rzero,) * (d - len(r))
 
     def rpow(self, a, k: int):
         if k < 0:
             return self.rpow(self.rinv(a), -k)
-        result = self.rone
+        result = None
         acc = a
         while k:
             if k & 1:
-                result = self.rmul(result, acc)
-            acc = self.rmul(acc, acc)
+                result = acc if result is None else self.rmul(result, acc)
             k >>= 1
-        return result
+            if k:
+                acc = self.rmul(acc, acc)
+        return self.rone if result is None else result
 
     def rinv(self, a):
         if a == self.rzero:
             raise ZeroDivisionError("inverse of zero")
         return self.rpow(a, self.order - 2)
 
-    # -- enumeration and encoding ------------------------------------------
+    # -- enumeration and encoding: an index is the digits read base p ---------
 
     def rfrom_index(self, k: int):
-        cops = self._cops
-        s = cops.size
-        out = []
-        for _ in range(self._deg):
-            out.append(cops.rfrom_index(k % s))
-            k //= s
-        return tuple(out)
+        p = self.digit_layout.p
+        return self.from_digits([k // p**i % p for i in range(self.digit_layout.width)])
 
     def rindex(self, a) -> int:
-        cops = self._cops
-        s = cops.size
+        p = self.digit_layout.p
         k = 0
-        for c in reversed(a):
-            k = k * s + cops.rindex(c)
+        for d in reversed(self.digits(a)):
+            k = k * p + d
         return k
 
-    def rcheck(self, a) -> bool:
-        cops = self._cops
-        return (
-            isinstance(a, tuple)
-            and len(a) == self._deg
-            and all(cops.rcheck(c) for c in a)
-        )
-
     def riter_lex(self) -> Iterator:
-        lex = list(self._cops.riter_lex())
-        return (t for t in itertools.product(lex, repeat=self._deg))
+        # raws of one shape compare as their digits do
+        lay = self.digit_layout
+        return map(self.from_digits, itertools.product(range(lay.p), repeat=lay.width))
 
     # -- primitive elements ----------------------------------------------------
 
@@ -400,7 +334,8 @@ class _Field:
 
 
 class FieldSpec(_Field):
-    """The base field F_q with q = p**e, as F_p[x]/(modulus)."""
+    """The base field F_q with q = p**e, as F_p[x]/(modulus); a raw value
+    is a length-e tuple of ints mod p."""
 
     def __init__(self, p: int, e: int, modulus: Sequence[int]):
         if not is_prime(require_int(p, "characteristic")):
@@ -410,18 +345,56 @@ class FieldSpec(_Field):
         mod = tuple(require_int(c, "modulus coefficient") % p for c in modulus)
         if len(mod) != e + 1 or mod[-1] != 1:
             raise ParameterError("modulus must be monic of degree e")
-        ops = _PrimeOps(p)
-        if not poly_is_irreducible(list(mod), ops):
+        self._setup(p, e, mod)
+        if not self._irreducible():
             raise ParameterError(f"modulus {mod} is reducible over Z_{p}")
+
+    def _setup(self, p: int, e: int, mod: tuple):
         self.p = p
         self.e = e
         self.modulus = mod
         self.order = p**e
-        self._deg = e
-        self._cops = ops
-        self._modlist = list(mod)
-        self._init_engine()
+        self._kdigits = 1
+        self._int_low = mod[:-1]
+        self.digit_layout = modp.layout(p, e)
+        self._init_engine((0,) * e, (1,) + (0,) * (e - 1))
         self._hash = hash(("FieldSpec", p, e, mod))
+
+    # -- raw arithmetic on int tuples ----------------------------------------
+
+    def radd(self, a, b):
+        p = self.p
+        return tuple((x + y) % p for x, y in zip(a, b))
+
+    def rsub(self, a, b):
+        p = self.p
+        return tuple((x - y) % p for x, y in zip(a, b))
+
+    def rneg(self, a):
+        p = self.p
+        return tuple(-x % p for x in a)
+
+    def rmul(self, a, b):
+        p = self.p
+        if self.e == 1:
+            return (a[0] * b[0] % p,)
+        return tuple(x % p for x in _int_mulmod(zip(a), tuple(zip(b)), self._int_low, p))
+
+    def rcheck(self, a) -> bool:
+        p = self.p
+        return (
+            isinstance(a, tuple)
+            and len(a) == self.e
+            and all(isinstance(c, int) and not isinstance(c, bool) and 0 <= c < p for c in a)
+        )
+
+    def digits(self, raw) -> list[int]:
+        """The F_p digits of a raw value, x-power order."""
+        return list(raw)
+
+    def from_digits(self, digits: Sequence[int]) -> tuple:
+        """The raw value with the given F_p digits, x-power order."""
+        return tuple(digits)
 
     @property
     def q(self) -> int:
@@ -445,7 +418,8 @@ class FieldSpec(_Field):
 
 
 class ExtSpec(_Field):
-    """The extension F_{q^alpha} = F_q[y]/(modulus) over a base FieldSpec."""
+    """The extension F_{q^alpha} = F_q[y]/(modulus) over a base FieldSpec;
+    a raw value is a length-alpha tuple of base raws."""
 
     def __init__(self, base: FieldSpec, alpha: int, modulus: Sequence):
         if require_int(alpha, "alpha") < 1:
@@ -456,21 +430,60 @@ class ExtSpec(_Field):
         for c in mod:
             if not base.rcheck(c):
                 raise ParameterError("extension modulus has invalid coefficients")
-        if not poly_is_irreducible(list(mod), base):
+        self._setup(base, alpha, mod)
+        if not self._irreducible():
             raise ParameterError("extension modulus is reducible over the base field")
+
+    def _setup(self, base: FieldSpec, alpha: int, mod: tuple):
         self.base = base
         self.alpha = alpha
         self.modulus = mod
         self.order = base.order**alpha
-        self._deg = alpha
-        self._cops = base
-        self._modlist = list(mod)
-        self._init_engine()
-        if base.e == 1:
-            self._prime_modulus = [c[0] for c in mod]
+        self._kdigits = base.e
+        # how the alpha * e prime-field digits of an element pack into one
+        # int, for the Frobenius and basis matrices
+        self.digit_layout = modp.layout(base.p, alpha * base.e)
+        # over a prime base the product runs on the plain ints mod p
+        self._int_low = [c for (c,) in mod[:-1]] if base.e == 1 else None
+        self._init_engine((base.rzero,) * alpha, (base.rone,) + (base.rzero,) * (alpha - 1))
         self._hash = hash(("ExtSpec", base, alpha, mod))
         self._poly_basis = None
-        self._frobenius_columns = None
+
+    # -- raw arithmetic over the base ----------------------------------------
+
+    def radd(self, a, b):
+        base = self.base
+        return tuple(base.radd(x, y) for x, y in zip(a, b))
+
+    def rsub(self, a, b):
+        base = self.base
+        return tuple(base.rsub(x, y) for x, y in zip(a, b))
+
+    def rneg(self, a):
+        base = self.base
+        return tuple(base.rneg(x) for x in a)
+
+    def rmul(self, a, b):
+        low = self._int_low
+        if low is not None:
+            p = self.base.p
+            return tuple((x % p,) for x in _int_mulmod(a, b, low, p))
+        base = self.base
+        r = _poly_rem(_poly_mul(a, b, base), self.modulus, base)
+        return tuple(r) + (base.rzero,) * (self.alpha - len(r))
+
+    def rcheck(self, a) -> bool:
+        base = self.base
+        return isinstance(a, tuple) and len(a) == self.alpha and all(base.rcheck(c) for c in a)
+
+    def digits(self, raw) -> list[int]:
+        """The F_p digits of a raw value, y-power major: digit u*e + d is
+        the x^d digit of the y^u coefficient."""
+        return list(itertools.chain.from_iterable(raw))
+
+    def from_digits(self, digits: Sequence[int]) -> tuple:
+        """The raw value with the given alpha * e F_p digits, y-power major."""
+        return _grouped(digits, self.base.e)
 
     def __eq__(self, other):
         return (
@@ -486,12 +499,6 @@ class ExtSpec(_Field):
     def __repr__(self):
         return f"GF({self.base.p}^{self.base.e * self.alpha})/{self.base!r}"
 
-    @cached_property
-    def digit_layout(self) -> modp.Layout:
-        """How the alpha * e prime-field digits of an element pack into one
-        int (``modp.Layout``), for the Frobenius and basis matrices."""
-        return modp.layout(self.base.p, self.alpha * self.base.e)
-
     def lift(self, el: "Element") -> "Element":
         """Embed a base-field element as a constant of the extension."""
         self.base._check_same(el)
@@ -506,23 +513,14 @@ class ExtSpec(_Field):
         return Element(self.base, el.coeffs[0])
 
     def frobenius(self, el: "Element") -> "Element":
-        """x -> x^q, one prime-field matrix applied to the power digits.
+        """x -> x^q, one prime-field matrix applied to the digits.
 
         The map is F_q-linear, so its matrix over F_p has as columns the
-        q-th powers of the alpha * e units y^u * x^d, packed; it is built on
-        first use and kept on the field.
+        q-th powers of the alpha * e units y^u * x^d, packed; the
+        irreducibility test builds them with the field.
         """
-        base = self.base
-        lay = self.digit_layout
-        if self._frobenius_columns is None:
-            # from_index(p**k) is the unit with power digit k set
-            self._frobenius_columns = [
-                lay.pack(_power_digits(self.from_index(base.p**k) ** base.order))
-                for k in range(self.alpha * base.e)
-            ]
-        e = base.e
-        flat = modp.mat_vec(self._frobenius_columns, _power_digits(el), lay)
-        return Element(self, tuple(tuple(flat[u * e : (u + 1) * e]) for u in range(self.alpha)))
+        flat = modp.mat_vec(self._frobenius_columns, self.digits(el.coeffs), self.digit_layout)
+        return Element(self, self.from_digits(flat))
 
     def trace(self, el: "Element") -> "Element":
         """Trace down to the base field: the sum of all q-power conjugates."""
@@ -604,30 +602,37 @@ def trace(el: Element) -> Element:
 # Field construction.
 
 
-def _seeded_modulus(K, deg: int, seed: int, missing: str) -> tuple:
-    """A monic irreducible degree-``deg`` polynomial over the coefficient
-    field K, found by seeded search; ConstructionError naming ``missing``
-    if the search runs dry.
+def _seeded_modulus(setup, p: int, c: int, deg: int, seed: int, missing: str):
+    """The field ``setup(low)`` builds on the first monic irreducible
+    degree-``deg`` modulus found by seeded search; ConstructionError naming
+    ``missing`` if the search runs dry.
 
-    The search shuffles all monic candidates with the given seed (sampling
-    instead once the space is large) and returns the first irreducible
-    one, so the result is reproducible per seed.
+    ``low`` is the list of F_p digits of the modulus's ``deg`` low
+    coefficients, ``c`` per coefficient as ``digits`` spells them.  The
+    search shuffles the positions of all candidates in lexicographic order
+    with the given seed (sampling coefficients by index instead once the
+    space is large) and tests them in turn, so the result is reproducible
+    per seed and each candidate is tested once.
     """
+    size = p**c
     if deg == 1:
-        return (K.rzero, K.rone)
-    rng = random.Random(seed)
-    if K.size**deg <= (1 << 16):
-        lows = list(itertools.product(list(K.riter_lex()), repeat=deg))
-        rng.shuffle(lows)
+        lows = [[0] * c]
+    elif size**deg <= (1 << 16):
+        positions = list(range(size**deg))
+        random.Random(seed).shuffle(positions)
+        # the candidate at position k spells k base p, most significant digit first
+        lows = ([k // p**i % p for i in reversed(range(deg * c))] for k in positions)
     else:
+        rng = random.Random(seed)
+        # a coefficient of index r spells r base p, least significant digit first
         lows = (
-            [K.rfrom_index(rng.randrange(K.size)) for _ in range(deg)]
+            [r // p**i % p for r in [rng.randrange(size) for _ in range(deg)] for i in range(c)]
             for _ in range(_MODULUS_SEARCH_BUDGET)
         )
     for low in lows:
-        mod = list(low) + [K.rone]
-        if poly_is_irreducible(mod, K):
-            return tuple(mod)
+        field = setup(low)
+        if field._irreducible():
+            return field
     raise ConstructionError(f"no irreducible {missing}")
 
 
@@ -637,16 +642,20 @@ def make_field(p: int, e: int, seed: int = 0) -> FieldSpec:
         raise ParameterError(f"characteristic {p} is not prime")
     if e < 1:
         raise ParameterError("degree must be at least 1")
-    mod = _seeded_modulus(_PrimeOps(p), e, seed, f"modulus found for GF({p}^{e})")
-    return FieldSpec(p, e, mod)
+    return _seeded_modulus(
+        lambda low: FieldSpec._candidate(p, e, tuple(low) + (1,)),
+        p, 1, e, seed, f"modulus found for GF({p}^{e})",
+    )
 
 
 def make_extension(base: FieldSpec, alpha: int, seed: int = 0) -> ExtSpec:
     """Build F_{q^alpha} over a base field; same seeded search as make_field."""
     if alpha < 1:
         raise ParameterError("alpha must be at least 1")
-    mod = _seeded_modulus(base, alpha, seed, f"extension modulus of degree {alpha}")
-    return ExtSpec(base, alpha, mod)
+    return _seeded_modulus(
+        lambda low: ExtSpec._candidate(base, alpha, _grouped(low, base.e) + (base.rone,)),
+        base.p, base.e, alpha, seed, f"extension modulus of degree {alpha}",
+    )
 
 
 def make_tower(p: int, e: int, alpha: int, seed: int = 0) -> ExtSpec:
@@ -656,14 +665,6 @@ def make_tower(p: int, e: int, alpha: int, seed: int = 0) -> ExtSpec:
 
 # ---------------------------------------------------------------------------
 # Bases.
-
-
-def _power_digits(el: Element) -> list[int]:
-    """The prime-field digits of an extension element, y-power major.
-
-    Digit u*e + d is the x^d digit of the y^u coefficient.
-    """
-    return [d for c in el.coeffs for d in c]
 
 
 class OrderedBasis:
@@ -694,7 +695,7 @@ class OrderedBasis:
         units = [ext.lift(base.from_index(base.p**d)) for d in range(base.e)]
         self.digit_elements = tuple(w * x for w in elems for x in units)
         lay = ext.digit_layout
-        self._to_power = [lay.pack(_power_digits(el)) for el in self.digit_elements]
+        self._to_power = [lay.pack(ext.digits(el.coeffs)) for el in self.digit_elements]
         try:
             self._from_power = modp.inverse(self._to_power, lay)
         except ParameterError:
@@ -704,7 +705,7 @@ class OrderedBasis:
     def coordinate_digits(self, x: Element) -> list[int]:
         """Prime-field digits of the coordinates of x (see the class notes)."""
         self.ext._check_same(x)
-        return modp.mat_vec(self._from_power, _power_digits(x), self.ext.digit_layout)
+        return modp.mat_vec(self._from_power, self.ext.digits(x.coeffs), self.ext.digit_layout)
 
     def from_coordinate_digits(self, digits: Sequence[int]) -> Element:
         """Inverse of coordinate_digits; digits are read mod p."""
@@ -713,14 +714,14 @@ class OrderedBasis:
         if len(digits) != ext.alpha * e:
             raise ParameterError("coordinate digit vector has the wrong length")
         flat = modp.mat_vec(self._to_power, [d % p for d in digits], ext.digit_layout)
-        return Element(ext, tuple(tuple(flat[u * e : (u + 1) * e]) for u in range(ext.alpha)))
+        return Element(ext, ext.from_digits(flat))
 
     def coordinates(self, x: Element) -> tuple:
         """Base-field coordinates of x with respect to this basis."""
         base = self.ext.base
         e = base.e
         digits = self.coordinate_digits(x)
-        return tuple(Element(base, tuple(digits[j * e : (j + 1) * e])) for j in range(self.ext.alpha))
+        return tuple(Element(base, base.from_digits(digits[k : k + e])) for k in range(0, len(digits), e))
 
     def combine(self, coords: Sequence[Element]) -> Element:
         """Inverse of coordinates: sum coords[j] * basis[j]."""
@@ -858,8 +859,7 @@ class QuadraticRoot:
 def _quadratic_root_in_plane(ext: ExtSpec, a0: Element, a1: Element) -> "QuadraticRoot | None":
     # locate a root of x^2 + a1 x + a0 inside the canonical degree-2 subfield
     base = ext.base
-    poly = [a0.coeffs, a1.coeffs, base.rone]
-    if not poly_is_irreducible(poly, base):
+    if not ExtSpec._candidate(base, 2, (a0.coeffs, a1.coeffs, base.rone))._irreducible():
         return None
     la0, la1 = ext.lift(a0), ext.lift(a1)
     for b in iter_subfield_members(ext, 2):

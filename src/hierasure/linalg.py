@@ -24,35 +24,18 @@ from typing import Sequence
 
 from . import modp
 from .errors import ParameterError
-from .fields import Element, ExtSpec
+from .fields import Element
 from .modp import SolveResult
-
-
-def _digits(el: Element) -> list[int]:
-    # prime-field digits of a field value, in unit-digit order
-    if isinstance(el.spec, ExtSpec):
-        return [d for c in el.coeffs for d in c]
-    return list(el.coeffs)
-
-
-def _element(spec, digits: Sequence[int]) -> Element:
-    if isinstance(spec, ExtSpec):
-        e = spec.base.e
-        return Element(spec, tuple(tuple(digits[u * e : (u + 1) * e]) for u in range(spec.alpha)))
-    return Element(spec, tuple(digits))
 
 
 def _linearize(rows: Sequence[Sequence], ncols: int, spec):
     """The layout, deg and the packed F_p columns of the matrix, a block of
     deg per column."""
-    if isinstance(spec, ExtSpec):
-        p, deg = spec.base.p, spec.alpha * spec.base.e
-    else:
-        p, deg = spec.p, spec.e
+    p, deg = spec.digit_layout.p, spec.digit_layout.width
     lay = modp.layout(p, len(rows) * deg)
-    units = [_element(spec, [int(k == t) for k in range(deg)]) for t in range(deg)]
+    units = [Element(spec, spec.rfrom_index(p**t)) for t in range(deg)]
     columns = [
-        lay.pack([d for row in rows for d in _digits(row[j] * u)])
+        lay.pack([d for row in rows for d in spec.digits((row[j] * u).coeffs)])
         for j in range(ncols)
         for u in units
     ]
@@ -60,7 +43,7 @@ def _linearize(rows: Sequence[Sequence], ncols: int, spec):
 
 
 def _vector(spec, deg: int, digits: Sequence[int]) -> list[Element]:
-    return [_element(spec, digits[k : k + deg]) for k in range(0, len(digits), deg)]
+    return [Element(spec, spec.from_digits(digits[k : k + deg])) for k in range(0, len(digits), deg)]
 
 
 def _kernel_tags(rows: Sequence[Sequence], ncols: int, spec):
@@ -99,7 +82,7 @@ def solve(rows: Sequence[Sequence], rhs: Sequence, ncols: int, spec) -> SolveRes
     if len(rows) != len(rhs):
         raise ParameterError("right-hand side length does not match row count")
     lay, deg, columns = _linearize(rows, ncols, spec)
-    out = modp.solve(columns, lay.pack([d for b in rhs for d in _digits(b)]), lay)
+    out = modp.solve(columns, lay.pack([d for b in rhs for d in spec.digits(b.coeffs)]), lay)
     solution = None if out.solution is None else _vector(spec, deg, out.solution)
     return SolveResult(out.status, solution, out.free_count // deg)
 

@@ -24,7 +24,9 @@ a fresh ``ListEchelon`` per pattern, whose rows are lists of digits
 reduced entry by entry.  It shares no code with ``modp``, so it checks
 both the sharing and the packed elimination.  ``reference_dependency``,
 ``reference_solve``, ``reference_inverse`` and ``reference_mat_vec`` are
-the list kernel's tagged systems and products.
+the list kernel's tagged systems and products.  ``reference_is_irreducible``
+is the distinct-degree gcd test that Berlekamp's criterion replaced, on
+polynomials over a field's own raw arithmetic.
 """
 
 import itertools
@@ -417,3 +419,80 @@ def reference_greedy_gv_code(
         FullFamily(alpha, m, n),
         {"construction": "greedy_gv", "n": n, "r": r, "m": m, "seed": seed},
     )
+
+
+# ---------------------------------------------------------------------------
+# Irreducibility by the distinct-degree gcd test, the package's test before
+# Berlekamp's criterion.  Polynomials are trimmed lists of raws of a
+# coefficient field K (a FieldSpec; its raw arithmetic is K's own),
+# ascending powers.
+
+
+def _trim(c, K):
+    c = list(c)
+    while c and c[-1] == K.rzero:
+        c.pop()
+    return c
+
+
+def _sub(a, b, K):
+    n = max(len(a), len(b))
+    pad_a, pad_b = a + [K.rzero] * (n - len(a)), b + [K.rzero] * (n - len(b))
+    return _trim([K.rsub(x, y) for x, y in zip(pad_a, pad_b)], K)
+
+
+def _mul(a, b, K):
+    out = [K.rzero] * max(len(a) + len(b) - 1, 0)
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            out[i + j] = K.radd(out[i + j], K.rmul(ai, bj))
+    return _trim(out, K)
+
+
+def _rem(a, m, K):
+    # m monic, trimmed
+    a = list(a)
+    dm = len(m) - 1
+    for k in range(len(a) - 1, dm - 1, -1):
+        c = a[k]
+        for t in range(dm + 1):
+            a[k - dm + t] = K.rsub(a[k - dm + t], K.rmul(c, m[t]))
+    return _trim(a[:dm], K)
+
+
+def _monic(a, K):
+    inv = K.rinv(a[-1])
+    return [K.rmul(inv, c) for c in a]
+
+
+def _gcd(a, b, K):
+    a, b = _trim(a, K), _trim(b, K)
+    while b:
+        a, b = b, _rem(a, _monic(b, K), K)
+    return _monic(a, K) if a else a
+
+
+def _powmod(base, exp, m, K):
+    result, acc = [K.rone], _rem(base, m, K)
+    while exp:
+        if exp & 1:
+            result = _rem(_mul(result, acc, K), m, K)
+        acc = _rem(_mul(acc, acc, K), m, K)
+        exp >>= 1
+    return result
+
+
+def reference_is_irreducible(coeffs, K):
+    """Irreducibility of a monic polynomial over K: gcd(f, y^(|K|^i) - y)
+    is 1 for every i up to deg/2.  A degree-1 polynomial is irreducible."""
+    f = _trim(coeffs, K)
+    d = len(f) - 1
+    if d <= 0 or f[-1] != K.rone:
+        raise ParameterError("irreducibility test expects a monic polynomial of degree >= 1")
+    y = [K.rzero, K.rone]
+    frob = y
+    for _ in range(d // 2):
+        frob = _powmod(frob, K.order, f, K)
+        if len(_gcd(_sub(frob, y, K), f, K)) > 1:
+            return False
+    return True

@@ -479,6 +479,28 @@ class TestInputBoundary:
         capsys.readouterr()
         self.assert_usage_error(capsys, run("verify", "--code", str(path)))
 
+    @pytest.mark.parametrize(
+        "argv,edit,message",
+        [
+            # y^4 over GF(5)
+            (("--p", "5", "--alpha", "4"), lambda c: c["ext"].update(modulus=[[0], [0], [0], [0], [1]]),
+             "error: extension modulus is reducible over the base field\n"),
+            # (x + 1)^2 over GF(2)
+            (("--p", "2", "--e", "2", "--alpha", "2"), lambda c: c["field"].update(modulus=[1, 0, 1]),
+             "error: modulus (1, 0, 1) is reducible over Z_2\n"),
+        ],
+        ids=["extension", "base"],
+    )
+    def test_code_reducible_modulus(self, tmp_path, capsys, argv, edit, message):
+        path = tmp_path / "code.json"
+        run("construct", "length2", *argv, "--out", str(path))
+        payload = json.loads(path.read_text())
+        edit(payload)
+        path.write_text(json.dumps(payload))
+        capsys.readouterr()
+        rc = run("verify", "--code", str(path))
+        assert (rc, capsys.readouterr().err) == (2, message)
+
     @pytest.mark.parametrize("value", [True, 1.0])
     def test_received_non_integer_coefficient(self, tmp_path, code_file, received_file, capsys, value):
         payload = json.loads(open(received_file).read())

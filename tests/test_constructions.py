@@ -340,7 +340,7 @@ class TestBalancedCode:
         # product takes the generic polynomial branch rather than the plain
         # int one, end to end with a three-level chain
         ext = tower(3, 2, 8)
-        assert ext._prime_modulus is None
+        assert ext._int_low is None
         code = balanced_code(3, ext)
         assert code.dim == 2
         assert is_correcting(code, BalancedFamily(8, 3)).correcting

@@ -22,7 +22,8 @@ from hierasure import (
     subfield_members,
     trace,
 )
-from hierasure.fields import _PrimeOps, poly_is_irreducible
+from hierasure import fields, modp
+from reference import reference_is_irreducible
 from towers import field, tower
 
 
@@ -141,7 +142,7 @@ class TestArithmetic:
     @pytest.mark.parametrize("p,alpha", [(2, 5), (7, 4), (11, 8)])
     def test_prime_base_product_matches_generic_polynomials(self, p, alpha):
         # over a prime base the product runs on plain ints; it must agree
-        # with the generic polynomial helpers the modulus search uses
+        # with the generic polynomial helpers a non-prime base uses
         from hierasure.fields import _poly_mul, _poly_rem
 
         ext = tower(p, 1, alpha)
@@ -149,7 +150,7 @@ class TestArithmetic:
         rng = random.Random(p)
         for _ in range(40):
             a, b = (ext.from_index(rng.randrange(ext.order)).coeffs for _ in range(2))
-            want = _poly_rem(_poly_mul(list(a), list(b), base), ext._modlist, base)
+            want = _poly_rem(_poly_mul(list(a), list(b), base), list(ext.modulus), base)
             want = tuple(want) + (base.rzero,) * (alpha - len(want))
             assert ext.rmul(a, b) == want
 
@@ -292,30 +293,124 @@ def _gauss_count(q, d):
     return sum(_moebius(d // k) * q**k for k in range(1, d + 1) if d % k == 0) // d
 
 
-class TestIrreducibleCounts:
-    """``poly_is_irreducible`` finds exactly Gauss's count of monic irreducibles."""
+def _accepts(build) -> bool:
+    try:
+        build()
+    except ParameterError:
+        return False
+    return True
 
-    def count(self, K, d):
-        lex = list(K.riter_lex())
-        return sum(
-            poly_is_irreducible(list(low) + [K.rone], K)
-            for low in itertools.product(lex, repeat=d)
-        )
+
+def _monic(lex, d, one):
+    return (low + (one,) for low in itertools.product(lex, repeat=d))
+
+
+class TestIrreducibleCounts:
+    """The constructors accept exactly Gauss's count of monic irreducibles."""
 
     @pytest.mark.parametrize("p", [2, 3, 5])
     @pytest.mark.parametrize("d", [1, 2, 3, 4])
     def test_prime_field_as_plain_ints(self, p, d):
-        assert self.count(_PrimeOps(p), d) == _gauss_count(p, d)
+        # the modulus of a base field: int coefficients
+        count = sum(_accepts(lambda: FieldSpec(p, d, f)) for f in _monic(range(p), d, 1))
+        assert count == _gauss_count(p, d)
 
     @pytest.mark.parametrize("p", [2, 3, 5])
     @pytest.mark.parametrize("d", [1, 2, 3, 4])
     def test_prime_field_as_one_tuples(self, p, d):
-        assert self.count(field(p, 1), d) == _gauss_count(p, d)
+        # the modulus of an extension of a prime field: 1-tuple coefficients
+        K = field(p, 1)
+        count = sum(_accepts(lambda: ExtSpec(K, d, f)) for f in _monic(list(K.riter_lex()), d, K.rone))
+        assert count == _gauss_count(p, d)
 
     @pytest.mark.parametrize("p", [2, 3])
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_nonprime_base(self, p, d):
-        assert self.count(field(p, 2), d) == _gauss_count(p * p, d)
+        K = field(p, 2)
+        count = sum(_accepts(lambda: ExtSpec(K, d, f)) for f in _monic(list(K.riter_lex()), d, K.rone))
+        assert count == _gauss_count(p * p, d)
+
+
+class TestIrreducibility:
+    """Berlekamp's criterion against the distinct-degree gcd test."""
+
+    @pytest.mark.parametrize("p,top", [(2, 6), (3, 4), (5, 3)])
+    def test_prime_field_matches_reference(self, p, top):
+        K = field(p, 1)
+        for d in range(1, top + 1):
+            for f in _monic(range(p), d, 1):
+                want = reference_is_irreducible([(c,) for c in f], K)
+                assert _accepts(lambda: FieldSpec(p, d, f)) == want, f
+                assert _accepts(lambda: ExtSpec(K, d, tuple((c,) for c in f))) == want, f
+
+    @pytest.mark.parametrize("p,e", [(2, 2), (2, 3), (3, 2)])
+    def test_nonprime_base_matches_reference(self, p, e):
+        K = field(p, e)
+        found = 0
+        for d in (1, 2, 3):
+            for f in _monic(list(K.riter_lex()), d, K.rone):
+                want = reference_is_irreducible(list(f), K)
+                assert _accepts(lambda: ExtSpec(K, d, f)) == want, f
+                found += want
+        q = p**e
+        assert found == sum(_gauss_count(q, d) for d in (1, 2, 3))  # 240 cubics over GF(9)
+
+    @pytest.mark.parametrize(
+        "p,f",
+        [(2, (1, 0, 1, 0, 1)), (3, (1, 2, 1))],
+        ids=["(y^2+y+1)^2 over GF(2), f' = 0", "(y+1)^2 over GF(3), f' != 0"],
+    )
+    def test_squares_pass_the_rank_condition_alone(self, p, f):
+        d = len(f) - 1
+        K = field(p, 1)
+        for cand in (FieldSpec._candidate(p, d, f), ExtSpec._candidate(K, d, tuple((c,) for c in f))):
+            # a -> a^p - a by square-and-multiply has rank d - 1, as for an
+            # irreducible modulus: only the derivative condition rejects f
+            lay = cand.digit_layout
+            units = [cand.rfrom_index(p**k) for k in range(d)]
+            moved = [cand.rsub(cand.rpow(u, p), u) for u in units]
+            ech = modp.Echelon(lay)
+            for a in moved:
+                ech.insert(lay.pack(cand.digits(a)))
+            assert len(ech.rows) == d - 1
+            assert not cand._irreducible()
+        with pytest.raises(ParameterError, match="reducible"):
+            FieldSpec(p, d, f)
+        with pytest.raises(ParameterError, match="reducible"):
+            ExtSpec(K, d, tuple((c,) for c in f))
+
+    @pytest.fixture
+    def tested(self, monkeypatch):
+        calls = []
+        real = fields._Field._irreducible
+
+        def spy(spec):
+            calls.append((type(spec), spec.modulus))
+            return real(spec)
+
+        monkeypatch.setattr(fields._Field, "_irreducible", spy)
+        return calls
+
+    @pytest.mark.parametrize("p,e,alpha,seed", [(11, 1, 8, 201), (3, 2, 3, 0)])
+    def test_make_tower_tests_once_per_level(self, tested, p, e, alpha, seed):
+        # the first candidate passes at both levels, and the search's
+        # verdict is not tested again
+        ext = make_tower(p, e, alpha, seed)
+        assert tested == [(FieldSpec, ext.base.modulus), (ExtSpec, ext.modulus)]
+
+    def test_make_tower_tests_each_candidate_once(self, tested):
+        ext = make_tower(2, 4, 4, 1)
+        assert len(tested) > 2
+        assert len(set(tested)) == len(tested)
+        assert tested[-1] == (ExtSpec, ext.modulus)
+        assert (FieldSpec, ext.base.modulus) in tested
+
+    def test_constructors_still_test(self, tested):
+        ext = tower(3, 2, 3)
+        tested.clear()
+        FieldSpec(3, 2, ext.base.modulus)
+        ExtSpec(ext.base, 3, ext.modulus)
+        assert tested == [(FieldSpec, ext.base.modulus), (ExtSpec, ext.modulus)]
 
 
 class TestDualBasis:

@@ -10,6 +10,7 @@ from hierasure import (
     PowerFamily,
     apply_erasure,
     balanced_code,
+    fields,
     gabidulin_code,
     kernel_basis,
     length2_code,
@@ -70,17 +71,29 @@ class TestCodes:
             assert canon(serialize.code_to_json(back)) == canon(payload)
 
     def test_load_does_no_rank_elimination(self, monkeypatch):
-        # Echelon.insert is the package's one elimination routine.  A load
-        # runs only omega's basis check, one insert per F_p digit element;
-        # the rank of H waits for its first read
+        # Echelon.insert is the package's one elimination routine.  Besides
+        # the tests of its two moduli, a load runs only omega's basis check,
+        # one insert per F_p digit element; the rank of H waits for its
+        # first read
         inserts = []
         insert = modp.Echelon.insert
+        irreducible = fields._Field._irreducible
+        in_modulus_test = []
 
         def counted(ech, v):
-            inserts.append(v)
+            if not in_modulus_test:
+                inserts.append(v)
             return insert(ech, v)
 
+        def modulus_test(spec):
+            in_modulus_test.append(spec)
+            try:
+                return irreducible(spec)
+            finally:
+                in_modulus_test.pop()
+
         monkeypatch.setattr(modp.Echelon, "insert", counted)
+        monkeypatch.setattr(fields._Field, "_irreducible", modulus_test)
         for code in self.codes():
             payload = json.loads(canon(serialize.code_to_json(code)))
             inserts.clear()
