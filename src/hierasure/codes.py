@@ -1,4 +1,21 @@
-"""The linear-code record every construction emits and every checker consumes."""
+"""The linear-code record every construction emits and every checker consumes.
+
+A code stores the expansion of H over the prime field against its
+decoding basis omega: for each symbol i, the alpha * e columns of
+H[:, i] * w_k with w_k = omega_j * x^d (k = j*e + d), which every
+correctability check and every decode reads.  A column's rows are the
+power digits of those products (``ExtSpec.digits``: y-power major, then
+x-power), not their coordinates over omega.  Coordinates are the power
+digits under one invertible F_p map F per entry (``OrderedBasis``'s
+``_from_power``), so the two spellings of every column differ by the same
+block-diagonal map F + ... + F, and no question the package asks of the
+columns changes under it: the independence of prefixes, the first kernel
+vector of a set of columns, and the solution of a system whose
+right-hand side is made of the same columns.  The unknowns are
+coordinates over omega in either spelling.  The power spelling needs no
+extension product: ``OrderedBasis.multiples`` gives all alpha * e
+products of one entry by one packed combination with a product table.
+"""
 
 from __future__ import annotations
 
@@ -15,13 +32,19 @@ from .patterns import PatternFamily
 def expand_column(
     omega: OrderedBasis, column, width: int | None = None
 ) -> tuple[tuple[int, ...], ...]:
-    """The prime-field columns of column * omega_j * x^d, j-major, d-minor.
+    """The prime-field columns of column * w_k, w_k = omega_j * x^d for k =
+    j*e + d: column k stacks, entry by entry, the alpha * e power digits
+    of each entry times w_k (``ExtSpec.digits``).  Only the first
+    ``width`` columns are built; by default all alpha * e.  This is the
+    digit view of ``pack_column``.
 
-    Each is the coordinates over ``omega`` of every entry times
-    ``omega.digit_elements[j * e + d]``, written as prime-field digits
-    (``OrderedBasis.coordinate_digits``) and stacked entry by entry.  Only
-    the first ``width`` columns are built; by default all alpha * e.  This
-    is the digit view of ``pack_column``.
+    The rows are in the power basis, not in coordinates over omega.  The
+    two differ by one invertible F_p map per entry (``OrderedBasis``'s
+    ``_from_power``), applied to every column alike, so every question
+    asked of the columns has the same answer in either: which prefixes
+    are independent, the first kernel vector of a set of them, and the
+    solution of a system whose right-hand side is built from the same
+    columns.  The unknowns of all three are coordinates over omega.
     """
     ext = omega.ext
     lay = modp.layout(ext.base.p, len(column) * ext.alpha * ext.base.e)
@@ -32,14 +55,19 @@ def pack_column(
     omega: OrderedBasis, column, lay: modp.Layout, width: int | None = None
 ) -> tuple[int, ...]:
     """``expand_column``'s columns, each packed under ``lay`` (whose width
-    is len(column) * alpha * e)."""
-    return _expand(omega, column, omega.digit_elements[:width], lay)
+    is len(column) * alpha * e).
 
-
-def _expand(omega: OrderedBasis, column, elements, lay: modp.Layout) -> tuple[int, ...]:
-    # the packed prime-field columns of column * w for each w in elements
+    Each entry h gives one ``OrderedBasis.multiples``, whose group k holds
+    the power digits of h * w_k; column k is group k of every entry,
+    stacked by row.
+    """
+    n = omega.ext.digit_layout.width  # alpha * e
+    span = n * lay.bits
+    group = (1 << span) - 1
+    rows = [omega.multiples(h, lay) for h in column]
     return tuple(
-        lay.pack([d for x in column for d in omega.coordinate_digits(x * w)]) for w in elements
+        sum((v >> k * span & group) << i * span for i, v in enumerate(rows))
+        for k in range(n if width is None else width)
     )
 
 
@@ -57,20 +85,23 @@ class LinearCode:
 
     ``block(i)`` is H's base-field expansion against ``omega`` over the
     prime field, one block of alpha * e columns per symbol, so the t_i
-    leading coordinates of symbol i are the prefix ``[: t_i * e]``.  Each
-    column is one int packed under ``layout`` (``modp.Layout``): digit k
-    of its width = r * alpha * e digits sits in lane k, bits [k*B,
-    (k+1)*B).  An elimination against these columns grows a lane by at
-    most (p-1)^2 per row operation and makes at most ``width`` of them,
-    so lanes stay at most A = (p-1) + width * (p-1)^2; s is the bit
-    length of A * (p-1), M = ceil(2^s / p) and B the bit length of A * M,
-    and one Barrett step, x - p * ((x * M >> s) & Q), then reduces every
-    lane.  The echelons these columns enter keep append-only rows, so a
-    walk rolls one back with ``del rows[s:]``.  Blocks are built on first
-    use and kept on the code, in that packed form only: every
-    correctability check and every decode reads its columns from there.
-    ``expansion(i)`` is the same block unpacked to digit tuples, for
-    inspection.
+    leading coordinates of symbol i are the prefix ``[: t_i * e]``.
+    Column k = j*e + d of the block stacks, row by row, the alpha * e power
+    digits of H[row, i] * omega_j * x^d: the row side is the power basis,
+    and the column side (the unknowns) coordinates over omega (see the
+    module notes for why that is exact).  Each column is one int packed
+    under ``layout`` (``modp.Layout``): digit k of its width = r * alpha * e
+    digits sits in lane k, bits [k*B, (k+1)*B).  An elimination against
+    these columns grows a lane by at most (p-1)^2 per row operation and
+    makes at most ``width`` of them, so lanes stay at most A = (p-1) +
+    width * (p-1)^2; s is the bit length of A * (p-1), M = ceil(2^s / p)
+    and B the bit length of A * M, and one Barrett step, x - p * ((x * M >>
+    s) & Q), then reduces every lane.  The echelons these columns enter
+    keep append-only rows, so a walk rolls one back with ``del rows[s:]``.
+    Blocks are built on first use and kept on the code, in that packed
+    form only: every correctability check and every decode reads its
+    columns from there.  ``expansion(i)`` is the same block unpacked to
+    digit tuples, for inspection.
     """
 
     ext: ExtSpec
@@ -129,21 +160,14 @@ class LinearCode:
         The alpha * e expansion columns of H[:, i] are all independent of
         the columns before them when H[:, i] is independent of H's columns
         before it, and all dependent otherwise; the first of them decides,
-        so a dependent symbol's block is never built, and an independent
-        one's is built around the digit-0 column already made.
+        so a dependent symbol costs one insert.
         """
-        omega, lay = self.omega, self.layout
-        ech = modp.Echelon(lay)
+        ech = modp.Echelon(self.layout)
         rank = 0
         for i in range(self.n):
-            block = self._expansion.get(i)
-            column = [row[i] for row in self.H]
-            head = block[:1] if block else _expand(omega, column, omega.digit_elements[:1], lay)
-            if ech.insert(head[0]) is None:
+            block = self.block(i)
+            if ech.insert(block[0]) is None:
                 rank += 1
-                if block is None:
-                    block = head + _expand(omega, column, omega.digit_elements[1:], lay)
-                    self._expansion[i] = block
                 for col in block[1:]:
                     ech.insert(col)
         return rank

@@ -2,13 +2,23 @@
 
 A code corrects a pattern t exactly when no nonzero codeword is erased to
 look like zero under t.  That intersection test linearizes over the base
-field: the base-field coordinates of H applied to each invisible generator
-form a column, and t is correctable iff those columns are independent.
-The columns are a prefix of each symbol's block of the code's stored
-expansion (``LinearCode.block``), written over the prime field and
-packed one column per int, so every check is one small elimination over
-Z/p (``modp.prefix_echelons``, shared with UDM verification).  The same
+field: H applied to each invisible generator, written as prime-field
+digits, forms a column, and t is correctable iff those columns are
+independent.  The columns are a prefix of each symbol's block of the
+code's stored expansion (``LinearCode.block``), packed one column per int,
+so every check is one small elimination over Z/p
+(``modp.prefix_echelons``, shared with UDM verification).  The same
 columns, fed the known suffix as a right-hand side, are the decoder.
+
+The rows of those columns are power digits of the products, not their
+coordinates over omega.  Every row spelling that is an invertible F_p map
+of the coordinates, applied to all columns alike, gives the same answers
+here: a set of columns is independent, has its first kernel vector, or
+solves a system with a right-hand side made of the same columns, in one
+spelling exactly when it does in the other, with the same coefficients.
+Those coefficients are coordinates over omega, so the witness and the
+decoded word come out in coordinates.  Only ``pattern_system``, a view for
+inspection, maps the rows back to coordinates.
 """
 
 from __future__ import annotations
@@ -68,17 +78,30 @@ def pattern_system(code: LinearCode, t) -> ExpandedSystem:
     """The pattern's expanded system as base-field Element entries.
 
     A view of the code's stored expansion, for inspection; the oracle and
-    the decoder work on the packed columns directly.
+    the decoder work on the packed columns directly.  The stored rows are
+    power digits, so the view maps each entry back to its coordinates
+    over omega (``OrderedBasis.coordinate_digits``).
     """
     t = _checked_pattern(code, t)
-    base = code.ext.base
+    ext, omega = code.ext, code.omega
+    base = ext.base
     e = base.e
+    n = ext.alpha * e
     labels = _labels(t)
-    # digit 0 of coordinate j is H[:, i] * omega_j itself
-    cols = [tuple(code.layout.digits(code.block(i)[j * e])) for i, j in labels]
+    cols = []
+    for i, j in labels:
+        # digit 0 of coordinate j is H[:, i] * omega_j itself
+        digits = code.layout.digits(code.block(i)[j * e])
+        cols.append([
+            d
+            for row in range(code.r)
+            for d in omega.coordinate_digits(
+                Element(ext, ext.from_digits(digits[row * n : (row + 1) * n]))
+            )
+        ])
     matrix = tuple(
-        tuple(Element(base, col[k * e : (k + 1) * e]) for col in cols)
-        for k in range(code.ext.alpha * code.r)
+        tuple(Element(base, tuple(col[k * e : (k + 1) * e])) for col in cols)
+        for k in range(ext.alpha * code.r)
     )
     return ExpandedSystem(matrix, tuple(labels))
 

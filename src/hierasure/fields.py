@@ -27,7 +27,11 @@ A basis omega of the extension over F_q (``OrderedBasis``) keeps one
 coordinate transform, over the prime field: the digits of x's
 coordinates over omega, each base-field coordinate spelled as its e
 digits.  Every coordinate question, including whether a tuple is a
-basis at all, goes through that one integer map.
+basis at all, goes through that one integer map.  For the expansion of
+a code, a basis also keeps a packed product table, built on first use:
+the power digits of every power unit times every omega_j * x^d, made by
+steps of multiplication by y and x read off the two moduli, so an
+expansion needs no extension product.
 
 Deterministic search orders are part of the contract: modulus searches
 shuffle the positions of the candidates with a seeded RNG, while element searches
@@ -667,19 +671,68 @@ def make_tower(p: int, e: int, alpha: int, seed: int = 0) -> ExtSpec:
 # Bases.
 
 
+def _times_unit(v: int, lay: modp.Layout, lanes: int, period: int, folds: Sequence[int]) -> int:
+    """Every group of ``period`` lanes of v times z (x or y), normalized.
+
+    v has ``lanes`` lanes packed under ``lay`` (lay.lanes >= lanes), read
+    as groups of ``period`` digits against units b_0 .. b_(period-1) with
+    z * b_l = b_(l+s) for l + s < period and z * b_(period-s+d) = folds[d],
+    s = len(folds), each fold packed over one group.  So the product is a
+    shift of s lanes, after which the s lanes that left each group sit at
+    the bottom of the next; they are cut out, and lane d of them is spread
+    over its own group by one multiply with folds[d].  Lanes then stay at
+    most (p-1) + s * (p-1)^2, so s must not exceed lay.width.  Multiplying
+    by x is z = x, period e and the fold -f_low; by y over the power digits
+    of the extension, z = y, period alpha * e and folds -x^d * g_low(y).
+    """
+    b = lay.bits
+    s = len(folds)
+    step = period * b
+    ones = ((1 << step * (lanes // period)) - 1) // ((1 << step) - 1)  # a 1 in lane 0 of each group
+    v <<= s * b
+    tops = v & (ones << step) * ((1 << s * b) - 1)
+    v ^= tops
+    tops >>= step
+    starts = ones * lay.lane  # lane 0 of each group
+    for d, fold in enumerate(folds):
+        v += (tops >> d * b & starts) * fold
+    return lay.normalize(v)
+
+
+def _x_multiples(v: int, lay: modp.Layout, lanes: int, base: FieldSpec) -> list[int]:
+    """[v, x * v, ..., x^(e-1) * v] for v of ``lanes`` lanes under ``lay``,
+    each group of e lanes a base-field value: x * x^(e-1) = -f_low(x),
+    with f the base modulus."""
+    p, e = base.p, base.e
+    fold = [lay.pack([-c % p for c in base.modulus[:-1]])]
+    out = [v]
+    for _ in range(1, e):
+        out.append(_times_unit(out[-1], lay, lanes, e, fold))
+    return out
+
+
 class OrderedBasis:
     """An ordered basis of the extension over its base field.
 
     The basis keeps one change-of-coordinates transform, over the prime
     field, built at construction: the ``alpha * e`` elements
-    ``digit_elements[j*e + d] = omega_j * x^d`` form an F_p-basis exactly
-    when omega is an F_q-basis, so a singular digit matrix is the basis
-    check.  ``coordinate_digits`` / ``from_coordinate_digits`` convert
-    between an element and its digits against it (digit d of coordinate j
-    at index j*e + d); ``coordinates`` / ``combine`` group those digits
-    into base-field elements.  Both matrices are kept as columns packed
-    under the extension's ``digit_layout``, so a conversion is one packed
+    ``w_k = omega_j * x^d`` (k = j*e + d) form an F_p-basis exactly when
+    omega is an F_q-basis, so a singular digit matrix is the basis check.
+    Their power digits come from omega's by steps of multiplication by x
+    (``_x_multiples``), with no extension products.
+    ``coordinate_digits`` / ``from_coordinate_digits`` convert between an
+    element and its digits against the w_k (digit d of coordinate j at
+    index j*e + d); ``coordinates`` / ``combine`` group those digits into
+    base-field elements.  Both matrices are kept as columns packed under
+    the extension's ``digit_layout``, so a conversion is one packed
     matrix-vector product (``modp.mat_vec``).
+
+    ``multiples`` gives the power digits of h * w_k for every k at once,
+    from a product table built on first use: D = alpha * e packed ints
+    P_u, one per power unit U_u = y^a * x^d (u = a*e + d), whose group k
+    of D lanes holds the power digits of U_u * w_k.  P_0 is ``_to_power``
+    and each later P_u is one before it times y or x in every group at
+    once.
     """
 
     def __init__(self, ext: ExtSpec, elements: Sequence[Element]):
@@ -690,17 +743,49 @@ class OrderedBasis:
             ext._check_same(el)
         self.ext = ext
         self.elements = elems
-        base = ext.base
-        # from_index(p**d) is x^d, the d-th power-basis element of the base
-        units = [ext.lift(base.from_index(base.p**d)) for d in range(base.e)]
-        self.digit_elements = tuple(w * x for w in elems for x in units)
         lay = ext.digit_layout
-        self._to_power = [lay.pack(ext.digits(el.coeffs)) for el in self.digit_elements]
+        self._to_power = [
+            v
+            for w in elems
+            for v in _x_multiples(lay.pack(ext.digits(w.coeffs)), lay, lay.width, ext.base)
+        ]
         try:
             self._from_power = modp.inverse(self._to_power, lay)
         except ParameterError:
             raise InvalidBasisError("elements are linearly dependent over the base field")
+        self._tables: dict = {}
         self._hash = hash((ext, tuple(el.coeffs for el in elems)))
+
+    def multiples(self, h: Element, lay: modp.Layout) -> int:
+        """The power digits of h * w_k for every k, packed: group k, lanes
+        [k*D, (k+1)*D), holds those of h * w_k, normalized, in lanes of
+        ``lay.bits`` bits.  ``lay`` is a layout whose width is at least D
+        (an expansion column's); one ``Layout.combination`` of h's D power
+        digits with the product table makes all D groups."""
+        self.ext._check_same(h)
+        tlay, table = self._table(lay)
+        return tlay.combination(self.ext.digits(h.coeffs), table)
+
+    def _table(self, lay: modp.Layout):
+        # the product table P_0 .. P_(D-1) in lanes of lay.bits bits, under
+        # a layout with lay's width (so its bits) and at least D * D lanes
+        got = self._tables.get(lay.width)
+        if got is None:
+            ext = self.ext
+            base = ext.base
+            dl = ext.digit_layout
+            n = dl.width  # D
+            tlay = modp.layout(base.p, lay.width, max(n * n - lay.width, 0))
+            # y * y^(alpha-1) x^d = -x^d * g_low(y), with g the extension modulus
+            minus_g = tlay.pack([-c % base.p for g in ext.modulus[:-1] for c in g])
+            y_folds = _x_multiples(minus_g, tlay, n, base)
+            v = tlay.pack([d for col in self._to_power for d in dl.digits(col)])
+            table = _x_multiples(v, tlay, n * n, base)
+            for _ in range(1, ext.alpha):
+                v = _times_unit(v, tlay, n * n, n, y_folds)
+                table += _x_multiples(v, tlay, n * n, base)
+            got = self._tables[lay.width] = (tlay, table)
+        return got
 
     def coordinate_digits(self, x: Element) -> list[int]:
         """Prime-field digits of the coordinates of x (see the class notes)."""

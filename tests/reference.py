@@ -24,7 +24,9 @@ a fresh ``ListEchelon`` per pattern, whose rows are lists of digits
 reduced entry by entry.  It shares no code with ``modp``, so it checks
 both the sharing and the packed elimination.  ``reference_dependency``,
 ``reference_solve``, ``reference_inverse`` and ``reference_mat_vec`` are
-the list kernel's tagged systems and products.  ``reference_is_irreducible``
+the list kernel's tagged systems and products.  ``reference_expand_column``
+is the expansion of a column of H by extension products, which the packed
+product table replaced.  ``reference_is_irreducible``
 is the distinct-degree gcd test that Berlekamp's criterion replaced, on
 polynomials over a field's own raw arithmetic.
 """
@@ -193,6 +195,20 @@ def reference_system(code, t):
     nrows = code.ext.alpha * code.r
     matrix = [[col[k] for col in columns] for k in range(nrows)]
     return matrix, labels
+
+
+def reference_expand_column(omega, column):
+    """The expansion columns of one column of H by Element products:
+    column j*e + d stacks, entry by entry, the power digits (y-power major,
+    then x-power) of h * omega_j * x^d."""
+    ext = omega.ext
+    base = ext.base
+    units = [ext.lift(base.from_index(base.p**d)) for d in range(base.e)]
+    return tuple(
+        tuple(digit for h in column for c in (h * w * x).coeffs for digit in c)
+        for w in omega.elements
+        for x in units
+    )
 
 
 def reference_correctable(code, t):

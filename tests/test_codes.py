@@ -1,29 +1,87 @@
-"""``LinearCode.rank``: the F_p rank of the expansion, one column per symbol
-decides, and an independent symbol's block is built once."""
+"""``LinearCode``'s expansion and rank: every block equals the Element
+products it replaces, the rank is the F_p rank of the expansion with one
+column per symbol deciding, and each entry of H is expanded once."""
 
 import random
 
 import pytest
 
-from hierasure import OrderedBasis, code_from_rows
+from hierasure import (
+    Element,
+    OrderedBasis,
+    QuadraticRoot,
+    b_symmetric_basis,
+    code_from_rows,
+    dual_basis,
+    find_quadratic_root,
+    is_correcting,
+)
 from hierasure.codes import expand_column
+from reference import reference_expand_column
 from test_differential import TOWERS, random_code
 import element_linalg
 from towers import tower, trace_instance
 
+# the differential towers (e = 1, 2, 3), then larger prime towers up to a
+# 16-bit p
+ORACLE_TOWERS = TOWERS + [(7, 1, 4), (11, 1, 8), (251, 1, 2), (65521, 1, 2)]
+
+
+def _quadratic_root(ext):
+    # for alpha = 2, y is a root of the extension modulus itself, which
+    # spares the search over the whole field
+    if ext.alpha == 2:
+        g0, g1, _ = ext.modulus
+        return QuadraticRoot(Element(ext.base, g0), Element(ext.base, g1), ext.from_index(ext.base.order))
+    return find_quadratic_root(ext)
+
+
+def _bases(ext):
+    poly = ext.polynomial_basis()
+    bases = {"polynomial": poly, "dual": dual_basis(poly)}
+    if ext.alpha % 2 == 0:
+        bases["b-symmetric"] = b_symmetric_basis(ext, _quadratic_root(ext))
+    return bases
+
 
 def test_trace_code_rank_expands_each_coordinate_once(monkeypatch):
-    # verify-trace's code: r = 5, n = 8 over GF(7^4), rank 5.  Five
-    # independent blocks of 4 columns and three dependent digit-0 columns,
-    # each 5 entries: 5 * 4 * 5 + 3 * 5 = 115 coordinate expansions.
+    # verify-trace's code: r = 5, n = 8 over GF(7^4), rank 5.  Each of the
+    # 40 entries of H is expanded by one ``OrderedBasis.multiples`` call,
+    # once across the rank and a full correctability check that reuses
+    # the stored blocks.
     _, code = trace_instance()
     calls = []
-    real = OrderedBasis.coordinate_digits
+    real = OrderedBasis.multiples
     monkeypatch.setattr(
-        OrderedBasis, "coordinate_digits", lambda omega, x: calls.append(x) or real(omega, x)
+        OrderedBasis, "multiples", lambda omega, h, lay: calls.append(h) or real(omega, h, lay)
     )
     assert (code.rank, code.dim) == (5, 3)
-    assert len(calls) == 115
+    assert is_correcting(code, code.claim).correcting
+    assert len(calls) == 40
+    assert calls == [row[i] for i in range(code.n) for row in code.H]
+
+
+@pytest.mark.parametrize("p,e,alpha", ORACLE_TOWERS)
+def test_blocks_match_element_products(p, e, alpha):
+    # every block equals the Element products h * omega_j * x^d in power
+    # digits, for codes of 1 to 3 rows sharing one basis (so one basis
+    # keeps product tables for several column widths), with zero entries
+    ext = tower(p, e, alpha)
+    rng = random.Random(f"{p}/{e}/{alpha}")
+    for name, shared in _bases(ext).items():
+        # a fresh copy: the tower's polynomial basis is shared across tests
+        omega = OrderedBasis(ext, shared.elements)
+        assert omega._tables == {}  # built on first expansion, not with the basis
+        for r in (1, 2, 3):
+            rows = [[ext.from_index(rng.randrange(ext.order)) for _ in range(3)] for _ in range(r)]
+            rows[0][1] = ext.zero()
+            code = code_from_rows(ext, rows, omega)
+            for i in range(code.n):
+                column = [row[i] for row in code.H]
+                want = reference_expand_column(omega, column)
+                assert code.expansion(i) == want, (name, r, i)
+                assert expand_column(omega, column, e) == want[:e]
+        assert sorted(omega._tables) == [r * alpha * e for r in (1, 2, 3)]
 
 
 @pytest.mark.parametrize("expanded_first", [False, True], ids=["fresh", "expanded"])
