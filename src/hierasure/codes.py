@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from operator import add
 from typing import Mapping
 
 from . import modp
@@ -71,6 +72,10 @@ def pack_column(
     )
 
 
+# decode plans kept per code, as many as ``modp.layout`` keeps layouts
+PLAN_CAP = 1024
+
+
 @dataclass(frozen=True, eq=False)
 class LinearCode:
     """A parity-check matrix over the extension field, plus decoding context.
@@ -102,6 +107,15 @@ class LinearCode:
     form only: every correctability check and every decode reads its
     columns from there.  ``expansion(i)`` is the same block unpacked to
     digit tuples, for inspection.
+
+    The decoder reads two more caches, built on first decode.
+    ``decode_columns`` is every block with tag lanes added under
+    ``decode_layout`` (``layout`` plus n * alpha * e tag lanes, one group
+    of alpha * e per symbol): column k of symbol i carries minus the power
+    digits of w_k in group i (``OrderedBasis.decode_tags``).
+    ``decode_plan(t)`` is the echelon of pattern t's erased tagged columns
+    and its free count; at most ``PLAN_CAP`` plans are kept, and the
+    oldest is dropped first.
     """
 
     ext: ExtSpec
@@ -111,6 +125,7 @@ class LinearCode:
     provenance: Mapping = field(default_factory=dict)
     length: int | None = None
     _expansion: dict = field(init=False, repr=False, compare=False)
+    _plans: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         rows = tuple(tuple(row) for row in self.H)
@@ -133,6 +148,7 @@ class LinearCode:
         if self.claim is not None and self.claim.n != n:
             raise ParameterError("claimed family length does not match the code length")
         object.__setattr__(self, "_expansion", {})
+        object.__setattr__(self, "_plans", {})
 
     @cached_property
     def layout(self) -> modp.Layout:
@@ -152,6 +168,39 @@ class LinearCode:
     def expansion(self, i: int) -> tuple[tuple[int, ...], ...]:
         """Symbol i's block unpacked: ``expand_column`` of H[:, i]."""
         return tuple(tuple(self.layout.digits(x)) for x in self.block(i))
+
+    @cached_property
+    def decode_layout(self) -> modp.Layout:
+        """``layout`` with n * alpha * e tag lanes, one group per symbol;
+        its lanes have ``layout``'s bits."""
+        lay = self.layout
+        return modp.layout(lay.p, lay.width, self.n * self.ext.digit_layout.width)
+
+    @cached_property
+    def decode_columns(self) -> tuple[tuple[int, ...], ...]:
+        """Per symbol i, ``block(i)`` plus its tags: column k carries minus
+        the power digits of w_k in tag group i, so the tags of a
+        combination of columns are minus the power digits of the word
+        whose coordinate digits are its coefficients."""
+        tags = self.omega.decode_tags(self.decode_layout, self.n)
+        return tuple(tuple(map(add, self.block(i), tags[i])) for i in range(self.n))
+
+    def decode_plan(self, t: tuple[int, ...]) -> tuple[modp.Echelon, int]:
+        """The echelon of the erased tagged columns of pattern t (the first
+        t_i * e of each symbol's ``decode_columns``) and their free count,
+        the number of those columns that depend on earlier ones.  Built on
+        first use per pattern; past ``PLAN_CAP`` plans the oldest goes."""
+        plan = self._plans.get(t)
+        if plan is None:
+            e = self.ext.base.e
+            erased = [v for block, ti in zip(self.decode_columns, t) for v in block[: ti * e]]
+            ech = modp.Echelon(self.decode_layout)
+            for v in erased:
+                ech.insert(v)
+            if len(self._plans) >= PLAN_CAP:
+                del self._plans[next(iter(self._plans))]
+            plan = self._plans[t] = (ech, len(erased) - len(ech.rows))
+        return plan
 
     @cached_property
     def rank(self) -> int:

@@ -7,8 +7,7 @@ digits, forms a column, and t is correctable iff those columns are
 independent.  The columns are a prefix of each symbol's block of the
 code's stored expansion (``LinearCode.block``), packed one column per int,
 so every check is one small elimination over Z/p
-(``modp.prefix_echelons``, shared with UDM verification).  The same
-columns, fed the known suffix as a right-hand side, are the decoder.
+(``modp.prefix_echelons``, shared with UDM verification).
 
 The rows of those columns are power digits of the products, not their
 coordinates over omega.  Every row spelling that is an invertible F_p map
@@ -16,9 +15,23 @@ of the coordinates, applied to all columns alike, gives the same answers
 here: a set of columns is independent, has its first kernel vector, or
 solves a system with a right-hand side made of the same columns, in one
 spelling exactly when it does in the other, with the same coefficients.
-Those coefficients are coordinates over omega, so the witness and the
-decoded word come out in coordinates.  Only ``pattern_system``, a view for
-inspection, maps the rows back to coordinates.
+Those coefficients are coordinates over omega.  Only ``pattern_system``,
+a view for inspection, maps the rows back to coordinates.
+
+The decoder and the witness read those coefficients out through tag
+lanes instead (``LinearCode.decode_columns``): column k of symbol i
+carries minus the power digits of w_k = omega_j * x^d in symbol i's
+group of alpha * e tag lanes.  Any combination of tagged columns then
+carries, in its tags, minus the power digits of the word whose
+coordinate digits are its coefficients; elimination is linear mod p and
+treats tag lanes like any other, so the tags survive every reduction.  A
+decode reduces minus the known digits times their tagged columns against
+the pattern's plan (``LinearCode.decode_plan``), the echelon of its
+erased tagged columns, built once per code and pattern; the tags left
+are the power digits of the whole codeword, with no solve and no basis
+conversion (see ``decode``).  A witness is the first dependent erased
+tagged column, reduced: a codeword whose power digits are minus its
+tags.
 """
 
 from __future__ import annotations
@@ -67,11 +80,6 @@ def _checked_pattern(code: LinearCode, t) -> tuple[int, ...]:
 
 def _labels(t) -> list[tuple[int, int]]:
     return [(i, j) for i, ti in enumerate(t) for j in range(ti)]
-
-
-def _erased_columns(code: LinearCode, t) -> list[int]:
-    # packed prime-field columns of every erased (symbol, coordinate, digit)
-    return [col for i, ti in enumerate(t) for col in code.block(i)[: ti * code.ext.base.e]]
 
 
 def pattern_system(code: LinearCode, t) -> ExpandedSystem:
@@ -129,16 +137,29 @@ def _pattern_witness(code: LinearCode, t) -> tuple[Element, ...]:
     earlier ones raises the F_p rank by a full e, so the first dependent
     F_p column is digit 0 of the first dependent F_q column, and the F_p
     coefficients on each independent earlier block are the e digits of
-    its unique F_q coefficient.
+    its unique F_q coefficient.  Inserting the erased tagged columns
+    (``LinearCode.decode_columns``) in order, the first dependent one
+    reduces to that dependency, with its tags minus the power digits of
+    the codeword it spells.
     """
     e = code.ext.base.e
-    kernel = modp.dependency(_erased_columns(code, t), code.layout)
-    if kernel is None:
-        raise ParameterError(f"pattern {t} is correctable; no witness exists")
-    digits = [[0] * (code.ext.alpha * e) for _ in range(code.n)]
-    for k, (i, j) in enumerate(_labels(t)):
-        digits[i][j * e : (j + 1) * e] = kernel[k * e : (k + 1) * e]
-    return tuple(code.omega.from_coordinate_digits(d) for d in digits)
+    lay = code.decode_layout
+    ech = modp.Echelon(lay)
+    for block, ti in zip(code.decode_columns, t):
+        for v in block[: ti * e]:
+            left = ech.insert(v)
+            if left is not None:
+                return _symbols(code, [-d % lay.p for d in lay.digits(left, lay.width)])
+    raise ParameterError(f"pattern {t} is correctable; no witness exists")
+
+
+def _symbols(code: LinearCode, digits: list[int]) -> tuple[Element, ...]:
+    # the codeword with these power digits, alpha * e per symbol
+    ext = code.ext
+    n = ext.digit_layout.width
+    return tuple(
+        Element(ext, ext.from_digits(digits[k : k + n])) for k in range(0, len(digits), n)
+    )
 
 
 def _patterns_for(code: LinearCode, fam: PatternFamily, all_patterns: bool):
@@ -192,15 +213,23 @@ class DecodeResult:
 def decode(code: LinearCode, received: ReceivedWord) -> DecodeResult:
     """Fill in the erased leading coordinates of an erased codeword.
 
-    Solves the erased columns of the expansion against minus the known
-    columns times the known digits, over the prime field; that right-hand
-    side is a packed sum, normalized after every ``width`` terms.  A unique
-    solution reproduces the codeword; anything else is reported rather
-    than guessed.
+    The right-hand side is minus the known digits times their tagged
+    columns (``LinearCode.decode_columns``), one packed combination,
+    normalized after every ``width`` terms.  Its pivot lanes are minus the
+    known part's syndrome, and its tags the known symbols' power digits.
+    It is reduced against the pattern's plan (``LinearCode.decode_plan``),
+    the echelon of the erased tagged columns, built once per code and
+    pattern.  Nonzero pivot lanes left over mean the word is inconsistent,
+    and a free erased column that it is ambiguous; inconsistency is
+    reported first.  Otherwise the reduction subtracted the unique erased
+    digits times their tagged columns, which adds the erased symbols'
+    power digits to the tags, so the tags are the whole codeword's power
+    digits.  A unique solution reproduces the codeword; anything else is
+    reported rather than guessed.
     """
     if received.omega != code.omega:
         raise ParameterError("received word uses a different basis than the code")
-    t = received.pattern
+    t = tuple(received.pattern)
     if len(t) != code.n:
         raise ParameterError("received word length does not match the code")
     base = code.ext.base
@@ -208,29 +237,21 @@ def decode(code: LinearCode, received: ReceivedWord) -> DecodeResult:
 
     known_cols = []
     minus_digits = []
-    digits = []  # per symbol: coordinate digits, erased ones filled in below
-    for i, (ti, suffix) in enumerate(zip(t, received.known)):
-        sym = [0] * (ti * e)
+    for ti, suffix, block in zip(t, received.known, code.decode_columns):
+        k = ti * e
         for c in suffix:
             base._check_same(c)
-            sym.extend(c.coeffs)
-        for d, col in zip(sym[ti * e :], code.block(i)[ti * e :]):
-            if d:
-                known_cols.append(col)
-                minus_digits.append(p - d)
-        digits.append(sym)
-    lay = code.layout
-    rhs = lay.combination(minus_digits, known_cols)
-
-    result = modp.solve(_erased_columns(code, t), rhs, lay)
-    if result.status == "inconsistent":
+            for d in c.coeffs:
+                if d:
+                    known_cols.append(block[k])
+                    minus_digits.append(p - d)
+                k += 1
+    lay = code.decode_layout
+    ech, free = code.decode_plan(t)
+    left = ech.reduce(lay.combination(minus_digits, known_cols))
+    if left & lay.pivots:
         return DecodeResult("inconsistent")
-    if result.status == "ambiguous":
+    if free:
         # the F_p kernel of an F_q-linear map has e times its F_q dimension
-        return DecodeResult("ambiguous", None, result.free_count // e)
-
-    start = 0
-    for i, ti in enumerate(t):
-        digits[i][: ti * e] = result.solution[start : start + ti * e]
-        start += ti * e
-    return DecodeResult("decoded", tuple(code.omega.from_coordinate_digits(d) for d in digits))
+        return DecodeResult("ambiguous", None, free // e)
+    return DecodeResult("decoded", _symbols(code, lay.digits(left, lay.width)))

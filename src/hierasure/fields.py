@@ -733,6 +733,11 @@ class OrderedBasis:
     of D lanes holds the power digits of U_u * w_k.  P_0 is ``_to_power``
     and each later P_u is one before it times y or x in every group at
     once.
+
+    ``decode_tags`` gives, per symbol of a code, the tag lanes the decoder
+    adds to that symbol's expansion columns: minus the power digits of
+    each w_k, shifted to the symbol's group.  They are kept per tag layout
+    and code length, next to the product tables.
     """
 
     def __init__(self, ext: ExtSpec, elements: Sequence[Element]):
@@ -754,6 +759,7 @@ class OrderedBasis:
         except ParameterError:
             raise InvalidBasisError("elements are linearly dependent over the base field")
         self._tables: dict = {}
+        self._tags: dict = {}
         self._hash = hash((ext, tuple(el.coeffs for el in elems)))
 
     def multiples(self, h: Element, lay: modp.Layout) -> int:
@@ -785,6 +791,30 @@ class OrderedBasis:
                 v = _times_unit(v, tlay, n * n, n, y_folds)
                 table += _x_multiples(v, tlay, n * n, base)
             got = self._tables[lay.width] = (tlay, table)
+        return got
+
+    def decode_tags(self, lay: modp.Layout, n: int) -> list[list[int]]:
+        """Per symbol i < n, the D = alpha * e tags of its columns under
+        ``lay``: tag k holds minus the power digits of w_k, normalized, in
+        lanes [width + i*D, width + (i+1)*D), and zero elsewhere.  So the
+        tags of sum_k x_k * (column k + tag k) are minus the power digits
+        of sum_k x_k * w_k, symbol i's value with coordinate digits x."""
+        got = self._tags.get((lay, n))
+        if got is None:
+            # group k of the product table's P_0 holds the power digits of
+            # w_k in lanes of lay.bits bits; p - d in every lane, normalized,
+            # is -d mod p
+            tlay, table = self._table(lay)
+            b, n_digits = tlay.bits, self.ext.digit_layout.width
+            span = n_digits * b
+            lanes = n_digits * n_digits
+            minus = tlay.normalize(tlay.p * (((1 << lanes * b) - 1) // tlay.lane) - table[0])
+            group = (1 << span) - 1
+            at = lay.width * b
+            got = self._tags[lay, n] = [
+                [(minus >> k * span & group) << at + i * span for k in range(n_digits)]
+                for i in range(n)
+            ]
         return got
 
     def coordinate_digits(self, x: Element) -> list[int]:

@@ -4,10 +4,11 @@ Every hot question in the package reduces to one over the prime field.
 A code corrects a pattern t when the first t_i * e expansion columns of
 each symbol, stacked, are independent, and a UDM set is universally
 decodable when its stacked row prefixes are: one question, answered for
-both by ``prefix_echelons``.  Decoding solves one system against those
-columns.  The F_q answers carry over because each F_q-linear map is also
-F_p-linear and injectivity (or solvability) does not depend on which
-subfield it is linearized over.
+both by ``prefix_echelons``.  Decoding reduces one right-hand side
+against the echelon of a pattern's erased columns, tagged so that the
+reduced vector reads out the codeword.  The F_q answers carry over
+because each F_q-linear map is also F_p-linear and injectivity (or
+solvability) does not depend on which subfield it is linearized over.
 
 A vector is one int.  Its entry k is *lane* k, bits [k*B, (k+1)*B), and a
 ``Layout`` fixes B for a prime p and a *width*, the number of lanes
@@ -219,22 +220,6 @@ def tagged(columns: Sequence[int], lay: Layout) -> tuple[Layout, list[int]]:
     b, width = lay.bits, lay.width
     vectors = [col + (1 << (width + k) * b) for k, col in enumerate(columns)]
     return layout(lay.p, width, len(columns)), vectors
-
-
-def dependency(columns: Sequence[int], lay: Layout) -> list[int] | None:
-    """The kernel vector of the first dependent column, else None.
-
-    It is 1 at the first column f in the span of the earlier ones, zero
-    after f, and the unique coefficients before f; this is the first
-    vector of the canonical (reduced-echelon) kernel basis.
-    """
-    tags, vectors = tagged(columns, lay)
-    ech = Echelon(tags)
-    for v in vectors:
-        left = ech.insert(v)
-        if left is not None:
-            return tags.digits(left, tags.width)
-    return None
 
 
 def solve(columns: Sequence[int], rhs: int, lay: Layout) -> SolveResult:

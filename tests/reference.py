@@ -22,9 +22,9 @@ stacked-prefix walk as it was before patterns shared their prefixes, on
 the prime-field kernel as it was before vectors were packed into ints:
 a fresh ``ListEchelon`` per pattern, whose rows are lists of digits
 reduced entry by entry.  It shares no code with ``modp``, so it checks
-both the sharing and the packed elimination.  ``reference_dependency``,
-``reference_solve``, ``reference_inverse`` and ``reference_mat_vec`` are
-the list kernel's tagged systems and products.  ``reference_expand_column``
+both the sharing and the packed elimination.  ``reference_solve``,
+``reference_inverse`` and ``reference_mat_vec`` are the list kernel's
+tagged systems and products.  ``reference_expand_column``
 is the expansion of a column of H by extension products, which the packed
 product table replaced.  ``reference_is_irreducible``
 is the distinct-degree gcd test that Berlekamp's criterion replaced, on
@@ -309,16 +309,6 @@ class ListEchelon:
 def _tagged(columns):
     k = len(columns)
     return [list(col) + [int(i == j) for i in range(k)] for j, col in enumerate(columns)]
-
-
-def reference_dependency(columns, width, p):
-    """The first canonical kernel vector of the columns, else None."""
-    ech = ListEchelon(p, width)
-    for v in _tagged(columns):
-        left = ech.insert(v)
-        if left is not None:
-            return left[width:]
-    return None
 
 
 def reference_solve(columns, rhs, p):

@@ -1,0 +1,221 @@
+"""Compiled decode plans against the F_q reference decoder.
+
+``decode`` reduces minus the known digits times their tagged columns
+against a plan, the echelon of a pattern's erased tagged columns, built
+once per (code, pattern) and kept on the code.  The tag lanes of the
+reduced vector are the codeword's power digits, and the same tagged
+columns give the witness of a pattern that is not correctable.  The
+tests check plan reuse (no insert on a second word, tampered and honest
+words through one plan, separate plans per code, the cap) and words that
+drive the right-hand side's lanes to their bound, over the primes of
+``test_modp`` and towers with e = 2 and e = 3, all against
+``reference_decode`` and ``reference_witness``.
+"""
+
+import itertools
+import random
+
+import pytest
+
+from hierasure import (
+    Element,
+    FullFamily,
+    ParameterError,
+    ReceivedWord,
+    apply_erasure,
+    code_from_rows,
+    codes,
+    correctability,
+    decode,
+    enumerate_family,
+    kernel_basis,
+    modp,
+)
+from reference import reference_correctable, reference_decode, reference_witness
+from test_differential import random_code, random_codeword
+from towers import tower
+
+PRIMES = [2, 3, 7, 11, 251, 65521]
+# (p, e, alpha): a prime tower per prime, then the differential grid's
+# towers over F_4, F_9 and F_8 (alpha = 2) and F_4 (alpha = 3)
+LANE_TOWERS = [(p, 1, 2) for p in PRIMES] + [(2, 2, 2), (3, 2, 2), (2, 3, 2), (2, 2, 3)]
+
+
+def outcome(result):
+    return result.status, result.codeword, result.solution_space_dim
+
+
+def tampered(received, symbol):
+    base = received.omega.ext.base
+    known = [list(s) for s in received.known]
+    known[symbol][0] = known[symbol][0] + base.one()
+    return ReceivedWord(received.omega, received.pattern, tuple(tuple(s) for s in known))
+
+
+def nonzero_code(ext, n, r, rng):
+    """A random code whose check entries are all nonzero."""
+    while True:
+        code = random_code(ext, n, r, rng)
+        if all(h for row in code.H for h in row):
+            return code
+
+
+@pytest.fixture
+def inserts(monkeypatch):
+    """Counts ``Echelon.insert`` calls."""
+    calls = []
+    insert = modp.Echelon.insert
+
+    def counted(self, x):
+        calls.append(1)
+        return insert(self, x)
+
+    monkeypatch.setattr(modp.Echelon, "insert", counted)
+    return calls
+
+
+class TestPlanReuse:
+    def test_second_word_on_a_pattern_inserts_nothing(self, inserts):
+        rng = random.Random(21)
+        code = nonzero_code(tower(3, 1, 2), 4, 1, rng)
+        basis = kernel_basis(code)
+        t = (2, 0, 0, 0)
+        first = random_codeword(code, rng, basis)
+        assert decode(code, apply_erasure(first, t, code.omega)).codeword == first
+        assert inserts
+        inserts.clear()
+        for _ in range(3):
+            word = random_codeword(code, rng, basis)
+            got = decode(code, apply_erasure(word, t, code.omega))
+            assert got.status == "decoded" and got.codeword == word
+        assert not inserts
+
+    def test_plan_built_from_a_tampered_word_decodes_an_honest_one(self):
+        rng = random.Random(22)
+        for p, e, alpha in [(3, 1, 2), (2, 2, 2), (2, 2, 3)]:
+            code = nonzero_code(tower(p, e, alpha), 4, 1, rng)
+            word = random_codeword(code, rng, kernel_basis(code))
+            # one erased coordinate leaves the known symbols checked
+            honest = apply_erasure(word, (1, 0, 0, 0), code.omega)
+            bad = tampered(honest, 1)
+            assert outcome(decode(code, bad)) == reference_decode(code, bad)
+            assert decode(code, bad).status == "inconsistent"
+            assert list(code._plans) == [honest.pattern]
+            assert outcome(decode(code, honest)) == ("decoded", word, 0)
+            assert len(code._plans) == 1
+
+    def test_ambiguous_pattern_still_rejects_a_tampered_word(self):
+        # symbol 0's check column is zero, so erasing it leaves its digits
+        # free while the known symbols are still checked
+        rng = random.Random(23)
+        for p, e, alpha in [(3, 1, 2), (2, 2, 2), (2, 3, 2)]:
+            ext = tower(p, e, alpha)
+            row = [ext.zero()] + [ext.from_index(rng.randrange(1, ext.order)) for _ in range(3)]
+            code = code_from_rows(ext, [row], ext.polynomial_basis())
+            word = random_codeword(code, rng, kernel_basis(code))
+            honest = apply_erasure(word, (1, 0, 0, 0), code.omega)
+            bad = tampered(honest, 2)
+            for rw, status in ((bad, "inconsistent"), (honest, "ambiguous"), (bad, "inconsistent")):
+                got = decode(code, rw)
+                assert got.status == status
+                assert outcome(got) == reference_decode(code, rw)
+            assert decode(code, honest).solution_space_dim == 1
+            assert len(code._plans) == 1
+
+    def test_codes_sharing_omega_keep_separate_plans(self):
+        rng = random.Random(24)
+        ext = tower(5, 1, 2)
+        omega = ext.polynomial_basis()
+        pair = []
+        for zero in (False, True):
+            row = [ext.from_index(rng.randrange(1, ext.order)) for _ in range(3)]
+            if zero:
+                row[0] = ext.zero()  # the same pattern is ambiguous here only
+            pair.append(code_from_rows(ext, [row], omega))
+        bases = [kernel_basis(code) for code in pair]
+        t = (2, 0, 0)
+        seen = []
+        for k in range(4):
+            code = pair[k % 2]
+            word = random_codeword(code, rng, bases[k % 2])
+            rw = apply_erasure(word, t, omega)
+            got = decode(code, rw)
+            assert outcome(got) == reference_decode(code, rw)
+            seen.append(got.status)
+        assert seen == ["decoded", "ambiguous"] * 2
+        assert pair[0]._plans[t] is not pair[1]._plans[t]
+        assert [list(code._plans) for code in pair] == [[t], [t]]
+
+    def test_more_patterns_than_the_cap(self):
+        rng = random.Random(25)
+        code = random_code(tower(2, 1, 2), 7, 2, rng)
+        basis = kernel_basis(code)
+        patterns = list(itertools.product(range(3), repeat=7))[: codes.PLAN_CAP + 6]
+        statuses = set()
+        for t in patterns:
+            rw = apply_erasure(random_codeword(code, rng, basis), t, code.omega)
+            got = decode(code, rw)
+            assert outcome(got) == reference_decode(code, rw), t
+            statuses.add(got.status)
+            assert len(code._plans) <= codes.PLAN_CAP
+        assert statuses == {"decoded", "ambiguous"}
+        # the oldest plans went first
+        assert list(code._plans) == patterns[6:]
+        rw = apply_erasure(random_codeword(code, rng, basis), patterns[0], code.omega)
+        assert outcome(decode(code, rw)) == reference_decode(code, rw)
+        assert list(code._plans) == patterns[7:] + patterns[:1]
+
+
+class TestLanesAtTheirBound:
+    @pytest.mark.parametrize("p, e, alpha", LANE_TOWERS)
+    def test_extreme_known_digits_match_reference(self, p, e, alpha):
+        # every known digit p - 1 (coefficient 1), every known digit 1
+        # (coefficient p - 1, so each term adds up to (p - 1)^2 per lane),
+        # or a mix; far more nonzero known digits than the r * alpha * e
+        # pivot lanes, so the right-hand side is normalized several times
+        rng = random.Random(f"lanes/{p}/{e}/{alpha}")
+        ext = tower(p, e, alpha)
+        base = ext.base
+        statuses = set()
+        for n, r in ((4, 1), (5, 2), (6, 1)):
+            code = nonzero_code(ext, n, r, rng)
+            width = code.layout.width
+            patterns = [
+                (alpha,) * r + (0,) * (n - r),  # a square system
+                (alpha,) * r + (1,) + (0,) * (n - r - 1),  # one symbol more
+                (1,) + (0,) * (n - 1),
+            ]
+            for t in patterns:
+                for fill in ([p - 1], [1], [1, p - 1]):
+                    known = tuple(
+                        tuple(
+                            Element(base, base.from_digits([rng.choice(fill) for _ in range(e)]))
+                            for _ in range(alpha - ti)
+                        )
+                        for ti in t
+                    )
+                    assert sum(alpha - ti for ti in t) * e > width
+                    rw = ReceivedWord(code.omega, t, known)
+                    got = decode(code, rw)
+                    assert outcome(got) == reference_decode(code, rw), (code.H, t, fill)
+                    statuses.add(got.status)
+        assert statuses == {"decoded", "ambiguous", "inconsistent"}
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_witnesses_match_reference(p):
+    # every pattern of a full family on small random codes, some with a
+    # zero column or a dependent row, so many patterns fail
+    rng = random.Random(f"witness/{p}")
+    ext = tower(p, 1, 2)
+    failing = 0
+    for k in range(4):
+        code = random_code(ext, rng.randrange(2, 4), rng.randrange(1, 3), rng, k % 2 == 1, k >= 2)
+        for t in enumerate_family(FullFamily(2, 2 * code.r, code.n)):
+            if reference_correctable(code, t):
+                with pytest.raises(ParameterError):
+                    correctability._pattern_witness(code, t)
+            else:
+                assert correctability._pattern_witness(code, t) == reference_witness(code, t)
+                failing += 1
+    assert failing > 0
