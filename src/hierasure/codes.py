@@ -30,33 +30,14 @@ from .fields import Element, ExtSpec, OrderedBasis
 from .patterns import PatternFamily
 
 
-def expand_column(
-    omega: OrderedBasis, column, width: int | None = None
-) -> tuple[tuple[int, ...], ...]:
-    """The prime-field columns of column * w_k, w_k = omega_j * x^d for k =
-    j*e + d: column k stacks, entry by entry, the alpha * e power digits
-    of each entry times w_k (``ExtSpec.digits``).  Only the first
-    ``width`` columns are built; by default all alpha * e.  This is the
-    digit view of ``pack_column``.
-
-    The rows are in the power basis, not in coordinates over omega.  The
-    two differ by one invertible F_p map per entry (``OrderedBasis``'s
-    ``_from_power``), applied to every column alike, so every question
-    asked of the columns has the same answer in either: which prefixes
-    are independent, the first kernel vector of a set of them, and the
-    solution of a system whose right-hand side is built from the same
-    columns.  The unknowns of all three are coordinates over omega.
-    """
-    ext = omega.ext
-    lay = modp.layout(ext.base.p, len(column) * ext.alpha * ext.base.e)
-    return tuple(tuple(lay.digits(x)) for x in pack_column(omega, column, lay, width))
-
-
 def pack_column(
     omega: OrderedBasis, column, lay: modp.Layout, width: int | None = None
 ) -> tuple[int, ...]:
-    """``expand_column``'s columns, each packed under ``lay`` (whose width
-    is len(column) * alpha * e).
+    """The prime-field columns of column * w_k, w_k = omega_j * x^d for k =
+    j*e + d, each packed under ``lay`` (whose width is len(column) * alpha
+    * e): column k stacks, entry by entry, the alpha * e power digits of
+    each entry times w_k (``ExtSpec.digits``).  Only the first ``width``
+    columns are built; by default all alpha * e.
 
     Each entry h gives one ``OrderedBasis.multiples``, whose group k holds
     the power digits of h * w_k; column k is group k of every entry,
@@ -105,8 +86,7 @@ class LinearCode:
     keep append-only rows, so a walk rolls one back with ``del rows[s:]``.
     Blocks are built on first use and kept on the code, in that packed
     form only: every correctability check and every decode reads its
-    columns from there.  ``expansion(i)`` is the same block unpacked to
-    digit tuples, for inspection.
+    columns from there.
 
     The decoder reads two more caches, built on first decode.
     ``decode_columns`` is every block with tag lanes added under
@@ -164,10 +144,6 @@ class LinearCode:
             column = [row[i] for row in self.H]
             block = self._expansion[i] = pack_column(self.omega, column, self.layout)
         return block
-
-    def expansion(self, i: int) -> tuple[tuple[int, ...], ...]:
-        """Symbol i's block unpacked: ``expand_column`` of H[:, i]."""
-        return tuple(tuple(self.layout.digits(x)) for x in self.block(i))
 
     @cached_property
     def decode_layout(self) -> modp.Layout:

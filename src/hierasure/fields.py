@@ -9,10 +9,17 @@ can be shared between threads without synchronization.
 
 Each field spells its elements as prime-field digits (``digits`` /
 ``from_digits``; y-power major in the extension), and every F_p matrix
-in the package is built on that spelling.  Multiplication is schoolbook
-polynomial arithmetic reduced by the modulus, one loop on plain ints
-mod p for the base field and for an extension of a prime field; powers
-are square-and-multiply and the inverse is a^(order-2).
+in the package is built on that spelling.  Each field also has one
+packed step, ``power_multiples``: the products of a packed value by the
+field's power units (x^d in the base field, y^a * x^d in the extension),
+made by lane shifts with the folds read off the moduli.  Every F_p
+matrix of multiplication by an element comes from it: basis tables,
+``linalg`` blocks, UDM digit rows and both matrices of the
+irreducibility test.  Multiplication with prime-field coefficients (the
+base field, and an extension of a prime field) is schoolbook arithmetic
+on plain ints mod p reduced by the modulus; over a non-prime base it is
+one packed combination of a's digits with the power multiples of b.
+Powers are square-and-multiply and the inverse is a^(order-2).
 
 A modulus is irreducible by one test on the field's own arithmetic,
 Berlekamp's criterion: set up K[y]/(f) as if f were irreducible, and
@@ -29,9 +36,9 @@ coordinates over omega, each base-field coordinate spelled as its e
 digits.  Every coordinate question, including whether a tuple is a
 basis at all, goes through that one integer map.  For the expansion of
 a code, a basis also keeps a packed product table, built on first use:
-the power digits of every power unit times every omega_j * x^d, made by
-steps of multiplication by y and x read off the two moduli, so an
-expansion needs no extension product.
+the power digits of every power unit times every omega_j * x^d, the
+extension's power multiples of those elements, so an expansion needs no
+extension product.
 
 Deterministic search orders are part of the contract: modulus searches
 shuffle the positions of the candidates with a seeded RNG, while element searches
@@ -90,43 +97,8 @@ def lucas_binom(b: int, a: int, p: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Products.  Polynomials over a base field are trimmed lists of its raws,
-# ascending powers; an extension of a non-prime base multiplies with them.
-
-
-def _poly_trim(c, K):
-    c = list(c)
-    while c and c[-1] == K.rzero:
-        c.pop()
-    return c
-
-
-def _poly_mul(a, b, K):
-    if not a or not b:
-        return []
-    out = [K.rzero] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai == K.rzero:
-            continue
-        for j, bj in enumerate(b):
-            if bj == K.rzero:
-                continue
-            out[i + j] = K.radd(out[i + j], K.rmul(ai, bj))
-    return _poly_trim(out, K)
-
-
-def _poly_rem(a, m, K):
-    # m monic, trimmed
-    a = list(a)
-    dm = len(m) - 1
-    for k in range(len(a) - 1, dm - 1, -1):
-        c = a[k]
-        if c == K.rzero:
-            continue
-        for t in range(dm):
-            a[k - dm + t] = K.rsub(a[k - dm + t], K.rmul(c, m[t]))
-        a[k] = K.rzero
-    return _poly_trim(a[:dm], K)
+# Products: schoolbook on plain ints for prime-field coefficients, and
+# packed steps by the power units for every multiplication matrix.
 
 
 def _int_mulmod(a, b, low, p: int) -> list[int]:
@@ -146,6 +118,34 @@ def _int_mulmod(a, b, low, p: int) -> list[int]:
             for t, mt in enumerate(low, k - d):
                 prod[t] -= c * mt
     return prod[:d]
+
+
+def _times_unit(v: int, lay: modp.Layout, lanes: int, period: int, folds: Sequence[int]) -> int:
+    """Every group of ``period`` lanes of v times z (x or y), normalized.
+
+    v has ``lanes`` lanes packed under ``lay`` (lay.lanes >= lanes), read
+    as groups of ``period`` digits against units b_0 .. b_(period-1) with
+    z * b_l = b_(l+s) for l + s < period and z * b_(period-s+d) = folds[d],
+    s = len(folds), each fold packed over one group.  So the product is a
+    shift of s lanes, after which the s lanes that left each group sit at
+    the bottom of the next; they are cut out, and lane d of them is spread
+    over its own group by one multiply with folds[d].  Lanes then stay at
+    most (p-1) + s * (p-1)^2, so s must not exceed lay.width.  Multiplying
+    by x is z = x, period e and the fold -f_low; by y over the power digits
+    of the extension, z = y, period alpha * e and folds -x^d * g_low(y).
+    """
+    b = lay.bits
+    s = len(folds)
+    step = period * b
+    ones = ((1 << step * (lanes // period)) - 1) // ((1 << step) - 1)  # a 1 in lane 0 of each group
+    v <<= s * b
+    tops = v & (ones << step) * ((1 << s * b) - 1)
+    v ^= tops
+    tops >>= step
+    starts = ones * lay.lane  # lane 0 of each group
+    for d, fold in enumerate(folds):
+        v += (tops >> d * b & starts) * fold
+    return lay.normalize(v)
 
 
 def _grouped(digits: Sequence[int], e: int) -> tuple:
@@ -171,10 +171,11 @@ class _Field:
     A subclass's ``_setup`` sets ``order``, ``modulus``, ``_kdigits``
     (K's F_p digit count) and ``digit_layout`` (one lane per F_p digit of
     the field), then calls ``_init_engine``.  The subclass defines the raw
-    arithmetic (radd, rsub, rneg, rmul, rcheck) and the digit codec
-    (digits, from_digits), on which indices and lexicographic order are
-    built: the index of a raw value is its digits read base p, so
-    ``from_index(p**k)`` is the unit whose digit k is 1.
+    arithmetic (radd, rsub, rneg, rmul, rcheck), the digit codec (digits,
+    from_digits), on which indices and lexicographic order are built, and
+    ``power_multiples``, the products by the power units.  The index of a
+    raw value is its digits read base p, so ``from_index(p**u)`` is the
+    power unit U_u, the unit whose digit u is 1.
     """
 
     _kdigits: int
@@ -206,32 +207,32 @@ class _Field:
         is squarefree exactly when its derivative is a unit of R.  So f is
         irreducible iff, as F_p-linear maps of R's D digits, a -> a^|K| - a
         has rank D - c, with c the digit count of K, and multiplication by
-        f' has rank D.  The images of a -> a^|K| are kept as the packed
-        ``_frobenius_columns``.
+        f' has rank D: its matrix is the power multiples of f'.  The images
+        of a -> a^|K| are kept as the packed ``_frobenius_columns``.
         """
         lay = self.digit_layout
         p, n, c = lay.p, lay.width, self._kdigits
         # f' has (u + 1) * f_(u+1) at y^u, and f_deg = 1
-        df = self.from_digits([(k // c + 1) * d % p for k, d in enumerate(self.digits(self.modulus[1:]))])
-        if df == self.rzero:
+        df = [(k // c + 1) * d % p for k, d in enumerate(self.digits(self.modulus[1:]))]
+        if not any(df):
             return False  # f is a p-th power
-        units = [self.rfrom_index(p**t) for t in range(n)]
         # a -> a^|K| is K-linear and fixes K, so it sends the unit y^u * x^d
-        # to (y^|K|)^u * x^d; units[c] is y
-        images = units[:c]
+        # to (y^|K|)^u * x^d: the units x^d themselves for u = 0, then K's
+        # power multiples of each power of y^|K| (digit c is y; K = F_p,
+        # c = 1, has the one power unit 1)
+        cols = [1 << d * lay.bits for d in range(c)]
         if n > c:
-            step = acc = self.rpow(units[c], p**c)
+            step = acc = self.rpow(self.rfrom_index(p**c), p**c)
             for u in range(1, n // c):
                 if u > 1:
                     acc = self.rmul(acc, step)
-                images.append(acc)
-                images.extend(self.rmul(acc, x) for x in units[1:c])
-        self._frobenius_columns = cols = [lay.pack(self.digits(a)) for a in images]
+                col = lay.pack(self.digits(acc))
+                cols += self.base.power_multiples(col, lay, n) if c > 1 else [col]
+        self._frobenius_columns = cols
         moved = [lay.normalize(col + (p - 1 << k * lay.bits)) for k, col in enumerate(cols)]
         if _rank(moved, lay) != n - c:
             return False
-        products = [df] + [self.rmul(u, df) for u in units[1:]]
-        return _rank([lay.pack(self.digits(a)) for a in products], lay) == n
+        return _rank(self.power_multiples(lay.pack(df), lay, n), lay) == n
 
     # -- raw arithmetic ----------------------------------------------------
 
@@ -360,6 +361,7 @@ class FieldSpec(_Field):
         self.order = p**e
         self._kdigits = 1
         self._int_low = mod[:-1]
+        self._minus_low = [-c % p for c in mod[:-1]]
         self.digit_layout = modp.layout(p, e)
         self._init_engine((0,) * e, (1,) + (0,) * (e - 1))
         self._hash = hash(("FieldSpec", p, e, mod))
@@ -383,6 +385,18 @@ class FieldSpec(_Field):
         if self.e == 1:
             return (a[0] * b[0] % p,)
         return tuple(x % p for x in _int_mulmod(zip(a), tuple(zip(b)), self._int_low, p))
+
+    def power_multiples(self, v: int, lay: modp.Layout, lanes: int) -> list[int]:
+        """[v, x * v, ..., x^(e-1) * v]: each group of e digits packed side
+        by side in v (``lanes`` lanes under ``lay``, normalized) times each
+        power unit x^d, normalized.  x * x^(e-1) = -f_low(x), f the
+        modulus."""
+        out = [v]
+        if self.e > 1:
+            fold = [lay.pack(self._minus_low)]
+            for _ in range(1, self.e):
+                out.append(_times_unit(out[-1], lay, lanes, self.e, fold))
+        return out
 
     def rcheck(self, a) -> bool:
         p = self.p
@@ -452,6 +466,7 @@ class ExtSpec(_Field):
         self._init_engine((base.rzero,) * alpha, (base.rone,) + (base.rzero,) * (alpha - 1))
         self._hash = hash(("ExtSpec", base, alpha, mod))
         self._poly_basis = None
+        self._y_folds: dict = {}
 
     # -- raw arithmetic over the base ----------------------------------------
 
@@ -472,9 +487,39 @@ class ExtSpec(_Field):
         if low is not None:
             p = self.base.p
             return tuple((x % p,) for x in _int_mulmod(a, b, low, p))
-        base = self.base
-        r = _poly_rem(_poly_mul(a, b, base), self.modulus, base)
-        return tuple(r) + (base.rzero,) * (self.alpha - len(r))
+        # a * b = sum_u a_u * U_u * b over a's digits a_u
+        lay = self.digit_layout
+        products = self.power_multiples(lay.pack(self.digits(b)), lay, lay.width)
+        return self.from_digits(lay.digits(lay.combination(self.digits(a), products)))
+
+    def power_multiples(self, v: int, lay: modp.Layout, lanes: int) -> list[int]:
+        """The D = alpha * e products U_u * v, U_u = y^a * x^d for u = a*e +
+        d, of each group of D power digits packed side by side in v
+        (``lanes`` lanes under ``lay``, normalized), each normalized.  Each
+        y^a * v is the one before times y, and the base's power multiples
+        give its x^d multiples."""
+        base, n = self.base, self.digit_layout.width
+        out = base.power_multiples(v, lay, lanes)
+        if self.alpha > 1:
+            folds = self._folds(lay)
+            for _ in range(1, self.alpha):
+                v = _times_unit(v, lay, lanes, n, folds)
+                out += base.power_multiples(v, lay, lanes)
+        return out
+
+    def _folds(self, lay: modp.Layout) -> list[int]:
+        # y * y^(alpha-1) x^d = -x^d * g_low(y), g the modulus: fold d packed
+        # over one group in lanes of lay.bits bits.  They are made under the
+        # field's own layout, which has the D lanes they need whatever lay
+        # has, and kept per lane size.
+        folds = self._y_folds.get(lay.bits)
+        if folds is None:
+            dl = self.digit_layout
+            minus_g = dl.pack([-c % self.base.p for g in self.modulus[:-1] for c in g])
+            folds = self._y_folds[lay.bits] = [
+                lay.pack(dl.digits(f)) for f in self.base.power_multiples(minus_g, dl, dl.width)
+            ]
+        return folds
 
     def rcheck(self, a) -> bool:
         base = self.base
@@ -671,46 +716,6 @@ def make_tower(p: int, e: int, alpha: int, seed: int = 0) -> ExtSpec:
 # Bases.
 
 
-def _times_unit(v: int, lay: modp.Layout, lanes: int, period: int, folds: Sequence[int]) -> int:
-    """Every group of ``period`` lanes of v times z (x or y), normalized.
-
-    v has ``lanes`` lanes packed under ``lay`` (lay.lanes >= lanes), read
-    as groups of ``period`` digits against units b_0 .. b_(period-1) with
-    z * b_l = b_(l+s) for l + s < period and z * b_(period-s+d) = folds[d],
-    s = len(folds), each fold packed over one group.  So the product is a
-    shift of s lanes, after which the s lanes that left each group sit at
-    the bottom of the next; they are cut out, and lane d of them is spread
-    over its own group by one multiply with folds[d].  Lanes then stay at
-    most (p-1) + s * (p-1)^2, so s must not exceed lay.width.  Multiplying
-    by x is z = x, period e and the fold -f_low; by y over the power digits
-    of the extension, z = y, period alpha * e and folds -x^d * g_low(y).
-    """
-    b = lay.bits
-    s = len(folds)
-    step = period * b
-    ones = ((1 << step * (lanes // period)) - 1) // ((1 << step) - 1)  # a 1 in lane 0 of each group
-    v <<= s * b
-    tops = v & (ones << step) * ((1 << s * b) - 1)
-    v ^= tops
-    tops >>= step
-    starts = ones * lay.lane  # lane 0 of each group
-    for d, fold in enumerate(folds):
-        v += (tops >> d * b & starts) * fold
-    return lay.normalize(v)
-
-
-def _x_multiples(v: int, lay: modp.Layout, lanes: int, base: FieldSpec) -> list[int]:
-    """[v, x * v, ..., x^(e-1) * v] for v of ``lanes`` lanes under ``lay``,
-    each group of e lanes a base-field value: x * x^(e-1) = -f_low(x),
-    with f the base modulus."""
-    p, e = base.p, base.e
-    fold = [lay.pack([-c % p for c in base.modulus[:-1]])]
-    out = [v]
-    for _ in range(1, e):
-        out.append(_times_unit(out[-1], lay, lanes, e, fold))
-    return out
-
-
 class OrderedBasis:
     """An ordered basis of the extension over its base field.
 
@@ -718,8 +723,8 @@ class OrderedBasis:
     field, built at construction: the ``alpha * e`` elements
     ``w_k = omega_j * x^d`` (k = j*e + d) form an F_p-basis exactly when
     omega is an F_q-basis, so a singular digit matrix is the basis check.
-    Their power digits come from omega's by steps of multiplication by x
-    (``_x_multiples``), with no extension products.
+    Their power digits are the base's power multiples of omega's, with no
+    extension products.
     ``coordinate_digits`` / ``from_coordinate_digits`` convert between an
     element and its digits against the w_k (digit d of coordinate j at
     index j*e + d); ``coordinates`` / ``combine`` group those digits into
@@ -730,9 +735,8 @@ class OrderedBasis:
     ``multiples`` gives the power digits of h * w_k for every k at once,
     from a product table built on first use: D = alpha * e packed ints
     P_u, one per power unit U_u = y^a * x^d (u = a*e + d), whose group k
-    of D lanes holds the power digits of U_u * w_k.  P_0 is ``_to_power``
-    and each later P_u is one before it times y or x in every group at
-    once.
+    of D lanes holds the power digits of U_u * w_k: the extension's power
+    multiples of ``_to_power`` packed as D groups.
 
     ``decode_tags`` gives, per symbol of a code, the tag lanes the decoder
     adds to that symbol's expansion columns: minus the power digits of
@@ -752,7 +756,7 @@ class OrderedBasis:
         self._to_power = [
             v
             for w in elems
-            for v in _x_multiples(lay.pack(ext.digits(w.coeffs)), lay, lay.width, ext.base)
+            for v in ext.base.power_multiples(lay.pack(ext.digits(w.coeffs)), lay, lay.width)
         ]
         try:
             self._from_power = modp.inverse(self._to_power, lay)
@@ -778,19 +782,11 @@ class OrderedBasis:
         got = self._tables.get(lay.width)
         if got is None:
             ext = self.ext
-            base = ext.base
             dl = ext.digit_layout
             n = dl.width  # D
-            tlay = modp.layout(base.p, lay.width, max(n * n - lay.width, 0))
-            # y * y^(alpha-1) x^d = -x^d * g_low(y), with g the extension modulus
-            minus_g = tlay.pack([-c % base.p for g in ext.modulus[:-1] for c in g])
-            y_folds = _x_multiples(minus_g, tlay, n, base)
+            tlay = modp.layout(dl.p, lay.width, max(n * n - lay.width, 0))
             v = tlay.pack([d for col in self._to_power for d in dl.digits(col)])
-            table = _x_multiples(v, tlay, n * n, base)
-            for _ in range(1, ext.alpha):
-                v = _times_unit(v, tlay, n * n, n, y_folds)
-                table += _x_multiples(v, tlay, n * n, base)
-            got = self._tables[lay.width] = (tlay, table)
+            got = self._tables[lay.width] = (tlay, ext.power_multiples(v, tlay, n * n))
         return got
 
     def decode_tags(self, lay: modp.Layout, n: int) -> list[list[int]]:
@@ -972,14 +968,32 @@ class QuadraticRoot:
 
 
 def _quadratic_root_in_plane(ext: ExtSpec, a0: Element, a1: Element) -> "QuadraticRoot | None":
-    # locate a root of x^2 + a1 x + a0 inside the canonical degree-2 subfield
+    """The lexicographically first root of x^2 + a1 x + a0 in the degree-2
+    subfield S, or None when the quadratic is reducible over the base.
+
+    The roots are the b in S with b + b^q = -a1 and b * b^q = a0.  The
+    trace b -> b + b^q is F_q-linear on S, so the first condition is a
+    line u + c * v, v spanning the trace's kernel.  On it the norm is
+    N(v) c^2 + T(u * v^q) c + N(u), so one scan of c over F_q finds a
+    root, and the other root is -a1 minus it.
+    """
     base = ext.base
     if not ExtSpec._candidate(base, 2, (a0.coeffs, a1.coeffs, base.rone))._irreducible():
         return None
-    la0, la1 = ext.lift(a0), ext.lift(a1)
-    for b in iter_subfield_members(ext, 2):
-        if b * b + la1 * b + la0 == ext.zero():
-            return QuadraticRoot(a0, a1, b)
+
+    def trace2(b):  # b + b^q, in the base field for b in S
+        return ext.as_base(b + ext.frobenius(b))
+
+    s1, s2 = subfield_basis(ext, 2)
+    t1, t2 = trace2(s1), trace2(s2)
+    v = ext.lift(t2) * s1 - ext.lift(t1) * s2
+    u = ext.lift(-a1 / t1) * s1 if t1 else ext.lift(-a1 / t2) * s2
+    vq = ext.frobenius(v)
+    norm_v, cross, norm_u = ext.as_base(v * vq), trace2(u * vq), ext.as_base(u * ext.frobenius(u))
+    for c in base.lex_elements():
+        if (norm_v * c + cross) * c + norm_u == a0:
+            b = u + ext.lift(c) * v
+            return QuadraticRoot(a0, a1, min(b, -ext.lift(a1) - b, key=lambda el: el.coeffs))
     return None  # pragma: no cover
 
 
@@ -994,6 +1008,8 @@ def find_quadratic_root(ext: ExtSpec) -> QuadraticRoot:
         raise ParameterError("quadratic roots exist in the extension only for even alpha")
     base = ext.base
     for a0 in base.lex_elements():
+        if not a0:
+            continue  # x divides x^2 + a1 x
         for a1 in base.lex_elements():
             root = _quadratic_root_in_plane(ext, a0, a1)
             if root is not None:

@@ -7,10 +7,11 @@ first-nonzero pivoting, but no elimination runs on Element objects: every
 question is answered by ``modp.Echelon`` on the matrix linearized over F_p,
 its columns packed one per int.
 
-A field K of the tower has a prime-field basis of ``deg`` unit digits
-(x^d for the base field, y^u x^d for the extension), the first of them 1,
-and each column of a K-matrix becomes a block of ``deg`` F_p columns, its
-entries times each unit digit.  The blocks are inserted left to right.  A
+A field K of the tower has a prime-field basis of ``deg`` power units
+(x^d for the base field, y^a x^d for the extension), the first of them
+1, and each column of a K-matrix becomes a block of ``deg`` F_p columns,
+the column times each power unit: the field's ``power_multiples`` of the
+column's digits, packed.  The blocks are inserted left to right.  A
 column in the K-span of the columns before it is found by its digit-0
 F_p column alone: that column then reduces to zero, and its tags hold,
 digit by digit, the coefficients of the column's canonical kernel vector.
@@ -31,14 +32,13 @@ from .modp import SolveResult
 def _linearize(rows: Sequence[Sequence], ncols: int, spec):
     """The layout, deg and the packed F_p columns of the matrix, a block of
     deg per column."""
-    p, deg = spec.digit_layout.p, spec.digit_layout.width
-    lay = modp.layout(p, len(rows) * deg)
-    units = [Element(spec, spec.rfrom_index(p**t)) for t in range(deg)]
-    columns = [
-        lay.pack([d for row in rows for d in spec.digits((row[j] * u).coeffs)])
-        for j in range(ncols)
-        for u in units
-    ]
+    deg = spec.digit_layout.width
+    height = len(rows) * deg
+    lay = modp.layout(spec.digit_layout.p, height)
+    columns = []
+    for j in range(ncols):
+        column = lay.pack([d for row in rows for d in spec.digits(row[j].coeffs)])
+        columns += spec.power_multiples(column, lay, height)
     return lay, deg, columns
 
 

@@ -73,16 +73,14 @@ class UdmSet:
 
 
 def _digit_rows(u: UdmSet) -> tuple[modp.Layout, list[list[int]]]:
-    # per matrix, each F_q row v as the e prime-field rows x^d * v, so a
-    # prefix of t_i rows becomes a prefix of t_i * e digit rows, each
-    # packed under the layout of m * e digits
+    # per matrix, each F_q row v as the e prime-field rows x^d * v (the
+    # field's power multiples of v), so a prefix of t_i rows becomes a
+    # prefix of t_i * e digit rows, each packed under the layout of m * e
+    # digits
     field = u.field
     lay = modp.layout(field.p, u.m * field.e)
-    units = [field.from_index(field.p**d) for d in range(field.e)]  # x^d
-    return lay, [
-        [lay.pack([c for entry in row for c in (x * entry).coeffs]) for row in mat for x in units]
-        for mat in u.matrices
-    ]
+    packed = ([lay.pack([c for entry in row for c in entry.coeffs]) for row in mat] for mat in u.matrices)
+    return lay, [[v for row in mat for v in field.power_multiples(row, lay, lay.width)] for mat in packed]
 
 
 def verify_udm(u: UdmSet) -> UdmCheck:

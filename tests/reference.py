@@ -28,7 +28,9 @@ tagged systems and products.  ``reference_expand_column``
 is the expansion of a column of H by extension products, which the packed
 product table replaced.  ``reference_is_irreducible``
 is the distinct-degree gcd test that Berlekamp's criterion replaced, on
-polynomials over a field's own raw arithmetic.
+polynomials over a field's own raw arithmetic.  ``reference_quadratic_root``
+is the quadratic-root search as it was before it solved on the trace
+line: a walk over every member of the degree-2 subfield.
 """
 
 import itertools
@@ -44,6 +46,7 @@ from hierasure import (
     LinearCode,
     ParameterError,
     PowerFamily,
+    QuadraticRoot,
     code_from_rows,
     enumerate_family,
     family_contains,
@@ -52,6 +55,7 @@ from hierasure import (
     subfield_basis,
 )
 from hierasure.constructions import _gv_bound_base
+from hierasure.fields import iter_subfield_members
 from hierasure.patterns import _bounded_sum_tuples
 
 import element_linalg
@@ -502,3 +506,18 @@ def reference_is_irreducible(coeffs, K):
         if len(_gcd(_sub(frob, y, K), f, K)) > 1:
             return False
     return True
+
+
+def reference_quadratic_root(ext, a0=None):
+    """The first irreducible x^2 + a1 x + a0 over the base in (a0, a1)
+    lexicographic order (a0 pinned when given), and its first root in a
+    lexicographic walk over the degree-2 subfield."""
+    base = ext.base
+    for c0 in base.lex_elements() if a0 is None else [a0]:
+        for a1 in base.lex_elements():
+            if reference_is_irreducible([c0.coeffs, a1.coeffs, base.rone], base):
+                lc0, la1 = ext.lift(c0), ext.lift(a1)
+                for b in iter_subfield_members(ext, 2):
+                    if not b * b + la1 * b + lc0:
+                        return QuadraticRoot(c0, a1, b)
+    raise ConstructionError("no irreducible quadratic found")

@@ -7,16 +7,14 @@ import random
 import pytest
 
 from hierasure import (
-    Element,
     OrderedBasis,
-    QuadraticRoot,
     b_symmetric_basis,
     code_from_rows,
     dual_basis,
     find_quadratic_root,
     is_correcting,
 )
-from hierasure.codes import expand_column
+from hierasure.codes import pack_column
 from reference import reference_expand_column
 from test_differential import TOWERS, random_code
 import element_linalg
@@ -27,21 +25,17 @@ from towers import tower, trace_instance
 ORACLE_TOWERS = TOWERS + [(7, 1, 4), (11, 1, 8), (251, 1, 2), (65521, 1, 2)]
 
 
-def _quadratic_root(ext):
-    # for alpha = 2, y is a root of the extension modulus itself, which
-    # spares the search over the whole field
-    if ext.alpha == 2:
-        g0, g1, _ = ext.modulus
-        return QuadraticRoot(Element(ext.base, g0), Element(ext.base, g1), ext.from_index(ext.base.order))
-    return find_quadratic_root(ext)
-
-
 def _bases(ext):
     poly = ext.polynomial_basis()
     bases = {"polynomial": poly, "dual": dual_basis(poly)}
     if ext.alpha % 2 == 0:
-        bases["b-symmetric"] = b_symmetric_basis(ext, _quadratic_root(ext))
+        bases["b-symmetric"] = b_symmetric_basis(ext, find_quadratic_root(ext))
     return bases
+
+
+def _digits(code, i):
+    # symbol i's block, each column unpacked to its digits
+    return tuple(tuple(code.layout.digits(x)) for x in code.block(i))
 
 
 def test_trace_code_rank_expands_each_coordinate_once(monkeypatch):
@@ -79,8 +73,9 @@ def test_blocks_match_element_products(p, e, alpha):
             for i in range(code.n):
                 column = [row[i] for row in code.H]
                 want = reference_expand_column(omega, column)
-                assert code.expansion(i) == want, (name, r, i)
-                assert expand_column(omega, column, e) == want[:e]
+                assert _digits(code, i) == want, (name, r, i)
+                lay = code.layout
+                assert pack_column(omega, column, lay, e) == tuple(map(lay.pack, want[:e]))
         assert sorted(omega._tables) == [r * alpha * e for r in (1, 2, 3)]
 
 
@@ -100,10 +95,10 @@ def test_rank_and_dim_match_element_elimination(expanded_first):
                 code = code_from_rows(ext, rows, code.omega)
             if expanded_first:
                 for i in range(code.n):
-                    code.expansion(i)
+                    code.block(i)
             want = element_linalg.rank([list(row) for row in code.H], ext)
             assert (code.rank, code.dim) == (want, n - want)
             deficient += want < min(n, r)
             for i in code._expansion:
-                assert code.expansion(i) == expand_column(code.omega, [row[i] for row in code.H])
+                assert _digits(code, i) == reference_expand_column(code.omega, [row[i] for row in code.H])
     assert deficient > 0

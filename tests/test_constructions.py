@@ -337,8 +337,8 @@ class TestBalancedCode:
 
     def test_deeper_tower_over_nonprime_base(self):
         # q=9, alpha=8: the base field is not prime, so every extension
-        # product takes the generic polynomial branch rather than the plain
-        # int one, end to end with a three-level chain
+        # product is a packed combination with power multiples rather than
+        # the plain int one, end to end with a three-level chain
         ext = tower(3, 2, 8)
         assert ext._int_low is None
         code = balanced_code(3, ext)

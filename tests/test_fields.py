@@ -18,12 +18,13 @@ from hierasure import (
     lucas_binom,
     make_field,
     make_tower,
+    quadratic_root_with_constant,
     subfield_basis,
     subfield_members,
     trace,
 )
 from hierasure import fields, modp
-from reference import reference_is_irreducible
+from reference import _mul, _rem, reference_is_irreducible, reference_quadratic_root
 from towers import field, tower
 
 
@@ -139,20 +140,30 @@ class TestArithmetic:
             assert a * (b + c) == a * b + a * c
             assert a + b == b + a
 
-    @pytest.mark.parametrize("p,alpha", [(2, 5), (7, 4), (11, 8)])
-    def test_prime_base_product_matches_generic_polynomials(self, p, alpha):
-        # over a prime base the product runs on plain ints; it must agree
-        # with the generic polynomial helpers a non-prime base uses
-        from hierasure.fields import _poly_mul, _poly_rem
-
-        ext = tower(p, 1, alpha)
-        base = ext.base
-        rng = random.Random(p)
+    @staticmethod
+    def _check_product_against_polynomials(ext, seed):
+        # the product of raws equals the reference's polynomial product
+        # over the base, reduced by the extension modulus
+        base, alpha = ext.base, ext.alpha
+        rng = random.Random(seed)
         for _ in range(40):
             a, b = (ext.from_index(rng.randrange(ext.order)).coeffs for _ in range(2))
-            want = _poly_rem(_poly_mul(list(a), list(b), base), list(ext.modulus), base)
+            want = _rem(_mul(list(a), list(b), base), list(ext.modulus), base)
             want = tuple(want) + (base.rzero,) * (alpha - len(want))
             assert ext.rmul(a, b) == want
+
+    @pytest.mark.parametrize("p,alpha", [(2, 5), (7, 4), (11, 8)])
+    def test_prime_base_product_matches_generic_polynomials(self, p, alpha):
+        # over a prime base the product runs on plain ints
+        self._check_product_against_polynomials(tower(p, 1, alpha), p)
+
+    @pytest.mark.parametrize("p,e,alpha", [(3, 2, 4), (2, 2, 3), (2, 3, 2), (3, 2, 8)])
+    def test_nonprime_base_product_matches_generic_polynomials(self, p, e, alpha):
+        # over a non-prime base the product is one packed combination of
+        # a's digits with the power multiples of b
+        ext = tower(p, e, alpha)
+        assert ext._int_low is None
+        self._check_product_against_polynomials(ext, p * e * alpha)
 
     def test_inverse_of_zero(self):
         ext = tower(2, 1, 2)
@@ -482,7 +493,73 @@ class TestIsBasis:
         assert is_basis(ext, (one, w1))
 
 
+# towers with e = 1, 2 and 3 and p from 2 to 65521, for the power multiples
+POWER_TOWERS = [
+    (2, 1, 5), (3, 1, 4), (7, 1, 3), (251, 1, 2), (65521, 1, 2),
+    (2, 2, 3), (3, 2, 2), (7, 2, 2), (251, 2, 2), (65521, 2, 2),
+    (2, 3, 2), (3, 3, 2), (7, 3, 2), (65521, 3, 2),
+]
+
+
+class TestPowerMultiples:
+    """``power_multiples``: group by group, the products by the power units."""
+
+    @pytest.mark.parametrize("p,e,alpha", POWER_TOWERS)
+    def test_groups_match_element_products(self, p, e, alpha):
+        ext = tower(p, e, alpha)
+        rng = random.Random(p * e * alpha)
+        for spec in (ext, ext.base):
+            n = spec.digit_layout.width  # D
+            units = [spec.from_index(p**u) for u in range(n)]
+            top = Element(spec, spec.from_digits([p - 1] * n))  # every digit at p - 1
+            values = [top, spec.zero(), top] + [spec.from_index(rng.randrange(spec.order)) for _ in range(3)]
+            lanes = len(values) * n
+            # a layout one group wider than the values, so lanes past them stay clear
+            for lay in (modp.layout(p, lanes), modp.layout(p, lanes + n)):
+                v = lay.pack([d for el in values for d in spec.digits(el.coeffs)])
+                out = spec.power_multiples(v, lay, lanes)
+                assert len(out) == n
+                for u, prod in enumerate(out):
+                    want = [d for el in values for d in spec.digits((el * units[u]).coeffs)]
+                    assert lay.digits(prod) == want + [0] * (lay.lanes - lanes), (spec, u)
+
+    @pytest.mark.parametrize("p,e,alpha", [(2, 2, 3), (3, 2, 4), (7, 1, 3)])
+    def test_no_lanes(self, p, e, alpha):
+        # a 0-row matrix packs to 0 under a 0-lane layout: every multiple is 0
+        ext = tower(p, e, alpha)
+        for spec in (ext, ext.base):
+            assert spec.power_multiples(0, modp.layout(p, 0), 0) == [0] * spec.digit_layout.width
+
+
+# the quadratic-root grid: e = 1, 2, 3 and alpha = 2, 4, 6 on seeds 0 and
+# 1, and GF(251^2), whose walk takes about a second
+ROOT_TOWERS = [
+    (2, 1, 2), (3, 1, 2), (7, 1, 2), (11, 1, 2), (2, 2, 2), (3, 2, 2), (2, 3, 2),
+    (2, 1, 4), (3, 1, 4), (2, 2, 4), (3, 2, 4), (2, 3, 4), (2, 1, 6), (2, 2, 6),
+]
+ROOT_CASES = [t + (seed,) for t in ROOT_TOWERS for seed in (0, 1)] + [(251, 1, 2, 0)]
+
+
 class TestQuadraticRoot:
+    @pytest.mark.parametrize("p,e,alpha,seed", ROOT_CASES)
+    def test_matches_subfield_walk(self, p, e, alpha, seed):
+        # the trace-line search returns the quadratic and root that the
+        # lexicographic walk over the degree-2 subfield returns
+        ext = tower(p, e, alpha, seed)
+        assert find_quadratic_root(ext) == reference_quadratic_root(ext)
+        minus_one = -ext.base.one()
+        assert quadratic_root_with_constant(ext, minus_one) == reference_quadratic_root(ext, minus_one)
+
+    def test_large_prime_root_without_walk(self):
+        # q^2 members would take minutes to walk at p = 65521
+        ext = tower(65521, 1, 2)
+        for root in (find_quadratic_root(ext), quadratic_root_with_constant(ext, -ext.base.one())):
+            la0, la1 = ext.lift(root.a0), ext.lift(root.a1)
+            assert not root.b * root.b + la1 * root.b + la0
+            assert ext.as_base(root.b) is None
+            other = -la1 - root.b
+            assert root.b.coeffs < other.coeffs
+
     def test_gf2_alpha2(self):
         ext = tower(2, 1, 2)
         root = find_quadratic_root(ext)

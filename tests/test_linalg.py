@@ -179,6 +179,39 @@ class TestAgainstElementReference:
             assert linalg.invert([], spec) == []
 
 
+class TestBlocks:
+    """Each column's block is the column times every power unit, and 0- and
+    1-row matrices answer as the reference does."""
+
+    @pytest.mark.parametrize("spec", _grid())
+    def test_blocks_match_element_products(self, spec):
+        rng = random.Random(spec.order + 3)
+        p, deg = spec.digit_layout.p, spec.digit_layout.width
+        units = [spec.from_index(p**u) for u in range(deg)]
+        for r in (0, 1, 3):
+            rows = _random_matrix(spec, rng, r, 3)
+            lay, got_deg, columns = linalg._linearize(rows, 3, spec)
+            assert (got_deg, len(columns), lay.lanes) == (deg, 3 * deg, r * deg)
+            want = [
+                [d for row in rows for d in spec.digits((row[j] * u).coeffs)]
+                for j in range(3)
+                for u in units
+            ]
+            assert [lay.digits(col) for col in columns] == want
+
+    @pytest.mark.parametrize("spec", _grid())
+    def test_zero_and_one_row_matrices(self, spec):
+        rng = random.Random(spec.order + 4)
+        for r in (0, 1):
+            for c in (0, 1, 4):
+                rows = _random_matrix(spec, rng, r, c) if r else []
+                assert linalg.rank(rows, spec) == element_linalg.rank(rows, spec)
+                assert linalg.right_kernel(rows, c, spec) == element_linalg.right_kernel(rows, c, spec)
+                rhs = [spec.from_index(rng.randrange(spec.order)) for _ in range(r)]
+                got, want = linalg.solve(rows, rhs, c, spec), element_linalg.solve(rows, rhs, c, spec)
+                assert (got.status, got.solution, got.free_count) == (want.status, want.solution, want.free_count)
+
+
 class TestCodeRank:
     """``LinearCode.rank`` and ``dim``, read from the expansion, match the reference rank of H."""
 

@@ -134,6 +134,28 @@ def _random_lower_triangular(f, size, rng):
     return rows
 
 
+class TestDigitRows:
+    @pytest.mark.parametrize("p,e", [(2, 3), (3, 2)])
+    def test_digit_rows_match_element_products(self, p, e):
+        # over GF(8) and GF(9) each F_q row v becomes the e prime-field rows
+        # x^d * v, the field's power multiples, equal to Element products
+        from hierasure.udm import _digit_rows
+
+        f = field(p, e)
+        rng = random.Random(p * e)
+        units = [f.from_index(p**d) for d in range(e)]
+        mats = [
+            [[f.from_index(rng.randrange(f.order)) for _ in range(4)] for _ in range(2)]
+            for _ in range(3)
+        ]
+        mats[0][1] = [f.from_index(f.order - 1)] * 4  # every digit at p - 1
+        lay, rows = _digit_rows(UdmSet(f, 2, 4, mats))
+        assert len(rows) == 3
+        for mat, packed in zip(mats, rows):
+            want = [[c for entry in row for c in (x * entry).coeffs] for row in mat for x in units]
+            assert [lay.digits(v) for v in packed] == want
+
+
 class TestEigenvectorBridge:
     def test_identity_has_eigenvalue_one(self):
         ext = tower(2, 1, 2)
