@@ -36,6 +36,7 @@ from .correctability import (
     kernel_basis,
     pattern_correctable,
     pattern_system,
+    patterns_correctable,
 )
 from .errors import (
     ConstructionError,

@@ -36,7 +36,7 @@ from .constructions import (
     trace_code,
 )
 from .correctability import decode as decode_word
-from .correctability import is_correcting, kernel_basis, pattern_correctable
+from .correctability import is_correcting, kernel_basis, patterns_correctable
 from .errors import ConstructionError, ParameterError
 from .fields import make_field, make_tower
 from .patterns import apply_erasure, maximal_patterns, parse_family
@@ -165,7 +165,7 @@ def _cmd_verify(args) -> int:
     report: dict
     if args.patterns:
         pats = _read_json(args.patterns, serialize.patterns_from_json)
-        failures = [t for t in pats if not pattern_correctable(code, t)]
+        failures = [t for t, ok in zip(pats, patterns_correctable(code, pats)) if not ok]
         ok = not failures
         report = {
             "correcting": ok,

@@ -44,7 +44,7 @@ from .fields import (
     quadratic_root_with_constant,
     subfield_basis,
 )
-from .patterns import BalancedFamily, BoundedFamily, FullFamily, PowerFamily, maximal_patterns
+from .patterns import BalancedFamily, BoundedFamily, FullFamily, PowerFamily, family_trie
 from .udm import UdmSet, trace_check_matrix, verify_udm, vontobel_udms
 
 
@@ -545,9 +545,7 @@ def greedy_gv_code(
         checks = [  # (how many candidate columns, prefix echelon)
             (k * e, ech.copy())
             for k in range(1, k_max + 1)
-            for _, ech in modp.prefix_echelons(
-                expanded, maximal_patterns(FullFamily(alpha, m - k, col)), e, lay
-            )
+            for _, ech in modp.walk(expanded, *family_trie(FullFamily(alpha, m - k, col)), e, lay)
         ]
         for g in candidates():
             cols = pack_column(omega, g, lay, width)  # packed once, read by every check

@@ -6,8 +6,8 @@ field: H applied to each invisible generator, written as prime-field
 digits, forms a column, and t is correctable iff those columns are
 independent.  The columns are a prefix of each symbol's block of the
 code's stored expansion (``LinearCode.block``), packed one column per int,
-so every check is one small elimination over Z/p
-(``modp.prefix_echelons``, shared with UDM verification).
+so a family is checked by small eliminations over Z/p on one depth-first
+walk down its pattern trie (``modp.walk``, shared with UDM verification).
 
 The rows of those columns are power digits of the products, not their
 coordinates over omega.  Every row spelling that is an invertible F_p map
@@ -50,8 +50,8 @@ from .patterns import (
     PatternFamily,
     PowerFamily,
     ReceivedWord,
-    enumerate_family,
-    maximal_patterns,
+    family_trie,
+    sorted_trie,
 )
 
 
@@ -78,10 +78,6 @@ def _checked_pattern(code: LinearCode, t) -> tuple[int, ...]:
     return t
 
 
-def _labels(t) -> list[tuple[int, int]]:
-    return [(i, j) for i, ti in enumerate(t) for j in range(ti)]
-
-
 def pattern_system(code: LinearCode, t) -> ExpandedSystem:
     """The pattern's expanded system as base-field Element entries.
 
@@ -95,7 +91,7 @@ def pattern_system(code: LinearCode, t) -> ExpandedSystem:
     base = ext.base
     e = base.e
     n = ext.alpha * e
-    labels = _labels(t)
+    labels = [(i, j) for i, ti in enumerate(t) for j in range(ti)]
     cols = []
     for i, j in labels:
         # digit 0 of coordinate j is H[:, i] * omega_j itself
@@ -116,9 +112,17 @@ def pattern_system(code: LinearCode, t) -> ExpandedSystem:
 
 def pattern_correctable(code: LinearCode, t) -> bool:
     """True iff no nonzero codeword is invisible under pattern t."""
-    t = _checked_pattern(code, t)
-    blocks = [code.block(i) if ti else () for i, ti in enumerate(t)]
-    return next(modp.prefix_echelons(blocks, [t], code.ext.base.e, code.layout))[1] is not None
+    return patterns_correctable(code, [t])[0]
+
+
+def patterns_correctable(code: LinearCode, patterns) -> list[bool]:
+    """``pattern_correctable`` of each pattern, in the order given, from
+    one walk over the distinct patterns in lex order."""
+    ts = [_checked_pattern(code, t) for t in patterns]
+    blocks = [code.block(i) if any(t[i] for t in ts) else () for i in range(code.n)]
+    trie = sorted_trie(sorted(set(ts)))
+    ok = {t: ech is not None for t, ech in modp.walk(blocks, *trie, code.ext.base.e, code.layout)}
+    return [ok[t] for t in ts]
 
 
 @dataclass(frozen=True)
@@ -162,14 +166,14 @@ def _symbols(code: LinearCode, digits: list[int]) -> tuple[Element, ...]:
     )
 
 
-def _patterns_for(code: LinearCode, fam: PatternFamily, all_patterns: bool):
+def _family_trie(code: LinearCode, fam: PatternFamily, all_patterns: bool):
     if fam.n != code.n:
         raise ParameterError("family length does not match the code length")
     if isinstance(fam, (FullFamily, BalancedFamily, PowerFamily)) and fam.alpha != code.ext.alpha:
         raise ParameterError("family alpha does not match the code's extension degree")
     if isinstance(fam, BoundedFamily) and fam.r > code.ext.alpha:
         raise ParameterError("bounded family radius exceeds alpha")
-    return enumerate_family(fam) if all_patterns else maximal_patterns(fam)
+    return family_trie(fam, all_patterns)
 
 
 def is_correcting(
@@ -182,9 +186,9 @@ def is_correcting(
     Dominated patterns are skipped unless ``all_patterns`` is set, which
     forces a full-family audit.
     """
-    patterns = _patterns_for(code, fam, all_patterns)
+    trie = _family_trie(code, fam, all_patterns)
     blocks = [code.block(i) for i in range(code.n)]
-    for t, ech in modp.prefix_echelons(blocks, patterns, code.ext.base.e, code.layout):
+    for t, ech in modp.walk(blocks, *trie, code.ext.base.e, code.layout):
         if ech is None:
             return CorrectabilityReport(False, t, _pattern_witness(code, t))
     return CorrectabilityReport(True)

@@ -4,7 +4,7 @@ Every hot question in the package reduces to one over the prime field.
 A code corrects a pattern t when the first t_i * e expansion columns of
 each symbol, stacked, are independent, and a UDM set is universally
 decodable when its stacked row prefixes are: one question, answered for
-both by ``prefix_echelons``.  Decoding reduces one right-hand side
+both by ``walk``.  Decoding reduces one right-hand side
 against the echelon of a pattern's erased columns, tagged so that the
 reduced vector reads out the codeword.  The F_q answers carry over
 because each F_q-linear map is also F_p-linear and injectivity (or
@@ -40,10 +40,7 @@ and a vector is dependent iff its first ``width`` lanes are then zero.
 ``Echelon.rows`` is append-only: an independent insert appends exactly
 one row and never changes an earlier one, so ``rows[:s]`` is the echelon
 of the first s independent vectors inserted, and ``del rows[s:]`` rolls
-the basis back to it.  ``prefix_echelons`` walks all its patterns on one
-echelon this way, keeping the rows of the stacked prefix a pattern shares
-with the one before; the echelon it yields is valid until the walk
-advances.
+the basis back to it, which is how ``walk`` checks a pattern trie on one echelon.
 """
 
 from __future__ import annotations
@@ -51,7 +48,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from operator import mul
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .errors import ParameterError
 
@@ -166,51 +163,41 @@ class Echelon:
         return None
 
 
-def prefix_echelons(blocks: Sequence, patterns: Iterable, unit: int, lay: Layout) -> Iterator:
-    """For each pattern t, (t, the echelon of the first t_i * unit vectors
-    of every block i, stacked), or (t, None) when those are dependent: the
-    full-rank test behind every correctability and UDM verdict.  The
-    vectors are packed under ``lay``.
+def walk(blocks: Sequence, children: Callable, root, unit: int, lay: Layout) -> Iterator:
+    """For each leaf t of a pattern trie, in lex order, (t, the echelon of
+    the first t_i * unit vectors of every block i, stacked), or (t, None)
+    when those are dependent: the full-rank test behind every
+    correctability and UDM verdict.  ``children(i, node)`` yields
+    (t_i, child) in ascending t_i, one level per block; the vectors are
+    packed under ``lay``.
 
     One echelon serves the whole walk, and the yielded echelon is valid
-    only until the walk advances; copy it to keep it.  Its rows are
-    append-only, one per independent insert, so the echelon of the first
-    s stacked vectors is ``rows[:s]``: a pattern keeps the rows of the
-    stacked vectors it shares with the pattern before and inserts only the
-    rest, and it fails without an insert when the shared vectors already
-    held the earlier pattern's first dependency.  Any order of patterns
-    is exact; lex order shares the most.
+    only until the walk advances; copy it to keep it.  As t_i rises, a
+    level cuts the deeper rows and inserts only block i's next vectors.
+    A dependency at level i is one for every larger t_i too, so the rest
+    of that level is yielded as None without an insert.
     """
     ech = Echelon(lay)
-    rows = ech.rows
-    lengths = [len(block) for block in blocks]
-    prev: list[int] = []  # stacked vectors per block of the pattern before
-    failed = None  # stacked position of its first dependent vector
-    for t in patterns:
-        counts = [c if (c := ti * unit) <= n else n for n, ti in zip(lengths, t)]
-        # the stacked prefix shared with the pattern before ends in block d
-        shared = d = start = 0
-        for c, c_prev in zip(counts, prev):
-            if c != c_prev:
-                start = min(c, c_prev)
-                break
-            shared += c
-            d += 1
-        shared += start
-        prev = counts
-        if failed is not None and shared > failed:
-            yield t, None
-            continue
-        failed = None
-        del rows[shared:]
-        rest = (
-            v for i in range(d, len(counts)) for v in blocks[i][start if i == d else 0 : counts[i]]
-        )
-        for pos, v in enumerate(rest, shared):
-            if ech.insert(v) is not None:
-                failed = pos
-                break
-        yield t, None if failed is not None else ech
+    rows, insert = ech.rows, ech.insert
+    n = len(blocks)
+    t = [0] * n
+
+    def descend(i, node, ok):
+        if i == n:
+            yield tuple(t), ech if ok else None
+            return
+        block, mark, done = blocks[i], len(rows), 0
+        for t[i], child in children(i, node):
+            if ok:
+                del rows[mark + done :]
+                for v in block[done : t[i] * unit]:
+                    if insert(v) is not None:
+                        ok = False
+                        break
+                    done += 1
+            yield from descend(i + 1, child, ok)
+
+    return descend(0, root, True)
 
 
 def tagged(columns: Sequence[int], lay: Layout) -> tuple[Layout, list[int]]:

@@ -11,17 +11,16 @@ four families:
   fractions sum to one (plus the empty pattern by convention);
 * bounded(r): every entry at most r.
 
-Enumeration is lexicographic and restartable, and visits only members:
-balanced members by a prefix walk that stops where a prefix leaves the
-family, power members as the empty pattern followed by the maxima
-below.  ``maximal_patterns``
-yields the patterns not dominated componentwise inside their family,
-which is all a correctability check ever needs, since erasing less is
-easier.  Every family has them in closed form: full(alpha, m) has the
-patterns of total exactly min(m, n*alpha); balanced(alpha) has, for
-each scale i with 2^i <= n, the value alpha/2^i on exactly 2^i
-positions; power(alpha) has every nonzero member, since all of them sum
-to exactly alpha; bounded(r) has the one all-r pattern.
+Each family is a trie of patterns (``family_trie``) whose leaves, in lex
+order, the enumerators read and the rank check walks (``modp.walk``).
+Enumeration visits only members.  ``maximal_patterns`` yields the
+patterns not dominated componentwise inside their family, which is all
+a correctability check ever needs, since erasing less is easier.  Every
+family has them in closed form: full(alpha, m) has the patterns of total
+exactly min(m, n*alpha); balanced(alpha) has, for each scale i with
+2^i <= n, the value alpha/2^i on exactly 2^i positions; power(alpha)
+has every nonzero member, since all of them sum to exactly alpha;
+bounded(r) has the one all-r pattern.
 """
 
 from __future__ import annotations
@@ -29,8 +28,10 @@ from __future__ import annotations
 import dataclasses
 import itertools
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterator, Sequence, Union
 
+from . import modp
 from .errors import ParameterError, require_int
 from .fields import Element, OrderedBasis
 
@@ -76,10 +77,6 @@ class BalancedFamily:
             raise ParameterError("need n >= 1")
         _check_power_of_two(self.alpha)
 
-    @property
-    def beta(self) -> int:
-        return self.alpha.bit_length() - 1
-
 
 @dataclass(frozen=True)
 class PowerFamily:
@@ -91,10 +88,6 @@ class PowerFamily:
         if self.n < 1:
             raise ParameterError("need n >= 1")
         _check_power_of_two(self.alpha)
-
-    @property
-    def beta(self) -> int:
-        return self.alpha.bit_length() - 1
 
 
 @dataclass(frozen=True)
@@ -115,40 +108,10 @@ class BoundedFamily:
 PatternFamily = Union[FullFamily, BalancedFamily, PowerFamily, BoundedFamily]
 
 
-def _bounded_sum_tuples(n: int, cap: int, budget: int) -> Iterator[ErasurePattern]:
-    # lexicographic tuples with entries <= cap and sum <= budget
-    if n == 0:
-        yield ()
-        return
-    for head in range(min(cap, budget) + 1):
-        for tail in _bounded_sum_tuples(n - 1, cap, budget - head):
-            yield (head,) + tail
-
-
-def _exact_sum_tuples(n: int, values: Sequence[int], total: int) -> Iterator[ErasurePattern]:
-    # lexicographic tuples with entries from ascending ``values`` and sum == total
-    if n == 0:
-        if total == 0:
-            yield ()
-        return
-    if total > n * values[-1]:
-        return
-    for head in values:
-        if head > total:
-            break
-        for tail in _exact_sum_tuples(n - 1, values, total - head):
-            yield (head,) + tail
-
-
-def _is_balanced(t: Sequence[int], alpha: int, n: int) -> bool:
-    support = sum(1 for v in t if v > 0)
-    if support == 0:
-        return True
-    biggest = max(t)
-    beta = alpha.bit_length() - 1
-    i_cap = min(beta, n.bit_length() - 1)  # largest i with 2^i <= n
-    for i in range(i_cap + 1):
-        if support <= (1 << i) and biggest * (1 << i) <= alpha:
+def _is_balanced(support: int, biggest: int, alpha: int, n: int) -> bool:
+    # some scale i with 2^i <= min(alpha, n) holds the support and the largest entry
+    for i in range(min(alpha, n).bit_length()):
+        if support <= 1 << i and biggest << i <= alpha:
             return True
     return False
 
@@ -173,7 +136,7 @@ def family_contains(fam: PatternFamily, t: Sequence[int]) -> bool:
     if isinstance(fam, FullFamily):
         return all(v <= fam.alpha for v in t) and sum(t) <= fam.m
     if isinstance(fam, BalancedFamily):
-        return all(v <= fam.alpha for v in t) and _is_balanced(t, fam.alpha, fam.n)
+        return all(v <= fam.alpha for v in t) and _is_balanced(len(t) - t.count(0), max(t), fam.alpha, fam.n)
     if isinstance(fam, PowerFamily):
         return all(v <= fam.alpha for v in t) and _is_power(t, fam.alpha)
     if isinstance(fam, BoundedFamily):
@@ -181,35 +144,75 @@ def family_contains(fam: PatternFamily, t: Sequence[int]) -> bool:
     raise ParameterError(f"unknown family {fam!r}")
 
 
-def _power_maxima(fam: PowerFamily) -> Iterator[ErasurePattern]:
-    powers = [0] + [1 << k for k in range(fam.beta + 1)]
-    return _exact_sum_tuples(fam.n, powers, fam.alpha)
+def _leaves(children, root, n: int) -> Iterator[ErasurePattern]:
+    # the rank check's walk over n empty blocks: no insert, every leaf as is
+    return (t for t, _ in modp.walk([()] * n, children, root, 0, modp.layout(2, 0)))
 
 
-def _balanced_members(fam: BalancedFamily, prefix: ErasurePattern) -> Iterator[ErasurePattern]:
-    # prefix walk: the family is downward closed, so a prefix extends to a
-    # member iff it does with zeros (which change neither the support nor
-    # the largest entry), and once prefix + (v,) fails so does every larger v
-    if len(prefix) == fam.n:
-        yield prefix
-        return
-    for v in range(fam.alpha + 1):
-        head = prefix + (v,)
-        if not _is_balanced(head, fam.alpha, fam.n):
-            break
-        yield from _balanced_members(fam, head)
+def _budget_children(n: int, values: Sequence[int], need):
+    # node = budget left; a child keeps only a budget the entries below can
+    # still spend: need(b) is the fewest nonzero values that sum to b (0
+    # when the leaves need not spend it all), so every kept node has a leaf
+    def children(i, left):
+        for v in values:
+            if v > left:
+                break
+            if need(left - v) < n - i:
+                yield v, left - v
+
+    return children
+
+
+def _balanced_children(fam: BalancedFamily):
+    # node = (support, largest entry) of the prefix: the family is downward
+    # closed, so a prefix extends to a member iff it does with zeros, which
+    # change neither, and once an entry v fails so does every larger v
+    def children(i, node):
+        support, biggest = node
+        for v in range(fam.alpha + 1):
+            child = (support + (v > 0), max(biggest, v))
+            if not _is_balanced(*child, fam.alpha, fam.n):
+                break
+            yield v, child
+
+    return children
+
+
+def sorted_trie(patterns):
+    """The trie whose leaves are the lex-sorted patterns, duplicates once;
+    a node is the patterns below it, grouped lazily by their next entry,
+    so a trie made from an iterator can be walked once."""
+    return (lambda i, node: itertools.groupby(node, itemgetter(i))), patterns
+
+
+def family_trie(fam: PatternFamily, all_patterns: bool = False):
+    """The family's maximal patterns, or all its members with
+    ``all_patterns``, as a trie (children, root): ``children(i, node)``
+    yields (t_i, child) in ascending t_i, one level per symbol, so the
+    leaves come in lex order.  Full patterns and power maxima descend by
+    the budget left; every other source is its sorted pattern list."""
+    if isinstance(fam, FullFamily):
+        values, alpha = range(fam.alpha + 1), fam.alpha
+        if all_patterns:
+            return _budget_children(fam.n, values, lambda b: 0), fam.m
+        return _budget_children(fam.n, values, lambda b: b and -(-b // alpha)), min(fam.m, fam.n * alpha)
+    if isinstance(fam, PowerFamily) and not all_patterns:
+        # powers of two up to alpha: alpha as often as it fits, then the bits of the rest
+        values, alpha = [0] + [1 << k for k in range(fam.alpha.bit_length())], fam.alpha
+        return _budget_children(fam.n, values, lambda b: b // alpha + (b % alpha).bit_count()), alpha
+    return sorted_trie(enumerate_family(fam) if all_patterns else maximal_patterns(fam))
 
 
 def enumerate_family(fam: PatternFamily) -> Iterator[ErasurePattern]:
     """Every pattern in the family exactly once, in lexicographic order."""
     if isinstance(fam, FullFamily):
-        yield from _bounded_sum_tuples(fam.n, fam.alpha, fam.m)
+        yield from _leaves(*family_trie(fam, all_patterns=True), fam.n)
     elif isinstance(fam, BalancedFamily):
-        yield from _balanced_members(fam, ())
+        yield from _leaves(_balanced_children(fam), (0, 0), fam.n)
     elif isinstance(fam, PowerFamily):
         # the empty pattern, then every member of total exactly alpha
         yield (0,) * fam.n
-        yield from _power_maxima(fam)
+        yield from _leaves(*family_trie(fam), fam.n)
     elif isinstance(fam, BoundedFamily):
         yield from itertools.product(range(fam.r + 1), repeat=fam.n)
     else:
@@ -236,14 +239,12 @@ def maximal_patterns(fam: PatternFamily) -> Iterator[ErasurePattern]:
     passes on these passes on the whole family.  Each family's maxima are
     generated directly (see the module notes), in lexicographic order.
     """
-    if isinstance(fam, FullFamily):
-        yield from _exact_sum_tuples(fam.n, range(fam.alpha + 1), min(fam.m, fam.n * fam.alpha))
+    if isinstance(fam, (FullFamily, PowerFamily)):
+        yield from _leaves(*family_trie(fam), fam.n)
     elif isinstance(fam, BoundedFamily):
         yield (fam.r,) * fam.n
     elif isinstance(fam, BalancedFamily):
         yield from _balanced_maxima(fam.alpha, fam.n)
-    elif isinstance(fam, PowerFamily):
-        yield from _power_maxima(fam)
     else:
         raise ParameterError(f"unknown family {fam!r}")
 

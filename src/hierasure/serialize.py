@@ -53,6 +53,13 @@ def _loader(kind: str):
     return wrap
 
 
+def _items(obj) -> list:
+    # a JSON object or string in a list's place would iterate as keys or characters
+    if not isinstance(obj, list):
+        raise TypeError("expected a list")
+    return obj
+
+
 # -- fields -----------------------------------------------------------------
 
 
@@ -103,7 +110,7 @@ def basis_to_json(basis: OrderedBasis) -> list:
 
 @_loader("basis")
 def basis_from_json(ext: ExtSpec, obj) -> OrderedBasis:
-    return OrderedBasis(ext, [ext_element_from_json(ext, e) for e in obj])
+    return OrderedBasis(ext, [ext_element_from_json(ext, e) for e in _items(obj)])
 
 
 # -- pattern families ---------------------------------------------------------
@@ -140,12 +147,12 @@ def patterns_to_json(patterns) -> list:
 
 
 def _int_entries(values, what: str) -> tuple[int, ...]:
-    return tuple(require_int(v, f"{what} entry") for v in values)
+    return tuple(require_int(v, f"{what} entry") for v in _items(values))
 
 
 @_loader("patterns")
 def patterns_from_json(obj) -> list[tuple[int, ...]]:
-    return [_int_entries(t, "pattern") for t in obj]
+    return [_int_entries(t, "pattern") for t in _items(obj)]
 
 
 # -- codes --------------------------------------------------------------------
@@ -165,7 +172,7 @@ def code_to_json(code: LinearCode) -> dict:
 @_loader("code")
 def code_from_json(obj: dict) -> LinearCode:
     ext = _tower_from_json(obj)
-    rows = [[ext_element_from_json(ext, e) for e in row] for row in obj["H"]]
+    rows = [[ext_element_from_json(ext, e) for e in _items(row)] for row in _items(obj["H"])]
     omega = basis_from_json(ext, obj["omega"])
     claim = None if obj.get("claim") is None else family_from_json(obj["claim"])
     return code_from_rows(ext, rows, omega, claim, obj.get("provenance", {}), length=obj.get("n"))
@@ -190,8 +197,8 @@ def udms_to_json(u: UdmSet) -> dict:
 def udms_from_json(obj: dict) -> UdmSet:
     field = field_from_json(obj["field"])
     mats = tuple(
-        tuple(tuple(base_element_from_json(field, e) for e in row) for row in mat)
-        for mat in obj["matrices"]
+        tuple(tuple(base_element_from_json(field, e) for e in _items(row)) for row in _items(mat))
+        for mat in _items(obj["matrices"])
     )
     return UdmSet(field, obj["alpha"], obj["m"], mats, obj.get("meta", {}))
 
@@ -233,7 +240,7 @@ def received_from_json(obj: dict, like: OrderedBasis | None = None) -> ReceivedW
         ext = _tower_from_json(obj)
         omega = basis_from_json(ext, obj["omega"])
     known = tuple(
-        tuple(base_element_from_json(ext.base, c) for c in suffix) for suffix in obj["known"]
+        tuple(base_element_from_json(ext.base, c) for c in _items(suffix)) for suffix in _items(obj["known"])
     )
     return ReceivedWord(omega, _int_entries(obj["t"], "erasure pattern"), known)
 
@@ -244,4 +251,4 @@ def codeword_to_json(word) -> list:
 
 @_loader("codeword")
 def codeword_from_json(ext: ExtSpec, obj) -> tuple[Element, ...]:
-    return tuple(ext_element_from_json(ext, c) for c in obj)
+    return tuple(ext_element_from_json(ext, c) for c in _items(obj))

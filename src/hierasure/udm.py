@@ -4,7 +4,7 @@ A set of n matrices of shape alpha x m over the base field is universally
 decodable when, for every admissible erasure pattern, stacking the first
 t_i rows of each matrix gives a full-rank matrix.  Verification only needs
 the patterns of maximal total, since dropping rows cannot break
-independence.
+independence; their trie is walked as for code correctability (``modp.walk``).
 
 ``udms_to_check_vector`` and ``check_vector_to_udms`` realize the
 equivalence between square UDM sets sharing a basis as a mutual
@@ -21,7 +21,7 @@ from typing import Mapping, Sequence
 from . import modp
 from .errors import ConstructionError, MissingEigenvectorError, ParameterError
 from .fields import Element, FieldSpec, OrderedBasis, lucas_binom
-from .patterns import ErasurePattern, FullFamily, maximal_patterns
+from .patterns import ErasurePattern, FullFamily, family_trie
 
 INDEX_CONVENTIONS = ("zero_based", "one_based")
 
@@ -64,9 +64,9 @@ class UdmSet:
         matrices are immutable, so a set is walked once however often it
         is checked."""
         budget = min(self.m, self.n * self.alpha)
-        patterns = maximal_patterns(FullFamily(self.alpha, budget, self.n))
+        trie = family_trie(FullFamily(self.alpha, budget, self.n))
         lay, rows = _digit_rows(self)
-        for t, ech in modp.prefix_echelons(rows, patterns, self.field.e, lay):
+        for t, ech in modp.walk(rows, *trie, self.field.e, lay):
             if ech is None:
                 return UdmCheck(False, t)
         return UdmCheck(True)
@@ -86,9 +86,9 @@ def _digit_rows(u: UdmSet) -> tuple[modp.Layout, list[list[int]]]:
 def verify_udm(u: UdmSet) -> UdmCheck:
     """Exhaustive stacked-prefix rank check over the maximal patterns.
 
-    Each check is the prime-field independence test of
-    ``modp.prefix_echelons``, the same walk that decides code
-    correctability; F_q-independence of rows is F_p-independence of their
+    The check is ``modp.walk`` down the trie of the full family's maximal
+    patterns, the same walk that decides code correctability;
+    F_q-independence of rows is F_p-independence of their
     digit expansions.  The verdict is kept on the set (``UdmSet.verdict``),
     so a set checked again, as ``trace_code`` checks the set
     ``vontobel_udms`` just verified, is not walked again.

@@ -22,7 +22,7 @@ stacked-prefix walk as it was before patterns shared their prefixes, on
 the prime-field kernel as it was before vectors were packed into ints:
 a fresh ``ListEchelon`` per pattern, whose rows are lists of digits
 reduced entry by entry.  It shares no code with ``modp``, so it checks
-both the sharing and the packed elimination.  ``reference_solve``,
+both the trie walk's sharing of prefixes and the packed elimination.  ``reference_solve``,
 ``reference_inverse`` and ``reference_mat_vec`` are the list kernel's
 tagged systems and products.  ``reference_expand_column``
 is the expansion of a column of H by extension products, which the packed
@@ -56,7 +56,6 @@ from hierasure import (
 )
 from hierasure.constructions import _gv_bound_base
 from hierasure.fields import iter_subfield_members
-from hierasure.patterns import _bounded_sum_tuples
 
 import element_linalg
 
@@ -68,7 +67,12 @@ def reference_enumerate_family(fam):
     and total at most alpha; other families use ``enumerate_family``.
     """
     if isinstance(fam, (BalancedFamily, PowerFamily)):
-        return [t for t in _bounded_sum_tuples(fam.n, fam.alpha, fam.alpha) if family_contains(fam, t)]
+        # the product of the entry ranges, filtered by total one entry at a
+        # time so that the box of (alpha + 1)^n tuples is never built
+        simplex = [()]
+        for _ in range(fam.n):
+            simplex = [t + (v,) for t in simplex for v in range(fam.alpha + 1 - sum(t))]
+        return [t for t in simplex if family_contains(fam, t)]
     return list(enumerate_family(fam))
 
 

@@ -52,6 +52,48 @@ class TestConstructVerify:
         pats.write_text(json.dumps([[1, 1], [2, 0], [0, 2]]))
         assert run("verify", "--code", str(out), "--patterns", str(pats)) == 0
 
+    @pytest.fixture
+    def refuted_code(self, tmp_path):
+        # H = [1, 1]: the codewords are (x, x), so a pattern fails once it
+        # erases both symbols' first coordinates
+        ext = tower(2, 1, 2)
+        omega = b_symmetric_basis(ext, find_quadratic_root(ext))
+        bad = code_from_rows(ext, [[ext.one(), ext.one()]], omega, FullFamily(2, 2, 2))
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(serialize.code_to_json(bad)))
+        return str(path)
+
+    def test_pattern_file_reports_its_first_failure_from_one_walk(
+        self, tmp_path, refuted_code, capsys, monkeypatch
+    ):
+        # unsorted, with duplicates: (1, 2) is the lex-first failure, (2, 2)
+        # the first in file order
+        from hierasure import modp
+
+        walks = []
+        real = modp.walk
+        monkeypatch.setattr(modp, "walk", lambda *args: walks.append(args) or real(*args))
+        pats = tmp_path / "pats.json"
+        pats.write_text(json.dumps([[2, 0], [2, 2], [1, 2], [1, 2], [0, 1], [2, 2]]))
+        assert run("verify", "--code", refuted_code, "--patterns", str(pats), "--json") == 1
+        report = json.loads(capsys.readouterr().out)
+        assert report == {"correcting": False, "counterexample": [2, 2], "patterns_checked": 6}
+        assert len(walks) == 1
+
+    @pytest.mark.parametrize(
+        "pats,error",
+        [
+            ([[2, 2], [3, 0], [1, 2, 0]], "error: pattern (3, 0): entries must lie in [0, alpha=2]\n"),
+            ([[2, 2], [1, 2, 0], [3, 0]], "error: pattern length does not match the code length\n"),
+        ],
+        ids=["entry", "length"],
+    )
+    def test_pattern_file_with_an_invalid_pattern_exits_2(self, tmp_path, refuted_code, capsys, pats, error):
+        path = tmp_path / "pats.json"
+        path.write_text(json.dumps(pats))
+        assert run("verify", "--code", refuted_code, "--patterns", str(path)) == 2
+        assert capsys.readouterr().err == error
+
     @pytest.mark.parametrize(
         "kind,args",
         [
@@ -409,6 +451,26 @@ class TestInputBoundary:
         path = tmp_path / "pats.json"
         path.write_text('[[1, "x"]]')
         self.assert_usage_error(capsys, run("verify", "--code", code_file, "--patterns", str(path)))
+
+    @pytest.mark.parametrize("text", ["{}", '"x"', '["x"]', '[{"0": 1}]'])
+    def test_patterns_not_a_list(self, tmp_path, code_file, capsys, text):
+        # iterated as given, {} would verify as an empty list and exit 0
+        path = tmp_path / "pats.json"
+        path.write_text(text)
+        assert run("verify", "--code", code_file, "--patterns", str(path)) == 2
+        assert capsys.readouterr().err == "error: malformed patterns payload: expected a list\n"
+
+    @pytest.mark.parametrize("key,value,kind", [("H", {}, "code"), ("H", [{}], "code"), ("omega", {}, "basis")])
+    def test_code_object_for_a_list(self, tmp_path, code_file, capsys, key, value, kind):
+        # iterated as given, "H": {} would load as a 0-row check matrix and
+        # exit 1 with a witness
+        payload = json.loads(Path(code_file).read_text())
+        payload[key] = value
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(payload))
+        capsys.readouterr()
+        assert run("verify", "--code", str(path)) == 2
+        assert capsys.readouterr().err == f"error: malformed {kind} payload: expected a list\n"
 
     @pytest.mark.parametrize("pattern", ["[[1.5, 1]]", '[["2", 0]]', "[[true, 0]]", "[[-1, 0]]"])
     def test_patterns_non_integer_or_negative_entry(self, tmp_path, code_file, capsys, pattern):

@@ -149,10 +149,8 @@ class TestTraceCode:
         from hierasure import modp
 
         walks = []
-        real = modp.prefix_echelons
-        monkeypatch.setattr(
-            modp, "prefix_echelons", lambda *args: walks.append(args) or real(*args)
-        )
+        real = modp.walk
+        monkeypatch.setattr(modp, "walk", lambda *args: walks.append(args) or real(*args))
         ext = tower(7, 1, 4)
         u = vontobel_udms(8, 4, 5, ext.base)
         assert len(walks) == 1

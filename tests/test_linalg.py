@@ -118,17 +118,25 @@ def _random_matrix(spec, rng, r, c):
 
 
 def _grid():
+    # ids only: each test builds its field (``_spec``), so a defect in field
+    # arithmetic fails the tests that use it, by name, not the collection
     for p, e, alpha in GRID_TOWERS:
-        ext = tower(p, e, alpha)
-        for spec in (ext, ext.base):
-            yield pytest.param(spec, id=f"{p}-{e}-{alpha}-{'ext' if spec is ext else 'base'}")
+        for level in ("ext", "base"):
+            yield pytest.param((p, e, alpha, level), id=f"{p}-{e}-{alpha}-{level}")
+
+
+def _spec(grid):
+    p, e, alpha, level = grid
+    ext = tower(p, e, alpha)
+    return ext if level == "ext" else ext.base
 
 
 class TestAgainstElementReference:
     """The prime-field block route gives exactly the reduced-row-echelon results."""
 
-    @pytest.mark.parametrize("spec", _grid())
-    def test_rank_and_kernel(self, spec):
+    @pytest.mark.parametrize("grid", _grid())
+    def test_rank_and_kernel(self, grid):
+        spec = _spec(grid)
         rng = random.Random(spec.order)
         for _ in range(40):
             r, c = rng.randint(0, 5), rng.randint(0, 6)
@@ -136,8 +144,9 @@ class TestAgainstElementReference:
             assert linalg.rank(rows, spec) == element_linalg.rank(rows, spec)
             assert linalg.right_kernel(rows, c, spec) == element_linalg.right_kernel(rows, c, spec)
 
-    @pytest.mark.parametrize("spec", _grid())
-    def test_solve(self, spec):
+    @pytest.mark.parametrize("grid", _grid())
+    def test_solve(self, grid):
+        spec = _spec(grid)
         rng = random.Random(spec.order + 1)
         for k in range(40):
             r, c = rng.randint(0, 5), rng.randint(0, 6)
@@ -151,8 +160,9 @@ class TestAgainstElementReference:
             want = element_linalg.solve(rows, rhs, c, spec)
             assert (got.status, got.solution, got.free_count) == (want.status, want.solution, want.free_count)
 
-    @pytest.mark.parametrize("spec", _grid())
-    def test_invert(self, spec):
+    @pytest.mark.parametrize("grid", _grid())
+    def test_invert(self, grid):
+        spec = _spec(grid)
         rng = random.Random(spec.order + 2)
         singular = 0
         for _ in range(30):
@@ -183,8 +193,9 @@ class TestBlocks:
     """Each column's block is the column times every power unit, and 0- and
     1-row matrices answer as the reference does."""
 
-    @pytest.mark.parametrize("spec", _grid())
-    def test_blocks_match_element_products(self, spec):
+    @pytest.mark.parametrize("grid", _grid())
+    def test_blocks_match_element_products(self, grid):
+        spec = _spec(grid)
         rng = random.Random(spec.order + 3)
         p, deg = spec.digit_layout.p, spec.digit_layout.width
         units = [spec.from_index(p**u) for u in range(deg)]
@@ -199,8 +210,9 @@ class TestBlocks:
             ]
             assert [lay.digits(col) for col in columns] == want
 
-    @pytest.mark.parametrize("spec", _grid())
-    def test_zero_and_one_row_matrices(self, spec):
+    @pytest.mark.parametrize("grid", _grid())
+    def test_zero_and_one_row_matrices(self, grid):
+        spec = _spec(grid)
         rng = random.Random(spec.order + 4)
         for r in (0, 1):
             for c in (0, 1, 4):

@@ -9,12 +9,13 @@ p in {2, 3, 7, 11, 251, 65521}, with rank-deficient blocks, tagged
 systems, and vectors that drive a lane to its largest value between
 normalizations, A = (p-1) + width * (p-1)^2.
 
-``modp.prefix_echelons`` also keeps one echelon for the whole walk: a
-pattern keeps the rows of the stacked vectors it shares with the pattern
-before, and a pattern that shares the earlier one's first dependency
+``modp.walk`` descends a pattern trie depth first on one echelon: a
+level keeps the rows of the prefix above it and inserts only its block's
+next vectors as t_i rises, and after a dependency the rest of the level
 fails without an insert.  ``reference_prefix_echelons`` eliminates every
-pattern from scratch on a fresh list echelon.  Verdicts must agree on
-every pattern, and an independent pattern's rows must be the reference's.
+pattern from scratch on a fresh list echelon.  The walk must yield the
+trie's leaves in lex order, verdicts must agree on every pattern, and an
+independent pattern's rows must be the reference's.
 """
 
 import itertools
@@ -23,14 +24,22 @@ import random
 import pytest
 
 from hierasure import (
+    BalancedFamily,
     FullFamily,
     ParameterError,
+    PowerFamily,
     UdmSet,
+    enumerate_family,
+    greedy_gv_code,
     is_correcting,
+    make_field,
+    make_tower,
     maximal_patterns,
     modp,
     verify_udm,
+    vontobel_udms,
 )
+from hierasure.patterns import family_trie, sorted_trie
 from reference import (
     ListEchelon,
     reference_inverse,
@@ -61,14 +70,17 @@ def packed_blocks(blocks, p):
     return [[lay.pack(v) for v in block] for block in blocks], lay
 
 
-def both(blocks, patterns, unit, p):
-    patterns = list(patterns)
+def both(blocks, patterns, unit, p, trie=None):
+    """The walk over ``trie`` (by default the trie of the lex-sorted
+    ``patterns``) against fresh reference echelons; the walk's leaves must
+    be ``patterns``."""
     packed, lay = packed_blocks(blocks, p)
     # the walk's echelon changes as it advances, so copy its rows at each yield
     got = [
         (t, None if ech is None else unpacked(ech))
-        for t, ech in modp.prefix_echelons(packed, patterns, unit, lay)
+        for t, ech in modp.walk(packed, *(trie or sorted_trie(patterns)), unit, lay)
     ]
+    assert [t for t, _ in got] == list(patterns)
     want = [
         (t, None if ech is None else list(ech.rows))
         for t, ech in reference_prefix_echelons(blocks, patterns, unit, p)
@@ -114,28 +126,85 @@ def random_columns(rng, p, height, ncols):
     return cols
 
 
+def family_grid(n):
+    """(maximal patterns or members, trie) of full, balanced and power
+    families on n symbols, entries up to 4."""
+    for fam in (FullFamily(4, 2 * n, n), FullFamily(4, n, n), BalancedFamily(4, n), PowerFamily(4, n)):
+        yield list(maximal_patterns(fam)), family_trie(fam)
+        yield list(enumerate_family(fam)), family_trie(fam, all_patterns=True)
+
+
 @pytest.mark.parametrize("unit", [1, 2, 3])
 @pytest.mark.parametrize("p", PRIMES)
 def test_walk_matches_fresh_echelons(p, unit):
+    # random blocks, some rank-deficient or shorter than t_i * unit, walked
+    # over every family trie, the whole box and random pattern lists
     rng = random.Random(f"{p}/{unit}")
     verdicts = set()
     for _ in range(12):
         n = rng.randrange(1, 4)
         height = rng.randrange(2, 3 * unit * n + 2)
         blocks = random_blocks(rng, p, unit, n, height)
-        lex = list(itertools.product(range(4), repeat=n))  # all-zero first
-        shuffled = lex[:]
-        rng.shuffle(shuffled)
-        repeats = [rng.choice(lex) for _ in range(2 * len(lex))]
-        for order in (lex, shuffled, repeats, [(0,) * n]):
-            for _, rows in both(blocks, order, unit, p):
+        lex = list(itertools.product(range(5), repeat=n))  # all-zero first
+        some = sorted(rng.sample(lex, rng.randrange(1, len(lex) + 1)))
+        cases = [(lex, None), (some, None), ([(0,) * n], None), *family_grid(n)]
+        for patterns, trie in cases:
+            for _, rows in both(blocks, patterns, unit, p, trie):
                 verdicts.add(rows is None)
     assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("unit", [1, 2])
+@pytest.mark.parametrize("p", [2, 7, 65521])
+def test_dependency_at_the_first_and_the_last_symbol(p, unit):
+    # symbol 0 opens with a zero vector, so every pattern with t_0 > 0
+    # fails at depth 0; or the last symbol's second unit opens with symbol
+    # 0's first vector, so a pattern that erases symbol 0 fails at its last
+    # symbol once t_{n-1} > 1.  The blocks are tall enough that random
+    # vectors are independent otherwise
+    rng = random.Random(f"ends/{p}/{unit}")
+    for n in (2, 4):
+        height = 8 * unit * n + 8
+        fresh = [[[rng.randrange(p) for _ in range(height)] for _ in range(4 * unit)] for _ in range(n)]
+        first = [b[:] for b in fresh]
+        first[0][0] = [0] * height
+        last = [b[:] for b in fresh]
+        last[-1][unit] = list(fresh[0][0])
+        for blocks, fails in ((first, lambda t: t[0] > 0), (last, lambda t: t[0] > 0 and t[-1] > 1)):
+            for patterns, trie in family_grid(n):
+                got = both(blocks, patterns, unit, p, trie)
+                assert [t for t, rows in got if rows is None] == [t for t in patterns if fails(t)]
 
 
 def test_all_zero_pattern_and_empty_blocks():
     assert both([[[1, 0]], [[0, 1]]], [(0, 0)], 1, 3) == [((0, 0), [])]
     assert both([(), ()], [(0, 0), (1, 2)], 2, 5) == [((0, 0), []), ((1, 2), [])]
+
+
+def test_power_dead_end_reports_no_failure():
+    # entries 0 or powers of two up to 8 on three symbols, total 8, with
+    # only the budget bound pruning: the prefix (1,) leaves 7, which no two
+    # such entries make, so its subtree has no leaf.  Symbol 1's fourth
+    # vector repeats symbol 0's first, so (1, 4) is dependent; it is the
+    # dead end's last entry, so no leaf reports it, and symbol 0's next
+    # value starts afresh.  Only the leaves above (1, 4) fail
+    values = [0, 1, 2, 4, 8]
+
+    def children(i, left):
+        for v in values:
+            if v <= left and left - v <= (2 - i) * 8:
+                yield v, left - v
+
+    rng = random.Random("dead end")
+    blocks = [[[rng.randrange(7) for _ in range(24)] for _ in range(8)] for _ in range(3)]
+    blocks[1][3] = list(blocks[0][0])
+    fam = PowerFamily(8, 3)
+    maxima = list(maximal_patterns(fam))
+    assert [t for t in maxima if t[0] == 1] == [] and (0, 8, 0) in maxima
+    got = both(blocks, maxima, 1, 7, (children, 8))
+    assert [t for t, rows in got if rows is None] == [t for t in maxima if t[0] and t[1] >= 4]
+    # the exact power rule has no dead end: its trie is the same leaves
+    assert both(blocks, maxima, 1, 7, family_trie(fam)) == got
 
 
 @pytest.mark.parametrize("p", PRIMES)
@@ -241,20 +310,20 @@ def test_copy_shares_rows_and_grows_apart():
 
 class TestSharing:
     # block 0's second vector repeats its first, so any pattern with t_0 = 2
-    # is dependent at stacked position 1
+    # is dependent at block 0's second vector
     BLOCKS = [[[1, 0, 0], [1, 0, 0]], [[0, 1, 0], [0, 0, 1]]]
 
-    def walk(self, patterns):
-        packed, lay = packed_blocks(self.BLOCKS, 2)
-        return modp.prefix_echelons(packed, patterns, 1, lay)
+    def walk(self, patterns, blocks=BLOCKS):
+        packed, lay = packed_blocks(blocks, 2)
+        return modp.walk(packed, *sorted_trie(patterns), 1, lay)
 
-    def inserts(self, monkeypatch, patterns):
+    def inserts(self, monkeypatch, patterns, blocks=BLOCKS):
         """Per pattern, the Echelon.insert calls the walk made for it."""
         calls = []
         real = modp.Echelon.insert
         monkeypatch.setattr(modp.Echelon, "insert", lambda ech, v: calls.append(v) or real(ech, v))
         counts = []
-        for t, ech in self.walk(patterns):
+        for t, ech in self.walk(patterns, blocks):
             counts.append((t, ech is not None, len(calls)))
             calls.clear()
         return counts
@@ -264,11 +333,23 @@ class TestSharing:
         assert got == [((2, 0), False, 2), ((2, 1), False, 0), ((2, 2), False, 0)]
         both(self.BLOCKS, [(2, 0), (2, 1), (2, 2)], 1, 2)
 
+    def test_failed_level_inserts_nothing_for_larger_values(self, monkeypatch):
+        # t_0 = 2 fails, so t_0 = 3 and its subtree fail without an insert
+        blocks = [[[1, 0, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1]], [[0, 1, 0, 0], [0, 0, 1, 0]]]
+        patterns = [(1, 2), (2, 0), (2, 1), (3, 0), (3, 2)]
+        got = self.inserts(monkeypatch, patterns, blocks)
+        assert got == [
+            ((1, 2), True, 3), ((2, 0), False, 1), ((2, 1), False, 0), ((3, 0), False, 0), ((3, 2), False, 0)
+        ]
+        both(blocks, patterns, 1, 2)
+
     def test_pattern_that_leaves_the_failed_prefix_inserts_its_own(self, monkeypatch):
-        # (1, 2) shares only the first vector with (2, 1): one row kept, two inserted
-        got = self.inserts(monkeypatch, [(2, 1), (1, 2), (1, 1)])
-        assert got == [((2, 1), False, 2), ((1, 2), True, 2), ((1, 1), True, 0)]
-        both(self.BLOCKS, [(2, 1), (1, 2), (1, 1)], 1, 2)
+        # block 1's vectors are equal, so (0, 2) fails at block 1; (1, 0)
+        # leaves that prefix, cuts block 1's row and inserts block 0's
+        blocks = [[[1, 0], [1, 0]], [[0, 1], [0, 1]]]
+        got = self.inserts(monkeypatch, [(0, 2), (1, 0), (1, 1)], blocks)
+        assert got == [((0, 2), False, 2), ((1, 0), True, 1), ((1, 1), True, 1)]
+        both(blocks, [(0, 2), (1, 0), (1, 1)], 1, 2)
 
     def test_shared_rows_are_kept_not_rebuilt(self, monkeypatch):
         # lex order: each pattern inserts only what follows its shared prefix
@@ -276,12 +357,12 @@ class TestSharing:
         assert [k for *_, k in got] == [2, 1, 1, 1]
 
     def test_yielded_echelon_is_valid_until_the_walk_advances(self):
-        walk = self.walk([(1, 2), (0, 1)])
+        walk = self.walk([(0, 1), (1, 2)])
         _, first = next(walk)
         kept = first.copy()
         _, second = next(walk)
-        assert second is first and len(second.rows) == 1
-        assert [piv for piv, _ in unpacked(kept)] == [0, 1, 2]
+        assert second is first and len(second.rows) == 3
+        assert [piv for piv, _ in unpacked(kept)] == [1]
 
 
 class TestVerdictOrder:
@@ -309,3 +390,41 @@ class TestVerdictOrder:
         assert (check.ok, check.counterexample) == reference_verify_udm(bad)
         first = next(iter(maximal_patterns(FullFamily(u.alpha, u.m, u.n))))
         assert check.counterexample != first
+
+
+class TestInsertCounts:
+    """``Echelon.insert`` calls of whole checks, pinned: each stacked
+    vector is inserted once per prefix that first needs it, and no insert
+    follows a dependency at its level.  The field's construction is
+    counted apart, for its irreducibility test."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = []
+        real = modp.Echelon.insert
+        monkeypatch.setattr(modp.Echelon, "insert", lambda ech, v: calls.append(1) or real(ech, v))
+        return calls
+
+    def test_trace_code_claim_and_refutation(self, calls):
+        _, code = trace_instance()
+        for i in range(code.n):
+            code.block(i)
+        calls.clear()
+        assert is_correcting(code, code.claim).correcting
+        assert len(calls) == 1274
+        calls.clear()
+        report = is_correcting(code, FullFamily(4, 6, 8))  # with its witness
+        assert report.pattern == (0, 0, 1, 1, 1, 1, 1, 1) and len(calls) == 585
+
+    def test_greedy_gv(self, calls):
+        ext = make_tower(2, 1, 2, 0)
+        built = len(calls)
+        with pytest.warns(UserWarning):
+            greedy_gv_code(14, 3, 3, ext, seed=0)
+        assert (built, len(calls) - built) == (8, 2422)
+
+    def test_vontobel_set(self, calls):
+        field = make_field(7, 1, 0)
+        built = len(calls)
+        assert vontobel_udms(8, 4, 5, field).verdict.ok
+        assert (built, len(calls) - built) == (2, 1274)

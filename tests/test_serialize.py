@@ -171,3 +171,70 @@ class TestReceived:
         word = (ext.from_index(5), ext.from_index(2))
         payload = serialize.codeword_to_json(word)
         assert serialize.codeword_from_json(ext, payload) == word
+
+
+def _set(key, value):
+    def edit(payload):
+        payload[key] = value
+        return payload
+
+    return edit
+
+
+def _set_first(key, value):
+    def edit(payload):
+        payload[key][0] = value
+        return payload
+
+    return edit
+
+
+class TestListPayloads:
+    """Where a payload needs a list, a JSON object or string is refused: it
+    would iterate as its keys or characters."""
+
+    @pytest.fixture(scope="class")
+    def payloads(self):
+        code = length2_code(tower(2, 1, 2))
+        word = tuple(kernel_basis(code)[0])
+        return {
+            "code": (serialize.code_from_json, serialize.code_to_json(code)),
+            "udms": (serialize.udms_from_json, serialize.udms_to_json(vontobel_udms(3, 2, 3, field(3, 1)))),
+            "received word": (
+                serialize.received_from_json,
+                serialize.received_to_json(apply_erasure(word, (1, 1), code.omega)),
+            ),
+            "codeword": (lambda obj: serialize.codeword_from_json(code.ext, obj), serialize.codeword_to_json(word)),
+            "patterns": (serialize.patterns_from_json, [[1, 1], [2, 0]]),
+        }
+
+    @pytest.mark.parametrize(
+        "source,kind,edit",
+        [
+            ("patterns", "patterns", lambda _: {}),
+            ("patterns", "patterns", lambda _: "x"),
+            ("patterns", "patterns", lambda _: ["x"]),
+            ("patterns", "patterns", lambda _: [{"0": 1}]),
+            ("code", "code", _set("H", {})),
+            ("code", "code", _set_first("H", {})),
+            ("code", "basis", _set("omega", {})),
+            ("udms", "udms", _set("matrices", {})),
+            ("udms", "udms", _set_first("matrices", {})),
+            ("received word", "received word", _set("known", {})),
+            ("received word", "received word", _set_first("known", "x")),
+            ("received word", "received word", _set("t", {})),
+            ("received word", "basis", _set("omega", "x")),
+            ("codeword", "codeword", lambda _: {}),
+        ],
+        ids=[
+            "patterns-object", "patterns-string", "pattern-string", "pattern-object",
+            "H-object", "H-row-object", "omega-object", "matrices-object", "matrix-object",
+            "known-object", "suffix-string", "t-object", "received-omega-string", "codeword-object",
+        ],
+    )
+    def test_object_or_string_for_a_list(self, payloads, source, kind, edit):
+        load, payload = payloads[source]
+        bad = edit(json.loads(canon(payload)))
+        with pytest.raises(ParameterError) as exc:
+            load(bad)
+        assert str(exc.value) == f"malformed {kind} payload: expected a list"
