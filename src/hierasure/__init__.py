@@ -59,7 +59,6 @@ from .fields import (
     make_tower,
     quadratic_root_with_constant,
     subfield_basis,
-    subfield_members,
     trace,
 )
 from .patterns import (

@@ -38,9 +38,9 @@ from .fields import (
     ExtSpec,
     OrderedBasis,
     QuadraticRoot,
+    _subfield_echelon,
     dual_basis,
     find_quadratic_root,
-    iter_subfield_members,
     quadratic_root_with_constant,
     subfield_basis,
 )
@@ -90,10 +90,13 @@ def b_symmetric_basis(ext: ExtSpec, root: QuadraticRoot) -> OrderedBasis:
 
 def _first_outside(ext: ExtSpec, big_d: int, small_d: int) -> Element:
     # lexicographically first member of the degree big_d subfield outside
-    # the degree small_d one
-    for el in iter_subfield_members(ext, big_d):
-        if not _in_subfield(ext, el, small_d):
-            return el
+    # the degree small_d one: the members sum c_k v_k over the big echelon
+    # basis sort as their vectors c do, and with v_j the last basis vector
+    # outside, the answer is the first nonzero scalar times v_j
+    for v in reversed(_subfield_echelon(ext, big_d)):
+        if not _in_subfield(ext, v, small_d):
+            first_nonzero = next(c for c in ext.base.lex_elements() if c)
+            return ext.lift(first_nonzero) * v
     raise ConstructionError("nested subfields are equal; tower bug")  # pragma: no cover
 
 

@@ -41,9 +41,10 @@ extension's power multiples of those elements, so an expansion needs no
 extension product.
 
 Deterministic search orders are part of the contract: modulus searches
-shuffle the positions of the candidates with a seeded RNG, while element searches
-(primitive elements, quadratic roots, subfield representatives) run in
-lexicographic order over ascending-power coefficient tuples.
+shuffle the positions of the candidates with a seeded RNG, while element
+searches (primitive elements, quadratic roots) run in lexicographic order
+over ascending-power coefficient tuples.  Subfield representatives, also
+lex-first, are read off a subfield's echelon basis with no search.
 """
 
 from __future__ import annotations
@@ -925,37 +926,16 @@ def subfield_basis(ext: ExtSpec, d: int) -> list[Element]:
     return [Element(ext, tuple(c.coeffs for c in v)) for v in kernel]
 
 
-def iter_subfield_members(ext: ExtSpec, d: int) -> Iterator[Element]:
-    """The q^d elements of the degree-d subfield, lazily, by coefficient tuple.
-
-    The walk uses the subfield's basis in reduced row echelon form over
-    the base field, with first-nonzero pivots p_1 < ... < p_d.  The
-    coordinate of sum c_k v_k at p_k is then c_k itself, and every
-    coordinate before p_k depends only on c_1 .. c_(k-1); so walking the
-    coefficient tuples in lexicographic order walks the members in
-    lexicographic order.  That echelon basis comes from the canonical
-    kernel of the subfield map with its columns reversed: each kernel
-    vector is 1 at its free column, 0 at the other free columns and zero
-    after it, so read back to front it is an echelon row, and the list
-    reversed has its pivots ascending.
-    """
+def _subfield_echelon(ext: ExtSpec, d: int) -> list[Element]:
+    # the degree-d subfield's basis in reduced row echelon form over the
+    # base, pivots ascending: each vector of the canonical kernel of the
+    # reversed subfield map is 1 at its free column, 0 at the other free
+    # columns and after it, so read back to front it is an echelon row
     from . import linalg
 
     reversed_map = [row[::-1] for row in _subfield_map(ext, d)]
     kernel = linalg.right_kernel(reversed_map, ext.alpha, ext.base)
-    echelon = [Element(ext, tuple(c.coeffs for c in reversed(v))) for v in reversed(kernel)]
-    scalars = [ext.lift(c) for c in ext.base.lex_elements()]
-    multiples = [[c * v for c in scalars] for v in echelon]
-    for parts in itertools.product(*multiples):
-        acc = parts[0]
-        for x in parts[1:]:
-            acc = acc + x
-        yield acc
-
-
-def subfield_members(ext: ExtSpec, d: int) -> list[Element]:
-    """All q^d elements of the degree-d subfield, sorted by coefficient tuple."""
-    return list(iter_subfield_members(ext, d))
+    return [Element(ext, tuple(c.coeffs for c in reversed(v))) for v in reversed(kernel)]
 
 
 @dataclass(frozen=True, slots=True)

@@ -31,7 +31,6 @@ from dataclasses import dataclass
 from operator import itemgetter
 from typing import Iterator, Sequence, Union
 
-from . import modp
 from .errors import ParameterError, require_int
 from .fields import Element, OrderedBasis
 
@@ -145,8 +144,19 @@ def family_contains(fam: PatternFamily, t: Sequence[int]) -> bool:
 
 
 def _leaves(children, root, n: int) -> Iterator[ErasurePattern]:
-    # the rank check's walk over n empty blocks: no insert, every leaf as is
-    return (t for t, _ in modp.walk([()] * n, children, root, 0, modp.layout(2, 0)))
+    # depth first, one child iterator per level on the stack; a child is
+    # entered before its parent's iterator advances, as lazy groups need
+    t = [0] * n
+    stack = [children(0, root)]
+    while stack:
+        i = len(stack) - 1
+        for t[i], child in stack[-1]:
+            if i + 1 < n:
+                stack.append(children(i + 1, child))
+                break
+            yield tuple(t)
+        else:
+            stack.pop()
 
 
 def _budget_children(n: int, values: Sequence[int], need):

@@ -55,7 +55,6 @@ from hierasure import (
     subfield_basis,
 )
 from hierasure.constructions import _gv_bound_base
-from hierasure.fields import iter_subfield_members
 
 import element_linalg
 
@@ -514,14 +513,16 @@ def reference_is_irreducible(coeffs, K):
 
 def reference_quadratic_root(ext, a0=None):
     """The first irreducible x^2 + a1 x + a0 over the base in (a0, a1)
-    lexicographic order (a0 pinned when given), and its first root in a
-    lexicographic walk over the degree-2 subfield."""
+    lexicographic order (a0 pinned when given), and its first root in the
+    sorted list of the degree-2 subfield's members (``lex_elements`` when
+    that subfield is the whole field)."""
     base = ext.base
     for c0 in base.lex_elements() if a0 is None else [a0]:
         for a1 in base.lex_elements():
             if reference_is_irreducible([c0.coeffs, a1.coeffs, base.rone], base):
                 lc0, la1 = ext.lift(c0), ext.lift(a1)
-                for b in iter_subfield_members(ext, 2):
+                plane = ext.lex_elements() if ext.alpha == 2 else reference_subfield_members(ext, 2)
+                for b in plane:
                     if not b * b + la1 * b + lc0:
                         return QuadraticRoot(c0, a1, b)
     raise ConstructionError("no irreducible quadratic found")

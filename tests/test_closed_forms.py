@@ -1,14 +1,13 @@
-"""Closed-form maximal patterns, member walks and the lazy subfield walk against exhaustive searches.
+"""Closed-form maximal patterns, member walks and subfield representatives against exhaustive searches.
 
 ``maximal_patterns`` generates the balanced and power maxima directly,
 ``enumerate_family`` walks only balanced and power members, and
-``iter_subfield_members`` walks a subfield in lexicographic order without
-sorting; the references in ``reference.py`` are the dominance filter over
-every family member, the filter of the bounded simplex, and the sorted
-list of every subfield member.
+``constructions._first_outside`` reads the lexicographically first member
+of one subfield outside a smaller one off the bigger subfield's echelon
+basis; the references in ``reference.py`` are the dominance filter over
+every family member, the filter of the bounded simplex, and a scan of the
+sorted list of every subfield member (of the whole field in lex order).
 """
-
-import itertools
 
 import pytest
 
@@ -18,15 +17,13 @@ from hierasure import (
     enumerate_family,
     maximal_patterns,
     subfield_chain_basis,
-    subfield_members,
 )
-from hierasure.fields import iter_subfield_members
+from hierasure.constructions import _first_outside
 from reference import (
     reference_enumerate_family,
     reference_first_outside,
     reference_local_maxima,
     reference_maximal_patterns,
-    reference_subfield_members,
 )
 from towers import tower
 
@@ -67,16 +64,42 @@ class TestEnumeration:
         assert list(enumerate_family(fam)) == reference_enumerate_family(fam)
 
 
-def _divisors(ext):
-    return [d for d in range(1, ext.alpha + 1) if ext.alpha % d == 0 and ext.base.order**d <= 5000]
+# e = 1, 2 and 3 towers; alpha 6 and 12 have the odd part that
+# b_symmetric_basis doubles from.  In five of them, (2, 1, 12, 0),
+# (3, 1, 8, 1), (3, 1, 12, 0), (2, 2, 6, 5) and (5, 1, 8, 3), the last
+# echelon vector of a big subfield lies in the small one, so the answer
+# sits at an earlier pivot
+FIRST_OUTSIDE_TOWERS = [
+    (p, e, alpha, seed)
+    for p, e in [(2, 1), (3, 1), (5, 1), (2, 2), (3, 2), (2, 3)]
+    for alpha in (2, 4, 6, 8, 12)
+    for seed in (0, 1)
+] + [(2, 2, 6, 5), (5, 1, 8, 3)]
+# the reference sorts every member of a proper subfield, so keep those small
+_MEMBER_CAP = 1024
+
+
+def _nested_pairs(ext):
+    divisors = [d for d in range(1, ext.alpha + 1) if ext.alpha % d == 0]
+    return [
+        (big, small)
+        for big in divisors
+        if big == ext.alpha or ext.base.order**big <= _MEMBER_CAP
+        for small in divisors
+        if small < big and big % small == 0
+    ]
 
 
 class TestSubfieldWalk:
-    @pytest.mark.parametrize("p,e,alpha", SUBFIELD_TOWERS)
-    def test_members_match_sorted_reference(self, p, e, alpha):
-        ext = tower(p, e, alpha)
-        for d in _divisors(ext):
-            assert subfield_members(ext, d) == reference_subfield_members(ext, d)
+    """Subfield representatives in closed form against the lexicographic scan."""
+
+    @pytest.mark.parametrize("p,e,alpha,seed", FIRST_OUTSIDE_TOWERS)
+    def test_first_outside_matches_reference(self, p, e, alpha, seed):
+        ext = tower(p, e, alpha, seed)
+        pairs = _nested_pairs(ext)
+        assert pairs
+        for big, small in pairs:
+            assert _first_outside(ext, big, small) == reference_first_outside(ext, big, small), (big, small)
 
     @pytest.mark.parametrize("p,e,alpha", SUBFIELD_TOWERS + [(11, 1, 8)])
     def test_chain_steps_match_reference(self, p, e, alpha):
@@ -84,8 +107,3 @@ class TestSubfieldWalk:
         beta = alpha.bit_length() - 1
         expected = [reference_first_outside(ext, 1 << i, 1 << (i - 1)) for i in range(1, beta + 1)]
         assert list(subfield_chain_basis(ext).steps) == expected
-
-    def test_whole_field_walk_is_lex_order(self):
-        ext = tower(11, 1, 8)
-        head = list(itertools.islice(iter_subfield_members(ext, 8), 200))
-        assert head == list(itertools.islice(ext.lex_elements(), 200))

@@ -1,11 +1,15 @@
 """Byte-identity of CLI artifacts against checked-in golden files.
 
-Two cases rerun through ``cli.main`` in a fresh directory:
+Three cases rerun through ``cli.main`` in a fresh directory:
 
 * ``cli_pipeline``: the benchmark's cli-pipeline instance (a balanced code
   over GF(11^8), n = 8, seed 201), then ``verify --json`` against its claim
   and ``decode --json`` on three seeded received words kept in the golden
   directory as inputs;
+* ``length2_large``: the two-symbol code over GF(65521^8), whose mirrored
+  basis takes two doubling steps, (4, 2) and (8, 4), each with a subfield
+  representative far beyond any walk of its members, then ``verify --json``
+  against its claim;
 * ``refuted``: a trace code over GF(3^2)^2 with its dual basis (not the
   polynomial basis), refuted by ``verify --family full:4 --json``, so the
   counterexample and witness paths run on an e = 2 tower.
@@ -57,7 +61,16 @@ def _refuted(d: Path, inputs: Path):
     ]
 
 
-CASES = {"cli_pipeline": _pipeline, "refuted": _refuted}
+def _length2_large(d: Path, inputs: Path):
+    code = str(d / "code.json")
+    return [
+        ("construct", ["construct", "length2", "--p", "65521", "--alpha", "8", "--seed", "0",
+                       "--out", code, "--json"], 0),
+        ("verify", ["verify", "--code", code, "--json", "--out", str(d / "verify.json")], 0),
+    ]
+
+
+CASES = {"cli_pipeline": _pipeline, "length2_large": _length2_large, "refuted": _refuted}
 
 
 def _run(case: str, d: Path) -> dict[str, bytes]:
