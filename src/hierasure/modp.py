@@ -40,7 +40,12 @@ and a vector is dependent iff its first ``width`` lanes are then zero.
 ``Echelon.rows`` is append-only: an independent insert appends exactly
 one row and never changes an earlier one, so ``rows[:s]`` is the echelon
 of the first s independent vectors inserted, and ``del rows[s:]`` rolls
-the basis back to it, which is how ``walk`` checks a pattern trie on one echelon.
+the basis back to it, which is how ``walk`` checks a pattern trie on one
+echelon.  The walk is one generator frame over an explicit stack of
+levels, so it has no depth limit: a trie has one level per block, and a
+code may have more symbols than the interpreter has recursion depth.  A
+trie's ``children(i, node)`` returns any iterable, a tuple tabled once
+per trie or a one-shot iterator, and the walk takes ``iter()`` of it.
 """
 
 from __future__ import annotations
@@ -147,19 +152,27 @@ class Echelon:
         """Add x to the basis; None when it was independent of the basis.
 
         A dependent x is returned reduced: zero in the first ``width``
-        lanes, with whatever the tag lanes accumulated.
+        lanes, with whatever the tag lanes accumulated.  This is
+        ``reduce`` and the pivot scaling in one call, since every rank
+        check runs through it.
         """
-        x = self.reduce(x)
         lay = self.layout
+        p, lane, rows = lay.p, lay.lane, self.rows
+        for at, row in rows:
+            c = (x >> at & lane) % p
+            if c:
+                x += (p - c) * row
+        x -= p * (x * lay.mul >> lay.shift & lay.quot)
         low = x & lay.pivots
         if not low:
             return x
         at = (low & -low).bit_length() - 1
         at -= at % lay.bits
-        c = x >> at & lay.lane
+        c = x >> at & lane
         if c != 1:
-            x = lay.normalize(x * pow(c, -1, lay.p))
-        self.rows.append((at, x))
+            x *= pow(c, -1, p)
+            x -= p * (x * lay.mul >> lay.shift & lay.quot)
+        rows.append((at, x))
         return None
 
 
@@ -167,37 +180,57 @@ def walk(blocks: Sequence, children: Callable, root, unit: int, lay: Layout) -> 
     """For each leaf t of a pattern trie, in lex order, (t, the echelon of
     the first t_i * unit vectors of every block i, stacked), or (t, None)
     when those are dependent: the full-rank test behind every
-    correctability and UDM verdict.  ``children(i, node)`` yields
-    (t_i, child) in ascending t_i, one level per block; the vectors are
-    packed under ``lay``.
+    correctability and UDM verdict.  ``children(i, node)`` returns an
+    iterable of (t_i, child) in ascending t_i, one level per block; the
+    walk takes ``iter()`` of it, so a tuple it returns again starts from
+    its first child.  The vectors are packed under ``lay``.
 
     One echelon serves the whole walk, and the yielded echelon is valid
     only until the walk advances; copy it to keep it.  As t_i rises, a
     level cuts the deeper rows and inserts only block i's next vectors.
     A dependency at level i is one for every larger t_i too, so the rest
     of that level is yielded as None without an insert.
+
+    The walk is one loop over an explicit stack, one entry per level
+    above the current one, so a trie may be as deep as there are blocks.
+    A level's entry holds its child iterator, the row count above it (its
+    mark), how many of its block's vectors it has inserted and whether its
+    prefix is still independent.  A child is entered before its parent's
+    iterator advances, as lazily grouped children need.
     """
     ech = Echelon(lay)
     rows, insert = ech.rows, ech.insert
     n = len(blocks)
+    if not n:
+        yield (), ech
+        return
     t = [0] * n
-
-    def descend(i, node, ok):
-        if i == n:
-            yield tuple(t), ech if ok else None
-            return
-        block, mark, done = blocks[i], len(rows), 0
-        for t[i], child in children(i, node):
-            if ok:
+    last = n - 1
+    stack = []  # (iterator, mark, done, ok) of each level above level i
+    i, it, mark, done, ok = 0, iter(children(0, root)), 0, 0, True
+    while True:
+        for ti, child in it:
+            # t_i = 0 can only be a level's first child: nothing to cut or insert
+            if ok and ti:
                 del rows[mark + done :]
-                for v in block[done : t[i] * unit]:
+                for v in blocks[i][done : ti * unit]:
                     if insert(v) is not None:
                         ok = False
                         break
                     done += 1
-            yield from descend(i + 1, child, ok)
-
-    return descend(0, root, True)
+            t[i] = ti
+            if i == last:
+                yield tuple(t), ech if ok else None
+            else:
+                stack.append((it, mark, done, ok))
+                i += 1
+                it, mark, done = iter(children(i, child)), len(rows), 0
+                break
+        else:
+            if not stack:
+                return
+            it, mark, done, ok = stack.pop()
+            i -= 1
 
 
 def tagged(columns: Sequence[int], lay: Layout) -> tuple[Layout, list[int]]:

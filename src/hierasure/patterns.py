@@ -13,6 +13,10 @@ four families:
 
 Each family is a trie of patterns (``family_trie``) whose leaves, in lex
 order, the enumerators read and the rank check walks (``modp.walk``).
+The tries the rules describe (full patterns, power maxima, balanced
+members) are tabled: each (level, node) child list is made once per trie
+as a tuple, which a reader takes ``iter()`` of, since the same tuple comes
+back whenever that node is reached again.
 Enumeration visits only members.  ``maximal_patterns`` yields the
 patterns not dominated componentwise inside their family, which is all
 a correctability check ever needs, since erasing less is easier.  Every
@@ -147,12 +151,12 @@ def _leaves(children, root, n: int) -> Iterator[ErasurePattern]:
     # depth first, one child iterator per level on the stack; a child is
     # entered before its parent's iterator advances, as lazy groups need
     t = [0] * n
-    stack = [children(0, root)]
+    stack = [iter(children(0, root))]
     while stack:
         i = len(stack) - 1
         for t[i], child in stack[-1]:
             if i + 1 < n:
-                stack.append(children(i + 1, child))
+                stack.append(iter(children(i + 1, child)))
                 break
             yield tuple(t)
         else:
@@ -162,13 +166,17 @@ def _leaves(children, root, n: int) -> Iterator[ErasurePattern]:
 def _budget_children(n: int, values: Sequence[int], need):
     # node = budget left; a child keeps only a budget the entries below can
     # still spend: need(b) is the fewest nonzero values that sum to b (0
-    # when the leaves need not spend it all), so every kept node has a leaf
+    # when the leaves need not spend it all), so every kept node has a
+    # leaf.  Each (level, budget) child tuple is made once per trie
+    levels = [{} for _ in range(n)]
+
     def children(i, left):
-        for v in values:
-            if v > left:
-                break
-            if need(left - v) < n - i:
-                yield v, left - v
+        try:
+            return levels[i][left]
+        except KeyError:
+            kids = tuple((v, left - v) for v in values if v <= left and need(left - v) < n - i)
+            levels[i][left] = kids
+            return kids
 
     return children
 
@@ -176,14 +184,23 @@ def _budget_children(n: int, values: Sequence[int], need):
 def _balanced_children(fam: BalancedFamily):
     # node = (support, largest entry) of the prefix: the family is downward
     # closed, so a prefix extends to a member iff it does with zeros, which
-    # change neither, and once an entry v fails so does every larger v
+    # change neither, and once an entry v fails so does every larger v.
+    # The children depend on the node alone, and each tuple is made once
+    table = {}
+
     def children(i, node):
-        support, biggest = node
-        for v in range(fam.alpha + 1):
-            child = (support + (v > 0), max(biggest, v))
-            if not _is_balanced(*child, fam.alpha, fam.n):
-                break
-            yield v, child
+        try:
+            return table[node]
+        except KeyError:
+            support, biggest = node
+            kids = []
+            for v in range(fam.alpha + 1):
+                child = (support + (v > 0), max(biggest, v))
+                if not _is_balanced(*child, fam.alpha, fam.n):
+                    break
+                kids.append((v, child))
+            kids = table[node] = tuple(kids)
+            return kids
 
     return children
 
@@ -198,9 +215,12 @@ def sorted_trie(patterns):
 def family_trie(fam: PatternFamily, all_patterns: bool = False):
     """The family's maximal patterns, or all its members with
     ``all_patterns``, as a trie (children, root): ``children(i, node)``
-    yields (t_i, child) in ascending t_i, one level per symbol, so the
-    leaves come in lex order.  Full patterns and power maxima descend by
-    the budget left; every other source is its sorted pattern list."""
+    returns an iterable of (t_i, child) in ascending t_i, one level per
+    symbol, so the leaves come in lex order.  Full patterns and power
+    maxima descend by the budget left, and their levels are tabled: each
+    (level, budget) child tuple is made on first use and kept for the
+    trie's life.  Every other source is its sorted pattern list, grouped
+    lazily, so such a trie is read once."""
     if isinstance(fam, FullFamily):
         values, alpha = range(fam.alpha + 1), fam.alpha
         if all_patterns:

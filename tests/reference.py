@@ -14,7 +14,10 @@ verification ranks stacked F_q rows.
 It also keeps the exhaustive searches the closed forms replaced: the
 pairwise dominance filter over a family's members, the filter of the
 bounded simplex that enumerated balanced and power members, and the
-sorted list of every member of a subfield.  ``reference_greedy_gv_code``
+sorted list of every member of a subfield.  ``reference_rule_trie`` is the
+rule-based pattern tries as they were before their levels were tabled:
+one child generator per call, where ``family_trie`` returns tuples made
+once per trie.  ``reference_greedy_gv_code``
 is the greedy construction as it was before it cached prefix echelons:
 each candidate column builds a probe code and rechecks every maximal
 pattern of the full family.  ``reference_prefix_echelons`` is the
@@ -118,6 +121,54 @@ def reference_local_maxima(fam):
         if not any(family_contains(fam, t[:j] + (t[j] + 1,) + t[j + 1 :]) for j in range(n))
     ]
 
+
+
+def reference_budget_children(n, values, need):
+    """``patterns._budget_children`` as a generator per call: node = budget
+    left, and a child keeps only a budget the entries below can spend."""
+
+    def children(i, left):
+        for v in values:
+            if v > left:
+                break
+            if need(left - v) < n - i:
+                yield v, left - v
+
+    return children
+
+
+def reference_balanced_children(fam):
+    """``patterns._balanced_children`` as a generator per call: node =
+    (support, largest entry) of the prefix."""
+
+    scales = range(min(fam.alpha, fam.n).bit_length())
+
+    def children(i, node):
+        support, biggest = node
+        for v in range(fam.alpha + 1):
+            s, b = support + (v > 0), max(biggest, v)
+            # balanced: some scale k holds the support and the largest entry
+            if not any(s <= 1 << k and b << k <= fam.alpha for k in scales):
+                break
+            yield v, (s, b)
+
+    return children
+
+
+def reference_rule_trie(fam, all_patterns=False):
+    """(children, root) of a rule-based trie from the generators above:
+    full maxima or members, power maxima, balanced members."""
+    if isinstance(fam, FullFamily):
+        values, alpha = range(fam.alpha + 1), fam.alpha
+        if all_patterns:
+            return reference_budget_children(fam.n, values, lambda b: 0), fam.m
+        return reference_budget_children(fam.n, values, lambda b: b and -(-b // alpha)), min(fam.m, fam.n * alpha)
+    if isinstance(fam, PowerFamily) and not all_patterns:
+        values, alpha = [0] + [1 << k for k in range(fam.alpha.bit_length())], fam.alpha
+        return reference_budget_children(fam.n, values, lambda b: b // alpha + (b % alpha).bit_count()), alpha
+    if isinstance(fam, BalancedFamily) and all_patterns:
+        return reference_balanced_children(fam), (0, 0)
+    raise ValueError(f"no rule-based trie for {fam!r}")
 
 def reference_subfield_members(ext, d):
     """Every combination of the degree-d subfield basis, sorted by coefficient tuple."""

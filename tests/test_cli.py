@@ -10,7 +10,7 @@ from hierasure import FullFamily, code_from_rows, find_quadratic_root, serialize
 from hierasure import apply_erasure, b_symmetric_basis, kernel_basis, length2_code, maximal_patterns
 from hierasure import fields, make_tower
 from hierasure.cli import main
-from towers import tower
+from towers import long_code, tower
 
 
 def run(*argv):
@@ -44,6 +44,14 @@ class TestConstructVerify:
         assert report["correcting"] is False
         assert report["counterexample"] == [1, 1]
         assert report["witness"] is not None
+
+    def test_verify_code_longer_than_the_recursion_limit(self, tmp_path, capsys):
+        # 1,100 symbols: a recursive walk would raise RecursionError, which
+        # main reports as exit 1, the code of a refuted claim
+        path = tmp_path / "long.json"
+        path.write_text(json.dumps(serialize.code_to_json(long_code())))
+        assert run("verify", "--code", str(path)) == 0
+        assert "correcting: True" in capsys.readouterr().out
 
     def test_verify_pattern_file(self, tmp_path):
         out = tmp_path / "code.json"

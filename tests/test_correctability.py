@@ -23,7 +23,7 @@ from hierasure import (
 )
 import element_linalg
 from semantic import all_flat_codewords, semantic_correctable
-from towers import tower
+from towers import LONG, long_code, tower
 
 
 def bad_ones_code(ext):
@@ -107,6 +107,17 @@ class TestIsCorrecting:
         code = length2_code(tower(2, 1, 2))
         with pytest.raises(ParameterError, match=r"entries must lie in \[0, alpha=2\]"):
             pattern_correctable(code, t)
+
+    def test_code_longer_than_the_recursion_limit(self):
+        # the walk descends one level per symbol on an explicit stack, so a
+        # trie 1,100 levels deep is checked and refuted like a short one
+        code = long_code()
+        assert code.n == LONG and is_correcting(code, code.claim).correcting
+        # one all-ones row: two erased first coordinates cancel, and the
+        # second maximal pattern of full:2 in lex order erases the last two
+        report = is_correcting(code, FullFamily(2, 2, LONG))
+        assert report.pattern == (0,) * (LONG - 2) + (1, 1)
+        assert [i for i, x in enumerate(report.witness) if x] == [LONG - 2, LONG - 1]
 
 
 class TestSemanticAgreement:

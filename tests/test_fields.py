@@ -16,6 +16,7 @@ from hierasure import (
     find_quadratic_root,
     is_basis,
     lucas_binom,
+    make_extension,
     make_field,
     make_tower,
     quadratic_root_with_constant,
@@ -30,7 +31,7 @@ from reference import (
     reference_quadratic_root,
     reference_subfield_members,
 )
-from towers import field, tower
+from towers import FIELDS, TOWERS, field, tower
 
 
 def w_elem(ext):
@@ -102,6 +103,16 @@ class TestMakeField:
         assert sum(c * p**k for k, c in enumerate(base.modulus)) == base_mod
         assert sum(base.rindex(c) * base.order**k for k, c in enumerate(ext.modulus)) == ext_mod
         assert make_field(p, e, seed) == base
+
+    @pytest.mark.parametrize("key", sorted(FIELDS) + sorted(TOWERS), ids=str)
+    def test_seeded_search_finds_the_pinned_modulus(self, key):
+        # the shared test fields are set up on pinned moduli, which the
+        # seeded search must still find: (p, e, seed) or (p, e, alpha, seed)
+        if len(key) == 3:
+            assert make_field(*key) == field(*key)
+        else:
+            p, e, alpha, seed = key
+            assert make_extension(make_field(p, e, seed), alpha, seed) == tower(*key)
 
 
 class TestArithmetic:

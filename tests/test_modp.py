@@ -49,7 +49,7 @@ from reference import (
     reference_solve,
     reference_verify_udm,
 )
-from towers import trace_instance
+from towers import LONG, trace_instance
 
 PRIMES = [2, 3, 7, 11, 251, 65521]
 
@@ -179,6 +179,7 @@ def test_dependency_at_the_first_and_the_last_symbol(p, unit):
 def test_all_zero_pattern_and_empty_blocks():
     assert both([[[1, 0]], [[0, 1]]], [(0, 0)], 1, 3) == [((0, 0), [])]
     assert both([(), ()], [(0, 0), (1, 2)], 2, 5) == [((0, 0), []), ((1, 2), [])]
+    assert both([], [()], 1, 3) == [((), [])]  # a trie of no levels: its root is its leaf
 
 
 def test_power_dead_end_reports_no_failure():
@@ -205,6 +206,18 @@ def test_power_dead_end_reports_no_failure():
     assert [t for t, rows in got if rows is None] == [t for t in maxima if t[0] and t[1] >= 4]
     # the exact power rule has no dead end: its trie is the same leaves
     assert both(blocks, maxima, 1, 7, family_trie(fam)) == got
+
+
+def test_walk_deeper_than_the_recursion_limit():
+    # one level per block on an explicit stack: the full:1 maxima of 1,100
+    # symbols, each a single 1, come in lex order, so the last symbol's
+    # first; its zero vector fails it and every other leaf is independent
+    lay = modp.layout(3, 2)
+    blocks = [[lay.pack([1, 2])]] * (LONG - 1) + [[0]]
+    got = list(modp.walk(blocks, *family_trie(FullFamily(2, 1, LONG)), 1, lay))
+    assert [t.index(1) for t, _ in got] == list(reversed(range(LONG)))
+    assert [ech is None for _, ech in got] == [True] + [False] * (LONG - 1)
+    assert all(len(ech.rows) == 1 for _, ech in got[1:])
 
 
 @pytest.mark.parametrize("p", PRIMES)

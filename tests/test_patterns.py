@@ -1,3 +1,6 @@
+import itertools
+from operator import itemgetter
+
 import pytest
 
 from hierasure import (
@@ -12,8 +15,11 @@ from hierasure import (
     hierarchical_weight,
     invisible_generators,
     maximal_patterns,
+    modp,
     parse_family,
 )
+from hierasure.patterns import _balanced_children, _leaves, family_trie, sorted_trie
+from reference import reference_rule_trie
 from towers import tower
 
 
@@ -122,6 +128,83 @@ class TestMaximal:
             for n in (2, 3, 4):
                 full = set(enumerate_family(FullFamily(alpha, alpha, n)))
                 assert set(enumerate_family(PowerFamily(alpha, n))) <= full
+
+
+def rule_tries(n, alpha):
+    """(family, all_patterns) of every rule-based trie on n symbols: the
+    full maxima and members for every budget up to n * alpha, the power
+    maxima and the balanced members (alpha a power of two)."""
+    for m in range(n * alpha + 1):
+        yield FullFamily(alpha, m, n), False
+        yield FullFamily(alpha, m, n), True
+    if not alpha & (alpha - 1):
+        yield PowerFamily(alpha, n), False
+        yield BalancedFamily(alpha, n), True
+
+
+class TestTabledTries:
+    """``family_trie`` and ``_balanced_children`` table each (level, node)
+    child list as a tuple, once per trie; ``reference_rule_trie`` is the
+    generator per call they replaced.  Children must agree at every node."""
+
+    @pytest.mark.parametrize("alpha", [1, 2, 3, 4, 8])
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_children_match_the_generators_at_every_node(self, n, alpha):
+        for fam, all_patterns in rule_tries(n, alpha):
+            want, root = reference_rule_trie(fam, all_patterns)
+            if isinstance(fam, BalancedFamily):
+                got, got_root = _balanced_children(fam), (0, 0)
+            else:
+                got, got_root = family_trie(fam, all_patterns)
+            assert got_root == root
+            # the trie's distinct (level, node) pairs, breadth first
+            level = {root}
+            for i in range(n):
+                for node in level:
+                    kids = tuple(want(i, node))
+                    assert got(i, node) == kids
+                    assert got(i, node) == kids  # a tabled tuple, read again
+                level = {child for node in level for _, child in want(i, node)}
+
+
+class TestChildrenIterables:
+    """A trie's children may be a tuple, which a loop taken up again starts
+    from its first child, or a one-shot iterator such as a lazy group.
+    ``_leaves`` and ``modp.walk`` must read both; each is read one leaf past
+    the expected count, so a loop that restarts fails instead of hanging."""
+
+    FAM = FullFamily(3, 4, 4)
+    # its maxima, entries at most 3 and total 4, in lex order, read without the tries
+    LEAVES = [t for t in itertools.product(range(4), repeat=4) if sum(t) == 4]
+
+    def tries(self):
+        def nested(patterns, i):
+            # a node is the tuple of its children: the same object on every call
+            if i == self.FAM.n:
+                return ()
+            groups = itertools.groupby(patterns, itemgetter(i))
+            return tuple((v, nested(list(group), i + 1)) for v, group in groups)
+
+        yield "tabled", family_trie(self.FAM)
+        yield "nested tuples", (lambda i, node: node, nested(self.LEAVES, 0))
+        yield "lazy groups", sorted_trie(iter(self.LEAVES))
+
+    def test_leaves(self):
+        want = self.LEAVES
+        for name, (children, root) in self.tries():
+            got = list(itertools.islice(_leaves(children, root, self.FAM.n), len(want) + 1))
+            assert got == want, name
+
+    def test_walk(self):
+        # block i's vectors are e_i, 2 * e_i and e_i: a pattern is
+        # independent iff no entry exceeds 1
+        want, n = self.LEAVES, self.FAM.n
+        lay = modp.layout(3, n)
+        blocks = [[lay.pack([c * (j == i) for j in range(n)]) for c in (1, 2, 1)] for i in range(n)]
+        for name, (children, root) in self.tries():
+            got = list(itertools.islice(modp.walk(blocks, children, root, 1, lay), len(want) + 1))
+            assert [t for t, _ in got] == want, name
+            assert [ech is not None for _, ech in got] == [max(t) <= 1 for t in want], name
 
 
 class TestFamilyValidation:
