@@ -54,6 +54,12 @@ class GvThreshold:
     q_min: int
 
 
+def gv_existence_base(n: int, m: int) -> int:
+    """B = (m + 1) * C(m + n - 2, n - 2): a code from the greedy
+    construction exists when q**(alpha*(r-1) - m) > B."""
+    return (m + 1) * comb(m + n - 2, n - 2)
+
+
 def gv_field_threshold(n: int, m: int, alpha: int, r: int) -> GvThreshold:
     """Smallest prime power beyond the greedy-construction existence bound.
 
@@ -65,7 +71,7 @@ def gv_field_threshold(n: int, m: int, alpha: int, r: int) -> GvThreshold:
     exponent_den = alpha * (r - 1) - m
     if exponent_den <= 0:
         raise ParameterError(f"need m < alpha*(r-1) = {alpha * (r - 1)}")
-    base = (m + 1) * comb(m + n - 2, n - 2)
+    base = gv_existence_base(n, m)
     q = 2
     while not (is_prime_power(q) and q**exponent_den > base):
         q += 1

@@ -6,7 +6,8 @@ artifact also writes a replayable manifest next to it (same command,
 parameters and seed reproduce byte-identical primary outputs; only the
 recorded duration varies).  Exit codes: 0 success, 1 semantic failure
 (verification false, decode not unique, construction gave up), 2 usage
-or parameter errors.
+or parameter errors and internal errors (no verdict: one line on stderr,
+no traceback).
 """
 
 from __future__ import annotations
@@ -449,6 +450,10 @@ def main(argv=None) -> int:
     except ConstructionError as exc:
         print(f"construction failed: {exc}", file=sys.stderr)
         return 1
+    except Exception as exc:
+        # a fault gives no verdict: exit 1 would read as one
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -31,6 +31,7 @@ import warnings
 from dataclasses import dataclass
 
 from . import linalg, modp
+from .bounds import gv_existence_base
 from .codes import LinearCode, code_from_rows, pack_column
 from .errors import ConstructionError, ParameterError
 from .fields import (
@@ -517,8 +518,7 @@ def greedy_gv_code(
     if budget < 0:
         raise ParameterError("need budget >= 0")
     base_size = ext.base.order
-    bound_base = _gv_bound_base(n, m)
-    if base_size ** (alpha * (r - 1) - m) <= bound_base:
+    if base_size ** (alpha * (r - 1) - m) <= gv_existence_base(n, m):
         warnings.warn(
             f"field size {base_size} is at or below the existence threshold; "
             "the greedy search may exhaust its budget"
@@ -579,9 +579,3 @@ def _extends(ech: modp.Echelon, vectors) -> bool:
     independent = all(ech.insert(v) is None for v in vectors)
     del ech.rows[mark:]
     return independent
-
-
-def _gv_bound_base(n: int, m: int) -> int:
-    from math import comb
-
-    return (m + 1) * comb(m + n - 2, n - 2)

@@ -120,7 +120,7 @@ def patterns_correctable(code: LinearCode, patterns) -> list[bool]:
     one walk over the distinct patterns in lex order."""
     ts = [_checked_pattern(code, t) for t in patterns]
     blocks = [code.block(i) if any(t[i] for t in ts) else () for i in range(code.n)]
-    trie = sorted_trie(sorted(set(ts)))
+    trie = sorted_trie(ts)
     ok = {t: ech is not None for t, ech in modp.walk(blocks, *trie, code.ext.base.e, code.layout)}
     return [ok[t] for t in ts]
 

@@ -44,8 +44,8 @@ the basis back to it, which is how ``walk`` checks a pattern trie on one
 echelon.  The walk is one generator frame over an explicit stack of
 levels, so it has no depth limit: a trie has one level per block, and a
 code may have more symbols than the interpreter has recursion depth.  A
-trie's ``children(i, node)`` returns any iterable, a tuple tabled once
-per trie or a one-shot iterator, and the walk takes ``iter()`` of it.
+trie's ``children(i, node)`` returns a tuple, often the same one each
+time a node is reached, and the walk takes ``iter()`` of it.
 """
 
 from __future__ import annotations
@@ -180,10 +180,10 @@ def walk(blocks: Sequence, children: Callable, root, unit: int, lay: Layout) -> 
     """For each leaf t of a pattern trie, in lex order, (t, the echelon of
     the first t_i * unit vectors of every block i, stacked), or (t, None)
     when those are dependent: the full-rank test behind every
-    correctability and UDM verdict.  ``children(i, node)`` returns an
-    iterable of (t_i, child) in ascending t_i, one level per block; the
-    walk takes ``iter()`` of it, so a tuple it returns again starts from
-    its first child.  The vectors are packed under ``lay``.
+    correctability and UDM verdict.  ``children(i, node)`` returns a
+    tuple of (t_i, child) in ascending t_i, one level per block; the walk
+    takes ``iter()`` of it, so a tuple it returns again starts from its
+    first child.  The vectors are packed under ``lay``.
 
     One echelon serves the whole walk, and the yielded echelon is valid
     only until the walk advances; copy it to keep it.  As t_i rises, a
@@ -195,8 +195,7 @@ def walk(blocks: Sequence, children: Callable, root, unit: int, lay: Layout) -> 
     above the current one, so a trie may be as deep as there are blocks.
     A level's entry holds its child iterator, the row count above it (its
     mark), how many of its block's vectors it has inserted and whether its
-    prefix is still independent.  A child is entered before its parent's
-    iterator advances, as lazily grouped children need.
+    prefix is still independent.
     """
     ech = Echelon(lay)
     rows, insert = ech.rows, ech.insert

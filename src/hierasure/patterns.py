@@ -13,10 +13,12 @@ four families:
 
 Each family is a trie of patterns (``family_trie``) whose leaves, in lex
 order, the enumerators read and the rank check walks (``modp.walk``).
-The tries the rules describe (full patterns, power maxima, balanced
-members) are tabled: each (level, node) child list is made once per trie
-as a tuple, which a reader takes ``iter()`` of, since the same tuple comes
-back whenever that node is reached again.
+Every family's trie, members or maxima, is a rule on a small node (the
+budget left, the support and largest entry so far, the value still to
+place, or none for bounded patterns) and is tabled: each (level, node)
+child tuple is made once per trie, and every node kept has a leaf.  An
+explicit pattern list is a trie too (``sorted_trie``), over index ranges
+of the sorted distinct patterns.
 Enumeration visits only members.  ``maximal_patterns`` yields the
 patterns not dominated componentwise inside their family, which is all
 a correctability check ever needs, since erasing less is easier.  Every
@@ -30,9 +32,7 @@ bounded(r) has the one all-r pattern.
 from __future__ import annotations
 
 import dataclasses
-import itertools
 from dataclasses import dataclass
-from operator import itemgetter
 from typing import Iterator, Sequence, Union
 
 from .errors import ParameterError, require_int
@@ -148,8 +148,7 @@ def family_contains(fam: PatternFamily, t: Sequence[int]) -> bool:
 
 
 def _leaves(children, root, n: int) -> Iterator[ErasurePattern]:
-    # depth first, one child iterator per level on the stack; a child is
-    # entered before its parent's iterator advances, as lazy groups need
+    # depth first, one child iterator per level on the stack
     t = [0] * n
     stack = [iter(children(0, root))]
     while stack:
@@ -205,61 +204,93 @@ def _balanced_children(fam: BalancedFamily):
     return children
 
 
+def _balanced_maxima_children(fam: BalancedFamily):
+    # node = None before the first nonzero entry, then (value, positions
+    # still to take it): scale k puts alpha >> k on exactly 2^k positions.
+    # A child keeps only a node the entries below can complete, one to
+    # choose a scale for None and `left` for (value, left), so every kept
+    # node has a leaf.  Each (level, node) child tuple is made once per trie
+    n, alpha = fam.n, fam.alpha
+    scales = [(alpha >> k, 1 << k) for k in reversed(range(min(alpha, n).bit_length()))]
+    levels = [{} for _ in range(n)]
+
+    def children(i, node):
+        try:
+            return levels[i][node]
+        except KeyError:
+            if node is None:
+                kids = [(0, None)] + [(v, (v, size - 1)) for v, size in scales]
+            else:
+                v, left = node
+                kids = [(0, node), (v, (v, left - 1))] if left else [(0, node)]
+            kids = levels[i][node] = tuple(
+                (t, child) for t, child in kids if (1 if child is None else child[1]) < n - i
+            )
+            return kids
+
+    return children
+
+
 def sorted_trie(patterns):
-    """The trie whose leaves are the lex-sorted patterns, duplicates once;
-    a node is the patterns below it, grouped lazily by their next entry,
-    so a trie made from an iterator can be walked once."""
-    return (lambda i, node: itertools.groupby(node, itemgetter(i))), patterns
+    """The trie whose leaves are the given patterns, lex-sorted, each once.
+
+    A node is the index range (lo, hi) of the sorted distinct patterns
+    that share its prefix, and ``children(i, node)`` splits that range by
+    entry i into a tuple, so reading the whole trie costs O(n * P) for P
+    patterns of length n."""
+    ts = sorted(set(patterns))
+
+    def children(i, node):
+        lo, hi = node
+        kids = []
+        while lo < hi:
+            v, end = ts[lo][i], lo + 1
+            while end < hi and ts[end][i] == v:
+                end += 1
+            kids.append((v, (lo, end)))
+            lo = end
+        return tuple(kids)
+
+    return children, (0, len(ts))
 
 
 def family_trie(fam: PatternFamily, all_patterns: bool = False):
     """The family's maximal patterns, or all its members with
     ``all_patterns``, as a trie (children, root): ``children(i, node)``
-    returns an iterable of (t_i, child) in ascending t_i, one level per
-    symbol, so the leaves come in lex order.  Full patterns and power
-    maxima descend by the budget left, and their levels are tabled: each
-    (level, budget) child tuple is made on first use and kept for the
-    trie's life.  Every other source is its sorted pattern list, grouped
-    lazily, so such a trie is read once."""
+    returns a tuple of (t_i, child) in ascending t_i, one level per
+    symbol, so the leaves come in lex order.  Every trie is tabled: each
+    (level, node) child tuple is made on first use and kept for the trie's
+    life, and every node it keeps has a leaf.  Full and power patterns
+    descend by the budget left, balanced members by the support and
+    largest entry so far, balanced maxima by the value still to place and
+    on how many positions, and bounded patterns by one constant tuple."""
+    n = fam.n
     if isinstance(fam, FullFamily):
         values, alpha = range(fam.alpha + 1), fam.alpha
         if all_patterns:
-            return _budget_children(fam.n, values, lambda b: 0), fam.m
-        return _budget_children(fam.n, values, lambda b: b and -(-b // alpha)), min(fam.m, fam.n * alpha)
-    if isinstance(fam, PowerFamily) and not all_patterns:
-        # powers of two up to alpha: alpha as often as it fits, then the bits of the rest
+            return _budget_children(n, values, lambda b: 0), fam.m
+        return _budget_children(n, values, lambda b: b and -(-b // alpha)), min(fam.m, n * alpha)
+    if isinstance(fam, PowerFamily):
+        # powers of two up to alpha, spending alpha exactly: the fewest that
+        # sum to b <= alpha are its bits; members add the empty pattern, so
+        # a budget still whole need not be spent
         values, alpha = [0] + [1 << k for k in range(fam.alpha.bit_length())], fam.alpha
-        return _budget_children(fam.n, values, lambda b: b // alpha + (b % alpha).bit_count()), alpha
-    return sorted_trie(enumerate_family(fam) if all_patterns else maximal_patterns(fam))
+        if all_patterns:
+            return _budget_children(n, values, lambda b: 0 if b == alpha else b.bit_count()), alpha
+        return _budget_children(n, values, int.bit_count), alpha
+    if isinstance(fam, BalancedFamily):
+        if all_patterns:
+            return _balanced_children(fam), (0, 0)
+        return _balanced_maxima_children(fam), None
+    if isinstance(fam, BoundedFamily):
+        kids = tuple((v, None) for v in range(fam.r + 1)) if all_patterns else ((fam.r, None),)
+        return (lambda i, node: kids), None
+    raise ParameterError(f"unknown family {fam!r}")
 
 
 def enumerate_family(fam: PatternFamily) -> Iterator[ErasurePattern]:
     """Every pattern in the family exactly once, in lexicographic order."""
-    if isinstance(fam, FullFamily):
-        yield from _leaves(*family_trie(fam, all_patterns=True), fam.n)
-    elif isinstance(fam, BalancedFamily):
-        yield from _leaves(_balanced_children(fam), (0, 0), fam.n)
-    elif isinstance(fam, PowerFamily):
-        # the empty pattern, then every member of total exactly alpha
-        yield (0,) * fam.n
-        yield from _leaves(*family_trie(fam), fam.n)
-    elif isinstance(fam, BoundedFamily):
-        yield from itertools.product(range(fam.r + 1), repeat=fam.n)
-    else:
-        raise ParameterError(f"unknown family {fam!r}")
-
-
-def _balanced_maxima(alpha: int, n: int) -> list[ErasurePattern]:
-    # scale i: value alpha >> i on exactly 2^i of the n positions (none when 2^i > n)
-    out = []
-    for i in range(alpha.bit_length()):
-        value = alpha >> i
-        for support in itertools.combinations(range(n), 1 << i):
-            t = [0] * n
-            for j in support:
-                t[j] = value
-            out.append(tuple(t))
-    return sorted(out)
+    yield from _leaves(*family_trie(fam, all_patterns=True), fam.n)
 
 
 def maximal_patterns(fam: PatternFamily) -> Iterator[ErasurePattern]:
@@ -269,14 +300,7 @@ def maximal_patterns(fam: PatternFamily) -> Iterator[ErasurePattern]:
     passes on these passes on the whole family.  Each family's maxima are
     generated directly (see the module notes), in lexicographic order.
     """
-    if isinstance(fam, (FullFamily, PowerFamily)):
-        yield from _leaves(*family_trie(fam), fam.n)
-    elif isinstance(fam, BoundedFamily):
-        yield (fam.r,) * fam.n
-    elif isinstance(fam, BalancedFamily):
-        yield from _balanced_maxima(fam.alpha, fam.n)
-    else:
-        raise ParameterError(f"unknown family {fam!r}")
+    yield from _leaves(*family_trie(fam), fam.n)
 
 
 def hierarchical_weight(word: Sequence[Element], omega: OrderedBasis) -> int:

@@ -57,7 +57,7 @@ from hierasure import (
     maximal_patterns,
     subfield_basis,
 )
-from hierasure.constructions import _gv_bound_base
+from hierasure.bounds import gv_existence_base
 
 import element_linalg
 
@@ -436,7 +436,7 @@ def reference_greedy_gv_code(
     if m < 0 or m >= alpha * (r - 1):
         raise ParameterError(f"need m < alpha*(r-1) = {alpha * (r - 1)}")
     base_size = ext.base.order
-    bound_base = _gv_bound_base(n, m)
+    bound_base = gv_existence_base(n, m)
     if base_size ** (alpha * (r - 1) - m) <= bound_base:
         warnings.warn(
             f"field size {base_size} is at or below the existence threshold; "

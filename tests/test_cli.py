@@ -46,8 +46,8 @@ class TestConstructVerify:
         assert report["witness"] is not None
 
     def test_verify_code_longer_than_the_recursion_limit(self, tmp_path, capsys):
-        # 1,100 symbols: a recursive walk would raise RecursionError, which
-        # main reports as exit 1, the code of a refuted claim
+        # 1,100 symbols: a recursive walk would raise RecursionError, an
+        # internal error with no verdict
         path = tmp_path / "long.json"
         path.write_text(json.dumps(serialize.code_to_json(long_code())))
         assert run("verify", "--code", str(path)) == 0
@@ -415,6 +415,21 @@ class TestInputBoundary:
         err = capsys.readouterr().err
         assert rc == 2
         assert err.startswith("error:") and err.count("\n") == 1, err
+
+    def test_internal_error_exits_2_without_a_traceback(self, code_file, capsys, monkeypatch):
+        # an unexpected exception gives no verdict, so it must not exit 1,
+        # the code of a refuted claim
+        from hierasure import cli
+
+        def fault(*args, **kwargs):
+            raise RuntimeError("no walk")
+
+        monkeypatch.setattr(cli, "is_correcting", fault)
+        capsys.readouterr()
+        assert run("verify", "--code", code_file) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "internal error: RuntimeError: no walk\n"
+        assert "Traceback" not in captured.out + captured.err
 
     def test_missing_code_file(self, tmp_path, capsys):
         rc = run("verify", "--code", str(tmp_path / "absent.json"))

@@ -18,9 +18,12 @@ from hierasure import (
     maximal_patterns,
     pattern_correctable,
     pattern_system,
+    patterns_correctable,
     trace_code,
     vontobel_udms,
 )
+from hierasure import correctability
+from hierasure.patterns import sorted_trie
 import element_linalg
 from semantic import all_flat_codewords, semantic_correctable
 from towers import LONG, long_code, tower
@@ -118,6 +121,26 @@ class TestIsCorrecting:
         report = is_correcting(code, FullFamily(2, 2, LONG))
         assert report.pattern == (0,) * (LONG - 2) + (1, 1)
         assert [i for i, x in enumerate(report.witness) if x] == [LONG - 2, LONG - 1]
+
+
+class TestPatternList:
+    def test_long_code_reads_each_prefix_once(self, monkeypatch):
+        # the list's trie splits index ranges of its sorted distinct
+        # patterns, so one walk asks for each distinct prefix's children once
+        code = long_code()
+        last, first, pair = ((0,) * (LONG - 1) + (1,), (1,) + (0,) * (LONG - 1), (0,) * (LONG - 2) + (1, 1))
+        pats = [last, first, pair, first]
+        calls = []
+
+        def counted(patterns):
+            children, root = sorted_trie(patterns)
+            return (lambda i, node: calls.append((i, node)) or children(i, node)), root
+
+        monkeypatch.setattr(correctability, "sorted_trie", counted)
+        got = patterns_correctable(code, pats)
+        prefixes = {t[:i] for t in pats for i in range(LONG)}
+        assert len(calls) == len(set(calls)) == len(prefixes)
+        assert got == [pattern_correctable(code, t) for t in pats] == [True, True, False, True]
 
 
 class TestSemanticAgreement:

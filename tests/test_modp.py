@@ -192,9 +192,7 @@ def test_power_dead_end_reports_no_failure():
     values = [0, 1, 2, 4, 8]
 
     def children(i, left):
-        for v in values:
-            if v <= left and left - v <= (2 - i) * 8:
-                yield v, left - v
+        return tuple((v, left - v) for v in values if v <= left and left - v <= (2 - i) * 8)
 
     rng = random.Random("dead end")
     blocks = [[[rng.randrange(7) for _ in range(24)] for _ in range(8)] for _ in range(3)]

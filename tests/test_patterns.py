@@ -18,7 +18,7 @@ from hierasure import (
     modp,
     parse_family,
 )
-from hierasure.patterns import _balanced_children, _leaves, family_trie, sorted_trie
+from hierasure.patterns import _leaves, family_trie, sorted_trie
 from reference import reference_rule_trie
 from towers import tower
 
@@ -142,20 +142,44 @@ def rule_tries(n, alpha):
         yield BalancedFamily(alpha, n), True
 
 
+def every_trie(n, alpha):
+    """(family, all_patterns) of every family on n symbols in both modes:
+    full for every budget up to n * alpha, balanced and power (alpha a
+    power of two) and bounded for every radius up to min(alpha, n - 1)."""
+    fams = [FullFamily(alpha, m, n) for m in range(n * alpha + 1)]
+    if not alpha & (alpha - 1):
+        fams += [BalancedFamily(alpha, n), PowerFamily(alpha, n)]
+    fams += [BoundedFamily(r, n) for r in range(min(alpha + 1, n))]
+    for fam in fams:
+        yield fam, False
+        yield fam, True
+
+
+def is_leaf(fam, all_patterns, t):
+    """t is a member of the family, and without ``all_patterns`` a maximal
+    one: nonzero for power, whose maxima are its nonzero members, and for
+    the downward-closed families one with no entry that can grow by one."""
+    if not family_contains(fam, t):
+        return False
+    if all_patterns:
+        return True
+    if isinstance(fam, PowerFamily):
+        return any(t)
+    return not any(family_contains(fam, t[:j] + (t[j] + 1,) + t[j + 1 :]) for j in range(len(t)))
+
+
 class TestTabledTries:
-    """``family_trie`` and ``_balanced_children`` table each (level, node)
-    child list as a tuple, once per trie; ``reference_rule_trie`` is the
-    generator per call they replaced.  Children must agree at every node."""
+    """``family_trie`` tables each (level, node) child list as a tuple,
+    once per trie, for every family and mode; ``reference_rule_trie`` is the
+    generator per call it replaced for the rule tries that had one.
+    Children must agree at every node."""
 
     @pytest.mark.parametrize("alpha", [1, 2, 3, 4, 8])
     @pytest.mark.parametrize("n", range(1, 9))
     def test_children_match_the_generators_at_every_node(self, n, alpha):
         for fam, all_patterns in rule_tries(n, alpha):
             want, root = reference_rule_trie(fam, all_patterns)
-            if isinstance(fam, BalancedFamily):
-                got, got_root = _balanced_children(fam), (0, 0)
-            else:
-                got, got_root = family_trie(fam, all_patterns)
+            got, got_root = family_trie(fam, all_patterns)
             assert got_root == root
             # the trie's distinct (level, node) pairs, breadth first
             level = {root}
@@ -166,12 +190,32 @@ class TestTabledTries:
                     assert got(i, node) == kids  # a tabled tuple, read again
                 level = {child for node in level for _, child in want(i, node)}
 
+    @pytest.mark.parametrize("alpha", [1, 2, 3, 4, 8])
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_every_node_has_a_leaf_and_one_tuple(self, n, alpha):
+        for fam, all_patterns in every_trie(n, alpha):
+            children, root = family_trie(fam, all_patterns)
+            level = {root: ()}  # each node reached, with a prefix that reaches it
+            for i in range(n):
+                for node, prefix in level.items():
+                    kids = children(i, node)
+                    assert type(kids) is tuple and kids, (fam, all_patterns, prefix)
+                    assert children(i, node) is kids
+                    # the node's first leaf, down its first child at every level
+                    leaf, below = prefix, node
+                    for j in range(i, n):
+                        v, below = children(j, below)[0]
+                        leaf += (v,)
+                    assert is_leaf(fam, all_patterns, leaf), (fam, all_patterns, leaf)
+                level = {child: prefix + (v,) for node, prefix in level.items() for v, child in children(i, node)}
+
 
 class TestChildrenIterables:
-    """A trie's children may be a tuple, which a loop taken up again starts
-    from its first child, or a one-shot iterator such as a lazy group.
-    ``_leaves`` and ``modp.walk`` must read both; each is read one leaf past
-    the expected count, so a loop that restarts fails instead of hanging."""
+    """A trie's children are a tuple, which a loop taken up again starts
+    from its first child: tabled, the node itself, or made afresh from an
+    index range.  ``_leaves`` and ``modp.walk`` must read each; each is read
+    one leaf past the expected count, so a loop that restarts fails instead
+    of hanging."""
 
     FAM = FullFamily(3, 4, 4)
     # its maxima, entries at most 3 and total 4, in lex order, read without the tries
@@ -187,7 +231,7 @@ class TestChildrenIterables:
 
         yield "tabled", family_trie(self.FAM)
         yield "nested tuples", (lambda i, node: node, nested(self.LEAVES, 0))
-        yield "lazy groups", sorted_trie(iter(self.LEAVES))
+        yield "index ranges", sorted_trie(reversed(self.LEAVES))
 
     def test_leaves(self):
         want = self.LEAVES
