@@ -9,24 +9,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from math import comb, log2
 
 from .errors import ParameterError
-from .fields import is_prime
+from .fields import prime_factors
 
 
 def is_prime_power(v: int) -> bool:
-    """True when v = p^k for a prime p and k >= 1; trial factorization."""
-    if v < 2:
-        return False
-    p = 2
-    while p * p <= v:
-        if v % p == 0:
-            while v % p == 0:
-                v //= p
-            return v == 1
-        p += 1
-    return True  # v itself is prime
+    """True when v = p^k for a prime p and k >= 1: v has one prime factor."""
+    return len(list(islice(prime_factors(v), 2))) == 1
 
 
 @dataclass(frozen=True)

@@ -107,41 +107,28 @@ def _fraction(text: str, flag: str) -> Fraction:
         raise ParameterError(f"{flag} must be a rational number, got {text!r}") from exc
 
 
-_CONSTRUCT_NEEDS = {
-    "length2": (),
-    "trace": ("n", "m"),
-    "n2ext": (),
-    "balanced": ("n",),
-    "power": ("n",),
-    "gabidulin": ("n", "r"),
-    "gv": ("n", "r", "m"),
+# kind: (the flags it requires, the code it builds from the parsed flags and the tower)
+_CONSTRUCTIONS = {
+    "length2": ((), lambda a, ext: length2_code(ext)),
+    "trace": (("n", "m"), lambda a, ext: trace_code(
+        vontobel_udms(a.n, a.alpha, a.m, ext.base), ext.polynomial_basis())),
+    "n2ext": ((), lambda a, ext: square_trace_code(ext)),
+    "balanced": (("n",), lambda a, ext: balanced_code(a.n, ext, _parse_nodes(a.nu, ext))),
+    "power": (("n",), lambda a, ext: power_code(a.n, ext, _parse_nodes(a.nu, ext))),
+    "gabidulin": (("n", "r"), lambda a, ext: gabidulin_code(a.n, a.r, ext)),
+    "gv": (("n", "r", "m"), lambda a, ext: greedy_gv_code(
+        a.n, a.r, a.m, ext, seed=a.seed, budget=a.budget)),
 }
 
 
 def _cmd_construct(args) -> int:
     started = time.perf_counter()
-    for name in _CONSTRUCT_NEEDS[args.kind]:
-        if getattr(args, name) is None:
-            raise ParameterError(f"construct {args.kind} requires --{name}")
-    ext = make_tower(args.p, args.e, args.alpha, args.seed)
     kind = args.kind
-    if kind == "length2":
-        code = length2_code(ext)
-    elif kind == "trace":
-        u = vontobel_udms(args.n, args.alpha, args.m, ext.base)
-        code = trace_code(u, ext.polynomial_basis())
-    elif kind == "n2ext":
-        code = square_trace_code(ext)
-    elif kind == "balanced":
-        code = balanced_code(args.n, ext, _parse_nodes(args.nu, ext))
-    elif kind == "power":
-        code = power_code(args.n, ext, _parse_nodes(args.nu, ext))
-    elif kind == "gabidulin":
-        code = gabidulin_code(args.n, args.r, ext)
-    elif kind == "gv":
-        code = greedy_gv_code(args.n, args.r, args.m, ext, seed=args.seed, budget=args.budget)
-    else:  # pragma: no cover
-        raise ParameterError(f"unknown construction {kind!r}")
+    needs, build = _CONSTRUCTIONS[kind]
+    for name in needs:
+        if getattr(args, name) is None:
+            raise ParameterError(f"construct {kind} requires --{name}")
+    code = build(args, make_tower(args.p, args.e, args.alpha, args.seed))
     payload = serialize.code_to_json(code)
     out = Path(args.out)
     _write_json(out, payload)
@@ -256,6 +243,7 @@ def _cmd_udm(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
+    started = time.perf_counter()
     if args.which == "gv":
         th = gv_field_threshold(args.n, args.m, args.alpha, args.r)
         report = {
@@ -273,7 +261,9 @@ def _cmd_bounds(args) -> int:
         lim = asymptotic_field_size(args.regime, _fraction(args.c1, "--c1"), _fraction(args.c2, "--c2"))
         report = {"value": lim.value, "closed_form": lim.closed_form}
     if args.out:
-        _write_json(Path(args.out), report)
+        out = Path(args.out)
+        _write_json(out, report)
+        _write_manifest(out, "bounds " + args.which, _params_of(args), 0, report, started)
     if args.json:
         print(json.dumps(report, sort_keys=True))
     else:
@@ -361,7 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     c = subs.add_parser("construct", help="build a code and write it to JSON")
-    c.add_argument("kind", choices=["length2", "trace", "n2ext", "balanced", "power", "gabidulin", "gv"])
+    c.add_argument("kind", choices=_CONSTRUCTIONS)
     _tower_args(c)
     c.add_argument("--n", type=int, help="code length")
     c.add_argument("--m", type=int, help="erasure budget (trace, gv)")
@@ -391,13 +381,10 @@ def build_parser() -> argparse.ArgumentParser:
     u = subs.add_parser("udm", help="build or verify universally decodable matrices")
     usubs = u.add_subparsers(dest="action", required=True)
     ub = usubs.add_parser("build")
-    ub.add_argument("--p", type=int, required=True)
-    ub.add_argument("--e", type=int, default=1)
-    ub.add_argument("--alpha", type=int, required=True)
+    _tower_args(ub)
     ub.add_argument("--m", type=int, required=True)
     ub.add_argument("--n", type=int, required=True)
     ub.add_argument("--convention", choices=["zero_based", "one_based"], default="zero_based")
-    ub.add_argument("--seed", type=int, default=0)
     ub.add_argument("--out", required=True)
     ub.add_argument("--json", action="store_true")
     ub.set_defaults(func=_cmd_udm, action="build")

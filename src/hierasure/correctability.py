@@ -43,13 +43,11 @@ from .codes import LinearCode
 from .errors import ParameterError
 from .fields import Element
 from .patterns import (
-    BalancedFamily,
-    BoundedFamily,
     ErasurePattern,
-    FullFamily,
     PatternFamily,
-    PowerFamily,
     ReceivedWord,
+    check_fits,
+    check_pattern,
     family_trie,
     sorted_trie,
 )
@@ -72,10 +70,7 @@ def _checked_pattern(code: LinearCode, t) -> tuple[int, ...]:
     t = tuple(t)
     if len(t) != code.n:
         raise ParameterError("pattern length does not match the code length")
-    alpha = code.ext.alpha
-    if any(v < 0 or v > alpha for v in t):
-        raise ParameterError(f"pattern {t}: entries must lie in [0, alpha={alpha}]")
-    return t
+    return check_pattern(t, code.ext.alpha)
 
 
 def pattern_system(code: LinearCode, t) -> ExpandedSystem:
@@ -166,16 +161,6 @@ def _symbols(code: LinearCode, digits: list[int]) -> tuple[Element, ...]:
     )
 
 
-def _family_trie(code: LinearCode, fam: PatternFamily, all_patterns: bool):
-    if fam.n != code.n:
-        raise ParameterError("family length does not match the code length")
-    if isinstance(fam, (FullFamily, BalancedFamily, PowerFamily)) and fam.alpha != code.ext.alpha:
-        raise ParameterError("family alpha does not match the code's extension degree")
-    if isinstance(fam, BoundedFamily) and fam.r > code.ext.alpha:
-        raise ParameterError("bounded family radius exceeds alpha")
-    return family_trie(fam, all_patterns)
-
-
 def is_correcting(
     code: LinearCode,
     fam: PatternFamily,
@@ -186,7 +171,8 @@ def is_correcting(
     Dominated patterns are skipped unless ``all_patterns`` is set, which
     forces a full-family audit.
     """
-    trie = _family_trie(code, fam, all_patterns)
+    check_fits(fam, code.n, code.ext.alpha)
+    trie = family_trie(fam, all_patterns)
     blocks = [code.block(i) for i in range(code.n)]
     for t, ech in modp.walk(blocks, *trie, code.ext.base.e, code.layout):
         if ech is None:

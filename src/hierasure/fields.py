@@ -60,16 +60,23 @@ from .errors import ConstructionError, InvalidBasisError, ParameterError, requir
 _MODULUS_SEARCH_BUDGET = 100_000
 
 
-def is_prime(n: int) -> bool:
-    """Trial-division primality test; adequate at the scales used here."""
-    if n < 2:
-        return False
+def prime_factors(n: int) -> Iterator[int]:
+    """The distinct primes dividing n, ascending (none for n < 2), by
+    trial division; adequate at the scales used here."""
     d = 2
     while d * d <= n:
         if n % d == 0:
-            return False
+            yield d
+            while n % d == 0:
+                n //= d
         d += 1
-    return True
+    if n > 1:
+        yield n
+
+
+def is_prime(n: int) -> bool:
+    """True when n's least prime factor is n itself."""
+    return n >= 2 and next(prime_factors(n)) == n
 
 
 def lucas_binom(b: int, a: int, p: int) -> int:
@@ -279,17 +286,7 @@ class _Field:
         n = self.order - 1
         if n == 1:
             return self.rone
-        factors = []
-        m = n
-        d = 2
-        while d * d <= m:
-            if m % d == 0:
-                factors.append(d)
-                while m % d == 0:
-                    m //= d
-            d += 1
-        if m > 1:
-            factors.append(m)
+        factors = list(prime_factors(n))
         for cand in self.riter_lex():
             if cand == self.rzero:
                 continue

@@ -13,6 +13,8 @@ four families:
 
 Each family is a trie of patterns (``family_trie``) whose leaves, in lex
 order, the enumerators read and the rank check walks (``modp.walk``).
+Membership is the trie too: ``family_contains`` follows a pattern down
+the members' trie.
 Every family's trie, members or maxima, is a rule on a small node (the
 budget left, the support and largest entry so far, the value still to
 place, or none for bounded patterns) and is tabled: each (level, node)
@@ -27,6 +29,11 @@ exactly min(m, n*alpha); balanced(alpha) has, for each scale i with
 2^i <= n, the value alpha/2^i on exactly 2^i positions; power(alpha)
 has every nonzero member, since all of them sum to exactly alpha;
 bounded(r) has the one all-r pattern.
+
+This module is the one place that knows the family set: each family
+class names its ``kind``, ``FAMILIES`` maps kinds to classes for the
+JSON loader and ``parse_family``, and ``check_fits`` holds the rule for
+which families a code can be checked against.
 """
 
 from __future__ import annotations
@@ -57,6 +64,8 @@ def _check_power_of_two(alpha: int):
 class FullFamily:
     """All patterns with entries at most alpha and total at most m."""
 
+    kind = "full"
+    argument = ("m", "budget")  # the descriptor full:m
     alpha: int
     m: int
     n: int
@@ -71,6 +80,8 @@ class FullFamily:
 
 @dataclass(frozen=True)
 class BalancedFamily:
+    kind = "balanced"
+    argument = None
     alpha: int
     n: int
 
@@ -83,6 +94,8 @@ class BalancedFamily:
 
 @dataclass(frozen=True)
 class PowerFamily:
+    kind = "power"
+    argument = None
     alpha: int
     n: int
 
@@ -97,6 +110,8 @@ class PowerFamily:
 class BoundedFamily:
     """Patterns bounded by r in every coordinate."""
 
+    kind = "bounded"
+    argument = ("r", "radius")  # the descriptor bounded:r
     r: int
     n: int
 
@@ -110,6 +125,38 @@ class BoundedFamily:
 
 PatternFamily = Union[FullFamily, BalancedFamily, PowerFamily, BoundedFamily]
 
+FAMILIES = {cls.kind: cls for cls in (FullFamily, BalancedFamily, PowerFamily, BoundedFamily)}
+
+
+def family_of_kind(kind, values) -> PatternFamily:
+    """The family ``FAMILIES`` names by kind, its dataclass fields read
+    from the mapping values (other keys are ignored)."""
+    cls = FAMILIES.get(kind) if isinstance(kind, str) else None
+    if cls is None:
+        raise ParameterError(f"unknown family kind {kind!r}")
+    return cls(**{f.name: values[f.name] for f in dataclasses.fields(cls)})
+
+
+def check_fits(fam: PatternFamily, n: int, alpha: int):
+    """Raise unless the family's patterns are patterns of a length-n code
+    over an extension of degree alpha: the family's alpha is that degree,
+    or a bounded family's radius is at most it."""
+    if fam.n != n:
+        raise ParameterError("family length does not match the code length")
+    if isinstance(fam, BoundedFamily):
+        if fam.r > alpha:
+            raise ParameterError("bounded family radius exceeds alpha")
+    elif fam.alpha != alpha:
+        raise ParameterError("family alpha does not match the code's extension degree")
+
+
+def check_pattern(t: Sequence[int], alpha: int) -> ErasurePattern:
+    """t as a tuple, whose entries must lie in [0, alpha]."""
+    t = tuple(t)
+    if any(v < 0 or v > alpha for v in t):
+        raise ParameterError(f"pattern {t}: entries must lie in [0, alpha={alpha}]")
+    return t
+
 
 def _is_balanced(support: int, biggest: int, alpha: int, n: int) -> bool:
     # some scale i with 2^i <= min(alpha, n) holds the support and the largest entry
@@ -117,34 +164,6 @@ def _is_balanced(support: int, biggest: int, alpha: int, n: int) -> bool:
         if support <= 1 << i and biggest << i <= alpha:
             return True
     return False
-
-
-def _is_power(t: Sequence[int], alpha: int) -> bool:
-    nonzero = [v for v in t if v > 0]
-    if not nonzero:
-        return True
-    for v in nonzero:
-        if v & (v - 1) or v > alpha:
-            return False
-    return sum(nonzero) == alpha
-
-
-def family_contains(fam: PatternFamily, t: Sequence[int]) -> bool:
-    """Membership verdict, consistent with enumerate_family."""
-    t = tuple(t)
-    if len(t) != fam.n:
-        raise ParameterError(f"pattern length {len(t)} does not match n={fam.n}")
-    if any(v < 0 for v in t):
-        return False
-    if isinstance(fam, FullFamily):
-        return all(v <= fam.alpha for v in t) and sum(t) <= fam.m
-    if isinstance(fam, BalancedFamily):
-        return all(v <= fam.alpha for v in t) and _is_balanced(len(t) - t.count(0), max(t), fam.alpha, fam.n)
-    if isinstance(fam, PowerFamily):
-        return all(v <= fam.alpha for v in t) and _is_power(t, fam.alpha)
-    if isinstance(fam, BoundedFamily):
-        return all(v <= fam.r for v in t)
-    raise ParameterError(f"unknown family {fam!r}")
 
 
 def _leaves(children, root, n: int) -> Iterator[ErasurePattern]:
@@ -288,6 +307,22 @@ def family_trie(fam: PatternFamily, all_patterns: bool = False):
     raise ParameterError(f"unknown family {fam!r}")
 
 
+def family_contains(fam: PatternFamily, t: Sequence[int]) -> bool:
+    """Membership verdict: t is a leaf of the family's members trie."""
+    t = tuple(t)
+    if len(t) != fam.n:
+        raise ParameterError(f"pattern length {len(t)} does not match n={fam.n}")
+    children, node = family_trie(fam, all_patterns=True)
+    for i, v in enumerate(t):
+        for value, child in children(i, node):
+            if value == v:
+                node = child
+                break
+        else:
+            return False
+    return True
+
+
 def enumerate_family(fam: PatternFamily) -> Iterator[ErasurePattern]:
     """Every pattern in the family exactly once, in lexicographic order."""
     yield from _leaves(*family_trie(fam, all_patterns=True), fam.n)
@@ -325,11 +360,9 @@ def invisible_generators(t: Sequence[int], omega: OrderedBasis) -> list[tuple[El
     For each position i and each erased coordinate j < t_i, the word with
     basis element omega_j in slot i and zero elsewhere.
     """
-    t = tuple(t)
-    n = len(t)
     ext = omega.ext
-    if any(v < 0 or v > ext.alpha for v in t):
-        raise ParameterError(f"pattern {t}: entries must lie in [0, alpha={ext.alpha}]")
+    t = check_pattern(t, ext.alpha)
+    n = len(t)
     zero = ext.zero()
     out = []
     for i, ti in enumerate(t):
@@ -356,9 +389,7 @@ class ReceivedWord:
         alpha = self.omega.ext.alpha
         if len(self.known) != len(self.pattern):
             raise ParameterError("known suffixes do not match the pattern length")
-        for ti, suffix in zip(self.pattern, self.known):
-            if not 0 <= ti <= alpha:
-                raise ParameterError(f"erasure count {ti} out of range")
+        for ti, suffix in zip(check_pattern(self.pattern, alpha), self.known):
             if len(suffix) != alpha - ti:
                 raise ParameterError("suffix length must be alpha - t_i")
 
@@ -368,9 +399,7 @@ def apply_erasure(word: Sequence[Element], t: Sequence[int], omega: OrderedBasis
     t = tuple(t)
     if len(word) != len(t):
         raise ParameterError("word and pattern lengths differ")
-    alpha = omega.ext.alpha
-    if any(v < 0 or v > alpha for v in t):
-        raise ParameterError(f"pattern {t}: entries must lie in [0, alpha={alpha}]")
+    # ReceivedWord checks that each ti lies in [0, alpha]
     known = tuple(tuple(omega.coordinates(c)[ti:]) for c, ti in zip(word, t))
     return ReceivedWord(omega, t, known)
 
@@ -385,17 +414,13 @@ def _int_arg(text: str, what: str) -> int:
 def parse_family(text: str, alpha: int, n: int) -> PatternFamily:
     """Parse a family descriptor: full:m | balanced | power | bounded:r."""
     name, _, arg = text.partition(":")
-    name = name.strip().lower()
-    if name == "full":
+    cls = FAMILIES.get(name.strip().lower())
+    if cls is None:
+        raise ParameterError(f"unknown family descriptor {text!r}")
+    values = {"alpha": alpha, "n": n}
+    if cls.argument:
+        field, what = cls.argument
         if not arg:
-            raise ParameterError("full family needs a budget, e.g. full:2")
-        return FullFamily(alpha, _int_arg(arg, "budget"), n)
-    if name == "balanced":
-        return BalancedFamily(alpha, n)
-    if name == "power":
-        return PowerFamily(alpha, n)
-    if name == "bounded":
-        if not arg:
-            raise ParameterError("bounded family needs a radius, e.g. bounded:1")
-        return BoundedFamily(_int_arg(arg, "radius"), n)
-    raise ParameterError(f"unknown family descriptor {text!r}")
+            raise ParameterError(f"{cls.kind} family needs a {what}, e.g. {cls.kind}:1")
+        values[field] = _int_arg(arg, what)
+    return family_of_kind(cls.kind, values)

@@ -15,20 +15,14 @@ missing key or a value of the wrong shape raises ``ParameterError``.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 from typing import Any
 
 from .codes import LinearCode, code_from_rows
 from .errors import ParameterError, require_int
 from .fields import Element, ExtSpec, FieldSpec, OrderedBasis
-from .patterns import (
-    BalancedFamily,
-    BoundedFamily,
-    FullFamily,
-    PatternFamily,
-    PowerFamily,
-    ReceivedWord,
-)
+from .patterns import PatternFamily, ReceivedWord, family_of_kind
 from .udm import UdmSet
 
 
@@ -117,29 +111,12 @@ def basis_from_json(ext: ExtSpec, obj) -> OrderedBasis:
 
 
 def family_to_json(fam: PatternFamily) -> dict:
-    if isinstance(fam, FullFamily):
-        return {"kind": "full", "alpha": fam.alpha, "m": fam.m, "n": fam.n}
-    if isinstance(fam, BalancedFamily):
-        return {"kind": "balanced", "alpha": fam.alpha, "n": fam.n}
-    if isinstance(fam, PowerFamily):
-        return {"kind": "power", "alpha": fam.alpha, "n": fam.n}
-    if isinstance(fam, BoundedFamily):
-        return {"kind": "bounded", "r": fam.r, "n": fam.n}
-    raise ParameterError(f"unknown family {fam!r}")
+    return {"kind": fam.kind, **dataclasses.asdict(fam)}
 
 
 @_loader("family")
 def family_from_json(obj: dict) -> PatternFamily:
-    kind = obj["kind"]
-    if kind == "full":
-        return FullFamily(obj["alpha"], obj["m"], obj["n"])
-    if kind == "balanced":
-        return BalancedFamily(obj["alpha"], obj["n"])
-    if kind == "power":
-        return PowerFamily(obj["alpha"], obj["n"])
-    if kind == "bounded":
-        return BoundedFamily(obj["r"], obj["n"])
-    raise ParameterError(f"unknown family kind {kind!r}")
+    return family_of_kind(obj["kind"], obj)
 
 
 def patterns_to_json(patterns) -> list:

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field as dc_field
 from functools import cached_property
 from typing import Mapping, Sequence
 
-from . import modp
+from . import linalg, modp
 from .errors import ConstructionError, MissingEigenvectorError, ParameterError
 from .fields import Element, FieldSpec, OrderedBasis, lucas_binom
 from .patterns import ErasurePattern, FullFamily, family_trie
@@ -73,14 +73,13 @@ class UdmSet:
 
 
 def _digit_rows(u: UdmSet) -> tuple[modp.Layout, list[list[int]]]:
-    # per matrix, each F_q row v as the e prime-field rows x^d * v (the
+    # per matrix, its rows as linalg linearizes the columns of its
+    # transpose: each F_q row v becomes the e prime-field rows x^d * v (the
     # field's power multiples of v), so a prefix of t_i rows becomes a
     # prefix of t_i * e digit rows, each packed under the layout of m * e
     # digits
-    field = u.field
-    lay = modp.layout(field.p, u.m * field.e)
-    packed = ([lay.pack([c for entry in row for c in entry.coeffs]) for row in mat] for mat in u.matrices)
-    return lay, [[v for row in mat for v in field.power_multiples(row, lay, lay.width)] for mat in packed]
+    linear = [linalg._linearize(tuple(zip(*mat)), u.alpha, u.field) for mat in u.matrices]
+    return linear[0][0], [columns for _, _, columns in linear]
 
 
 def verify_udm(u: UdmSet) -> UdmCheck:

@@ -11,8 +11,10 @@ pattern expands H against the basis and runs ``element_linalg``
 elimination over the base field F_q; decoding solves over F_q; UDM
 verification ranks stacked F_q rows.
 
-It also keeps the exhaustive searches the closed forms replaced: the
-pairwise dominance filter over a family's members, the filter of the
+``reference_contains`` is family membership by each family's own
+definition, as ``family_contains`` decided it before it followed the
+members' trie.  It also keeps the exhaustive searches the closed forms
+replaced: the pairwise dominance filter over a family's members, the filter of the
 bounded simplex that enumerated balanced and power members, and the
 sorted list of every member of a subfield.  ``reference_rule_trie`` is the
 rule-based pattern tries as they were before their levels were tabled:
@@ -42,6 +44,7 @@ import warnings
 
 from hierasure import (
     BalancedFamily,
+    BoundedFamily,
     ConstructionError,
     Element,
     ExtSpec,
@@ -52,7 +55,6 @@ from hierasure import (
     QuadraticRoot,
     code_from_rows,
     enumerate_family,
-    family_contains,
     is_correcting,
     maximal_patterns,
     subfield_basis,
@@ -60,6 +62,28 @@ from hierasure import (
 from hierasure.bounds import gv_existence_base
 
 import element_linalg
+
+
+def reference_contains(fam, t):
+    """Membership by the family's definition (see ``hierasure.patterns``)."""
+    t = tuple(t)
+    if len(t) != fam.n:
+        raise ParameterError(f"pattern length {len(t)} does not match n={fam.n}")
+    if any(v < 0 for v in t):
+        return False
+    if isinstance(fam, BoundedFamily):
+        return all(v <= fam.r for v in t)
+    if any(v > fam.alpha for v in t):
+        return False
+    if isinstance(fam, FullFamily):
+        return sum(t) <= fam.m
+    nonzero = [v for v in t if v]
+    if isinstance(fam, BalancedFamily):
+        # some scale i with 2^i <= min(alpha, n) holds the support and the largest entry
+        scales = range(min(fam.alpha, fam.n).bit_length())
+        return any(len(nonzero) <= 1 << i and max(t) << i <= fam.alpha for i in scales)
+    # power: the empty pattern, or powers of two whose sum is alpha
+    return not nonzero or (all(v & (v - 1) == 0 for v in nonzero) and sum(nonzero) == fam.alpha)
 
 
 def reference_enumerate_family(fam):
@@ -74,7 +98,7 @@ def reference_enumerate_family(fam):
         simplex = [()]
         for _ in range(fam.n):
             simplex = [t + (v,) for t in simplex for v in range(fam.alpha + 1 - sum(t))]
-        return [t for t in simplex if family_contains(fam, t)]
+        return [t for t in simplex if reference_contains(fam, t)]
     return list(enumerate_family(fam))
 
 
@@ -96,7 +120,7 @@ def reference_maximal_patterns(fam):
 def reference_local_maxima(fam):
     """Maximal members of a downward-closed family (full, balanced, bounded), by local search.
 
-    The members come from a prefix walk on ``family_contains``: in a
+    The members come from a prefix walk on ``reference_contains``: in a
     downward-closed family a prefix extends to a member exactly when it
     does with zeros.  A member is kept when no single entry can grow by
     one inside the family; that is the dominance filter, because another
@@ -111,14 +135,14 @@ def reference_local_maxima(fam):
             return
         pad = (0,) * (n - len(prefix) - 1)
         v = 0
-        while family_contains(fam, prefix + (v,) + pad):
+        while reference_contains(fam, prefix + (v,) + pad):
             yield from walk(prefix + (v,))
             v += 1
 
     return [
         t
         for t in walk(())
-        if not any(family_contains(fam, t[:j] + (t[j] + 1,) + t[j + 1 :]) for j in range(n))
+        if not any(reference_contains(fam, t[:j] + (t[j] + 1,) + t[j + 1 :]) for j in range(n))
     ]
 
 

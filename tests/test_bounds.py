@@ -11,6 +11,7 @@ from hierasure import (
     singleton_check,
 )
 from hierasure.bounds import binary_entropy, is_prime_power
+from hierasure.fields import is_prime
 
 
 class TestSingleton:
@@ -64,6 +65,21 @@ class TestPrimePower:
             assert is_prime_power(v) == (v in powers)
         assert not is_prime_power(1)
         assert not is_prime_power(0)
+
+    def test_matches_a_sieve(self):
+        # the shared trial factorization against a sieve of Eratosthenes
+        limit = 10_000
+        composite = bytearray(limit + 1)
+        primes = []
+        for v in range(2, limit + 1):
+            if not composite[v]:
+                primes.append(v)
+                composite[v * v :: v] = b"\x01" * len(range(v * v, limit + 1, v))
+        powers = {p**k for p in primes for k in range(1, limit.bit_length()) if p**k <= limit}
+        prime_set = set(primes)
+        for v in range(-2, limit + 1):
+            assert is_prime(v) == (v in prime_set), v
+            assert is_prime_power(v) == (v in powers), v
 
 
 class TestExcludedColumns:

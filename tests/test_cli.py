@@ -345,6 +345,18 @@ class TestBoundsCommands:
         report = json.loads(capsys.readouterr().out)
         assert report["value"] == pytest.approx(4.0)
 
+    def test_out_writes_a_manifest(self, tmp_path):
+        out = tmp_path / "gv.json"
+        assert run("bounds", "gv", "--n", "3", "--m", "1", "--alpha", "2", "--r", "2", "--out", str(out)) == 0
+        report = {"base": 4, "exponent_denominator": 1, "q_min": 5}
+        assert json.loads(out.read_text()) == report
+        manifest = json.loads((tmp_path / "gv.json.manifest.json").read_text())
+        assert manifest["command"] == "bounds gv"
+        assert manifest["parameters"] == {
+            "command": "bounds", "which": "gv", "n": 3, "m": 1, "alpha": 2, "r": 2, "out": str(out),
+        }
+        assert (manifest["seed"], manifest["outcome"]) == (0, report)
+
 
 class TestModuleEntryPoint:
     def test_python_m_runs_the_cli(self):

@@ -19,7 +19,7 @@ from hierasure import (
     parse_family,
 )
 from hierasure.patterns import _leaves, family_trie, sorted_trie
-from reference import reference_rule_trie
+from reference import reference_contains, reference_rule_trie
 from towers import tower
 
 
@@ -82,6 +82,20 @@ class TestContains:
     def test_length_mismatch(self):
         with pytest.raises(ParameterError):
             family_contains(FullFamily(2, 2, 3), (1, 1))
+
+    # alpha = 8 stops at n = 3: n = 4 alone is 571,000 membership calls
+    @pytest.mark.parametrize(
+        "alpha,n", [(alpha, n) for alpha in (1, 2, 4, 8) for n in range(1, 6) if alpha < 8 or n <= 3]
+    )
+    def test_matches_the_definitions(self, alpha, n):
+        # the members' trie against each family's definition, on every
+        # tuple with entries in [-1, alpha + 1]: every budget and radius
+        fams = [FullFamily(alpha, m, n) for m in range(n * alpha + 1)]
+        fams += [BalancedFamily(alpha, n), PowerFamily(alpha, n)]
+        fams += [BoundedFamily(r, n) for r in range(min(alpha + 1, n))]
+        for t in itertools.product(range(-1, alpha + 2), repeat=n):
+            for fam in fams:
+                assert family_contains(fam, t) == reference_contains(fam, t), (fam, t)
 
 
 class TestMaximal:
@@ -159,13 +173,13 @@ def is_leaf(fam, all_patterns, t):
     """t is a member of the family, and without ``all_patterns`` a maximal
     one: nonzero for power, whose maxima are its nonzero members, and for
     the downward-closed families one with no entry that can grow by one."""
-    if not family_contains(fam, t):
+    if not reference_contains(fam, t):
         return False
     if all_patterns:
         return True
     if isinstance(fam, PowerFamily):
         return any(t)
-    return not any(family_contains(fam, t[:j] + (t[j] + 1,) + t[j + 1 :]) for j in range(len(t)))
+    return not any(reference_contains(fam, t[:j] + (t[j] + 1,) + t[j + 1 :]) for j in range(len(t)))
 
 
 class TestTabledTries:

@@ -48,6 +48,23 @@ class TestFamilies:
         ):
             assert serialize.family_from_json(serialize.family_to_json(fam)) == fam
 
+    @pytest.mark.parametrize(
+        "payload,error",
+        [
+            ({"kind": "diagonal", "n": 3}, "unknown family kind 'diagonal'"),
+            ({"kind": 3, "n": 3}, "unknown family kind 3"),
+            ({"kind": ["full"], "alpha": 2, "m": 2, "n": 3}, "unknown family kind ['full']"),
+            ({"kind": {"full": 1}, "n": 3}, "unknown family kind {'full': 1}"),
+            ({"alpha": 2, "m": 2, "n": 3}, "malformed family payload: missing key 'kind'"),
+            ({"kind": "full", "alpha": 2, "n": 3}, "malformed family payload: missing key 'm'"),
+            ({"kind": "bounded", "alpha": 2, "n": 3}, "malformed family payload: missing key 'r'"),
+        ],
+    )
+    def test_rejected_payloads(self, payload, error):
+        with pytest.raises(ParameterError) as exc:
+            serialize.family_from_json(payload)
+        assert str(exc.value) == error
+
     def test_pattern_lists(self):
         pats = [(0, 1), (2, 0), (1, 1)]
         assert serialize.patterns_from_json(serialize.patterns_to_json(pats)) == pats
