@@ -91,11 +91,11 @@ class LinearCode:
     The decoder reads two more caches, built on first decode.
     ``decode_columns`` is every block with tag lanes added under
     ``decode_layout`` (``layout`` plus n * alpha * e tag lanes, one group
-    of alpha * e per symbol): column k of symbol i carries minus the power
+    of alpha * e per symbol): column k of symbol i carries the power
     digits of w_k in group i (``OrderedBasis.decode_tags``).
-    ``decode_plan(t)`` is the echelon of pattern t's erased tagged columns
-    and its free count; at most ``PLAN_CAP`` plans are kept, and the
-    oldest is dropped first.
+    ``decode_plan(t)`` is the echelon of pattern t's erased tagged columns,
+    their free count and the list of its known tagged columns; at most
+    ``PLAN_CAP`` plans are kept, and the oldest is dropped first.
     """
 
     ext: ExtSpec
@@ -154,28 +154,35 @@ class LinearCode:
 
     @cached_property
     def decode_columns(self) -> tuple[tuple[int, ...], ...]:
-        """Per symbol i, ``block(i)`` plus its tags: column k carries minus
-        the power digits of w_k in tag group i, so the tags of a
-        combination of columns are minus the power digits of the word
-        whose coordinate digits are its coefficients."""
+        """Per symbol i, ``block(i)`` plus its tags: column k carries the
+        power digits of w_k in tag group i, so the tags of a combination of
+        columns are the power digits of the word whose coordinate digits
+        are its coefficients."""
         tags = self.omega.decode_tags(self.decode_layout, self.n)
         return tuple(tuple(map(add, self.block(i), tags[i])) for i in range(self.n))
 
-    def decode_plan(self, t: tuple[int, ...]) -> tuple[modp.Echelon, int]:
-        """The echelon of the erased tagged columns of pattern t (the first
-        t_i * e of each symbol's ``decode_columns``) and their free count,
-        the number of those columns that depend on earlier ones.  Built on
-        first use per pattern; past ``PLAN_CAP`` plans the oldest goes."""
+    def decode_plan(self, t: tuple[int, ...]) -> tuple[modp.Echelon, int, list[int]]:
+        """Pattern t's plan (echelon, free, known).  ``echelon`` holds the
+        erased tagged columns (the first t_i * e of each symbol's
+        ``decode_columns``) and ``free`` counts those that depend on
+        earlier ones.  ``known`` lists the rest of each symbol's tagged
+        columns, ``decode_columns[i][t_i * e:]``, in word order: one per
+        known digit of a received word, so a word's digits, flattened in
+        the same order, pair with it term by term.  It holds references
+        to the columns, no new ints.  Built on first use per pattern; past
+        ``PLAN_CAP`` plans the oldest goes."""
         plan = self._plans.get(t)
         if plan is None:
             e = self.ext.base.e
-            erased = [v for block, ti in zip(self.decode_columns, t) for v in block[: ti * e]]
+            cols = self.decode_columns
+            erased = [v for block, ti in zip(cols, t) for v in block[: ti * e]]
+            known = [v for block, ti in zip(cols, t) for v in block[ti * e :]]
             ech = modp.Echelon(self.decode_layout)
             for v in erased:
                 ech.insert(v)
             if len(self._plans) >= PLAN_CAP:
                 del self._plans[next(iter(self._plans))]
-            plan = self._plans[t] = (ech, len(erased) - len(ech.rows))
+            plan = self._plans[t] = (ech, len(erased) - len(ech.rows), known)
         return plan
 
     @cached_property

@@ -20,18 +20,17 @@ a view for inspection, maps the rows back to coordinates.
 
 The decoder and the witness read those coefficients out through tag
 lanes instead (``LinearCode.decode_columns``): column k of symbol i
-carries minus the power digits of w_k = omega_j * x^d in symbol i's
-group of alpha * e tag lanes.  Any combination of tagged columns then
-carries, in its tags, minus the power digits of the word whose
-coordinate digits are its coefficients; elimination is linear mod p and
-treats tag lanes like any other, so the tags survive every reduction.  A
-decode reduces minus the known digits times their tagged columns against
-the pattern's plan (``LinearCode.decode_plan``), the echelon of its
-erased tagged columns, built once per code and pattern; the tags left
-are the power digits of the whole codeword, with no solve and no basis
-conversion (see ``decode``).  A witness is the first dependent erased
-tagged column, reduced: a codeword whose power digits are minus its
-tags.
+carries the power digits of w_k = omega_j * x^d in symbol i's group of
+alpha * e tag lanes.  Any combination of tagged columns then carries, in
+its tags, the power digits of the word whose coordinate digits are its
+coefficients; elimination is linear mod p and treats tag lanes like any
+other, so the tags survive every reduction.  A decode reduces the known
+digits times their tagged columns against the pattern's plan
+(``LinearCode.decode_plan``), the echelon of its erased tagged columns,
+built once per code and pattern; the tags left are the power digits of
+the whole codeword, with no solve and no basis conversion (see
+``decode``).  A witness is the first dependent erased tagged column,
+reduced: a codeword whose power digits are its tags.
 """
 
 from __future__ import annotations
@@ -41,7 +40,7 @@ from dataclasses import dataclass
 from . import linalg, modp
 from .codes import LinearCode
 from .errors import ParameterError
-from .fields import Element
+from .fields import Element, _grouped
 from .patterns import (
     ErasurePattern,
     PatternFamily,
@@ -138,27 +137,26 @@ def _pattern_witness(code: LinearCode, t) -> tuple[Element, ...]:
     coefficients on each independent earlier block are the e digits of
     its unique F_q coefficient.  Inserting the erased tagged columns
     (``LinearCode.decode_columns``) in order, the first dependent one
-    reduces to that dependency, with its tags minus the power digits of
-    the codeword it spells.
+    reduces to that dependency, with its tags the power digits of the
+    codeword it spells.
     """
     e = code.ext.base.e
-    lay = code.decode_layout
-    ech = modp.Echelon(lay)
+    ech = modp.Echelon(code.decode_layout)
     for block, ti in zip(code.decode_columns, t):
         for v in block[: ti * e]:
             left = ech.insert(v)
             if left is not None:
-                return _symbols(code, [-d % lay.p for d in lay.digits(left, lay.width)])
+                return _symbols(code, left)
     raise ParameterError(f"pattern {t} is correctable; no witness exists")
 
 
-def _symbols(code: LinearCode, digits: list[int]) -> tuple[Element, ...]:
-    # the codeword with these power digits, alpha * e per symbol
-    ext = code.ext
-    n = ext.digit_layout.width
-    return tuple(
-        Element(ext, ext.from_digits(digits[k : k + n])) for k in range(0, len(digits), n)
-    )
+def _symbols(code: LinearCode, left: int) -> tuple[Element, ...]:
+    # the codeword whose power digits are left's tag lanes, alpha * e per
+    # symbol: the base raws of all symbols in one pass, alpha per Element
+    ext, lay = code.ext, code.decode_layout
+    raws = _grouped(lay.digits(left, lay.width), ext.base.e)
+    alpha = ext.alpha
+    return tuple(Element(ext, raws[k : k + alpha]) for k in range(0, len(raws), alpha))
 
 
 def is_correcting(
@@ -203,45 +201,43 @@ class DecodeResult:
 def decode(code: LinearCode, received: ReceivedWord) -> DecodeResult:
     """Fill in the erased leading coordinates of an erased codeword.
 
-    The right-hand side is minus the known digits times their tagged
-    columns (``LinearCode.decode_columns``), one packed combination,
-    normalized after every ``width`` terms.  Its pivot lanes are minus the
-    known part's syndrome, and its tags the known symbols' power digits.
-    It is reduced against the pattern's plan (``LinearCode.decode_plan``),
-    the echelon of the erased tagged columns, built once per code and
-    pattern.  Nonzero pivot lanes left over mean the word is inconsistent,
-    and a free erased column that it is ambiguous; inconsistency is
-    reported first.  Otherwise the reduction subtracted the unique erased
-    digits times their tagged columns, which adds the erased symbols'
-    power digits to the tags, so the tags are the whole codeword's power
-    digits.  A unique solution reproduces the codeword; anything else is
-    reported rather than guessed.
+    The right-hand side is the known digits, zeros included, times their
+    tagged columns, the plan's ``known`` list (``LinearCode.decode_plan``),
+    in one packed combination, normalized after every ``width`` terms.
+    Its pivot lanes are the known part's syndrome, and its tags the known
+    symbols' power digits.  It is reduced against the plan's echelon of
+    the erased tagged columns, built once per code and pattern.  Nonzero
+    pivot lanes left over mean the word is inconsistent, and a free
+    erased column that it is ambiguous; inconsistency is reported first.
+    Otherwise the reduction subtracted the unique combination y of the
+    erased columns that cancels the syndrome; the erased digits x satisfy
+    col_E * x = -col_K * d, so x = -y, and subtracting y's tags adds the
+    erased symbols' power digits: the tags are the whole codeword's power
+    digits, read into ``Element``s in one pass.  A unique solution
+    reproduces the codeword; anything else is reported rather than
+    guessed.  Each known element must lie in the code's base field, and
+    the word's basis must be the code's.
     """
-    if received.omega != code.omega:
+    omega = received.omega
+    if omega is not code.omega and omega != code.omega:
         raise ParameterError("received word uses a different basis than the code")
     t = tuple(received.pattern)
     if len(t) != code.n:
         raise ParameterError("received word length does not match the code")
     base = code.ext.base
-    p, e = base.p, base.e
-
-    known_cols = []
-    minus_digits = []
-    for ti, suffix, block in zip(t, received.known, code.decode_columns):
-        k = ti * e
+    digits = []
+    for suffix in received.known:
         for c in suffix:
-            base._check_same(c)
-            for d in c.coeffs:
-                if d:
-                    known_cols.append(block[k])
-                    minus_digits.append(p - d)
-                k += 1
+            # an identity test first; an equal but distinct base still passes
+            if c.spec is not base:
+                base._check_same(c)
+            digits += c.coeffs
     lay = code.decode_layout
-    ech, free = code.decode_plan(t)
-    left = ech.reduce(lay.combination(minus_digits, known_cols))
+    ech, free, known = code.decode_plan(t)
+    left = ech.reduce(lay.combination(digits, known))
     if left & lay.pivots:
         return DecodeResult("inconsistent")
     if free:
         # the F_p kernel of an F_q-linear map has e times its F_q dimension
-        return DecodeResult("ambiguous", None, free // e)
-    return DecodeResult("decoded", _symbols(code, lay.digits(left, lay.width)))
+        return DecodeResult("ambiguous", None, free // base.e)
+    return DecodeResult("decoded", _symbols(code, left))

@@ -737,8 +737,8 @@ class OrderedBasis:
     multiples of ``_to_power`` packed as D groups.
 
     ``decode_tags`` gives, per symbol of a code, the tag lanes the decoder
-    adds to that symbol's expansion columns: minus the power digits of
-    each w_k, shifted to the symbol's group.  They are kept per tag layout
+    adds to that symbol's expansion columns: the power digits of each
+    w_k, shifted to the symbol's group.  They are kept per tag layout
     and code length, next to the product tables.
     """
 
@@ -789,24 +789,21 @@ class OrderedBasis:
 
     def decode_tags(self, lay: modp.Layout, n: int) -> list[list[int]]:
         """Per symbol i < n, the D = alpha * e tags of its columns under
-        ``lay``: tag k holds minus the power digits of w_k, normalized, in
-        lanes [width + i*D, width + (i+1)*D), and zero elsewhere.  So the
-        tags of sum_k x_k * (column k + tag k) are minus the power digits
-        of sum_k x_k * w_k, symbol i's value with coordinate digits x."""
+        ``lay``: tag k holds the power digits of w_k, normalized, in lanes
+        [width + i*D, width + (i+1)*D), and zero elsewhere.  So the tags of
+        sum_k x_k * (column k + tag k) are the power digits of sum_k x_k *
+        w_k, symbol i's value with coordinate digits x."""
         got = self._tags.get((lay, n))
         if got is None:
-            # group k of the product table's P_0 holds the power digits of
-            # w_k in lanes of lay.bits bits; p - d in every lane, normalized,
-            # is -d mod p
+            # group k of the product table's P_0 (U_0 = 1) holds the power
+            # digits of w_k in lanes of lay.bits bits
             tlay, table = self._table(lay)
             b, n_digits = tlay.bits, self.ext.digit_layout.width
             span = n_digits * b
-            lanes = n_digits * n_digits
-            minus = tlay.normalize(tlay.p * (((1 << lanes * b) - 1) // tlay.lane) - table[0])
             group = (1 << span) - 1
             at = lay.width * b
             got = self._tags[lay, n] = [
-                [(minus >> k * span & group) << at + i * span for k in range(n_digits)]
+                [(table[0] >> k * span & group) << at + i * span for k in range(n_digits)]
                 for i in range(n)
             ]
         return got

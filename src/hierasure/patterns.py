@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterator, Sequence, Union
 
 from .errors import ParameterError, require_int
@@ -307,12 +308,20 @@ def family_trie(fam: PatternFamily, all_patterns: bool = False):
     raise ParameterError(f"unknown family {fam!r}")
 
 
+@lru_cache(maxsize=16)
+def _members_trie(fam: PatternFamily):
+    # families are frozen and hashable, so one tabled members trie serves
+    # every membership call on an equal family
+    return family_trie(fam, all_patterns=True)
+
+
 def family_contains(fam: PatternFamily, t: Sequence[int]) -> bool:
-    """Membership verdict: t is a leaf of the family's members trie."""
+    """Membership verdict: t is a leaf of the family's members trie, one
+    kept per family value for the last few families asked about."""
     t = tuple(t)
     if len(t) != fam.n:
         raise ParameterError(f"pattern length {len(t)} does not match n={fam.n}")
-    children, node = family_trie(fam, all_patterns=True)
+    children, node = _members_trie(fam)
     for i, v in enumerate(t):
         for value, child in children(i, node):
             if value == v:
@@ -413,7 +422,7 @@ def _int_arg(text: str, what: str) -> int:
 
 def parse_family(text: str, alpha: int, n: int) -> PatternFamily:
     """Parse a family descriptor: full:m | balanced | power | bounded:r."""
-    name, _, arg = text.partition(":")
+    name, sep, arg = text.partition(":")
     cls = FAMILIES.get(name.strip().lower())
     if cls is None:
         raise ParameterError(f"unknown family descriptor {text!r}")
@@ -423,4 +432,6 @@ def parse_family(text: str, alpha: int, n: int) -> PatternFamily:
         if not arg:
             raise ParameterError(f"{cls.kind} family needs a {what}, e.g. {cls.kind}:1")
         values[field] = _int_arg(arg, what)
+    elif sep:
+        raise ParameterError(f"{cls.kind} family takes no argument, got {text!r}")
     return family_of_kind(cls.kind, values)

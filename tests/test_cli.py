@@ -634,6 +634,13 @@ class TestInputBoundary:
         fill = {"code": code_file, "out": tmp_path / "c.json"}
         self.assert_usage_error(capsys, run(*(a.format(**fill) for a in argv)))
 
+    @pytest.mark.parametrize("family", ["balanced:3", "power:x", "power:"])
+    def test_argument_to_a_family_that_takes_none(self, code_file, capsys, family):
+        rc = run("verify", "--code", code_file, "--family", family)
+        err = capsys.readouterr().err
+        kind = family.partition(":")[0]
+        assert rc == 2 and err == f"error: {kind} family takes no argument, got {family!r}\n", err
+
     @pytest.mark.parametrize(
         "argv",
         [

@@ -1,15 +1,18 @@
 """Compiled decode plans against the F_q reference decoder.
 
-``decode`` reduces minus the known digits times their tagged columns
-against a plan, the echelon of a pattern's erased tagged columns, built
-once per (code, pattern) and kept on the code.  The tag lanes of the
-reduced vector are the codeword's power digits, and the same tagged
-columns give the witness of a pattern that is not correctable.  The
-tests check plan reuse (no insert on a second word, tampered and honest
-words through one plan, separate plans per code, the cap) and words that
-drive the right-hand side's lanes to their bound, over the primes of
-``test_modp`` and towers with e = 2 and e = 3, all against
-``reference_decode`` and ``reference_witness``.
+``decode`` reduces the known digits times their tagged columns against a
+plan, the echelon of a pattern's erased tagged columns, built once per
+(code, pattern) and kept on the code with the list of the pattern's
+known tagged columns.  A column's tag lanes carry the power digits of
+its basis element w_k, so the tag lanes of the reduced vector are the
+codeword's power digits, and the same tagged columns give the witness
+of a pattern that is not correctable.  The tests pin that sign, and
+check plan reuse (no insert on a second word, tampered and honest words
+through one plan, separate plans per code, the cap), the tower check on
+each known element, the zero codeword, and words that drive the
+right-hand side's lanes to their bound, over the primes of ``test_modp``
+and towers with e = 2 and e = 3, all against ``reference_decode`` and
+``reference_witness``.
 """
 
 import itertools
@@ -18,11 +21,15 @@ import random
 import pytest
 
 from hierasure import (
+    BalancedFamily,
     Element,
+    FieldSpec,
     FullFamily,
+    OrderedBasis,
     ParameterError,
     ReceivedWord,
     apply_erasure,
+    balanced_code,
     code_from_rows,
     codes,
     correctability,
@@ -164,6 +171,75 @@ class TestPlanReuse:
         rw = apply_erasure(random_codeword(code, rng, basis), patterns[0], code.omega)
         assert outcome(decode(code, rw)) == reference_decode(code, rw)
         assert list(code._plans) == patterns[7:] + patterns[:1]
+
+
+class TestTaggedColumns:
+    @pytest.mark.parametrize("p, e, alpha", LANE_TOWERS)
+    def test_tags_are_the_power_digits_of_each_basis_element(self, p, e, alpha):
+        # column k = j*e + d of symbol i is block(i)[k] plus the power
+        # digits of omega_j * x^d in tag group i, and nothing elsewhere
+        ext = tower(p, e, alpha)
+        base = ext.base
+        code = nonzero_code(ext, 3, 1, random.Random(f"tags/{p}/{e}/{alpha}"))
+        lay = code.decode_layout
+        span = alpha * e
+        for i, block in enumerate(code.decode_columns):
+            for k, col in enumerate(block):
+                j, d = divmod(k, e)
+                x_d = ext.lift(Element(base, base.from_digits([int(m == d) for m in range(e)])))
+                want = ext.digits((code.omega.elements[j] * x_d).coeffs)
+                tags = lay.digits(col, lay.width)
+                assert tags[i * span : (i + 1) * span] == want, (i, k)
+                assert not any(tags[: i * span] + tags[(i + 1) * span :])
+                assert col & lay.pivots == code.block(i)[k]
+
+    def test_plan_lists_the_known_columns_themselves(self):
+        code = nonzero_code(tower(2, 2, 3), 4, 1, random.Random(26))
+        t = (3, 1, 0, 2)
+        _, _, known = code.decode_plan(t)
+        want = [v for block, ti in zip(code.decode_columns, t) for v in block[ti * 2 :]]
+        assert len(known) == len(want) == sum(3 - ti for ti in t) * 2
+        assert all(a is b for a, b in zip(known, want))
+
+
+class TestKnownElements:
+    @pytest.mark.parametrize("p, e, alpha", [(3, 1, 2), (2, 2, 2), (2, 3, 2)])
+    def test_equal_but_distinct_fields_decode_as_before(self, p, e, alpha):
+        rng = random.Random(f"twin/{p}/{e}/{alpha}")
+        code = nonzero_code(tower(p, e, alpha), 4, 1, rng)
+        base = code.ext.base
+        twin = FieldSpec(base.p, base.e, base.modulus)
+        omega = OrderedBasis(code.ext, code.omega.elements)
+        assert twin == base and twin is not base and omega is not code.omega
+        word = random_codeword(code, rng, kernel_basis(code))
+        for t in ((1, 0, 0, 0), (alpha, 1, 0, 0)):
+            rw = apply_erasure(word, t, code.omega)
+            moved = ReceivedWord(omega, t, tuple(tuple(Element(twin, c.coeffs) for c in s) for s in rw.known))
+            assert outcome(decode(code, moved)) == outcome(decode(code, rw)) == reference_decode(code, rw)
+
+    def test_an_element_of_another_field_is_refused(self):
+        rng = random.Random(27)
+        code = nonzero_code(tower(3, 1, 2), 4, 1, rng)
+        rw = apply_erasure(random_codeword(code, rng, kernel_basis(code)), (1, 0, 0, 0), code.omega)
+        foreign = tower(5, 1, 2).base.one()
+        for symbol, at in ((0, 0), (3, 1)):
+            known = [list(s) for s in rw.known]
+            known[symbol][at] = foreign
+            bad = ReceivedWord(rw.omega, rw.pattern, tuple(map(tuple, known)))
+            with pytest.raises(ParameterError, match="used with"):
+                decode(code, bad)
+
+
+def test_zero_codeword_under_every_balanced_member():
+    # every known digit is zero, and the combination multiplies by each
+    ext = tower(5, 1, 4)
+    code = balanced_code(4, ext)
+    zero = (ext.zero(),) * 4
+    members = list(enumerate_family(BalancedFamily(4, 4)))
+    assert len(members) > 1
+    for t in members:
+        got = decode(code, apply_erasure(zero, t, code.omega))
+        assert outcome(got) == ("decoded", zero, 0), t
 
 
 class TestLanesAtTheirBound:

@@ -18,7 +18,7 @@ from hierasure import (
     modp,
     parse_family,
 )
-from hierasure.patterns import _leaves, family_trie, sorted_trie
+from hierasure.patterns import _leaves, _members_trie, family_trie, sorted_trie
 from reference import reference_contains, reference_rule_trie
 from towers import tower
 
@@ -82,6 +82,13 @@ class TestContains:
     def test_length_mismatch(self):
         with pytest.raises(ParameterError):
             family_contains(FullFamily(2, 2, 3), (1, 1))
+
+    def test_equal_families_share_one_members_trie(self):
+        first, twin = BalancedFamily(8, 5), BalancedFamily(8, 5)
+        assert first is not twin
+        assert _members_trie(first) is _members_trie(twin)
+        assert _members_trie(first) is not _members_trie(PowerFamily(8, 5))
+        assert family_contains(twin, (4, 4, 0, 0, 0)) and not family_contains(first, (4, 4, 4, 0, 0))
 
     # alpha = 8 stops at n = 3: n = 4 alone is 571,000 membership calls
     @pytest.mark.parametrize(
@@ -387,3 +394,8 @@ class TestParseFamily:
             parse_family("diagonal", 2, 2)
         with pytest.raises(ParameterError):
             parse_family("full", 2, 2)
+
+    @pytest.mark.parametrize("text", ["balanced:3", "power:x", "Balanced: 1", "power:"])
+    def test_rejects_an_argument_to_a_family_that_takes_none(self, text):
+        with pytest.raises(ParameterError, match="takes no argument"):
+            parse_family(text, 4, 4)
