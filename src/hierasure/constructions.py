@@ -506,9 +506,12 @@ def greedy_gv_code(
     candidate are independent.  So once per column position, for each k,
     the erased columns of every maximal pattern of ``FullFamily(alpha,
     m - k, L)`` on the L accepted columns are put in echelon form, and a
-    candidate is accepted when its first k*e columns insert into each of
-    them without a dependency; the rows a trial inserts are cut off again.
-    (m - k always fits in the prefix: m < alpha*(r-1) and L >= r.)
+    candidate is accepted when its first k*e columns are independent
+    modulo each of them: all but the last insert without a dependency, and
+    the last, only reduced, keeps a nonzero pivot lane.  The rows a trial
+    inserts are cut off again, so a one-column trial, the common one, is
+    a single reduce.  (m - k always fits in the prefix: m < alpha*(r-1)
+    and L >= r.)
     """
     alpha = ext.alpha
     if not 1 <= r <= n:
@@ -552,7 +555,7 @@ def greedy_gv_code(
         ]
         for g in candidates():
             cols = pack_column(omega, g, lay, width)  # packed once, read by every check
-            if all(_extends(ech, cols[:k_e]) for k_e, ech in checks):
+            if all(_extends(ech, cols, k_e) for k_e, ech in checks):
                 break
         else:
             raise ConstructionError(
@@ -572,10 +575,17 @@ def greedy_gv_code(
     )
 
 
-def _extends(ech: modp.Echelon, vectors) -> bool:
-    # True iff the vectors are independent modulo the echelon's span; the
-    # rows the trial inserts are appended, so cutting them off restores ech
+def _extends(ech: modp.Echelon, vectors, k: int) -> bool:
+    # True iff vectors[:k] are independent modulo the echelon's span: each
+    # but the last inserts without a dependency, and the last, reduced,
+    # keeps a nonzero pivot lane.  The last is never inserted, so a trial
+    # of one vector is one reduce, and cutting off the rows a longer trial
+    # appends restores ech
+    pivots = ech.layout.pivots
+    if k == 1:
+        return bool(ech.reduce(vectors[0]) & pivots)
     mark = len(ech.rows)
-    independent = all(ech.insert(v) is None for v in vectors)
+    independent = all(ech.insert(v) is None for v in vectors[: k - 1])
+    independent = independent and bool(ech.reduce(vectors[k - 1]) & pivots)
     del ech.rows[mark:]
     return independent

@@ -45,7 +45,10 @@ echelon.  The walk is one generator frame over an explicit stack of
 levels, so it has no depth limit: a trie has one level per block, and a
 code may have more symbols than the interpreter has recursion depth.  A
 trie's ``children(i, node)`` returns a tuple, often the same one each
-time a node is reached, and the walk takes ``iter()`` of it.
+time a node is reached, and the walk takes ``iter()`` of it.  A child may
+be the end marker ``None``, which says that every deeper entry is 0: the
+walk yields that leaf where it stands, so a leaf that its trie ends at
+level i costs i + 1 levels, not one per block.
 """
 
 from __future__ import annotations
@@ -183,7 +186,10 @@ def walk(blocks: Sequence, children: Callable, root, unit: int, lay: Layout) -> 
     correctability and UDM verdict.  ``children(i, node)`` returns a
     tuple of (t_i, child) in ascending t_i, one level per block; the walk
     takes ``iter()`` of it, so a tuple it returns again starts from its
-    first child.  The vectors are packed under ``lay``.
+    first child.  A child ``None`` is the end marker: every deeper entry
+    is 0, so the walk yields the prefix padded with zeros at once, with
+    no deeper level and no ``children`` call below it (zero entries insert
+    nothing).  The vectors are packed under ``lay``.
 
     One echelon serves the whole walk, and the yielded echelon is valid
     only until the walk advances; copy it to keep it.  As t_i rises, a
@@ -203,7 +209,7 @@ def walk(blocks: Sequence, children: Callable, root, unit: int, lay: Layout) -> 
     if not n:
         yield (), ech
         return
-    t = [0] * n
+    t = [0] * n  # entries below level i are 0: a level is zeroed as it is popped
     last = n - 1
     stack = []  # (iterator, mark, done, ok) of each level above level i
     i, it, mark, done, ok = 0, iter(children(0, root)), 0, 0, True
@@ -218,7 +224,7 @@ def walk(blocks: Sequence, children: Callable, root, unit: int, lay: Layout) -> 
                         break
                     done += 1
             t[i] = ti
-            if i == last:
+            if child is None or i == last:
                 yield tuple(t), ech if ok else None
             else:
                 stack.append((it, mark, done, ok))
@@ -228,6 +234,7 @@ def walk(blocks: Sequence, children: Callable, root, unit: int, lay: Layout) -> 
         else:
             if not stack:
                 return
+            t[i] = 0
             it, mark, done, ok = stack.pop()
             i -= 1
 

@@ -18,9 +18,15 @@ the members' trie.
 Every family's trie, members or maxima, is a rule on a small node (the
 budget left, the support and largest entry so far, the value still to
 place, or none for bounded patterns) and is tabled: each (level, node)
-child tuple is made once per trie, and every node kept has a leaf.  An
-explicit pattern list is a trie too (``sorted_trie``), over index ranges
-of the sorted distinct patterns.
+child tuple is made once per trie, and every node kept has a leaf.  A
+child may be the end marker ``None`` instead of a node: every deeper
+entry is 0, so its prefix padded with zeros is the one leaf below it and
+no reader descends further.  The budget tries end a path where the budget
+is spent and the balanced maxima where no position is left to fill, so a
+pattern that spends its budget early costs the levels up to its last
+nonzero entry, not n.  An explicit pattern list is a trie too
+(``sorted_trie``), over index ranges of the sorted distinct patterns, and
+has no end marker.
 Enumeration visits only members.  ``maximal_patterns`` yields the
 patterns not dominated componentwise inside their family, which is all
 a correctability check ever needs, since erasing less is easier.  Every
@@ -168,17 +174,21 @@ def _is_balanced(support: int, biggest: int, alpha: int, n: int) -> bool:
 
 
 def _leaves(children, root, n: int) -> Iterator[ErasurePattern]:
-    # depth first, one child iterator per level on the stack
+    # depth first, one child iterator per level on the stack; entries below
+    # the top level are 0, since a level is zeroed as it is popped, so an
+    # end marker's leaf is t as it stands
     t = [0] * n
     stack = [iter(children(0, root))]
     while stack:
         i = len(stack) - 1
         for t[i], child in stack[-1]:
-            if i + 1 < n:
+            if child is None or i + 1 == n:
+                yield tuple(t)
+            else:
                 stack.append(iter(children(i + 1, child)))
                 break
-            yield tuple(t)
         else:
+            t[i] = 0
             stack.pop()
 
 
@@ -186,14 +196,17 @@ def _budget_children(n: int, values: Sequence[int], need):
     # node = budget left; a child keeps only a budget the entries below can
     # still spend: need(b) is the fewest nonzero values that sum to b (0
     # when the leaves need not spend it all), so every kept node has a
-    # leaf.  Each (level, budget) child tuple is made once per trie
+    # leaf.  A spent budget is the end marker: the entries below are all 0.
+    # Each (level, budget) child tuple is made once per trie
     levels = [{} for _ in range(n)]
 
     def children(i, left):
         try:
             return levels[i][left]
         except KeyError:
-            kids = tuple((v, left - v) for v in values if v <= left and need(left - v) < n - i)
+            kids = tuple(
+                (v, left - v or None) for v in values if v <= left and need(left - v) < n - i
+            )
             levels[i][left] = kids
             return kids
 
@@ -225,11 +238,12 @@ def _balanced_children(fam: BalancedFamily):
 
 
 def _balanced_maxima_children(fam: BalancedFamily):
-    # node = None before the first nonzero entry, then (value, positions
-    # still to take it): scale k puts alpha >> k on exactly 2^k positions.
-    # A child keeps only a node the entries below can complete, one to
-    # choose a scale for None and `left` for (value, left), so every kept
-    # node has a leaf.  Each (level, node) child tuple is made once per trie
+    # node = () before the first nonzero entry, then (value, positions
+    # still to take it): scale k puts alpha >> k on exactly 2^k positions,
+    # and where none are left the child is the end marker.  A child keeps
+    # only a node the entries below can complete, one to choose a scale
+    # for () and `left` for (value, left), so every kept node has a leaf.
+    # Each (level, node) child tuple is made once per trie
     n, alpha = fam.n, fam.alpha
     scales = [(alpha >> k, 1 << k) for k in reversed(range(min(alpha, n).bit_length()))]
     levels = [{} for _ in range(n)]
@@ -238,14 +252,14 @@ def _balanced_maxima_children(fam: BalancedFamily):
         try:
             return levels[i][node]
         except KeyError:
-            if node is None:
-                kids = [(0, None)] + [(v, (v, size - 1)) for v, size in scales]
-            else:
+            # (t_i, child, positions the entries below must fill)
+            if node:
                 v, left = node
-                kids = [(0, node), (v, (v, left - 1))] if left else [(0, node)]
-            kids = levels[i][node] = tuple(
-                (t, child) for t, child in kids if (1 if child is None else child[1]) < n - i
-            )
+                kids = [(0, node, left), (v, (v, left - 1) if left > 1 else None, left - 1)]
+            else:
+                kids = [(0, node, 1)]
+                kids += [(v, (v, size - 1) if size > 1 else None, size - 1) for v, size in scales]
+            kids = levels[i][node] = tuple((t, child) for t, child, need in kids if need < n - i)
             return kids
 
     return children
@@ -280,10 +294,13 @@ def family_trie(fam: PatternFamily, all_patterns: bool = False):
     returns a tuple of (t_i, child) in ascending t_i, one level per
     symbol, so the leaves come in lex order.  Every trie is tabled: each
     (level, node) child tuple is made on first use and kept for the trie's
-    life, and every node it keeps has a leaf.  Full and power patterns
-    descend by the budget left, balanced members by the support and
-    largest entry so far, balanced maxima by the value still to place and
-    on how many positions, and bounded patterns by one constant tuple."""
+    life, and every node it keeps has a leaf.  A child ``None`` is the end
+    marker: every deeper entry is 0, the prefix padded with zeros is a
+    leaf, and ``children`` is not called below it.  Full and power patterns
+    descend by the budget left and end where it is spent, balanced members
+    by the support and largest entry so far, balanced maxima by the value
+    still to place and on how many positions, ending where none are left,
+    and bounded patterns by one constant tuple."""
     n = fam.n
     if isinstance(fam, FullFamily):
         values, alpha = range(fam.alpha + 1), fam.alpha
@@ -301,10 +318,10 @@ def family_trie(fam: PatternFamily, all_patterns: bool = False):
     if isinstance(fam, BalancedFamily):
         if all_patterns:
             return _balanced_children(fam), (0, 0)
-        return _balanced_maxima_children(fam), None
+        return _balanced_maxima_children(fam), ()
     if isinstance(fam, BoundedFamily):
-        kids = tuple((v, None) for v in range(fam.r + 1)) if all_patterns else ((fam.r, None),)
-        return (lambda i, node: kids), None
+        kids = tuple((v, ()) for v in range(fam.r + 1)) if all_patterns else ((fam.r, ()),)
+        return (lambda i, node: kids), ()
     raise ParameterError(f"unknown family {fam!r}")
 
 
@@ -317,12 +334,15 @@ def _members_trie(fam: PatternFamily):
 
 def family_contains(fam: PatternFamily, t: Sequence[int]) -> bool:
     """Membership verdict: t is a leaf of the family's members trie, one
-    kept per family value for the last few families asked about."""
+    kept per family value for the last few families asked about.  Past an
+    end marker every entry must be 0."""
     t = tuple(t)
     if len(t) != fam.n:
         raise ParameterError(f"pattern length {len(t)} does not match n={fam.n}")
     children, node = _members_trie(fam)
     for i, v in enumerate(t):
+        if node is None:
+            return not any(t[i:])
         for value, child in children(i, node):
             if value == v:
                 node = child

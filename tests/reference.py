@@ -149,14 +149,16 @@ def reference_local_maxima(fam):
 
 def reference_budget_children(n, values, need):
     """``patterns._budget_children`` as a generator per call: node = budget
-    left, and a child keeps only a budget the entries below can spend."""
+    left, and a child keeps only a budget the entries below can spend.  A
+    spent budget leaves only zeros below, so that child is the end marker
+    None."""
 
     def children(i, left):
         for v in values:
             if v > left:
                 break
             if need(left - v) < n - i:
-                yield v, left - v
+                yield v, (None if v == left else left - v)
 
     return children
 
@@ -179,19 +181,53 @@ def reference_balanced_children(fam):
     return children
 
 
+def reference_balanced_maxima_children(fam):
+    """``patterns._balanced_maxima_children`` as a generator per call: node
+    = () before the first nonzero entry, then (value, positions still to
+    take it), where scale k places alpha >> k on 2^k positions.  A child
+    is kept when the positions after this one can hold what is left to
+    place, and one with no position left to fill is the end marker None."""
+    n, alpha = fam.n, fam.alpha
+
+    def children(i, node):
+        after = n - i - 1  # positions after this one
+        if node:
+            v, left = node
+            if left <= after:
+                yield 0, node
+            yield v, ((v, left - 1) if left > 1 else None)
+            return
+        if after:
+            yield 0, ()
+        for k in reversed(range(min(alpha, n).bit_length())):
+            left = (1 << k) - 1  # positions to fill after this one
+            if left <= after:
+                yield alpha >> k, ((alpha >> k, left) if left else None)
+
+    return children
+
+
 def reference_rule_trie(fam, all_patterns=False):
     """(children, root) of a rule-based trie from the generators above:
-    full maxima or members, power maxima, balanced members."""
+    full and power maxima or members, balanced members and maxima."""
     if isinstance(fam, FullFamily):
         values, alpha = range(fam.alpha + 1), fam.alpha
         if all_patterns:
             return reference_budget_children(fam.n, values, lambda b: 0), fam.m
         return reference_budget_children(fam.n, values, lambda b: b and -(-b // alpha)), min(fam.m, fam.n * alpha)
-    if isinstance(fam, PowerFamily) and not all_patterns:
+    if isinstance(fam, PowerFamily):
         values, alpha = [0] + [1 << k for k in range(fam.alpha.bit_length())], fam.alpha
-        return reference_budget_children(fam.n, values, lambda b: b // alpha + (b % alpha).bit_count()), alpha
-    if isinstance(fam, BalancedFamily) and all_patterns:
-        return reference_balanced_children(fam), (0, 0)
+
+        def need(b):
+            # the fewest powers of two up to alpha that sum to b; members
+            # may leave a whole budget unspent, for the empty pattern
+            return 0 if all_patterns and b == alpha else b // alpha + (b % alpha).bit_count()
+
+        return reference_budget_children(fam.n, values, need), alpha
+    if isinstance(fam, BalancedFamily):
+        if all_patterns:
+            return reference_balanced_children(fam), (0, 0)
+        return reference_balanced_maxima_children(fam), ()
     raise ValueError(f"no rule-based trie for {fam!r}")
 
 def reference_subfield_members(ext, d):

@@ -10,13 +10,17 @@ and when the search gives up.
 """
 
 import json
+import random
 import warnings
 
 import pytest
 
-from hierasure import ConstructionError, LinearCode, greedy_gv_code, serialize
+from hierasure import ConstructionError, LinearCode, greedy_gv_code, modp, serialize
+from hierasure.constructions import _extends
 from reference import reference_greedy_gv_code
 from towers import tower
+
+PRIMES = [2, 3, 7, 11, 251, 65521]
 
 # near the existence threshold, so candidates are rejected: (10, 3, 3) over
 # GF(2^2) rejects 175 over seeds 0-19 and (7, 4, 5) over GF(4^2) rejects 6;
@@ -86,3 +90,38 @@ def test_builds_one_code(monkeypatch):
     monkeypatch.setattr(LinearCode, "__post_init__", counted)
     code = greedy_gv_code(10, 3, 3, tower(2, 1, 2), seed=0)
     assert inits == [code]
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_trial_matches_inserting_every_vector(p):
+    # a trial inserts all but its last vector and reduces the last; the
+    # reference inserts every vector into a copy.  Vectors are random or a
+    # combination of the basis's inputs and the trial's earlier vectors,
+    # so dependent trials come at every position; vectors past the k the
+    # trial reads are random and must not count
+    rng = random.Random(f"trial/{p}")
+    verdicts, sizes = set(), set()
+    for _ in range(30):
+        width = rng.randrange(1, 7)
+        lay = modp.layout(p, width)
+        ech, inputs = modp.Echelon(lay), []
+        for _ in range(rng.randrange(width + 1)):
+            inputs.append(lay.pack([rng.randrange(p) for _ in range(width)]))
+            ech.insert(inputs[-1])
+        for _ in range(6):
+            k = rng.randrange(1, 4)
+            vectors = []
+            for _ in range(k):
+                if rng.randrange(3):
+                    vectors.append(lay.pack([rng.randrange(p) for _ in range(width)]))
+                else:
+                    span = inputs + vectors
+                    vectors.append(lay.combination([rng.randrange(p) for _ in span], span))
+            vectors += [lay.pack([rng.randrange(p) for _ in range(width)]) for _ in range(rng.randrange(3))]
+            rows, twin = list(ech.rows), ech.copy()
+            want = all(twin.insert(v) is None for v in vectors[:k])
+            assert _extends(ech, vectors, k) == want, (width, k)
+            assert ech.rows == rows
+            verdicts.add(want)
+            sizes.add(k)
+    assert verdicts == {True, False} and sizes == {1, 2, 3}

@@ -36,6 +36,7 @@ from hierasure import (
     make_tower,
     maximal_patterns,
     modp,
+    patterns,
     verify_udm,
     vontobel_udms,
 )
@@ -216,6 +217,27 @@ def test_walk_deeper_than_the_recursion_limit():
     assert [t.index(1) for t, _ in got] == list(reversed(range(LONG)))
     assert [ech is None for _, ech in got] == [True] + [False] * (LONG - 1)
     assert all(len(ech.rows) == 1 for _, ech in got[1:])
+
+
+def test_a_spent_budget_ends_the_path(monkeypatch):
+    # full:1 on LONG symbols has LONG leaves, each a single 1: after the 1
+    # the budget is spent, so the walk and the enumerator yield the leaf
+    # there, and the trie's children are read about once per leaf, not
+    # once per level of every leaf (LONG^2 / 2 calls)
+    calls = []
+
+    def counted(fam, all_patterns=False):
+        children, root = family_trie(fam, all_patterns)
+        return (lambda i, node: calls.append(i) or children(i, node)), root
+
+    fam = FullFamily(2, 1, LONG)
+    lay = modp.layout(3, 2)
+    blocks = [[lay.pack([1, 2])]] * LONG
+    got = [t for t, ech in modp.walk(blocks, *counted(fam), 1, lay) if ech is not None]
+    assert len(got) == LONG and len(calls) <= 2 * LONG
+    calls.clear()
+    monkeypatch.setattr(patterns, "family_trie", counted)
+    assert list(maximal_patterns(fam)) == got and len(calls) <= 2 * LONG
 
 
 @pytest.mark.parametrize("p", PRIMES)
@@ -410,11 +432,18 @@ class TestInsertCounts:
     counted apart, for its irreducibility test."""
 
     @pytest.fixture
-    def calls(self, monkeypatch):
-        calls = []
-        real = modp.Echelon.insert
-        monkeypatch.setattr(modp.Echelon, "insert", lambda ech, v: calls.append(1) or real(ech, v))
-        return calls
+    def counts(self, monkeypatch):
+        counts = {"insert": [], "reduce": []}
+        for name, calls in counts.items():
+            real = getattr(modp.Echelon, name)
+            monkeypatch.setattr(
+                modp.Echelon, name, lambda ech, v, real=real, calls=calls: calls.append(1) or real(ech, v)
+            )
+        return counts
+
+    @pytest.fixture
+    def calls(self, counts):
+        return counts["insert"]
 
     def test_trace_code_claim_and_refutation(self, calls):
         _, code = trace_instance()
@@ -427,12 +456,18 @@ class TestInsertCounts:
         report = is_correcting(code, FullFamily(4, 6, 8))  # with its witness
         assert report.pattern == (0, 0, 1, 1, 1, 1, 1, 1) and len(calls) == 585
 
-    def test_greedy_gv(self, calls):
+    def test_greedy_gv(self, counts):
+        # a candidate's trial inserts each of its vectors but the last and
+        # only reduces the last, so every trial vector is reduced exactly
+        # once: 717 inserts + 1,705 trial reduces = 2,422, the inserts of a
+        # trial that inserted every vector.  The other 2 reduces invert the
+        # decoding basis
+        inserts, reduces = counts["insert"], counts["reduce"]
         ext = make_tower(2, 1, 2, 0)
-        built = len(calls)
+        built = len(inserts)
         with pytest.warns(UserWarning):
             greedy_gv_code(14, 3, 3, ext, seed=0)
-        assert (built, len(calls) - built) == (8, 2422)
+        assert (built, len(inserts) - built, len(reduces)) == (8, 717, 1707)
 
     def test_vontobel_set(self, calls):
         field = make_field(7, 1, 0)

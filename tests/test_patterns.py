@@ -90,6 +90,26 @@ class TestContains:
         assert _members_trie(first) is not _members_trie(PowerFamily(8, 5))
         assert family_contains(twin, (4, 4, 0, 0, 0)) and not family_contains(first, (4, 4, 4, 0, 0))
 
+    @pytest.mark.parametrize(
+        "fam,t,member",
+        [
+            (FullFamily(2, 1, 4), (1, 0, 0, 1), False),
+            (FullFamily(2, 1, 4), (1, 0, 0, 0), True),
+            (FullFamily(2, 1, 4), (0, 1, 0, -1), False),
+            (FullFamily(2, 0, 3), (0, 0, 1), False),
+            (FullFamily(3, 4, 3), (3, 1, 1), False),
+            (FullFamily(3, 4, 3), (3, 1, 0), True),
+            (PowerFamily(4, 4), (2, 2, 0, 1), False),
+            (PowerFamily(4, 4), (2, 2, 0, 0), True),
+            (PowerFamily(4, 3), (4, 0, 4), False),
+        ],
+    )
+    def test_nonzero_entry_after_a_spent_budget(self, fam, t, member):
+        # the members' trie ends the path where the budget is spent, so
+        # the entries after it are read as zeros or the pattern is refused
+        assert family_contains(fam, t) is member
+        assert reference_contains(fam, t) is member
+
     # alpha = 8 stops at n = 3: n = 4 alone is 571,000 membership calls
     @pytest.mark.parametrize(
         "alpha,n", [(alpha, n) for alpha in (1, 2, 4, 8) for n in range(1, 6) if alpha < 8 or n <= 3]
@@ -153,14 +173,15 @@ class TestMaximal:
 
 def rule_tries(n, alpha):
     """(family, all_patterns) of every rule-based trie on n symbols: the
-    full maxima and members for every budget up to n * alpha, the power
-    maxima and the balanced members (alpha a power of two)."""
+    full maxima and members for every budget up to n * alpha, and the
+    power and balanced maxima and members (alpha a power of two)."""
     for m in range(n * alpha + 1):
         yield FullFamily(alpha, m, n), False
         yield FullFamily(alpha, m, n), True
     if not alpha & (alpha - 1):
-        yield PowerFamily(alpha, n), False
-        yield BalancedFamily(alpha, n), True
+        for all_patterns in (False, True):
+            yield PowerFamily(alpha, n), all_patterns
+            yield BalancedFamily(alpha, n), all_patterns
 
 
 def every_trie(n, alpha):
@@ -192,24 +213,29 @@ def is_leaf(fam, all_patterns, t):
 class TestTabledTries:
     """``family_trie`` tables each (level, node) child list as a tuple,
     once per trie, for every family and mode; ``reference_rule_trie`` is the
-    generator per call it replaced for the rule tries that had one.
-    Children must agree at every node."""
+    generator per call it replaced for the rule tries, and it derives the
+    end marker None itself: a spent budget, or no position left to fill.
+    Children must agree at every node, markers included."""
 
     @pytest.mark.parametrize("alpha", [1, 2, 3, 4, 8])
     @pytest.mark.parametrize("n", range(1, 9))
     def test_children_match_the_generators_at_every_node(self, n, alpha):
+        markers = 0
         for fam, all_patterns in rule_tries(n, alpha):
             want, root = reference_rule_trie(fam, all_patterns)
             got, got_root = family_trie(fam, all_patterns)
             assert got_root == root
-            # the trie's distinct (level, node) pairs, breadth first
+            # the trie's distinct (level, node) pairs, breadth first; an
+            # end marker has no node below it
             level = {root}
             for i in range(n):
                 for node in level:
                     kids = tuple(want(i, node))
                     assert got(i, node) == kids
                     assert got(i, node) == kids  # a tabled tuple, read again
-                level = {child for node in level for _, child in want(i, node)}
+                    markers += sum(child is None for _, child in kids)
+                level = {child for node in level for _, child in want(i, node) if child is not None}
+        assert markers  # full:0 alone ends at its root
 
     @pytest.mark.parametrize("alpha", [1, 2, 3, 4, 8])
     @pytest.mark.parametrize("n", range(1, 9))
@@ -218,17 +244,28 @@ class TestTabledTries:
             children, root = family_trie(fam, all_patterns)
             level = {root: ()}  # each node reached, with a prefix that reaches it
             for i in range(n):
+                below_level = {}
                 for node, prefix in level.items():
                     kids = children(i, node)
                     assert type(kids) is tuple and kids, (fam, all_patterns, prefix)
                     assert children(i, node) is kids
-                    # the node's first leaf, down its first child at every level
+                    # the node's first leaf, down its first child at every
+                    # level until an end marker, then zeros
                     leaf, below = prefix, node
                     for j in range(i, n):
                         v, below = children(j, below)[0]
                         leaf += (v,)
+                        if below is None:
+                            break
+                    leaf += (0,) * (n - len(leaf))
                     assert is_leaf(fam, all_patterns, leaf), (fam, all_patterns, leaf)
-                level = {child: prefix + (v,) for node, prefix in level.items() for v, child in children(i, node)}
+                    for v, child in kids:
+                        if child is None:  # every deeper entry is 0
+                            leaf = prefix + (v,) + (0,) * (n - i - 1)
+                            assert is_leaf(fam, all_patterns, leaf), (fam, all_patterns, leaf)
+                        else:
+                            below_level[child] = prefix + (v,)
+                level = below_level
 
 
 class TestChildrenIterables:
