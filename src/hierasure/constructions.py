@@ -45,7 +45,7 @@ from .fields import (
     quadratic_root_with_constant,
     subfield_basis,
 )
-from .patterns import BalancedFamily, BoundedFamily, FullFamily, PowerFamily, family_trie
+from .patterns import BalancedFamily, BoundedFamily, FullFamily, PowerFamily
 from .udm import UdmSet, trace_check_matrix, verify_udm, vontobel_udms
 
 
@@ -503,15 +503,19 @@ def greedy_gv_code(
     total m that erases k >= 1 leading coordinates of the new symbol is
     correctable iff the erased prefix columns (independent, since the
     prefix is good) together with the first k*e prime-field columns of the
-    candidate are independent.  So once per column position, for each k,
-    the erased columns of every maximal pattern of ``FullFamily(alpha,
-    m - k, L)`` on the L accepted columns are put in echelon form, and a
-    candidate is accepted when its first k*e columns are independent
-    modulo each of them: all but the last insert without a dependency, and
-    the last, only reduced, keeps a nonzero pivot lane.  The rows a trial
-    inserts are cut off again, so a one-column trial, the common one, is
-    a single reduce.  (m - k always fits in the prefix: m < alpha*(r-1)
-    and L >= r.)
+    candidate are independent.  So the erased columns of every pattern of
+    each total b < m on the accepted prefix are kept in echelon form,
+    grown by each accepted column (``_grow``) rather than rebuilt per
+    position, and a candidate is accepted when, for each k, its first k*e
+    columns are independent modulo every echelon of total m - k: all but
+    the last insert without a dependency, and the last, only reduced,
+    keeps a nonzero pivot lane.  The rows a trial inserts are cut off
+    again, so a one-column trial, the common one, is a single reduce.  A
+    check that rejects a candidate moves to the front, so the next
+    candidate meets it first; acceptance needs every check, so the order
+    changes no outcome.  (m - k always fits in the prefix: m < alpha*(r-1)
+    and the prefix has at least r columns, so the patterns of total m - k
+    are the maximal ones of ``FullFamily(alpha, m - k, L)``.)
     """
     alpha = ext.alpha
     if not 1 <= r <= n:
@@ -533,7 +537,6 @@ def greedy_gv_code(
     width = k_max * e  # a candidate is erased in at most k_max coordinates
     lay = modp.layout(p, r * alpha * e)
     rows = [[ext.one() if j == i else ext.zero() for j in range(r)] for i in range(r)]
-    expanded = [pack_column(omega, col, lay, width) for col in zip(*rows)]
 
     def candidates():
         for _ in range(budget):
@@ -547,15 +550,21 @@ def greedy_gv_code(
                     k //= ext.order
                 yield g
 
+    # by_total[b]: the echelon of every total-b pattern on the accepted prefix
+    by_total = [[modp.Echelon(lay)]] + [[] for _ in range(m - 1)]
+    for column in list(zip(*rows))[: n - 1]:
+        _grow(by_total, pack_column(omega, column, lay, width), alpha, e)
     for col in range(r, n):
         checks = [  # (how many candidate columns, prefix echelon)
-            (k * e, ech.copy())
-            for k in range(1, k_max + 1)
-            for _, ech in modp.walk(expanded, *family_trie(FullFamily(alpha, m - k, col)), e, lay)
+            (k * e, ech) for k in range(1, k_max + 1) for ech in by_total[m - k]
         ]
         for g in candidates():
             cols = pack_column(omega, g, lay, width)  # packed once, read by every check
-            if all(_extends(ech, cols, k_e) for k_e, ech in checks):
+            for i, (k_e, ech) in enumerate(checks):
+                if not _extends(ech, cols, k_e):
+                    checks.insert(0, checks.pop(i))
+                    break
+            else:
                 break
         else:
             raise ConstructionError(
@@ -564,7 +573,8 @@ def greedy_gv_code(
             )
         for row, gi in zip(rows, g):
             row.append(gi)
-        expanded.append(cols)
+        if col < n - 1:  # no later position reads the last column
+            _grow(by_total, cols, alpha, e)
 
     return code_from_rows(
         ext,
@@ -573,6 +583,25 @@ def greedy_gv_code(
         FullFamily(alpha, m, n),
         {"construction": "greedy_gv", "n": n, "r": r, "m": m, "seed": seed},
     )
+
+
+def _grow(by_total: list[list[modp.Echelon]], column, alpha: int, e: int) -> None:
+    # append a column to the prefix that by_total[b] holds the total-b
+    # pattern echelons of: a total-b pattern on the longer prefix erases j
+    # coordinates of the column on top of a total-(b - j) pattern of the
+    # prefix, so for j >= 1 each echelon of the old by_total[b - j], copied,
+    # takes the column's first j*e vectors.  b falls, so the lists read are
+    # still the old ones.  The prefix is m-good, so each insert is independent
+    for b in range(len(by_total) - 1, 0, -1):
+        grown = by_total[b]
+        for j in range(1, min(alpha, b) + 1):
+            vectors = column[: j * e]
+            for ech in by_total[b - j]:
+                twin = ech.copy()
+                for v in vectors:
+                    if twin.insert(v) is not None:
+                        raise ConstructionError("accepted prefix is not m-good; construction bug")
+                grown.append(twin)
 
 
 def _extends(ech: modp.Echelon, vectors, k: int) -> bool:

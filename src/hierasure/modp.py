@@ -149,7 +149,7 @@ class Echelon:
             c = (x >> at & lane) % p
             if c:
                 x += (p - c) * row
-        return lay.normalize(x)
+        return x - p * (x * lay.mul >> lay.shift & lay.quot)
 
     def insert(self, x: int) -> int | None:
         """Add x to the basis; None when it was independent of the basis.

@@ -1,6 +1,6 @@
 """Byte-identity of CLI artifacts against checked-in golden files.
 
-Three cases rerun through ``cli.main`` in a fresh directory:
+Four cases rerun through ``cli.main`` in a fresh directory:
 
 * ``cli_pipeline``: the benchmark's cli-pipeline instance (a balanced code
   over GF(11^8), n = 8, seed 201), then ``verify --json`` against its claim
@@ -12,7 +12,10 @@ Three cases rerun through ``cli.main`` in a fresh directory:
   against its claim;
 * ``refuted``: a trace code over GF(3^2)^2 with its dual basis (not the
   polynomial basis), refuted by ``verify --family full:4 --json``, so the
-  counterexample and witness paths run on an e = 2 tower.
+  counterexample and witness paths run on an e = 2 tower;
+* ``gv``: a greedy GV code over GF(2^2), n = 14, r = 3, m = 3, seed 0,
+  near its existence threshold so candidates are rejected, then
+  ``verify --json`` against its claim.
 
 Every primary artifact and every command's stdout must equal the golden
 bytes; manifests are not compared, since they record a duration.  Running
@@ -70,7 +73,21 @@ def _length2_large(d: Path, inputs: Path):
     ]
 
 
-CASES = {"cli_pipeline": _pipeline, "length2_large": _length2_large, "refuted": _refuted}
+def _gv(d: Path, inputs: Path):
+    code = str(d / "code.json")
+    return [
+        ("construct", ["construct", "gv", "--p", "2", "--alpha", "2", "--n", "14", "--r", "3",
+                       "--m", "3", "--seed", "0", "--out", code, "--json"], 0),
+        ("verify", ["verify", "--code", code, "--json", "--out", str(d / "verify.json")], 0),
+    ]
+
+
+CASES = {
+    "cli_pipeline": _pipeline,
+    "gv": _gv,
+    "length2_large": _length2_large,
+    "refuted": _refuted,
+}
 
 
 def _run(case: str, d: Path) -> dict[str, bytes]:
@@ -88,6 +105,7 @@ def _run(case: str, d: Path) -> dict[str, bytes]:
     return out
 
 
+@pytest.mark.filterwarnings("ignore:field size")  # the gv case sits at its existence threshold
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_cli_artifacts_match_golden(case, tmp_path):
     produced = _run(case, tmp_path)

@@ -1,12 +1,16 @@
-"""Greedy GV on cached prefix echelons against the probe-code route.
+"""Greedy GV on grown prefix echelons against the probe-code route.
 
 ``greedy_gv_code`` checks a candidate column only against the patterns
-that erase part of it, on echelons of the accepted prefix built once per
-column position.  ``reference_greedy_gv_code`` builds a probe code per
-candidate and rechecks every maximal pattern of the full family.  Both
-must emit the same code JSON byte for byte, the same warnings and the
-same ``ConstructionError``, on the seeded path, the deterministic sweep
-and when the search gives up.
+that erase part of it, on the echelons of every pattern of each total
+below m on the accepted prefix.  ``_grow`` extends those echelons by
+each accepted column instead of rebuilding them per position, and a
+check that rejects a candidate moves to the front.
+``reference_greedy_gv_code`` builds a probe code per candidate and
+rechecks every maximal pattern of the full family.  Both must emit the
+same code JSON byte for byte, the same warnings and the same
+``ConstructionError``, on the seeded path, the deterministic sweep and
+when the search gives up.  The grown echelons must span, prefix by
+prefix, what ``modp.walk`` builds for the same patterns.
 """
 
 import json
@@ -15,8 +19,10 @@ import warnings
 
 import pytest
 
-from hierasure import ConstructionError, LinearCode, greedy_gv_code, modp, serialize
-from hierasure.constructions import _extends
+from hierasure import ConstructionError, FullFamily, LinearCode, greedy_gv_code, modp, serialize
+from hierasure.codes import pack_column
+from hierasure.constructions import _extends, _grow
+from hierasure.patterns import family_trie
 from reference import reference_greedy_gv_code
 from towers import tower
 
@@ -25,8 +31,14 @@ PRIMES = [2, 3, 7, 11, 251, 65521]
 # near the existence threshold, so candidates are rejected: (10, 3, 3) over
 # GF(2^2) rejects 175 over seeds 0-19 and (7, 4, 5) over GF(4^2) rejects 6;
 # with m = 5 the e = 2 grid has patterns where only the digits of a second
-# erased coordinate of the candidate are dependent (seed 18)
-SEEDED = {"e1-GF(2^2)": (10, 3, 3, (2, 1, 2)), "e2-GF(4^2)": (7, 4, 5, (2, 2, 2))}
+# erased coordinate of the candidate are dependent (seed 18); (8, 3, 5)
+# over GF(2^3) has m > alpha, so a grown pattern erases all alpha
+# coordinates of a column and totals pass alpha (122 rejections over seeds 0-4)
+SEEDED = {
+    "e1-GF(2^2)": (10, 3, 3, (2, 1, 2)),
+    "e2-GF(4^2)": (7, 4, 5, (2, 2, 2)),
+    "a3-GF(2^3)": (8, 3, 5, (2, 1, 3)),
+}
 
 
 def _outcome(build, n, r, m, tw, **kwargs):
@@ -76,6 +88,54 @@ def test_exhausted_sweep_matches_reference(budget):
 def test_exhausted_budget_without_sweep_matches_reference():
     # 28,561^2 columns is past the sweep limit
     assert assert_same(3, 2, 1, (13, 1, 4), budget=0).startswith("ConstructionError: no eligible column")
+
+
+def _same_span(a: modp.Echelon, b: modp.Echelon) -> bool:
+    pivots = a.layout.pivots
+    return len(a.rows) == len(b.rows) and not any(
+        x.reduce(row) & pivots for x, y in ((a, b), (b, a)) for _, row in y.rows
+    )
+
+
+@pytest.mark.filterwarnings("ignore:field size")
+@pytest.mark.parametrize("instance", SEEDED.values(), ids=SEEDED.keys())
+def test_grown_echelons_match_walk(instance):
+    # after each prefix of a GV code's columns, by_total[b] spans, pattern
+    # for pattern, the echelons the walk builds for the maximal patterns of
+    # FullFamily(alpha, b, L): each of the grown echelons is matched to a
+    # distinct walk echelon of the same row space
+    n, r, m, tw = instance
+    ext = tower(*tw)
+    code = greedy_gv_code(n, r, m, ext, seed=0)
+    alpha, e = ext.alpha, ext.base.e
+    lay = modp.layout(ext.base.p, r * alpha * e)
+    columns = [pack_column(code.omega, col, lay) for col in zip(*code.H)]
+    by_total = [[modp.Echelon(lay)]] + [[] for _ in range(m - 1)]
+    for length in range(1, n):
+        _grow(by_total, columns[length - 1], alpha, e)
+        if length < r:
+            continue
+        for b in range(1, m):
+            walked = [
+                ech.copy()
+                for _, ech in modp.walk(columns[:length], *family_trie(FullFamily(alpha, b, length)), e, lay)
+            ]
+            assert len(by_total[b]) == len(walked), (length, b)
+            for ech in by_total[b]:
+                twin = next(k for k, w in enumerate(walked) if _same_span(ech, w))
+                del walked[twin]
+
+
+def test_grow_rejects_a_dependent_prefix():
+    # a repeated column makes the pattern erasing one coordinate of each dependent
+    ext = tower(2, 1, 2)
+    lay = modp.layout(2, 2 * 2)
+    column = pack_column(ext.polynomial_basis(), [ext.one(), ext.one()], lay)
+    by_total = [[modp.Echelon(lay)], [], []]
+    _grow(by_total, column, 2, 1)
+    assert [len(echs) for echs in by_total] == [1, 1, 1]
+    with pytest.raises(ConstructionError, match="construction bug"):
+        _grow(by_total, column, 2, 1)
 
 
 @pytest.mark.filterwarnings("ignore:field size")

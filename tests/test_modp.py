@@ -457,17 +457,27 @@ class TestInsertCounts:
         assert report.pattern == (0, 0, 1, 1, 1, 1, 1, 1) and len(calls) == 585
 
     def test_greedy_gv(self, counts):
-        # a candidate's trial inserts each of its vectors but the last and
-        # only reduces the last, so every trial vector is reduced exactly
-        # once: 717 inserts + 1,705 trial reduces = 2,422, the inserts of a
-        # trial that inserted every vector.  The other 2 reduces invert the
-        # decoding basis
+        # the grown echelons take, for each pattern of total 1 .. m - 1 on
+        # the first n - 1 columns, e times its last nonzero entry inserts:
+        # the echelon of the pattern cut before that column, copied, takes
+        # that column's first t*e vectors.  A candidate's trial inserts each
+        # of its vectors but the last and only reduces the last: 88 trial
+        # inserts and 1,188 trial reduces.  The other 2 inserts and 2
+        # reduces invert the decoding basis
         inserts, reduces = counts["insert"], counts["reduce"]
+        n, m, e = 14, 3, 1
         ext = make_tower(2, 1, 2, 0)
+        grown = sum(
+            e * next(ti for ti in reversed(t) if ti)
+            for b in range(1, m)
+            for t in enumerate_family(FullFamily(2, b, n - 1))
+            if sum(t) == b
+        )
+        assert grown == 117
         built = len(inserts)
         with pytest.warns(UserWarning):
-            greedy_gv_code(14, 3, 3, ext, seed=0)
-        assert (built, len(inserts) - built, len(reduces)) == (8, 717, 1707)
+            greedy_gv_code(n, 3, m, ext, seed=0)
+        assert (built, len(inserts) - built, len(reduces)) == (8, grown + 88 + 2, 1190)
 
     def test_vontobel_set(self, calls):
         field = make_field(7, 1, 0)
