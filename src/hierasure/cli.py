@@ -7,7 +7,8 @@ parameters and seed reproduce byte-identical primary outputs; only the
 recorded duration varies).  Exit codes: 0 success, 1 semantic failure
 (verification false, decode not unique, construction gave up), 2 usage
 or parameter errors and internal errors (no verdict: one line on stderr,
-no traceback).
+no traceback).  A library warning is one ``warning: <message>`` line on
+stderr, with no file, line number or source line.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import functools
 import json
 import sys
 import time
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -427,10 +429,16 @@ def build_parser() -> argparse.ArgumentParser:
 _parser = functools.cache(build_parser)
 
 
+def _warning_line(message, category, filename, lineno, file=None, line=None):
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        return args.func(args)
+        with warnings.catch_warnings():
+            warnings.showwarning = _warning_line
+            return args.func(args)
     except ParameterError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -77,13 +77,16 @@ class LinearCode:
     and the column side (the unknowns) coordinates over omega (see the
     module notes for why that is exact).  Each column is one int packed
     under ``layout`` (``modp.Layout``): digit k of its width = r * alpha * e
-    digits sits in lane k, bits [k*B, (k+1)*B).  An elimination against
-    these columns grows a lane by at most (p-1)^2 per row operation and
-    makes at most ``width`` of them, so lanes stay at most A = (p-1) +
-    width * (p-1)^2; s is the bit length of A * (p-1), M = ceil(2^s / p)
-    and B the bit length of A * M, and one Barrett step, x - p * ((x * M >>
-    s) & Q), then reduces every lane.  The echelons these columns enter
-    keep append-only rows, so a walk rolls one back with ``del rows[s:]``.
+    digits sits in lane k, bits [k*B, (k+1)*B).  A row operation against
+    these columns, or a term of a combination of them, grows a lane by at
+    most (p-1)^2.  An elimination makes at most ``width`` row operations,
+    and a decode sums at most n * alpha * e terms, one per known digit of
+    a word, so the layout holds terms = n * alpha * e (or the width, if
+    that is more) and lanes stay at most A = (p-1) + terms * (p-1)^2; s is
+    the bit length of A * (p-1), M = ceil(2^s / p) and B the bit length of
+    A * M, and one Barrett step, x - p * ((x * M >> s) & Q), then reduces
+    every lane.  The echelons these columns enter keep
+    append-only rows, so a walk rolls one back with ``del rows[s:]``.
     Blocks are built on first use and kept on the code, in that packed
     form only: every correctability check and every decode reads its
     columns from there.
@@ -91,8 +94,9 @@ class LinearCode:
     The decoder reads two more caches, built on first decode.
     ``decode_columns`` is every block with tag lanes added under
     ``decode_layout`` (``layout`` plus n * alpha * e tag lanes, one group
-    of alpha * e per symbol): column k of symbol i carries the power
-    digits of w_k in group i (``OrderedBasis.decode_tags``).
+    of alpha * e per symbol, in lanes of the same bits): column k of
+    symbol i carries the power digits of w_k in group i
+    (``OrderedBasis.decode_tags``).
     ``decode_plan(t)`` is the echelon of pattern t's erased tagged columns,
     their free count and the list of its known tagged columns; at most
     ``PLAN_CAP`` plans are kept, and the oldest is dropped first.
@@ -132,9 +136,12 @@ class LinearCode:
 
     @cached_property
     def layout(self) -> modp.Layout:
-        """How an expansion column, r * alpha * e prime-field digits, packs."""
+        """How an expansion column, r * alpha * e prime-field digits, packs:
+        lanes that hold n * alpha * e terms, so a word's known digits times
+        their columns are one sum."""
         ext = self.ext
-        return modp.layout(ext.base.p, self.r * ext.alpha * ext.base.e)
+        d = ext.digit_layout.width  # alpha * e
+        return modp.layout(ext.base.p, self.r * d, 0, self.n * d)
 
     def block(self, i: int) -> tuple[int, ...]:
         """Symbol i's block: ``pack_column`` of H[:, i], all alpha * e
@@ -148,9 +155,9 @@ class LinearCode:
     @cached_property
     def decode_layout(self) -> modp.Layout:
         """``layout`` with n * alpha * e tag lanes, one group per symbol;
-        its lanes have ``layout``'s bits."""
+        its terms, and so its lanes' bits, are ``layout``'s."""
         lay = self.layout
-        return modp.layout(lay.p, lay.width, self.n * self.ext.digit_layout.width)
+        return modp.layout(lay.p, lay.width, self.n * self.ext.digit_layout.width, lay.terms)
 
     @cached_property
     def decode_columns(self) -> tuple[tuple[int, ...], ...]:

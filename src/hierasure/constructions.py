@@ -495,7 +495,10 @@ def greedy_gv_code(
     set preserves goodness, and a large enough field guarantees such a
     column exists.  Columns are sampled with the seeded RNG; if the budget
     runs dry and the column space is small, a deterministic sweep finishes
-    the search before giving up.
+    the search before giving up.  Each sweep resumes at the index where
+    the last one stopped, that index included: a column rejected at one
+    position is rejected at every later one, since the pattern that fails
+    it, padded with zeros over the columns accepted since, still fails.
 
     A candidate column is checked only against the patterns that can fail.
     The accepted prefix is m-good, so a pattern that leaves the new symbol
@@ -538,11 +541,15 @@ def greedy_gv_code(
     lay = modp.layout(p, r * alpha * e)
     rows = [[ext.one() if j == i else ext.zero() for j in range(r)] for i in range(r)]
 
+    sweep_from = 0  # where the next deterministic sweep starts
+
     def candidates():
+        nonlocal sweep_from
         for _ in range(budget):
             yield [ext.from_index(rng.randrange(ext.order)) for _ in range(r)]
         if ext.order**r <= (1 << 20):
-            for idx in range(ext.order**r):
+            for idx in range(sweep_from, ext.order**r):
+                sweep_from = idx
                 g = []
                 k = idx
                 for _ in range(r):

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 from . import linalg, modp
 from .codes import LinearCode
 from .errors import ParameterError
-from .fields import Element, _grouped
+from .fields import Element
 from .patterns import (
     ErasurePattern,
     PatternFamily,
@@ -152,11 +152,11 @@ def _pattern_witness(code: LinearCode, t) -> tuple[Element, ...]:
 
 def _symbols(code: LinearCode, left: int) -> tuple[Element, ...]:
     # the codeword whose power digits are left's tag lanes, alpha * e per
-    # symbol: the base raws of all symbols in one pass, alpha per Element
+    # symbol: one pass over the lanes, e digits per base raw and alpha
+    # raws per Element
     ext, lay = code.ext, code.decode_layout
-    raws = _grouped(lay.digits(left, lay.width), ext.base.e)
-    alpha = ext.alpha
-    return tuple(Element(ext, raws[k : k + alpha]) for k in range(0, len(raws), alpha))
+    raws = zip(*[iter(lay.digits(left, lay.width))] * ext.base.e)
+    return tuple([Element(ext, raw) for raw in zip(*[raws] * ext.alpha)])
 
 
 def is_correcting(
@@ -203,7 +203,9 @@ def decode(code: LinearCode, received: ReceivedWord) -> DecodeResult:
 
     The right-hand side is the known digits, zeros included, times their
     tagged columns, the plan's ``known`` list (``LinearCode.decode_plan``),
-    in one packed combination, normalized after every ``width`` terms.
+    in one packed combination: the code's lanes hold n * alpha * e terms,
+    one per known digit a word can have, so it is one sum, normalized
+    once (``LinearCode.layout``).
     Its pivot lanes are the known part's syndrome, and its tags the known
     symbols' power digits.  It is reduced against the plan's echelon of
     the erased tagged columns, built once per code and pattern.  Nonzero

@@ -138,7 +138,7 @@ def _times_unit(v: int, lay: modp.Layout, lanes: int, period: int, folds: Sequen
     shift of s lanes, after which the s lanes that left each group sit at
     the bottom of the next; they are cut out, and lane d of them is spread
     over its own group by one multiply with folds[d].  Lanes then stay at
-    most (p-1) + s * (p-1)^2, so s must not exceed lay.width.  Multiplying
+    most (p-1) + s * (p-1)^2, so s must not exceed lay.terms.  Multiplying
     by x is z = x, period e and the fold -f_low; by y over the power digits
     of the extension, z = y, period alpha * e and folds -x^d * g_low(y).
     """
@@ -731,7 +731,8 @@ class OrderedBasis:
     matrix-vector product (``modp.mat_vec``).
 
     ``multiples`` gives the power digits of h * w_k for every k at once,
-    from a product table built on first use: D = alpha * e packed ints
+    from a product table built on first use per layout width and terms
+    (which fix its lanes' bits): D = alpha * e packed ints
     P_u, one per power unit U_u = y^a * x^d (u = a*e + d), whose group k
     of D lanes holds the power digits of U_u * w_k: the extension's power
     multiples of ``_to_power`` packed as D groups.
@@ -776,15 +777,17 @@ class OrderedBasis:
 
     def _table(self, lay: modp.Layout):
         # the product table P_0 .. P_(D-1) in lanes of lay.bits bits, under
-        # a layout with lay's width (so its bits) and at least D * D lanes
-        got = self._tables.get(lay.width)
+        # a layout with lay's width and terms (so its bits) and at least
+        # D * D lanes
+        key = lay.width, lay.terms
+        got = self._tables.get(key)
         if got is None:
             ext = self.ext
             dl = ext.digit_layout
             n = dl.width  # D
-            tlay = modp.layout(dl.p, lay.width, max(n * n - lay.width, 0))
+            tlay = modp.layout(dl.p, lay.width, max(n * n - lay.width, 0), lay.terms)
             v = tlay.pack([d for col in self._to_power for d in dl.digits(col)])
-            got = self._tables[lay.width] = (tlay, ext.power_multiples(v, tlay, n * n))
+            got = self._tables[key] = (tlay, ext.power_multiples(v, tlay, n * n))
         return got
 
     def decode_tags(self, lay: modp.Layout, n: int) -> list[list[int]]:

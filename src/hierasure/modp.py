@@ -10,15 +10,17 @@ reduced vector reads out the codeword.  The F_q answers carry over
 because each F_q-linear map is also F_p-linear and injectivity (or
 solvability) does not depend on which subfield it is linearized over.
 
-A vector is one int.  Its entry k is *lane* k, bits [k*B, (k+1)*B), and a
-``Layout`` fixes B for a prime p and a *width*, the number of lanes
-pivots are searched in; lanes past the width are tags that ride along,
-which is how callers track which combination of their inputs produced a
-vector.  Stored vectors are normalized, every lane in [0, p).  Adding
-c * row for c in [0, p) grows each lane by at most (p-1)^2, and an
-elimination makes at most ``width`` such row operations, so no lane
-exceeds A = (p-1) + width * (p-1)^2 between normalizations.  One Barrett
-step then reduces every lane at once:
+A vector is one int.  Its entry k is *lane* k, bits [k*B, (k+1)*B).  A
+``Layout`` has a *width*, the number of lanes pivots are searched in;
+lanes past the width are tags that ride along, which is how callers
+track which combination of their inputs produced a vector.  Stored
+vectors are normalized, every lane in [0, p).  Adding c * row for c in
+[0, p) grows each lane by at most (p-1)^2.  An elimination makes at most
+``width`` such row operations, and a combination sums products of the
+same size, so a layout holds *terms* of them, at least its width and as
+many as the longest combination its callers make in one sum: no lane
+exceeds A = (p-1) + terms * (p-1)^2 between normalizations.  B depends
+on p and terms alone.  One Barrett step then reduces every lane at once:
 
     x - p * ((x * M >> s) & Q)
 
@@ -27,7 +29,7 @@ length of A * M.  Lane k of x * M is a_k * M < 2^B, so the products do
 not overlap; shifted right by s, lane k holds floor(a_k * M / 2^s), which
 is floor(a_k / p) because a_k * (M*p - 2^s) < 2^s, under the top s bits
 of lane k+1's product, which Q, the low B - s bits of every lane, masks
-off.  Python ints make any p and width fit.
+off.  Python ints make any p and terms fit.
 
 The package's one elimination routine is ``Echelon.insert`` (``linalg``
 answers its questions about Element matrices through it too): it keeps
@@ -73,13 +75,17 @@ class SolveResult:
 class Layout:
     """How vectors over Z/p with ``width`` pivot lanes and ``tags`` tag
     lanes pack into one int, and the constants that normalize every lane
-    at once (see the module notes).  B, M and s depend on p and the width
-    only, so vectors packed for a width stay valid with tag lanes added."""
+    at once (see the module notes).  ``terms`` is the most products a lane
+    sums between normalizations, at least the width, so a combination of
+    up to ``terms`` vectors is one sum and one normalization.  B, M and s
+    depend on p and terms only, so vectors packed for a width stay valid
+    with tag lanes added under the same terms."""
 
-    __slots__ = ("p", "width", "lanes", "bits", "lane", "pivots", "mul", "shift", "quot")
+    __slots__ = ("p", "width", "terms", "lanes", "bits", "lane", "pivots", "mul", "shift", "quot")
 
-    def __init__(self, p: int, width: int, tags: int = 0):
-        top = (p - 1) + max(width, 1) * (p - 1) ** 2  # A: the largest lane between normalizations
+    def __init__(self, p: int, width: int, tags: int = 0, terms: int = 0):
+        self.terms = terms = max(width, terms, 1)
+        top = (p - 1) + terms * (p - 1) ** 2  # A: the largest lane between normalizations
         self.shift = (top * (p - 1)).bit_length()  # s
         self.mul = -(-(1 << self.shift) // p)  # M = ceil(2^s / p)
         self.bits = bits = (top * self.mul).bit_length()  # B
@@ -111,18 +117,22 @@ class Layout:
 
     def combination(self, coeffs: Sequence[int], vectors: Sequence[int]) -> int:
         """The normalized sum of coeffs[k] * vectors[k], coefficients in
-        [0, p), normalized after every ``width`` terms."""
-        step = max(self.width, 1)
+        [0, p), vectors normalized: one sum and one normalization for up
+        to ``terms`` vectors, and one normalization per ``terms`` beyond."""
+        terms = self.terms
+        if len(vectors) <= terms:
+            x = sum(map(mul, coeffs, vectors))
+            return x - self.p * (x * self.mul >> self.shift & self.quot)
         acc = 0
-        for k in range(0, len(vectors), step):
-            acc = self.normalize(acc + sum(map(mul, coeffs[k : k + step], vectors[k : k + step])))
+        for k in range(0, len(vectors), terms):
+            acc = self.normalize(acc + sum(map(mul, coeffs[k : k + terms], vectors[k : k + terms])))
         return acc
 
 
 @lru_cache(maxsize=1024)
-def layout(p: int, width: int, tags: int = 0) -> Layout:
-    """The shared ``Layout`` for (p, width, tags)."""
-    return Layout(p, width, tags)
+def layout(p: int, width: int, tags: int = 0, terms: int = 0) -> Layout:
+    """The shared ``Layout`` for (p, width, tags, terms)."""
+    return Layout(p, width, tags, terms)
 
 
 class Echelon:
@@ -240,12 +250,13 @@ def walk(blocks: Sequence, children: Callable, root, unit: int, lay: Layout) -> 
 
 
 def tagged(columns: Sequence[int], lay: Layout) -> tuple[Layout, list[int]]:
-    """The layout with one tag lane per column, and column k plus a 1 in
-    tag lane k, so a reduced vector's tags record the combination of input
-    columns that produced it."""
+    """The layout with lay's width and terms (so its lanes) and one tag
+    lane per column, and column k plus a 1 in tag lane k, so a reduced
+    vector's tags record the combination of input columns that produced
+    it."""
     b, width = lay.bits, lay.width
     vectors = [col + (1 << (width + k) * b) for k, col in enumerate(columns)]
-    return layout(lay.p, width, len(columns)), vectors
+    return layout(lay.p, width, len(columns), lay.terms), vectors
 
 
 def solve(columns: Sequence[int], rhs: int, lay: Layout) -> SolveResult:

@@ -126,6 +126,19 @@ class TestConstructVerify:
         )
         assert run("verify", "--code", str(out)) == 0
 
+    def test_gv_warning_and_failure_are_one_line_each(self, tmp_path, capsys):
+        # GF(2^3) is below the existence threshold at n = 12: the library
+        # warns, then the search gives up; stderr holds exactly those two
+        # lines, with no file path, line number or source line
+        out = tmp_path / "code.json"
+        args = ["--p", "2", "--alpha", "3", "--n", "12", "--r", "3", "--m", "5", "--seed", "0"]
+        assert run("construct", "gv", *args, "--out", str(out)) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 2, lines
+        assert lines[0].startswith("warning: field size 2 ")
+        assert lines[1].startswith("construction failed: ")
+        assert not out.exists()
+
     def test_power_with_explicit_nodes(self, tmp_path):
         out = tmp_path / "code.json"
         assert (

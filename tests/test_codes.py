@@ -76,7 +76,8 @@ def test_blocks_match_element_products(p, e, alpha):
                 assert _digits(code, i) == want, (name, r, i)
                 lay = code.layout
                 assert pack_column(omega, column, lay, e) == tuple(map(lay.pack, want[:e]))
-        assert sorted(omega._tables) == [r * alpha * e for r in (1, 2, 3)]
+        # one table per (width, terms): each code's lanes hold its n * alpha * e terms
+        assert sorted(omega._tables) == [(r * alpha * e, 3 * alpha * e) for r in (1, 2, 3)]
 
 
 @pytest.mark.parametrize("expanded_first", [False, True], ids=["fresh", "expanded"])

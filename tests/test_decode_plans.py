@@ -10,7 +10,8 @@ of a pattern that is not correctable.  The tests pin that sign, and
 check plan reuse (no insert on a second word, tampered and honest words
 through one plan, separate plans per code, the cap), the tower check on
 each known element, the zero codeword, and words that drive the
-right-hand side's lanes to their bound, over the primes of ``test_modp``
+right-hand side's lanes to their bound (every known digit p - 1 under the
+zero pattern is one sum of exactly the terms the lanes hold), over the primes of ``test_modp``
 and towers with e = 2 and e = 3, all against ``reference_decode`` and
 ``reference_witness``.
 """
@@ -183,6 +184,10 @@ class TestTaggedColumns:
         code = nonzero_code(ext, 3, 1, random.Random(f"tags/{p}/{e}/{alpha}"))
         lay = code.decode_layout
         span = alpha * e
+        # lanes that hold a product per known digit a word can have, shared
+        # by the blocks, the tagged columns and the product table
+        assert lay.terms == code.layout.terms == 3 * span
+        assert lay.bits == code.layout.bits == code.omega._table(code.layout)[0].bits
         for i, block in enumerate(code.decode_columns):
             for k, col in enumerate(block):
                 j, d = divmod(k, e)
@@ -275,6 +280,42 @@ class TestLanesAtTheirBound:
                     got = decode(code, rw)
                     assert outcome(got) == reference_decode(code, rw), (code.H, t, fill)
                     statuses.add(got.status)
+        assert statuses == {"decoded", "ambiguous", "inconsistent"}
+
+
+    @pytest.mark.parametrize("p, e, alpha", LANE_TOWERS)
+    def test_every_known_digit_at_its_maximum(self, p, e, alpha):
+        # every known digit p - 1, under the pattern with the most known
+        # digits for each status: the zero pattern, whose n * alpha * e
+        # known digits are exactly the terms the code's lanes hold, so the
+        # right-hand side is one sum at its bound; then r whole symbols
+        # erased (a square system) and one coordinate more.  On a code
+        # whose last column is minus the sum of the others, the word of
+        # all p - 1 digits is a codeword, so these decode, the last
+        # ambiguously; on a random code the zero pattern is inconsistent
+        rng = random.Random(f"headroom/{p}/{e}/{alpha}")
+        ext = tower(p, e, alpha)
+        base = ext.base
+        top = Element(base, base.from_digits([p - 1] * e))
+        n, r = 5, 2
+        statuses = set()
+        for honest in (True, False):
+            code = nonzero_code(ext, n, r, rng)
+            if honest:
+                rows = [list(row[:-1]) + [-sum(row[1:-1], row[0])] for row in code.H]
+                code = code_from_rows(ext, rows, code.omega)
+            patterns = [
+                (0,) * n,
+                (alpha,) * r + (0,) * (n - r),
+                (alpha,) * r + (1,) + (0,) * (n - r - 1),
+            ]
+            for t in patterns:
+                rw = ReceivedWord(code.omega, t, tuple((top,) * (alpha - ti) for ti in t))
+                if not any(t):
+                    assert sum(alpha - ti for ti in t) * e == code.layout.terms
+                got = decode(code, rw)
+                assert outcome(got) == reference_decode(code, rw), (code.H, t)
+                statuses.add(got.status)
         assert statuses == {"decoded", "ambiguous", "inconsistent"}
 
 

@@ -8,8 +8,9 @@ check that rejects a candidate moves to the front.
 ``reference_greedy_gv_code`` builds a probe code per candidate and
 rechecks every maximal pattern of the full family.  Both must emit the
 same code JSON byte for byte, the same warnings and the same
-``ConstructionError``, on the seeded path, the deterministic sweep and
-when the search gives up.  The grown echelons must span, prefix by
+``ConstructionError``, on the seeded path, the deterministic sweep (which
+resumes, position after position, where it last stopped) and when the
+search gives up.  The grown echelons must span, prefix by
 prefix, what ``modp.walk`` builds for the same patterns.
 """
 
@@ -19,7 +20,7 @@ import warnings
 
 import pytest
 
-from hierasure import ConstructionError, FullFamily, LinearCode, greedy_gv_code, modp, serialize
+from hierasure import ConstructionError, FullFamily, LinearCode, constructions, greedy_gv_code, modp, serialize
 from hierasure.codes import pack_column
 from hierasure.constructions import _extends, _grow
 from hierasure.patterns import family_trie
@@ -66,6 +67,21 @@ def test_seeded_codes_match_reference(instance, seed):
 
 def test_sweep_after_empty_budget_matches_reference():
     # GF(2^2), r = 3: 64 columns, so the deterministic sweep runs (120 rejections)
+    assert not assert_same(10, 3, 3, (2, 1, 2), budget=0).startswith("ConstructionError")
+
+
+def test_sweep_resumes_where_the_last_one_stopped(monkeypatch):
+    # a column rejected at one position is rejected at every later one, so
+    # each sweep starts at the index the last one accepted: 40 candidates
+    # are packed, against 127 when every sweep starts at index 0, plus one
+    # pack per identity column; the code is the reference's
+    packed = []
+    pack = constructions.pack_column
+    monkeypatch.setattr(constructions, "pack_column", lambda *a, **k: packed.append(1) or pack(*a, **k))
+    with pytest.warns(UserWarning, match="field size"):
+        greedy_gv_code(10, 3, 3, tower(2, 1, 2), budget=0)
+    assert len(packed) == 3 + 40
+    monkeypatch.undo()
     assert not assert_same(10, 3, 3, (2, 1, 2), budget=0).startswith("ConstructionError")
 
 

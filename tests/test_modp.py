@@ -7,7 +7,8 @@ of digits, reduced entry by entry.  Every comparison unpacks the packed
 rows to (pivot, digits) and asks for the reference's rows exactly, over
 p in {2, 3, 7, 11, 251, 65521}, with rank-deficient blocks, tagged
 systems, and vectors that drive a lane to its largest value between
-normalizations, A = (p-1) + width * (p-1)^2.
+normalizations, A = (p-1) + terms * (p-1)^2, by an elimination of
+``width`` pivots or by a combination of ``terms`` products.
 
 ``modp.walk`` descends a pattern trie depth first on one echelon: a
 level keeps the rows of the prefix above it and inserts only its block's
@@ -329,6 +330,33 @@ def test_mat_vec_and_long_combinations_match_reference(p):
         coeffs = [p - 1] * (3 * n + 1) + [rng.randrange(p) for _ in range(2 * n)]
         got = lay.combination(coeffs, [lay.pack(c) for c in cols])
         assert lay.digits(got) == reference_mat_vec(cols, coeffs, p)
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_combination_of_exactly_terms_products_at_their_maximum(p):
+    # every coefficient and every lane p - 1, so each lane of one sum of
+    # ``terms`` products reaches terms * (p - 1)^2 = A - (p - 1), the most a
+    # single normalization takes; one product more, and twice as many plus
+    # one, take a normalization per ``terms`` products
+    for width, terms in ((1, 1), (2, 9), (4, 16), (3, 64), (2, 2200)):
+        lay = modp.layout(p, width, 3, terms)
+        assert lay.terms == terms
+        assert (terms * (p - 1) ** 2).bit_length() <= lay.bits
+        col = [p - 1] * lay.lanes
+        for count in (terms, terms + 1, 2 * terms + 1):
+            coeffs = [p - 1] * count
+            got = lay.combination(coeffs, [lay.pack(col)] * count)
+            assert lay.digits(got) == reference_mat_vec([col] * count, coeffs, p), (width, terms, count)
+
+
+def test_tagged_keeps_the_lanes_of_its_layout():
+    # a layout whose terms exceed its width: the tagged system's lanes have
+    # its bits, so the packed columns stay valid with their tags added
+    for p in PRIMES:
+        lay = modp.layout(p, 3, 0, 40)
+        tags, vectors = modp.tagged([lay.pack([1, 2 % p, 0])], lay)
+        assert (tags.width, tags.terms, tags.bits, tags.lanes) == (3, 40, lay.bits, 4)
+        assert tags.digits(vectors[0]) == [1, 2 % p, 0, 1]
 
 
 def test_copy_shares_rows_and_grows_apart():
