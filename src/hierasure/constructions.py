@@ -316,7 +316,7 @@ def balanced_code(n: int, ext: ExtSpec, nu=None) -> LinearCode:
         nu = list(nu)
     _check_nodes(base, nu, n)
     if any(not v for v in nu):
-        warnings.warn("zero node supplied; fold ratios degenerate on that column")
+        warnings.warn("zero node supplied; fold ratios degenerate on that column", stacklevel=2)
     h, chain = _folded_vandermonde(n, ext, nu)
     code = code_from_rows(
         ext,
@@ -531,7 +531,8 @@ def greedy_gv_code(
     if base_size ** (alpha * (r - 1) - m) <= gv_existence_base(n, m):
         warnings.warn(
             f"field size {base_size} is at or below the existence threshold; "
-            "the greedy search may exhaust its budget"
+            "the greedy search may exhaust its budget",
+            stacklevel=2,
         )
     omega = ext.polynomial_basis()
     rng = random.Random(seed)

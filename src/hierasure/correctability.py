@@ -114,9 +114,8 @@ def patterns_correctable(code: LinearCode, patterns) -> list[bool]:
     one walk over the distinct patterns in lex order."""
     ts = [_checked_pattern(code, t) for t in patterns]
     blocks = [code.block(i) if any(t[i] for t in ts) else () for i in range(code.n)]
-    trie = sorted_trie(ts)
-    ok = {t: ech is not None for t, ech in modp.walk(blocks, *trie, code.ext.base.e, code.layout)}
-    return [ok[t] for t in ts]
+    bad = set(modp.walk(blocks, *sorted_trie(ts), code.ext.base.e, code.layout))
+    return [t not in bad for t in ts]
 
 
 @dataclass(frozen=True)
@@ -172,10 +171,10 @@ def is_correcting(
     check_fits(fam, code.n, code.ext.alpha)
     trie = family_trie(fam, all_patterns)
     blocks = [code.block(i) for i in range(code.n)]
-    for t, ech in modp.walk(blocks, *trie, code.ext.base.e, code.layout):
-        if ech is None:
-            return CorrectabilityReport(False, t, _pattern_witness(code, t))
-    return CorrectabilityReport(True)
+    t = next(modp.walk(blocks, *trie, code.ext.base.e, code.layout), None)
+    if t is None:
+        return CorrectabilityReport(True)
+    return CorrectabilityReport(False, t, _pattern_witness(code, t))
 
 
 def kernel_basis(code: LinearCode) -> list[tuple[Element, ...]]:

@@ -43,14 +43,17 @@ and a vector is dependent iff its first ``width`` lanes are then zero.
 one row and never changes an earlier one, so ``rows[:s]`` is the echelon
 of the first s independent vectors inserted, and ``del rows[s:]`` rolls
 the basis back to it, which is how ``walk`` checks a pattern trie on one
-echelon.  The walk is one generator frame over an explicit stack of
-levels, so it has no depth limit: a trie has one level per block, and a
-code may have more symbols than the interpreter has recursion depth.  A
-trie's ``children(i, node)`` returns a tuple, often the same one each
-time a node is reached, and the walk takes ``iter()`` of it.  A child may
-be the end marker ``None``, which says that every deeper entry is 0: the
-walk yields that leaf where it stands, so a leaf that its trie ends at
-level i costs i + 1 levels, not one per block.
+echelon.  The walk yields the trie's dependent leaves only, as tuples,
+and no echelon: at a leaf it inserts every vector but the last and only
+reduces the last, since the row that vector would make is never read.
+The walk is one generator frame over an explicit stack of levels, so it
+has no depth limit: a trie has one level per block, and a code may have
+more symbols than the interpreter has recursion depth.  A trie's
+``children(i, node)`` returns a tuple, often the same one each time a
+node is reached, and the walk takes ``iter()`` of it.  A child may be the
+end marker ``None``, which says that every deeper entry is 0: the walk
+decides that leaf where it stands, so a leaf that its trie ends at level
+i costs i + 1 levels, not one per block.
 """
 
 from __future__ import annotations
@@ -106,10 +109,27 @@ class Layout:
         return x
 
     def digits(self, x: int, start: int = 0, stop: int | None = None) -> list[int]:
-        """Lanes start .. stop - 1 (by default all) of a normalized vector."""
+        """Lanes start .. stop - 1 (by default all) of a normalized vector.
+
+        Each lane read shifts the whole int, so a layout of more than 64
+        lanes cuts out the window and splits it in halves until a piece
+        has at most 64 lanes: the readout is then linear in the lane
+        count, not quadratic."""
         b, lane = self.bits, self.lane
         stop = self.lanes if stop is None else stop
-        return [x >> k & lane for k in range(start * b, stop * b, b)]
+        if self.lanes <= 64:
+            return [x >> k & lane for k in range(start * b, stop * b, b)]
+        out, count = [], stop - start
+        pieces = [(x >> start * b & (1 << count * b) - 1, count)]  # (int, lanes), the lowest last
+        while pieces:
+            x, count = pieces.pop()
+            if count <= 64:
+                out += [x >> k & lane for k in range(0, count * b, b)]
+            else:
+                half = count // 2
+                pieces.append((x >> half * b, count - half))
+                pieces.append((x & (1 << half * b) - 1, half))
+        return out
 
     def normalize(self, x: int) -> int:
         """x with every lane reduced mod p; lanes must not exceed A."""
@@ -189,23 +209,28 @@ class Echelon:
         return None
 
 
-def walk(blocks: Sequence, children: Callable, root, unit: int, lay: Layout) -> Iterator:
-    """For each leaf t of a pattern trie, in lex order, (t, the echelon of
-    the first t_i * unit vectors of every block i, stacked), or (t, None)
-    when those are dependent: the full-rank test behind every
-    correctability and UDM verdict.  ``children(i, node)`` returns a
-    tuple of (t_i, child) in ascending t_i, one level per block; the walk
-    takes ``iter()`` of it, so a tuple it returns again starts from its
-    first child.  A child ``None`` is the end marker: every deeper entry
-    is 0, so the walk yields the prefix padded with zeros at once, with
-    no deeper level and no ``children`` call below it (zero entries insert
-    nothing).  The vectors are packed under ``lay``.
+def walk(blocks: Sequence, children: Callable, root, unit: int, lay: Layout) -> Iterator[tuple]:
+    """The dependent leaves t of a pattern trie, in lex order: the leaves
+    whose first t_i * unit vectors of every block i, stacked, are
+    dependent.  This is the full-rank test behind every correctability
+    and UDM verdict: a trie's patterns are all independent iff the walk
+    yields nothing.  ``children(i, node)`` returns a tuple of (t_i, child)
+    in ascending t_i, one level per block; the walk takes ``iter()`` of
+    it, so a tuple it returns again starts from its first child.  A child
+    ``None`` is the end marker: every deeper entry is 0, so the walk
+    decides the prefix padded with zeros at once, with no deeper level
+    and no ``children`` call below it (zero entries add nothing).  A block
+    shorter than t_i * unit gives the vectors it has.  The vectors are
+    packed under ``lay``.
 
-    One echelon serves the whole walk, and the yielded echelon is valid
-    only until the walk advances; copy it to keep it.  As t_i rises, a
-    level cuts the deeper rows and inserts only block i's next vectors.
-    A dependency at level i is one for every larger t_i too, so the rest
-    of that level is yielded as None without an insert.
+    One echelon serves the whole walk.  As t_i rises, a level cuts the
+    deeper rows and inserts only block i's next vectors.  At a leaf the
+    level inserts all of them but the last and only reduces the last: the
+    leaf is independent iff that reduction keeps a nonzero pivot lane, and
+    a later sibling that needs the vector inserts it then.  A leaf that
+    adds no vector decides nothing, and has its prefix's verdict.  A
+    dependency at level i is one for every larger t_i too, so the rest of
+    that level is yielded without work.
 
     The walk is one loop over an explicit stack, one entry per level
     above the current one, so a trie may be as deep as there are blocks.
@@ -213,19 +238,35 @@ def walk(blocks: Sequence, children: Callable, root, unit: int, lay: Layout) -> 
     mark), how many of its block's vectors it has inserted and whether its
     prefix is still independent.
     """
-    ech = Echelon(lay)
-    rows, insert = ech.rows, ech.insert
     n = len(blocks)
     if not n:
-        yield (), ech
-        return
+        return  # a trie of no levels: its root is its leaf, and nothing is dependent
+    ech = Echelon(lay)
+    rows, insert, reduce, pivots = ech.rows, ech.insert, ech.reduce, lay.pivots
     t = [0] * n  # entries below level i are 0: a level is zeroed as it is popped
     last = n - 1
     stack = []  # (iterator, mark, done, ok) of each level above level i
     i, it, mark, done, ok = 0, iter(children(0, root)), 0, 0, True
     while True:
         for ti, child in it:
-            # t_i = 0 can only be a level's first child: nothing to cut or insert
+            # t_i = 0 can only be a level's first child: nothing to cut or add
+            if child is None or i == last:
+                if ok and ti:
+                    del rows[mark + done :]
+                    block = blocks[i]
+                    end = min(ti * unit, len(block)) - 1  # the leaf's last vector
+                    for v in block[done:end]:
+                        if insert(v) is not None:
+                            ok = False
+                            break
+                        done += 1
+                    else:
+                        if end >= done and not reduce(block[end]) & pivots:
+                            ok = False
+                if not ok:
+                    t[i] = ti
+                    yield tuple(t)
+                continue
             if ok and ti:
                 del rows[mark + done :]
                 for v in blocks[i][done : ti * unit]:
@@ -234,13 +275,10 @@ def walk(blocks: Sequence, children: Callable, root, unit: int, lay: Layout) -> 
                         break
                     done += 1
             t[i] = ti
-            if child is None or i == last:
-                yield tuple(t), ech if ok else None
-            else:
-                stack.append((it, mark, done, ok))
-                i += 1
-                it, mark, done = iter(children(i, child)), len(rows), 0
-                break
+            stack.append((it, mark, done, ok))
+            i += 1
+            it, mark, done = iter(children(i, child)), len(rows), 0
+            break
         else:
             if not stack:
                 return

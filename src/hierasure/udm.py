@@ -66,10 +66,8 @@ class UdmSet:
         budget = min(self.m, self.n * self.alpha)
         trie = family_trie(FullFamily(self.alpha, budget, self.n))
         lay, rows = _digit_rows(self)
-        for t, ech in modp.walk(rows, *trie, self.field.e, lay):
-            if ech is None:
-                return UdmCheck(False, t)
-        return UdmCheck(True)
+        t = next(modp.walk(rows, *trie, self.field.e, lay), None)
+        return UdmCheck(t is None, t)
 
 
 def _digit_rows(u: UdmSet) -> tuple[modp.Layout, list[list[int]]]:

@@ -328,6 +328,22 @@ class TestBalancedCode:
         with pytest.raises(ParameterError):
             balanced_code(4, tower(3, 1, 2))
 
+    def test_warnings_name_their_caller(self):
+        # each library warning points at the line that called the public
+        # function, not at constructions.py, so its location is stable
+        ext = tower(5, 1, 2)
+        with pytest.warns(UserWarning, match="zero node supplied") as record:
+            balanced_code(2, ext, [ext.base.zero(), ext.base.one()])
+        assert record[0].filename == __file__
+        # the default nodes take the zero node too, so both balanced warnings show
+        with pytest.warns(UserWarning) as record:
+            balanced_code(5, ext)
+        assert [str(w.message).split(";")[0] for w in record] == ["field has exactly n elements", "zero node supplied"]
+        assert [w.filename for w in record] == [__file__] * 2
+        with pytest.warns(UserWarning, match="existence threshold") as record:
+            greedy_gv_code(3, 2, 1, tower(3, 1, 2), seed=0)
+        assert record[0].filename == __file__
+
     def test_duplicate_nodes_rejected(self):
         ext = tower(5, 1, 2)
         one = ext.base.one()

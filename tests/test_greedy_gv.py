@@ -11,7 +11,8 @@ same code JSON byte for byte, the same warnings and the same
 ``ConstructionError``, on the seeded path, the deterministic sweep (which
 resumes, position after position, where it last stopped) and when the
 search gives up.  The grown echelons must span, prefix by
-prefix, what ``modp.walk`` builds for the same patterns.
+prefix, what ``reference_prefix_echelons`` builds afresh for the same
+patterns.
 """
 
 import json
@@ -20,11 +21,19 @@ import warnings
 
 import pytest
 
-from hierasure import ConstructionError, FullFamily, LinearCode, constructions, greedy_gv_code, modp, serialize
+from hierasure import (
+    ConstructionError,
+    FullFamily,
+    LinearCode,
+    constructions,
+    greedy_gv_code,
+    maximal_patterns,
+    modp,
+    serialize,
+)
 from hierasure.codes import pack_column
 from hierasure.constructions import _extends, _grow
-from hierasure.patterns import family_trie
-from reference import reference_greedy_gv_code
+from reference import reference_greedy_gv_code, reference_prefix_echelons
 from towers import tower
 
 PRIMES = [2, 3, 7, 11, 251, 65521]
@@ -117,29 +126,35 @@ def _same_span(a: modp.Echelon, b: modp.Echelon) -> bool:
 @pytest.mark.parametrize("instance", SEEDED.values(), ids=SEEDED.keys())
 def test_grown_echelons_match_walk(instance):
     # after each prefix of a GV code's columns, by_total[b] spans, pattern
-    # for pattern, the echelons the walk builds for the maximal patterns of
-    # FullFamily(alpha, b, L): each of the grown echelons is matched to a
-    # distinct walk echelon of the same row space
+    # for pattern, the echelons of the maximal patterns of
+    # FullFamily(alpha, b, L), the leaves the walk checks, each eliminated
+    # afresh by ``reference_prefix_echelons``: each of the grown echelons
+    # is matched to a distinct fresh echelon of the same row space
     n, r, m, tw = instance
     ext = tower(*tw)
     code = greedy_gv_code(n, r, m, ext, seed=0)
     alpha, e = ext.alpha, ext.base.e
     lay = modp.layout(ext.base.p, r * alpha * e)
     columns = [pack_column(code.omega, col, lay) for col in zip(*code.H)]
+    digits = [[lay.digits(v) for v in block] for block in columns]
     by_total = [[modp.Echelon(lay)]] + [[] for _ in range(m - 1)]
     for length in range(1, n):
         _grow(by_total, columns[length - 1], alpha, e)
         if length < r:
             continue
         for b in range(1, m):
-            walked = [
-                ech.copy()
-                for _, ech in modp.walk(columns[:length], *family_trie(FullFamily(alpha, b, length)), e, lay)
-            ]
-            assert len(by_total[b]) == len(walked), (length, b)
+            fresh = []
+            maxima = maximal_patterns(FullFamily(alpha, b, length))
+            for t, ref in reference_prefix_echelons(digits[:length], maxima, e, ext.base.p):
+                assert ref is not None, t  # the code is m-good
+                ech = modp.Echelon(lay)
+                for _, row in ref.rows:
+                    ech.insert(lay.pack(row))
+                fresh.append(ech)
+            assert len(by_total[b]) == len(fresh), (length, b)
             for ech in by_total[b]:
-                twin = next(k for k, w in enumerate(walked) if _same_span(ech, w))
-                del walked[twin]
+                twin = next(k for k, w in enumerate(fresh) if _same_span(ech, w))
+                del fresh[twin]
 
 
 def test_grow_rejects_a_dependent_prefix():

@@ -12,11 +12,11 @@ normalizations, A = (p-1) + terms * (p-1)^2, by an elimination of
 
 ``modp.walk`` descends a pattern trie depth first on one echelon: a
 level keeps the rows of the prefix above it and inserts only its block's
-next vectors as t_i rises, and after a dependency the rest of the level
-fails without an insert.  ``reference_prefix_echelons`` eliminates every
-pattern from scratch on a fresh list echelon.  The walk must yield the
-trie's leaves in lex order, verdicts must agree on every pattern, and an
-independent pattern's rows must be the reference's.
+next vectors as t_i rises, a leaf inserts all of its vectors but the last
+and only reduces the last, and after a dependency the rest of the level
+fails without work.  ``reference_prefix_echelons`` eliminates every
+pattern from scratch on a fresh list echelon.  The walk must yield, in
+lex order, exactly the leaves whose reference echelon is None.
 """
 
 import itertools
@@ -74,21 +74,30 @@ def packed_blocks(blocks, p):
 
 def both(blocks, patterns, unit, p, trie=None):
     """The walk over ``trie`` (by default the trie of the lex-sorted
-    ``patterns``) against fresh reference echelons; the walk's leaves must
-    be ``patterns``."""
+    ``patterns``, which must be its leaves) against fresh reference
+    echelons: the walk must yield, in order, exactly the patterns whose
+    reference echelon is None.  Returns the reference's (t, rows or None)
+    per pattern."""
     packed, lay = packed_blocks(blocks, p)
-    # the walk's echelon changes as it advances, so copy its rows at each yield
-    got = [
-        (t, None if ech is None else unpacked(ech))
-        for t, ech in modp.walk(packed, *(trie or sorted_trie(patterns)), unit, lay)
-    ]
-    assert [t for t, _ in got] == list(patterns)
+    got = list(modp.walk(packed, *(trie or sorted_trie(patterns)), unit, lay))
     want = [
         (t, None if ech is None else list(ech.rows))
         for t, ech in reference_prefix_echelons(blocks, patterns, unit, p)
     ]
-    assert got == want
-    return got
+    assert got == [t for t, rows in want if rows is None]
+    return want
+
+
+def counting(monkeypatch):
+    """The ``Echelon.insert`` and ``Echelon.reduce`` calls made from now
+    on, one list entry per call."""
+    counts = {"insert": [], "reduce": []}
+    for name, calls in counts.items():
+        real = getattr(modp.Echelon, name)
+        monkeypatch.setattr(
+            modp.Echelon, name, lambda ech, v, real=real, calls=calls: calls.append(1) or real(ech, v)
+        )
+    return counts
 
 
 def random_blocks(rng, p, unit, n, height):
@@ -181,7 +190,9 @@ def test_dependency_at_the_first_and_the_last_symbol(p, unit):
 def test_all_zero_pattern_and_empty_blocks():
     assert both([[[1, 0]], [[0, 1]]], [(0, 0)], 1, 3) == [((0, 0), [])]
     assert both([(), ()], [(0, 0), (1, 2)], 2, 5) == [((0, 0), []), ((1, 2), [])]
-    assert both([], [()], 1, 3) == [((), [])]  # a trie of no levels: its root is its leaf
+    # a trie of no levels: its root is its leaf, independent, so nothing is yielded
+    assert both([], [()], 1, 3) == [((), [])]
+    assert list(modp.walk([], *sorted_trie([()]), 1, modp.layout(3, 0))) == []
 
 
 def test_power_dead_end_reports_no_failure():
@@ -211,13 +222,15 @@ def test_power_dead_end_reports_no_failure():
 def test_walk_deeper_than_the_recursion_limit():
     # one level per block on an explicit stack: the full:1 maxima of 1,100
     # symbols, each a single 1, come in lex order, so the last symbol's
-    # first; its zero vector fails it and every other leaf is independent
+    # first.  With every vector zero, every leaf is dependent and yielded;
+    # with only the last symbol's zero, only its leaf is
     lay = modp.layout(3, 2)
+    trie = family_trie(FullFamily(2, 1, LONG))
+    got = list(modp.walk([[0]] * LONG, *trie, 1, lay))
+    assert [t.index(1) for t in got] == list(reversed(range(LONG)))
+    assert all(sum(t) == 1 for t in got)
     blocks = [[lay.pack([1, 2])]] * (LONG - 1) + [[0]]
-    got = list(modp.walk(blocks, *family_trie(FullFamily(2, 1, LONG)), 1, lay))
-    assert [t.index(1) for t, _ in got] == list(reversed(range(LONG)))
-    assert [ech is None for _, ech in got] == [True] + [False] * (LONG - 1)
-    assert all(len(ech.rows) == 1 for _, ech in got[1:])
+    assert list(modp.walk(blocks, *trie, 1, lay)) == got[:1]
 
 
 def test_a_spent_budget_ends_the_path(monkeypatch):
@@ -233,8 +246,7 @@ def test_a_spent_budget_ends_the_path(monkeypatch):
 
     fam = FullFamily(2, 1, LONG)
     lay = modp.layout(3, 2)
-    blocks = [[lay.pack([1, 2])]] * LONG
-    got = [t for t, ech in modp.walk(blocks, *counted(fam), 1, lay) if ech is not None]
+    got = list(modp.walk([[0]] * LONG, *counted(fam), 1, lay))  # zero vectors: every leaf is dependent
     assert len(got) == LONG and len(calls) <= 2 * LONG
     calls.clear()
     monkeypatch.setattr(patterns, "family_trie", counted)
@@ -349,6 +361,28 @@ def test_combination_of_exactly_terms_products_at_their_maximum(p):
             assert lay.digits(got) == reference_mat_vec([col] * count, coeffs, p), (width, terms, count)
 
 
+@pytest.mark.parametrize("p", [2, 7, 65521])
+def test_digits_reads_every_window_lane_by_lane(p):
+    # past 64 lanes the readout splits the int in halves down to 64 lanes;
+    # every window, the whole vector and ones that cross the halves (1,100,
+    # 550, 275, ... of 2,200 lanes; 32 of 65), must read what one shift
+    # per lane reads
+    rng = random.Random(f"digits/{p}")
+    for lanes in (1, 63, 64, 65, 2200):
+        lay = modp.layout(p, 1, lanes - 1)
+        digits = [rng.choice([0, p - 1, rng.randrange(p)]) for _ in range(lanes)]
+        x = lay.pack(digits)
+        cuts = {0, lanes, lanes // 2, lanes // 4, 32, 33, 64, 65, 137, 138, 550, 1100}
+        cuts = sorted({c + d for c in cuts for d in (-1, 0, 1) if 0 <= c + d <= lanes})
+        windows = [(a, b) for a in cuts for b in cuts if a <= b]
+        windows += [tuple(sorted(rng.sample(range(lanes + 1), 2))) for _ in range(40)] if lanes > 1 else []
+        assert lay.digits(x) == digits
+        for start, stop in windows:
+            want = [x >> k * lay.bits & lay.lane for k in range(start, stop)]
+            assert lay.digits(x, start, stop) == want == digits[start:stop], (lanes, start, stop)
+        assert lay.digits(x, lanes // 3) == digits[lanes // 3 :]
+
+
 def test_tagged_keeps_the_lanes_of_its_layout():
     # a layout whose terms exceed its width: the tagged system's lanes have
     # its bits, so the packed columns stay valid with their tags added
@@ -374,56 +408,102 @@ class TestSharing:
     # is dependent at block 0's second vector
     BLOCKS = [[[1, 0, 0], [1, 0, 0]], [[0, 1, 0], [0, 0, 1]]]
 
-    def walk(self, patterns, blocks=BLOCKS):
-        packed, lay = packed_blocks(blocks, 2)
-        return modp.walk(packed, *sorted_trie(patterns), 1, lay)
+    def calls(self, monkeypatch, patterns, blocks=BLOCKS, unit=1, trie=None):
+        """(t, inserts, reduces) per dependent leaf the walk yields, the
+        ``Echelon`` calls made since the last yield, then ("end", inserts,
+        reduces) for the rest of the walk."""
+        packed, lay = packed_blocks(blocks, 3)
+        counts = counting(monkeypatch)
 
-    def inserts(self, monkeypatch, patterns, blocks=BLOCKS):
-        """Per pattern, the Echelon.insert calls the walk made for it."""
-        calls = []
-        real = modp.Echelon.insert
-        monkeypatch.setattr(modp.Echelon, "insert", lambda ech, v: calls.append(v) or real(ech, v))
-        counts = []
-        for t, ech in self.walk(patterns, blocks):
-            counts.append((t, ech is not None, len(calls)))
-            calls.clear()
-        return counts
+        def made():
+            out = (len(counts["insert"]), len(counts["reduce"]))
+            for calls in counts.values():
+                calls.clear()
+            return out
+
+        got = [(t, *made()) for t in modp.walk(packed, *(trie or sorted_trie(patterns)), unit, lay)]
+        return got + [("end", *made())]
 
     def test_failed_prefix_kept_by_the_next_pattern_inserts_nothing(self, monkeypatch):
-        got = self.inserts(monkeypatch, [(2, 0), (2, 1), (2, 2)])
-        assert got == [((2, 0), False, 2), ((2, 1), False, 0), ((2, 2), False, 0)]
-        both(self.BLOCKS, [(2, 0), (2, 1), (2, 2)], 1, 2)
+        got = self.calls(monkeypatch, [(2, 0), (2, 1), (2, 2)])
+        assert got == [((2, 0), 2, 0), ((2, 1), 0, 0), ((2, 2), 0, 0), ("end", 0, 0)]
+        both(self.BLOCKS, [(2, 0), (2, 1), (2, 2)], 1, 3)
 
     def test_failed_level_inserts_nothing_for_larger_values(self, monkeypatch):
-        # t_0 = 2 fails, so t_0 = 3 and its subtree fail without an insert
+        # (1, 2) inserts e0 and e1 and reduces e2; t_0 = 2 fails, so t_0 = 3
+        # and its subtree fail without work
         blocks = [[[1, 0, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1]], [[0, 1, 0, 0], [0, 0, 1, 0]]]
         patterns = [(1, 2), (2, 0), (2, 1), (3, 0), (3, 2)]
-        got = self.inserts(monkeypatch, patterns, blocks)
-        assert got == [
-            ((1, 2), True, 3), ((2, 0), False, 1), ((2, 1), False, 0), ((3, 0), False, 0), ((3, 2), False, 0)
-        ]
-        both(blocks, patterns, 1, 2)
+        got = self.calls(monkeypatch, patterns, blocks)
+        assert got == [((2, 0), 3, 1), ((2, 1), 0, 0), ((3, 0), 0, 0), ((3, 2), 0, 0), ("end", 0, 0)]
+        both(blocks, patterns, 1, 3)
 
     def test_pattern_that_leaves_the_failed_prefix_inserts_its_own(self, monkeypatch):
-        # block 1's vectors are equal, so (0, 2) fails at block 1; (1, 0)
-        # leaves that prefix, cuts block 1's row and inserts block 0's
+        # block 1's vectors are equal, so (0, 2) fails at its leaf's
+        # reduction; (1, 0) leaves that prefix, cuts block 1's row and
+        # inserts block 0's, and (1, 1) only reduces block 1's first
         blocks = [[[1, 0], [1, 0]], [[0, 1], [0, 1]]]
-        got = self.inserts(monkeypatch, [(0, 2), (1, 0), (1, 1)], blocks)
-        assert got == [((0, 2), False, 2), ((1, 0), True, 1), ((1, 1), True, 1)]
-        both(blocks, [(0, 2), (1, 0), (1, 1)], 1, 2)
+        got = self.calls(monkeypatch, [(0, 2), (1, 0), (1, 1)], blocks)
+        assert got == [((0, 2), 1, 1), ("end", 1, 1)]
+        both(blocks, [(0, 2), (1, 0), (1, 1)], 1, 3)
 
     def test_shared_rows_are_kept_not_rebuilt(self, monkeypatch):
-        # lex order: each pattern inserts only what follows its shared prefix
-        got = self.inserts(monkeypatch, [(0, 2), (1, 0), (1, 1), (1, 2)])
-        assert [k for *_, k in got] == [2, 1, 1, 1]
+        # lex order: each pattern adds only what follows its shared prefix,
+        # and a leaf's last vector is reduced, not inserted: (0, 2) inserts
+        # e1 and reduces e2, (1, 0) inserts e0, (1, 1) reduces e1, (1, 2)
+        # inserts e1 and reduces e2
+        got = self.calls(monkeypatch, [(0, 2), (1, 0), (1, 1), (1, 2)])
+        assert got == [("end", 3, 3)]
 
-    def test_yielded_echelon_is_valid_until_the_walk_advances(self):
-        walk = self.walk([(0, 1), (1, 2)])
-        _, first = next(walk)
-        kept = first.copy()
-        _, second = next(walk)
-        assert second is first and len(second.rows) == 3
-        assert [piv for piv, _ in unpacked(kept)] == [1]
+    @pytest.mark.parametrize("unit", [1, 2])
+    def test_leaf_whose_last_vector_alone_is_dependent(self, monkeypatch, unit):
+        # the leaf's earlier vectors are independent and its last repeats
+        # block 0's first, so only the reduction finds the dependency; the
+        # sibling before it reduced a vector that this leaf inserts.  Unit
+        # 1: insert e0; insert e1, reduce e2; insert e2, reduce e0.  Unit 2:
+        # insert e0, e1; insert e2, reduce e3; insert e3, e4, reduce e0
+        e = [[int(j == k) for j in range(2 * unit + 1)] for k in range(2 * unit + 1)]
+        blocks = [e[:unit], e[unit:] + [e[0]]]
+        patterns = [(1, 2), (1, 3)] if unit == 1 else [(1, 1), (1, 2)]
+        got = self.calls(monkeypatch, patterns, blocks, unit)
+        assert got == [(patterns[1], 2 * unit + 1, 2), ("end", 0, 0)]
+        assert [rows is None for _, rows in both(blocks, patterns, unit, 3)] == [False, True]
+
+    def test_leaf_followed_by_a_non_leaf_sibling(self, monkeypatch):
+        # level 0 ends the leaf (1, 0) with the end marker and reduces e0
+        # there; its sibling t_0 = 2 descends, so it inserts e0 and e1,
+        # and (2, 1) reduces block 1's e0 + e1 to a dependency
+        blocks = [[[1, 0], [0, 1]], [[1, 1]]]
+        kids = {(0, "root"): ((1, None), (2, "two")), (1, "two"): ((0, None), (1, None))}
+        trie = (lambda i, node: kids[i, node]), "root"
+        patterns = [(1, 0), (2, 0), (2, 1)]
+        got = self.calls(monkeypatch, patterns, blocks, trie=trie)
+        assert got == [((2, 1), 2, 2), ("end", 0, 0)]
+        both(blocks, patterns, 1, 3, trie)
+        # in a sorted trie every leaf is at the last level: the leaf (0, 2)
+        # inserts block 1's first vector and reduces its equal second, and
+        # is followed by its parent's non-leaf sibling t_0 = 1, which cuts
+        # that row and inserts e0; (1, 1) then reduces block 1's first
+        blocks = [[[1, 0]], [[1, 1], [1, 1]]]
+        got = self.calls(monkeypatch, [(0, 2), (1, 1)], blocks)
+        assert got == [((0, 2), 1, 1), ("end", 1, 1)]
+        both(blocks, [(0, 2), (1, 1)], 1, 3)
+
+    def test_block_shorter_than_the_leaf(self, monkeypatch):
+        # unit 2: block 1 has one vector where t_1 = 1 asks for two and
+        # t_1 = 2 for four, so each leaf reduces the one it has; block 0's
+        # third vector repeats its first, so t_0 = 2 fails
+        blocks = [[[1, 0, 0], [0, 1, 0], [1, 0, 0]], [[0, 0, 1]]]
+        patterns = [(1, 1), (1, 2), (2, 0), (2, 1)]
+        got = self.calls(monkeypatch, patterns, blocks, unit=2)
+        assert got == [((2, 0), 3, 2), ((2, 1), 0, 0), ("end", 0, 0)]
+        assert [rows is None for _, rows in both(blocks, patterns, 2, 3)] == [False, False, True, True]
+        # block 1's only vector repeats block 0's
+        short = [[[1, 0]], [[1, 0]]]
+        assert [rows is None for _, rows in both(short, [(1, 1), (1, 2), (2, 3)], 2, 3)] == [True] * 3
+        # an empty block decides nothing, so its leaf has its prefix's verdict
+        empty = [blocks[0], []]
+        assert [rows is None for _, rows in both(empty, [(1, 1), (2, 2)], 2, 3)] == [False, True]
 
 
 class TestVerdictOrder:
@@ -454,35 +534,30 @@ class TestVerdictOrder:
 
 
 class TestInsertCounts:
-    """``Echelon.insert`` calls of whole checks, pinned: each stacked
-    vector is inserted once per prefix that first needs it, and no insert
-    follows a dependency at its level.  The field's construction is
-    counted apart, for its irreducibility test."""
+    """``Echelon.insert`` and ``Echelon.reduce`` calls of whole checks,
+    pinned apart: each stacked vector is inserted once per prefix that
+    first needs it below a leaf, a leaf's last vector is only reduced, and
+    no work follows a dependency at its level.  The field's construction
+    is counted apart, for its irreducibility test."""
 
     @pytest.fixture
     def counts(self, monkeypatch):
-        counts = {"insert": [], "reduce": []}
-        for name, calls in counts.items():
-            real = getattr(modp.Echelon, name)
-            monkeypatch.setattr(
-                modp.Echelon, name, lambda ech, v, real=real, calls=calls: calls.append(1) or real(ech, v)
-            )
-        return counts
+        return counting(monkeypatch)
 
-    @pytest.fixture
-    def calls(self, counts):
-        return counts["insert"]
-
-    def test_trace_code_claim_and_refutation(self, calls):
+    def test_trace_code_claim_and_refutation(self, counts):
+        # the claim's 784 maxima all pass, each with one reduction: 490
+        # inserts where an insert per leaf's last vector made 1,274
+        inserts, reduces = counts["insert"], counts["reduce"]
         _, code = trace_instance()
         for i in range(code.n):
             code.block(i)
-        calls.clear()
+        inserts.clear(), reduces.clear()
         assert is_correcting(code, code.claim).correcting
-        assert len(calls) == 1274
-        calls.clear()
+        assert (len(inserts), len(reduces)) == (490, 784) == (490, len(list(maximal_patterns(code.claim))))
+        inserts.clear(), reduces.clear()
         report = is_correcting(code, FullFamily(4, 6, 8))  # with its witness
-        assert report.pattern == (0, 0, 1, 1, 1, 1, 1, 1) and len(calls) == 585
+        assert report.pattern == (0, 0, 1, 1, 1, 1, 1, 1)
+        assert (len(inserts), len(reduces)) == (327, 258)
 
     def test_greedy_gv(self, counts):
         # the grown echelons take, for each pattern of total 1 .. m - 1 on
@@ -507,8 +582,10 @@ class TestInsertCounts:
             greedy_gv_code(n, 3, m, ext, seed=0)
         assert (built, len(inserts) - built, len(reduces)) == (8, grown + 88 + 2, 1190)
 
-    def test_vontobel_set(self, calls):
+    def test_vontobel_set(self, counts):
+        # the trace code's claim walk on the digit rows of its UDM set
+        inserts, reduces = counts["insert"], counts["reduce"]
         field = make_field(7, 1, 0)
-        built = len(calls)
+        built = len(inserts)
         assert vontobel_udms(8, 4, 5, field).verdict.ok
-        assert (built, len(calls) - built) == (2, 1274)
+        assert (built, len(inserts) - built, len(reduces)) == (2, 490, 784)

@@ -19,7 +19,7 @@ from hierasure import (
     parse_family,
 )
 from hierasure.patterns import _leaves, _members_trie, family_trie, sorted_trie
-from reference import reference_contains, reference_rule_trie
+from reference import reference_contains, reference_prefix_echelons, reference_rule_trie
 from towers import tower
 
 
@@ -299,14 +299,16 @@ class TestChildrenIterables:
 
     def test_walk(self):
         # block i's vectors are e_i, 2 * e_i and e_i: a pattern is
-        # independent iff no entry exceeds 1
-        want, n = self.LEAVES, self.FAM.n
+        # dependent iff some entry exceeds 1, and the walk yields those
+        n = self.FAM.n
         lay = modp.layout(3, n)
-        blocks = [[lay.pack([c * (j == i) for j in range(n)]) for c in (1, 2, 1)] for i in range(n)]
+        digits = [[[c * (j == i) for j in range(n)] for c in (1, 2, 1)] for i in range(n)]
+        blocks = [[lay.pack(v) for v in block] for block in digits]
+        want = [t for t, ech in reference_prefix_echelons(digits, self.LEAVES, 1, 3) if ech is None]
+        assert want == [t for t in self.LEAVES if max(t) > 1]
         for name, (children, root) in self.tries():
             got = list(itertools.islice(modp.walk(blocks, children, root, 1, lay), len(want) + 1))
-            assert [t for t, _ in got] == want, name
-            assert [ech is not None for _, ech in got] == [max(t) <= 1 for t in want], name
+            assert got == want, name
 
 
 class TestFamilyValidation:
