@@ -102,10 +102,10 @@ def _first_outside(ext: ExtSpec, big_d: int, small_d: int) -> Element:
 
 
 def _in_subfield(ext: ExtSpec, el: Element, d: int) -> bool:
-    img = el
-    for _ in range(d):
-        img = ext.frobenius(img)
-    return img == el
+    # el is fixed by x -> x^(q^d): one packed map of its digits
+    lay = ext.digit_layout
+    digits = ext.digits(el.coeffs)
+    return lay.combination(digits, ext._frobenius_power(d)) == lay.pack(digits)
 
 
 def length2_code(ext: ExtSpec) -> LinearCode:
@@ -291,8 +291,7 @@ def _default_nonzero_nodes(ext: ExtSpec, n: int) -> list[Element]:
 
 def _folded_vandermonde(n: int, ext: ExtSpec, nu) -> tuple[list, SubfieldChainBasis]:
     chain = subfield_chain_basis(ext)
-    lifted = [ext.lift(v) for v in nu]
-    matrix = [[v**i for v in lifted] for i in range(ext.alpha)]
+    matrix = [[ext.lift(v**i) for v in nu] for i in range(ext.alpha)]
     for b in chain.steps:
         matrix = fold_halves(matrix, b)
     return matrix[0], chain
@@ -310,12 +309,12 @@ def balanced_code(n: int, ext: ExtSpec, nu=None) -> LinearCode:
     base = ext.base
     if base.order < n:
         raise ParameterError(f"need a field with at least n={n} elements")
-    if nu is None:
-        nu = _default_nonzero_nodes(ext, n)
-    else:
-        nu = list(nu)
+    # the default nodes take the zero node only on a field of exactly n
+    # elements, and say so themselves
+    supplied = nu is not None
+    nu = list(nu) if supplied else _default_nonzero_nodes(ext, n)
     _check_nodes(base, nu, n)
-    if any(not v for v in nu):
+    if supplied and any(not v for v in nu):
         warnings.warn("zero node supplied; fold ratios degenerate on that column", stacklevel=2)
     h, chain = _folded_vandermonde(n, ext, nu)
     code = code_from_rows(

@@ -16,10 +16,13 @@ made by lane shifts with the folds read off the moduli.  Every F_p
 matrix of multiplication by an element comes from it: basis tables,
 ``linalg`` blocks, UDM digit rows and both matrices of the
 irreducibility test.  Multiplication with prime-field coefficients (the
-base field, and an extension of a prime field) is schoolbook arithmetic
-on plain ints mod p reduced by the modulus; over a non-prime base it is
-one packed combination of a's digits with the power multiples of b.
-Powers are square-and-multiply and the inverse is a^(order-2).
+base field, and an extension of a prime field) is one packed multiply:
+both factors packed one coefficient per lane, the product's high lanes
+folded back in with the rows z^k mod the modulus (``_PackedProduct``);
+over a non-prime base it is one packed combination of a's digits with
+the power multiples of b.  Sums over a prime base read the 1-tuples as
+plain ints.  Powers are square-and-multiply and the inverse is
+a^(order-2).
 
 A modulus is irreducible by one test on the field's own arithmetic,
 Berlekamp's criterion: set up K[y]/(f) as if f were irreducible, and
@@ -28,7 +31,10 @@ K-dimension and that f' is a unit.  The constructors run it, and the
 seeded searches run it once per candidate on the field they return.
 The images of a -> a^|K| are the matrix of the Frobenius x -> x^q,
 which is F_q-linear, so the extension keeps them for ``frobenius`` and
-``trace``.
+``trace``, and beside them the packed columns of each power x -> x^(q^d)
+asked for: the subfield of q^d elements is that map's fixed points, so
+a membership test is one packed map and the subfield maps read their
+columns off it.
 
 A basis omega of the extension over F_q (``OrderedBasis``) keeps one
 coordinate transform, over the prime field: the digits of x's
@@ -52,6 +58,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
+from operator import mul
 from typing import Iterator, Sequence, Union
 
 from . import modp
@@ -105,27 +112,72 @@ def lucas_binom(b: int, a: int, p: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Products: schoolbook on plain ints for prime-field coefficients, and
-# packed steps by the power units for every multiplication matrix.
+# Products: one packed multiply for prime-field coefficients, and packed
+# steps by the power units for every multiplication matrix.
 
 
-def _int_mulmod(a, b, low, p: int) -> list[int]:
-    """The schoolbook product of a and b, each d prime-field raws (1-tuples
-    of ints mod p), reduced by the monic degree-d modulus whose low
-    coefficients are the ints ``low``: its d coefficients, not yet taken
-    mod p."""
-    d = len(low)
-    prod = [0] * (2 * d - 1)
-    for i, (ai,) in enumerate(a):
-        if ai:
-            for j, (bj,) in enumerate(b, i):
-                prod[j] += ai * bj
-    for k in range(2 * d - 2, d - 1, -1):
-        c = prod[k] % p
-        if c:
-            for t, mt in enumerate(low, k - d):
-                prod[t] -= c * mt
-    return prod[:d]
+class _PackedProduct:
+    """Products mod a monic degree-d modulus f(z) with prime-field
+    coefficients (z is x in the base field, y in an extension of a prime
+    field), by Kronecker substitution: a and b are packed one coefficient
+    per lane and multiplied once, so lane k of the product is the
+    coefficient of z^k, at most d * (p-1)^2.  Its d - 1 high lanes, taken
+    mod p, fold back in times the rows z^k mod f, k = d .. 2d-2, which
+    adds at most (d-1) * (p-1)^2 to a low lane: a layout of 2d - 1 terms
+    holds the sum, and one normalization reduces it.  The layout and the
+    rows are made on the first product, row d = -f_low and each next one
+    the previous times z (``_times_unit``): a seeded modulus search sets
+    up a field per candidate and multiplies in few of them.
+
+    ``ints`` multiplies raws of d ints (a base field's), ``units`` raws
+    of d 1-tuples (an extension's over a prime base).
+    """
+
+    __slots__ = ("p", "low", "layout", "shifts", "rows")
+
+    def __init__(self, p: int, low: Sequence[tuple]):
+        self.p = p
+        self.low = low  # f_low, as 1-tuples of ints
+        self.rows = None
+
+    def ints(self, a, b) -> tuple:
+        if self.rows is None:
+            self._setup()
+        bits = self.layout.bits
+        x = y = 0
+        for u, v in zip(reversed(a), reversed(b)):
+            x = x << bits | u
+            y = y << bits | v
+        x, lane = self._reduce(x * y), self.layout.lane
+        return tuple([x >> s & lane for s in self.shifts])
+
+    def units(self, a, b) -> tuple:
+        if self.rows is None:
+            self._setup()
+        bits = self.layout.bits
+        x = y = 0
+        for (u,), (v,) in zip(reversed(a), reversed(b)):
+            x = x << bits | u
+            y = y << bits | v
+        x, lane = self._reduce(x * y), self.layout.lane
+        return tuple([(x >> s & lane,) for s in self.shifts])
+
+    def _reduce(self, x: int) -> int:
+        # the unreduced product's 2d - 1 lanes to its d lanes mod f, normalized
+        lay, rows, cut = self.layout, self.rows, self.shifts.stop
+        p, bits, lane = lay.p, lay.bits, lay.lane
+        high = [(x >> s & lane) % p for s in range(cut, cut + len(rows) * bits, bits)]
+        return lay.normalize((x & (1 << cut) - 1) + sum(map(mul, high, rows)))
+
+    def _setup(self):
+        p, d = self.p, len(self.low)
+        self.layout = lay = modp.layout(p, 2 * d - 1)
+        self.shifts = range(0, d * lay.bits, lay.bits)
+        fold = lay.pack([-c % p for (c,) in self.low])  # z^d = -f_low
+        rows = [fold] if d > 1 else []
+        for _ in range(2, d):
+            rows.append(_times_unit(rows[-1], lay, d, d, [fold]))
+        self.rows = rows
 
 
 def _times_unit(v: int, lay: modp.Layout, lanes: int, period: int, folds: Sequence[int]) -> int:
@@ -358,8 +410,8 @@ class FieldSpec(_Field):
         self.modulus = mod
         self.order = p**e
         self._kdigits = 1
-        self._int_low = mod[:-1]
         self._minus_low = [-c % p for c in mod[:-1]]
+        self._mulmod = _PackedProduct(p, tuple(zip(mod[:-1]))) if e > 1 else None
         self.digit_layout = modp.layout(p, e)
         self._init_engine((0,) * e, (1,) + (0,) * (e - 1))
         self._hash = hash(("FieldSpec", p, e, mod))
@@ -382,7 +434,7 @@ class FieldSpec(_Field):
         p = self.p
         if self.e == 1:
             return (a[0] * b[0] % p,)
-        return tuple(x % p for x in _int_mulmod(zip(a), tuple(zip(b)), self._int_low, p))
+        return self._mulmod.ints(a, b)
 
     def power_multiples(self, v: int, lay: modp.Layout, lanes: int) -> list[int]:
         """[v, x * v, ..., x^(e-1) * v]: each group of e digits packed side
@@ -397,12 +449,13 @@ class FieldSpec(_Field):
         return out
 
     def rcheck(self, a) -> bool:
+        if not (isinstance(a, tuple) and len(a) == self.e):
+            return False
         p = self.p
-        return (
-            isinstance(a, tuple)
-            and len(a) == self.e
-            and all(isinstance(c, int) and not isinstance(c, bool) and 0 <= c < p for c in a)
-        )
+        for c in a:
+            if not (isinstance(c, int) and not isinstance(c, bool) and 0 <= c < p):
+                return False
+        return True
 
     def digits(self, raw) -> list[int]:
         """The F_p digits of a raw value, x-power order."""
@@ -459,32 +512,41 @@ class ExtSpec(_Field):
         # how the alpha * e prime-field digits of an element pack into one
         # int, for the Frobenius and basis matrices
         self.digit_layout = modp.layout(base.p, alpha * base.e)
-        # over a prime base the product runs on the plain ints mod p
-        self._int_low = [c for (c,) in mod[:-1]] if base.e == 1 else None
+        # over a prime base a raw is alpha 1-tuples, which the raw arithmetic
+        # reads as plain ints mod p, and a product is one packed multiply
+        self._mulmod = _PackedProduct(base.p, mod[:-1]) if base.e == 1 else None
         self._init_engine((base.rzero,) * alpha, (base.rone,) + (base.rzero,) * (alpha - 1))
         self._hash = hash(("ExtSpec", base, alpha, mod))
         self._poly_basis = None
         self._y_folds: dict = {}
+        self._frobenius_powers: dict = {}
 
     # -- raw arithmetic over the base ----------------------------------------
 
     def radd(self, a, b):
         base = self.base
+        if self._mulmod is not None:
+            p = base.p
+            return tuple(((x + y) % p,) for (x,), (y,) in zip(a, b))
         return tuple(base.radd(x, y) for x, y in zip(a, b))
 
     def rsub(self, a, b):
         base = self.base
+        if self._mulmod is not None:
+            p = base.p
+            return tuple(((x - y) % p,) for (x,), (y,) in zip(a, b))
         return tuple(base.rsub(x, y) for x, y in zip(a, b))
 
     def rneg(self, a):
         base = self.base
+        if self._mulmod is not None:
+            p = base.p
+            return tuple((-x % p,) for (x,) in a)
         return tuple(base.rneg(x) for x in a)
 
     def rmul(self, a, b):
-        low = self._int_low
-        if low is not None:
-            p = self.base.p
-            return tuple((x % p,) for x in _int_mulmod(a, b, low, p))
+        if self._mulmod is not None:
+            return self._mulmod.units(a, b)
         # a * b = sum_u a_u * U_u * b over a's digits a_u
         lay = self.digit_layout
         products = self.power_multiples(lay.pack(self.digits(b)), lay, lay.width)
@@ -521,7 +583,18 @@ class ExtSpec(_Field):
 
     def rcheck(self, a) -> bool:
         base = self.base
-        return isinstance(a, tuple) and len(a) == self.alpha and all(base.rcheck(c) for c in a)
+        if not (isinstance(a, tuple) and len(a) == self.alpha):
+            return False
+        if self._mulmod is None:
+            return all(base.rcheck(c) for c in a)
+        p = base.p
+        for c in a:
+            if not (isinstance(c, tuple) and len(c) == 1):
+                return False
+            (x,) = c
+            if not (isinstance(x, int) and not isinstance(x, bool) and 0 <= x < p):
+                return False
+        return True
 
     def digits(self, raw) -> list[int]:
         """The F_p digits of a raw value, y-power major: digit u*e + d is
@@ -568,6 +641,20 @@ class ExtSpec(_Field):
         """
         flat = modp.mat_vec(self._frobenius_columns, self.digits(el.coeffs), self.digit_layout)
         return Element(self, self.from_digits(flat))
+
+    def _frobenius_power(self, d: int) -> list[int]:
+        """The packed columns of x -> x^(q^d), the Frobenius F to the d-th
+        power, made on first use per d: F^d applies F^h to the columns of
+        F^(d-h), h = d // 2, one packed combination each."""
+        cols = self._frobenius_powers.get(d)
+        if cols is None:
+            if d == 1:
+                cols = self._frobenius_columns
+            else:
+                lay, outer = self.digit_layout, self._frobenius_power(d // 2)
+                cols = [lay.combination(lay.digits(c), outer) for c in self._frobenius_power(d - d // 2)]
+            self._frobenius_powers[d] = cols
+        return cols
 
     def trace(self, el: "Element") -> "Element":
         """Trace down to the base field: the sum of all q-power conjugates."""
@@ -893,18 +980,17 @@ def dual_basis(omega: OrderedBasis) -> OrderedBasis:
 
 def _subfield_map(ext: ExtSpec, d: int) -> list[list[Element]]:
     # the base-linear map x -> x^(q^d) - x in coordinates over the
-    # polynomial basis; its kernel is the subfield with q^d elements
+    # polynomial basis; its kernel is the subfield with q^d elements.
+    # Column j is the image of y^j, the power unit of digit j * e, read off
+    # the packed columns of x -> x^(q^d)
     if d < 1 or ext.alpha % d != 0:
         raise ParameterError(f"{d} does not divide alpha={ext.alpha}")
-    base = ext.base
-    alpha = ext.alpha
+    base, alpha, lay = ext.base, ext.alpha, ext.digit_layout
+    images = ext._frobenius_power(d)
     cols = []
-    for el in ext.polynomial_basis().elements:
-        img = el
-        for _ in range(d):
-            img = ext.frobenius(img)
-        diff = img - el
-        cols.append([Element(base, diff.coeffs[k]) for k in range(alpha)])
+    for u in range(0, lay.width, base.e):
+        diff = ext.from_digits(lay.digits(lay.normalize(images[u] + (lay.p - 1 << u * lay.bits))))
+        cols.append([Element(base, c) for c in diff])
     return [[cols[j][k] for j in range(alpha)] for k in range(alpha)]
 
 

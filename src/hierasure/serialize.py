@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import json
 from typing import Any
 
 from .codes import LinearCode, code_from_rows
@@ -98,13 +99,28 @@ def ext_element_from_json(ext: ExtSpec, obj) -> Element:
     return ext.element(tuple(tuple(c) for c in obj))
 
 
+# The payload loaders build their elements through these two: each
+# element as the public loader above builds it, with one error handler per
+# list instead of one per element, so a bad element reads the same.
+
+
+@_loader("element")
+def _base_elements(field: FieldSpec, objs: list) -> list[Element]:
+    return [field.element(tuple(obj)) for obj in objs]
+
+
+@_loader("element")
+def _ext_elements(ext: ExtSpec, objs: list) -> list[Element]:
+    return [ext.element(tuple(map(tuple, obj))) for obj in objs]
+
+
 def basis_to_json(basis: OrderedBasis) -> list:
     return [element_to_json(el) for el in basis.elements]
 
 
 @_loader("basis")
 def basis_from_json(ext: ExtSpec, obj) -> OrderedBasis:
-    return OrderedBasis(ext, [ext_element_from_json(ext, e) for e in _items(obj)])
+    return OrderedBasis(ext, _ext_elements(ext, _items(obj)))
 
 
 # -- pattern families ---------------------------------------------------------
@@ -149,7 +165,7 @@ def code_to_json(code: LinearCode) -> dict:
 @_loader("code")
 def code_from_json(obj: dict) -> LinearCode:
     ext = _tower_from_json(obj)
-    rows = [[ext_element_from_json(ext, e) for e in _items(row)] for row in _items(obj["H"])]
+    rows = [_ext_elements(ext, _items(row)) for row in _items(obj["H"])]
     omega = basis_from_json(ext, obj["omega"])
     claim = None if obj.get("claim") is None else family_from_json(obj["claim"])
     return code_from_rows(ext, rows, omega, claim, obj.get("provenance", {}), length=obj.get("n"))
@@ -174,8 +190,7 @@ def udms_to_json(u: UdmSet) -> dict:
 def udms_from_json(obj: dict) -> UdmSet:
     field = field_from_json(obj["field"])
     mats = tuple(
-        tuple(tuple(base_element_from_json(field, e) for e in _items(row)) for row in _items(mat))
-        for mat in _items(obj["matrices"])
+        tuple(tuple(_base_elements(field, _items(row))) for row in _items(mat)) for mat in _items(obj["matrices"])
     )
     return UdmSet(field, obj["alpha"], obj["m"], mats, obj.get("meta", {}))
 
@@ -192,15 +207,24 @@ def received_to_json(rw: ReceivedWord) -> dict:
     }
 
 
-def _same_json(a, b) -> bool:
-    """Equality of JSON values that also tells 1 from 1.0 and from true."""
-    if type(a) is not type(b):
+def _spells(obj: dict, like: OrderedBasis) -> bool:
+    """Whether the "field", "ext" and "omega" of obj are exactly like's
+    JSON: both sides as the C encoder writes them with sorted keys, a text
+    that tells 1 from 1.0 and from true.  like's omega is encoded from its
+    raws, whose tuples come out as the lists ``basis_to_json`` makes; a
+    value of obj the encoder cannot write is no match."""
+    theirs = {**_tower_to_json(like.ext), "omega": [w.coeffs for w in like.elements]}
+    try:
+        mine = _json_text({key: obj.get(key) for key in ("field", "ext", "omega")})
+    except (TypeError, ValueError):
         return False
-    if isinstance(a, list):
-        return len(a) == len(b) and all(map(_same_json, a, b))
-    if isinstance(a, dict):
-        return a.keys() == b.keys() and all(_same_json(a[k], b[k]) for k in a)
-    return a == b
+    return mine == _json_text(theirs)
+
+
+def _json_text(value) -> str:
+    # a parsed payload has no cycles; a caller's cyclic value recurses to
+    # the interpreter's limit and raises RecursionError
+    return json.dumps(value, sort_keys=True, check_circular=False)
 
 
 @_loader("received word")
@@ -208,17 +232,12 @@ def received_from_json(obj: dict, like: OrderedBasis | None = None) -> ReceivedW
     """Load a received word; when its "field", "ext" and "omega" are
     exactly ``like``'s JSON (the decoding code's omega, say), reuse
     ``like`` and its tower instead of loading them again."""
-    if like is not None and isinstance(obj, dict) and _same_json(
-        {key: obj.get(key) for key in ("field", "ext", "omega")},
-        {**_tower_to_json(like.ext), "omega": basis_to_json(like)},
-    ):
+    if like is not None and isinstance(obj, dict) and _spells(obj, like):
         ext, omega = like.ext, like
     else:
         ext = _tower_from_json(obj)
         omega = basis_from_json(ext, obj["omega"])
-    known = tuple(
-        tuple(base_element_from_json(ext.base, c) for c in _items(suffix)) for suffix in _items(obj["known"])
-    )
+    known = tuple(tuple(_base_elements(ext.base, _items(suffix))) for suffix in _items(obj["known"]))
     return ReceivedWord(omega, _int_entries(obj["t"], "erasure pattern"), known)
 
 
@@ -228,4 +247,4 @@ def codeword_to_json(word) -> list:
 
 @_loader("codeword")
 def codeword_from_json(ext: ExtSpec, obj) -> tuple[Element, ...]:
-    return tuple(ext_element_from_json(ext, c) for c in _items(obj))
+    return tuple(_ext_elements(ext, _items(obj)))

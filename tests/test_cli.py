@@ -270,8 +270,23 @@ class TestDecodeTowerReuse:
             (lambda rw: rw["field"].update(p=5.0), "error: characteristic must be an integer, got 5.0\n"),
             (lambda rw: rw["omega"][0][0].__setitem__(0, True),
              "error: invalid coefficient vector for GF(5^4)/GF(5): ((True,), (0,), (0,), (0,))\n"),
+            # a 1 spelled 1.0 or true equals 1 in Python, but the word is
+            # not the code's JSON: it loads on its own and fails as such
+            (lambda rw: rw["field"]["modulus"].__setitem__(-1, 1.0),
+             "error: modulus coefficient must be an integer, got 1.0\n"),
+            (lambda rw: rw["field"]["modulus"].__setitem__(-1, True),
+             "error: modulus coefficient must be an integer, got True\n"),
+            (lambda rw: rw["ext"]["modulus"][-1].__setitem__(0, 1.0),
+             "error: extension modulus has invalid coefficients\n"),
+            (lambda rw: rw["ext"]["modulus"][-1].__setitem__(0, True),
+             "error: extension modulus has invalid coefficients\n"),
+            (lambda rw: rw["omega"][0][0].__setitem__(0, 1.0),
+             "error: invalid coefficient vector for GF(5^4)/GF(5): ((1.0,), (0,), (0,), (0,))\n"),
         ],
-        ids=["ext-modulus", "permuted-omega", "no-ext", "p-float", "omega-bool"],
+        ids=[
+            "ext-modulus", "permuted-omega", "no-ext", "p-float", "omega-bool",
+            "field-modulus-float", "field-modulus-bool", "ext-modulus-float", "ext-modulus-bool", "omega-float",
+        ],
     )
     def test_mismatch_exits_2(self, tmp_path, files, capsys, edit, error):
         code_path, payload, _ = files

@@ -7,7 +7,11 @@ of one subfield outside a smaller one off the bigger subfield's echelon
 basis; the references in ``reference.py`` are the dominance filter over
 every family member, the filter of the bounded simplex, and a scan of the
 sorted list of every subfield member (of the whole field in lex order).
+Subfield membership, one packed map of x -> x^(q^d), is checked against
+d repeated q-th powers.
 """
+
+import random
 
 import pytest
 
@@ -18,7 +22,9 @@ from hierasure import (
     maximal_patterns,
     subfield_chain_basis,
 )
-from hierasure.constructions import _first_outside
+from hierasure.constructions import _first_outside, _in_subfield
+from hierasure.fields import _subfield_echelon, subfield_basis
+from reference import _in_subfield as reference_in_subfield
 from reference import (
     reference_enumerate_family,
     reference_first_outside,
@@ -107,3 +113,31 @@ class TestSubfieldWalk:
         beta = alpha.bit_length() - 1
         expected = [reference_first_outside(ext, 1 << i, 1 << (i - 1)) for i in range(1, beta + 1)]
         assert list(subfield_chain_basis(ext).steps) == expected
+
+
+class TestSubfieldMembership:
+    """The packed test x^(q^d) = x against d repeated q-th powers."""
+
+    # e = 1, 2 and 3 bases; alpha 6 has the odd divisor 3, whose map
+    # composes an odd and an even power of the Frobenius
+    @pytest.mark.parametrize("p,e,alpha", SUBFIELD_TOWERS + [(11, 1, 8), (3, 2, 8), (2, 1, 6), (2, 2, 6), (3, 1, 6)])
+    def test_packed_test_matches_repeated_powers(self, p, e, alpha):
+        ext = tower(p, e, alpha)
+        base = ext.base
+        rng = random.Random(p * e * alpha)
+        others = [ext.from_index(rng.randrange(ext.order)) for _ in range(8)]
+        y = ext.polynomial_basis().elements[min(1, alpha - 1)]  # generates the whole field
+        for d in (d for d in range(1, alpha + 1) if alpha % d == 0):
+            basis = subfield_basis(ext, d)
+            combos = [
+                sum((ext.lift(base.from_index(rng.randrange(base.order))) * v for v in basis), ext.zero())
+                for _ in range(4)
+            ]
+            for el in basis + _subfield_echelon(ext, d) + combos:
+                assert reference_in_subfield(ext, el, d)
+                assert _in_subfield(ext, el, d)
+            if d < alpha:
+                assert not reference_in_subfield(ext, y, d)
+                assert not _in_subfield(ext, y, d)
+            for el in others:
+                assert _in_subfield(ext, el, d) == reference_in_subfield(ext, el, d), (d, el)

@@ -313,15 +313,17 @@ class TestBalancedCode:
 
     def test_alpha1_is_plain_parity(self):
         ext = tower(3, 1, 1)
-        with pytest.warns(UserWarning):
+        with pytest.warns(UserWarning) as record:
             code = balanced_code(3, ext)  # q = n, so the zero node participates
+        assert [str(w.message) for w in record] == ["field has exactly n elements; the zero node participates"]
         assert [e.coeffs for e in code.H[0]] == [((1,),)] * 3
         assert is_correcting(code, BalancedFamily(1, 3)).correcting
 
     def test_field_exactly_n_warns_and_works(self):
         ext = tower(2, 1, 2)
-        with pytest.warns(UserWarning):
+        with pytest.warns(UserWarning) as record:
             code = balanced_code(2, ext)
+        assert [str(w.message) for w in record] == ["field has exactly n elements; the zero node participates"]
         assert is_correcting(code, code.claim, all_patterns=True).correcting
 
     def test_field_too_small(self):
@@ -335,11 +337,12 @@ class TestBalancedCode:
         with pytest.warns(UserWarning, match="zero node supplied") as record:
             balanced_code(2, ext, [ext.base.zero(), ext.base.one()])
         assert record[0].filename == __file__
-        # the default nodes take the zero node too, so both balanced warnings show
+        # the default nodes take the zero node too, but the caller supplied
+        # none, so only the field-size warning shows
         with pytest.warns(UserWarning) as record:
             balanced_code(5, ext)
-        assert [str(w.message).split(";")[0] for w in record] == ["field has exactly n elements", "zero node supplied"]
-        assert [w.filename for w in record] == [__file__] * 2
+        assert [str(w.message) for w in record] == ["field has exactly n elements; the zero node participates"]
+        assert record[0].filename == __file__
         with pytest.warns(UserWarning, match="existence threshold") as record:
             greedy_gv_code(3, 2, 1, tower(3, 1, 2), seed=0)
         assert record[0].filename == __file__
@@ -355,7 +358,7 @@ class TestBalancedCode:
         # product is a packed combination with power multiples rather than
         # the plain int one, end to end with a three-level chain
         ext = tower(3, 2, 8)
-        assert ext._int_low is None
+        assert ext._mulmod is None
         code = balanced_code(3, ext)
         assert code.dim == 2
         assert is_correcting(code, BalancedFamily(8, 3)).correcting

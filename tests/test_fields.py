@@ -157,29 +157,81 @@ class TestArithmetic:
             assert a + b == b + a
 
     @staticmethod
-    def _check_product_against_polynomials(ext, seed):
+    def _operands(field, seed):
+        # random pairs, then the raws whose digits are all p - 1 (the
+        # largest lanes a product makes) against themselves and a random one
+        rng = random.Random(seed)
+        pairs = [tuple(field.from_index(rng.randrange(field.order)).coeffs for _ in range(2)) for _ in range(40)]
+        top = field.from_index(field.order - 1).coeffs
+        return pairs + [(top, top), (top, pairs[0][0]), (pairs[0][1], top)]
+
+    @classmethod
+    def _check_product_against_polynomials(cls, ext, seed):
         # the product of raws equals the reference's polynomial product
         # over the base, reduced by the extension modulus
         base, alpha = ext.base, ext.alpha
-        rng = random.Random(seed)
-        for _ in range(40):
-            a, b = (ext.from_index(rng.randrange(ext.order)).coeffs for _ in range(2))
+        for a, b in cls._operands(ext, seed):
             want = _rem(_mul(list(a), list(b), base), list(ext.modulus), base)
             want = tuple(want) + (base.rzero,) * (alpha - len(want))
             assert ext.rmul(a, b) == want
 
-    @pytest.mark.parametrize("p,alpha", [(2, 5), (7, 4), (11, 8)])
-    def test_prime_base_product_matches_generic_polynomials(self, p, alpha):
-        # over a prime base the product runs on plain ints
-        self._check_product_against_polynomials(tower(p, 1, alpha), p)
+    # alpha = 1, p = 2 at every alpha from 2 to 8, and p = 65521 at alpha =
+    # 8, the widest lanes of any product here
+    PRIME_BASE = [(2, 1), (5, 1), (65521, 1), (7, 4), (11, 8), (65521, 2), (65521, 8)] + [(2, a) for a in range(2, 9)]
 
-    @pytest.mark.parametrize("p,e,alpha", [(3, 2, 4), (2, 2, 3), (2, 3, 2), (3, 2, 8)])
+    @pytest.mark.parametrize("p,alpha", PRIME_BASE)
+    def test_prime_base_product_matches_generic_polynomials(self, p, alpha):
+        # over a prime base the product is one packed multiply
+        ext = tower(p, 1, alpha)
+        assert ext._mulmod is not None
+        self._check_product_against_polynomials(ext, p * alpha)
+
+    @pytest.mark.parametrize(
+        "p,e,alpha",
+        [(3, 2, 4), (2, 2, 3), (2, 3, 2), (3, 2, 8), (2, 2, 1), (3, 2, 1), (65521, 2, 8)]
+        + [(2, 2, a) for a in range(2, 9) if a != 3],
+    )
     def test_nonprime_base_product_matches_generic_polynomials(self, p, e, alpha):
         # over a non-prime base the product is one packed combination of
         # a's digits with the power multiples of b
         ext = tower(p, e, alpha)
-        assert ext._int_low is None
+        assert ext._mulmod is None
         self._check_product_against_polynomials(ext, p * e * alpha)
+
+    @pytest.mark.parametrize("p,e", sorted({(p, e) for p, e, _ in FIELDS if e > 1}))
+    def test_base_field_product_matches_generic_polynomials(self, p, e):
+        # F_p[x]/(f) with e > 1 multiplies by the same packed product; the
+        # reference multiplies polynomials over GF(p), whose raws are 1-tuples
+        f, prime = field(p, e), field(p, 1)
+        assert f._mulmod is not None
+        modulus = [(c,) for c in f.modulus]
+        for a, b in self._operands(f, p * e):
+            want = _rem(_mul(list(zip(a)), list(zip(b)), prime), modulus, prime)
+            want = tuple(c for (c,) in want) + (0,) * (e - len(want))
+            assert f.rmul(a, b) == want
+
+    @pytest.mark.parametrize("p,alpha", [(2, 1), (2, 8), (11, 8), (65521, 8)])
+    def test_prime_base_sums_match_base_operations(self, p, alpha):
+        # the raw sums of a prime-base extension read its 1-tuples as ints;
+        # they equal the base field's operations coefficient by coefficient
+        ext = tower(p, 1, alpha)
+        base = ext.base
+        for a, b in self._operands(ext, p + alpha):
+            assert ext.radd(a, b) == tuple(map(base.radd, a, b))
+            assert ext.rsub(a, b) == tuple(map(base.rsub, a, b))
+            assert ext.rneg(a) == tuple(map(base.rneg, a))
+
+    def test_prime_base_rcheck_matches_base_checks(self):
+        # the extension checks its 1-tuples itself, as the base checks each
+        ext = tower(5, 1, 2)
+        base = ext.base
+        good = ((1,), (4,))
+        raws = [good, ((1,), (5,)), ((1,), (-1,)), ((1,), (True,)), ((1,), (1.0,)), ((1,), [4]),
+                ((1,), (4, 0)), ((1,), ()), ((1,),), [(1,), (4,)], ((1,), 4), ((1,), (4,), (0,))]
+        for raw in raws:
+            generic = isinstance(raw, tuple) and len(raw) == 2 and all(base.rcheck(c) for c in raw)
+            assert ext.rcheck(raw) == generic, raw
+        assert ext.rcheck(good) and not ext.rcheck(raws[1])
 
     def test_inverse_of_zero(self):
         ext = tower(2, 1, 2)

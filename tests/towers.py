@@ -58,6 +58,7 @@ TOWERS = {
     (2, 1, 5, 0): 55,
     (2, 1, 6, 0): 97,
     (2, 1, 6, 1): 87,
+    (2, 1, 7, 0): 137,
     (2, 1, 8, 0): 375,
     (2, 1, 8, 1): 379,
     (2, 1, 12, 0): 4677,
@@ -68,9 +69,11 @@ TOWERS = {
     (2, 2, 3, 0): 110,
     (2, 2, 4, 0): 505,
     (2, 2, 4, 1): 383,
+    (2, 2, 5, 0): 1990,
     (2, 2, 6, 0): 4595,
     (2, 2, 6, 1): 5099,
     (2, 2, 6, 5): 6641,
+    (2, 2, 7, 0): 24698,
     (2, 2, 8, 0): 129981,
     (2, 2, 8, 1): 109034,
     (2, 2, 12, 0): 31687265,
@@ -97,6 +100,7 @@ TOWERS = {
     (3, 1, 8, 1): 11882,
     (3, 1, 12, 0): 987631,
     (3, 1, 12, 1): 935506,
+    (3, 2, 1, 0): 9,
     (3, 2, 2, 0): 105,
     (3, 2, 2, 1): 138,
     (3, 2, 3, 0): 1214,
@@ -138,8 +142,11 @@ TOWERS = {
     (13, 1, 4, 0): 55993,
     (251, 1, 2, 0): 107686,
     (251, 2, 2, 0): 7644843017,
+    (65521, 1, 1, 0): 65521,
     (65521, 1, 2, 0): 5947265468,
+    (65521, 1, 8, 0): 667662143773191093246761489029061160259,
     (65521, 2, 2, 0): 34844446516047694511,
+    (65521, 2, 8, 0): 131443967842648088761830269685646173741153896395091716612004526742353163377703,
     (65521, 3, 2, 0): 149604276561187923487967807194,
 }
 
