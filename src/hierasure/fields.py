@@ -978,20 +978,25 @@ def dual_basis(omega: OrderedBasis) -> OrderedBasis:
 # Subfields and quadratic roots.
 
 
-def _subfield_map(ext: ExtSpec, d: int) -> list[list[Element]]:
-    # the base-linear map x -> x^(q^d) - x in coordinates over the
-    # polynomial basis; its kernel is the subfield with q^d elements.
-    # Column j is the image of y^j, the power unit of digit j * e, read off
-    # the packed columns of x -> x^(q^d)
+def _subfield_kernel(ext: ExtSpec, d: int, reverse: bool = False) -> list[list[int]]:
+    # the digits of the canonical kernel basis of the base-linear map
+    # x -> x^(q^d) - x over the polynomial basis (its columns in reverse
+    # order when asked); the kernel is the subfield with q^d elements.
+    # The map's F_p column u is the image of the power unit u, read off
+    # the packed columns of x -> x^(q^d), minus that unit, and base column
+    # j is the block of its e units y^j x^k
     if d < 1 or ext.alpha % d != 0:
         raise ParameterError(f"{d} does not divide alpha={ext.alpha}")
-    base, alpha, lay = ext.base, ext.alpha, ext.digit_layout
+    e, lay = ext.base.e, ext.digit_layout
     images = ext._frobenius_power(d)
-    cols = []
-    for u in range(0, lay.width, base.e):
-        diff = ext.from_digits(lay.digits(lay.normalize(images[u] + (lay.p - 1 << u * lay.bits))))
-        cols.append([Element(base, c) for c in diff])
-    return [[cols[j][k] for j in range(alpha)] for k in range(alpha)]
+    order = reversed(range(ext.alpha)) if reverse else range(ext.alpha)
+    columns = [
+        lay.normalize(images[u] + (lay.p - 1 << u * lay.bits)) for j in order for u in range(j * e, j * e + e)
+    ]
+    kernel = [tail for tail in modp.kernel(columns, lay, e) if tail is not None]
+    if len(kernel) != d:  # pragma: no cover
+        raise ConstructionError("subfield kernel has unexpected dimension")
+    return kernel
 
 
 def subfield_basis(ext: ExtSpec, d: int) -> list[Element]:
@@ -1001,12 +1006,7 @@ def subfield_basis(ext: ExtSpec, d: int) -> list[Element]:
     coordinates over the polynomial basis; the canonical kernel basis (one
     vector per free column) makes the result canonical.
     """
-    from . import linalg
-
-    kernel = linalg.right_kernel(_subfield_map(ext, d), ext.alpha, ext.base)
-    if len(kernel) != d:  # pragma: no cover
-        raise ConstructionError("subfield kernel has unexpected dimension")
-    return [Element(ext, tuple(c.coeffs for c in v)) for v in kernel]
+    return [Element(ext, ext.from_digits(v)) for v in _subfield_kernel(ext, d)]
 
 
 def _subfield_echelon(ext: ExtSpec, d: int) -> list[Element]:
@@ -1014,11 +1014,7 @@ def _subfield_echelon(ext: ExtSpec, d: int) -> list[Element]:
     # base, pivots ascending: each vector of the canonical kernel of the
     # reversed subfield map is 1 at its free column, 0 at the other free
     # columns and after it, so read back to front it is an echelon row
-    from . import linalg
-
-    reversed_map = [row[::-1] for row in _subfield_map(ext, d)]
-    kernel = linalg.right_kernel(reversed_map, ext.alpha, ext.base)
-    return [Element(ext, tuple(c.coeffs for c in reversed(v))) for v in reversed(kernel)]
+    return [Element(ext, ext.from_digits(v)[::-1]) for v in reversed(_subfield_kernel(ext, d, reverse=True))]
 
 
 @dataclass(frozen=True, slots=True)

@@ -46,30 +46,15 @@ def _vector(spec, deg: int, digits: Sequence[int]) -> list[Element]:
     return [Element(spec, spec.from_digits(digits[k : k + deg])) for k in range(0, len(digits), deg)]
 
 
-def _kernel_tags(rows: Sequence[Sequence], ncols: int, spec):
-    """deg and, per column, None when it is independent of the columns
-    before it, else the tags of its reduced digit-0 F_p column."""
-    lay, deg, columns = _linearize(rows, ncols, spec)
-    tags, vectors = modp.tagged(columns, lay)
-    ech = modp.Echelon(tags)
-    tails = []
-    for start in range(0, len(vectors), deg):
-        left = ech.insert(vectors[start])
-        tails.append(None if left is None else tags.digits(left, tags.width))
-        if left is None:
-            for v in vectors[start + 1 : start + deg]:
-                ech.insert(v)
-    return deg, tails
-
-
 def rank(rows: Sequence[Sequence], spec) -> int:
-    return _kernel_tags(rows, len(rows[0]) if rows else 0, spec)[1].count(None)
+    lay, deg, columns = _linearize(rows, len(rows[0]) if rows else 0, spec)
+    return modp.kernel(columns, lay, deg).count(None)
 
 
 def right_kernel(rows: Sequence[Sequence], ncols: int, spec) -> list[list]:
     """Canonical basis of {x : M x = 0}, one vector per free column."""
-    deg, tails = _kernel_tags(rows, ncols, spec)
-    return [_vector(spec, deg, tail) for tail in tails if tail is not None]
+    lay, deg, columns = _linearize(rows, ncols, spec)
+    return [_vector(spec, deg, tail) for tail in modp.kernel(columns, lay, deg) if tail is not None]
 
 
 def solve(rows: Sequence[Sequence], rhs: Sequence, ncols: int, spec) -> SolveResult:

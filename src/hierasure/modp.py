@@ -31,29 +31,34 @@ is floor(a_k / p) because a_k * (M*p - 2^s) < 2^s, under the top s bits
 of lane k+1's product, which Q, the low B - s bits of every lane, masks
 off.  Python ints make any p and terms fit.
 
-The package's one elimination routine is ``Echelon.insert`` (``linalg``
-answers its questions about Element matrices through it too): it keeps
-the inserted vectors in echelon form, each scaled to 1 at its pivot, the
-lowest non-zero lane of its first ``width`` lanes, and zero at the pivots
-of the vectors before it.  A row operation is ``x += (p - c) * row``, with
-c read from one lane; an insert normalizes once after its row operations,
-and a vector is dependent iff its first ``width`` lanes are then zero.
+``Echelon.insert`` is the elimination of decode plans, witnesses, greedy
+GV, code ranks, ``solve`` and ``inverse`` (``linalg`` answers its
+questions about Element matrices through it too): it keeps the inserted
+vectors in echelon form, each scaled to 1 at its pivot, the lowest
+non-zero lane of its first ``width`` lanes, and zero at the pivots of the
+vectors before it.  A row operation is ``x += (p - c) * row``, with c read
+from one lane; an insert normalizes once after its row operations, and a
+vector is dependent iff its first ``width`` lanes are then zero.
 
-``Echelon.rows`` is append-only: an independent insert appends exactly
-one row and never changes an earlier one, so ``rows[:s]`` is the echelon
-of the first s independent vectors inserted, and ``del rows[s:]`` rolls
-the basis back to it, which is how ``walk`` checks a pattern trie on one
-echelon.  The walk yields the trie's dependent leaves only, as tuples,
-and no echelon: at a leaf it inserts every vector but the last and only
-reduces the last, since the row that vector would make is never read.
-The walk is one generator frame over an explicit stack of levels, so it
-has no depth limit: a trie has one level per block, and a code may have
-more symbols than the interpreter has recursion depth.  A trie's
-``children(i, node)`` returns a tuple, often the same one each time a
-node is reached, and the walk takes ``iter()`` of it.  A child may be the
-end marker ``None``, which says that every deeper entry is 0: the walk
-decides that leaf where it stands, so a leaf that its trie ends at level
-i costs i + 1 levels, not one per block.
+``walk`` checks a whole pattern trie on one echelon, and runs the same
+row loop inline on a list of its own, since a walk is mostly short runs
+of vectors and a method call per vector cost as much as the row
+operations.  Its rows are append-only between cuts: an independent vector
+appends exactly one row and never changes an earlier one, so the first s
+rows are the echelon of the first s independent vectors, and ``del
+rows[s:]`` rolls the basis back to them.  The walk yields the trie's
+dependent leaves only, as tuples, and no echelon: at a leaf it inserts
+every vector but the last and only reduces the last, since the row that
+vector would make is never read.  Its loop is tested against
+``Echelon``'s answers and against a list-row reference.  The walk is one
+generator frame over an explicit stack of levels, so it has no depth
+limit: a trie has one level per block, and a code may have more symbols
+than the interpreter has recursion depth.  A trie's ``children(i,
+node)`` returns a tuple, often the same one each time a node is reached,
+and the walk takes ``iter()`` of it.  A child may be the end marker
+``None``, which says that every deeper entry is 0: the walk decides that
+leaf where it stands, so a leaf that its trie ends at level i costs i + 1
+levels, not one per block.
 """
 
 from __future__ import annotations
@@ -221,16 +226,19 @@ def walk(blocks: Sequence, children: Callable, root, unit: int, lay: Layout) -> 
     decides the prefix padded with zeros at once, with no deeper level
     and no ``children`` call below it (zero entries add nothing).  A block
     shorter than t_i * unit gives the vectors it has.  The vectors are
-    packed under ``lay``.
+    packed under ``lay``, and each is read by index, once per insert or
+    reduction.
 
-    One echelon serves the whole walk.  As t_i rises, a level cuts the
-    deeper rows and inserts only block i's next vectors.  At a leaf the
-    level inserts all of them but the last and only reduces the last: the
-    leaf is independent iff that reduction keeps a nonzero pivot lane, and
-    a later sibling that needs the vector inserts it then.  A leaf that
-    adds no vector decides nothing, and has its prefix's verdict.  A
-    dependency at level i is one for every larger t_i too, so the rest of
-    that level is yielded without work.
+    One echelon serves the whole walk: a list of (bit offset of the pivot
+    lane, row), eliminated by ``Echelon.insert``'s row loop written out
+    inline once, for leaves and inner levels alike.  As t_i rises, a level
+    cuts the deeper rows, if there are any, and inserts only block i's
+    next vectors.  At a leaf the level inserts all of them but the last
+    and only reduces the last: the leaf is independent iff that reduction
+    keeps a nonzero pivot lane, and a later sibling that needs the vector
+    inserts it then.  A leaf that adds no vector decides nothing, and has
+    its prefix's verdict.  A dependency at level i is one for every larger
+    t_i too, so the rest of that level is yielded without work.
 
     The walk is one loop over an explicit stack, one entry per level
     above the current one, so a trie may be as deep as there are blocks.
@@ -241,39 +249,50 @@ def walk(blocks: Sequence, children: Callable, root, unit: int, lay: Layout) -> 
     n = len(blocks)
     if not n:
         return  # a trie of no levels: its root is its leaf, and nothing is dependent
-    ech = Echelon(lay)
-    rows, insert, reduce, pivots = ech.rows, ech.insert, ech.reduce, lay.pivots
+    p, lane, bits, pivots = lay.p, lay.lane, lay.bits, lay.pivots
+    mul, shift, quot = lay.mul, lay.shift, lay.quot
+    sizes = [len(block) for block in blocks]
+    rows = []  # the echelon: (bit offset of the pivot lane, row)
     t = [0] * n  # entries below level i are 0: a level is zeroed as it is popped
     last = n - 1
     stack = []  # (iterator, mark, done, ok) of each level above level i
     i, it, mark, done, ok = 0, iter(children(0, root)), 0, 0, True
     while True:
         for ti, child in it:
+            leaf = child is None or i == last
             # t_i = 0 can only be a level's first child: nothing to cut or add
-            if child is None or i == last:
-                if ok and ti:
+            if ok and ti:
+                if len(rows) > mark + done:
                     del rows[mark + done :]
-                    block = blocks[i]
-                    end = min(ti * unit, len(block)) - 1  # the leaf's last vector
-                    for v in block[done:end]:
-                        if insert(v) is not None:
-                            ok = False
-                            break
-                        done += 1
-                    else:
-                        if end >= done and not reduce(block[end]) & pivots:
-                            ok = False
+                block = blocks[i]
+                stop = ti * unit if ti * unit < sizes[i] else sizes[i]
+                final = stop - 1 if leaf else stop  # the vector only reduced
+                while done < stop:
+                    x = block[done]
+                    for at, row in rows:
+                        c = (x >> at & lane) % p
+                        if c:
+                            x += (p - c) * row
+                    x -= p * (x * mul >> shift & quot)
+                    low = x & pivots
+                    if not low:
+                        ok = False
+                        break
+                    if done == final:
+                        break
+                    at = (low & -low).bit_length() - 1
+                    at -= at % bits
+                    c = x >> at & lane
+                    if c != 1:
+                        x *= pow(c, -1, p)
+                        x -= p * (x * mul >> shift & quot)
+                    rows.append((at, x))
+                    done += 1
+            if leaf:
                 if not ok:
                     t[i] = ti
                     yield tuple(t)
                 continue
-            if ok and ti:
-                del rows[mark + done :]
-                for v in blocks[i][done : ti * unit]:
-                    if insert(v) is not None:
-                        ok = False
-                        break
-                    done += 1
             t[i] = ti
             stack.append((it, mark, done, ok))
             i += 1
@@ -318,6 +337,29 @@ def solve(columns: Sequence[int], rhs: int, lay: Layout) -> SolveResult:
     solution = [-x % p for x in tags.digits(left, tags.width)]
     free = len(columns) - len(ech.rows)
     return SolveResult("unique" if free == 0 else "ambiguous", solution, free)
+
+
+def kernel(columns: Sequence[int], lay: Layout, deg: int) -> list[list[int] | None]:
+    """Per block of ``deg`` consecutive columns, all packed under ``lay``:
+    None when the block's first column is independent of the columns
+    before it, else the tag lanes of that column reduced, a kernel vector
+    that is 1 at that column and 0 at every later one.  A block is a
+    column over a field of degree ``deg`` over Z/p, times each of its
+    power units, so a block is independent of the blocks before it iff
+    its first column is (see ``linalg``); the non-None entries are the
+    canonical kernel basis over that field, digit by digit."""
+    tags, vectors = tagged(columns, lay)
+    ech = Echelon(tags)
+    out = []
+    for start in range(0, len(vectors), deg):
+        left = ech.insert(vectors[start])
+        if left is None:
+            for v in vectors[start + 1 : start + deg]:
+                ech.insert(v)
+            out.append(None)
+        else:
+            out.append(tags.digits(left, tags.width))
+    return out
 
 
 def inverse(columns: Sequence[int], lay: Layout) -> list[int]:

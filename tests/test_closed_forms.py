@@ -8,7 +8,9 @@ basis; the references in ``reference.py`` are the dominance filter over
 every family member, the filter of the bounded simplex, and a scan of the
 sorted list of every subfield member (of the whole field in lex order).
 Subfield membership, one packed map of x -> x^(q^d), is checked against
-d repeated q-th powers.
+d repeated q-th powers, and the subfield bases, kernels of that map taken
+on its packed columns, against ``linalg.right_kernel`` of the map's
+Element matrix built from d repeated q-th powers.
 """
 
 import random
@@ -17,6 +19,7 @@ import pytest
 
 from hierasure import (
     BalancedFamily,
+    linalg,
     PowerFamily,
     enumerate_family,
     maximal_patterns,
@@ -31,7 +34,7 @@ from reference import (
     reference_local_maxima,
     reference_maximal_patterns,
 )
-from towers import tower
+from towers import TOWERS, tower
 
 BALANCED_GRID = [(alpha, n) for alpha in (1, 2, 4, 8, 16) for n in range(1, 11)]
 # the quadratic filter where the family has at most about 1,000 members;
@@ -141,3 +144,29 @@ class TestSubfieldMembership:
                 assert not _in_subfield(ext, y, d)
             for el in others:
                 assert _in_subfield(ext, el, d) == reference_in_subfield(ext, el, d), (d, el)
+
+
+class TestSubfieldBases:
+    """``subfield_basis`` and ``_subfield_echelon`` take the kernel of x ->
+    x^(q^d) - x on its packed columns; ``linalg.right_kernel`` of the same
+    map as an alpha x alpha Element matrix, whose column j is y^j raised to
+    q^d by d q-th powers, minus y^j, must give the same canonical basis
+    in the same order."""
+
+    @pytest.mark.parametrize("p,e,alpha,seed", sorted(TOWERS))
+    def test_kernels_match_right_kernel(self, p, e, alpha, seed):
+        ext = tower(p, e, alpha, seed)
+        units = ext.polynomial_basis().elements
+        for d in (d for d in range(1, alpha + 1) if alpha % d == 0):
+            images = []
+            for y in units:
+                z = y
+                for _ in range(d):
+                    z = ext.frobenius(z)
+                images.append(z - y)
+            matrix = [[ext.base.element(z.coeffs[k]) for z in images] for k in range(alpha)]
+            kernel = linalg.right_kernel(matrix, alpha, ext.base)
+            assert subfield_basis(ext, d) == [ext.element(tuple(c.coeffs for c in v)) for v in kernel]
+            flipped = linalg.right_kernel([row[::-1] for row in matrix], alpha, ext.base)
+            echelon = [ext.element(tuple(c.coeffs for c in reversed(v))) for v in reversed(flipped)]
+            assert _subfield_echelon(ext, d) == echelon

@@ -21,6 +21,7 @@ lex order, exactly the leaves whose reference echelon is None.
 
 import itertools
 import random
+import sys
 
 import pytest
 
@@ -97,6 +98,56 @@ def counting(monkeypatch):
         monkeypatch.setattr(
             modp.Echelon, name, lambda ech, v, real=real, calls=calls: calls.append(1) or real(ech, v)
         )
+    return counts
+
+
+WALK = modp.walk  # the walk itself, however often a test watches it
+
+
+class Reads(list):
+    """A block that records the index of each vector read from it."""
+
+    def __init__(self, vectors, reads):
+        super().__init__(vectors)
+        self.reads = reads
+
+    def __getitem__(self, k):
+        self.reads.append(k)
+        return list.__getitem__(self, k)
+
+
+def watching(monkeypatch):
+    """The work of every ``modp.walk`` from now on: ``reads`` gets one
+    entry per vector read from a block, and the walk reads a vector once
+    per insert or reduction; ``appends`` gets one per row appended to the
+    walk's echelon, that is per independent insert.  Appends are the
+    ``append`` calls of the walk's frame on its list ``rows``, seen by a
+    profile hook that is set only while the walk runs."""
+    counts = {"reads": [], "appends": []}
+
+    def hook(frame, event, arg):
+        if (
+            event == "c_call"
+            and frame.f_code is WALK.__code__
+            and getattr(arg, "__name__", None) == "append"
+            and arg.__self__ is frame.f_locals["rows"]
+        ):
+            counts["appends"].append(1)
+
+    def watched(blocks, *args):
+        gen = WALK([Reads(block, counts["reads"]) for block in blocks], *args)
+        while True:
+            previous = sys.getprofile()
+            sys.setprofile(hook)
+            try:
+                t = next(gen)
+            except StopIteration:
+                return
+            finally:
+                sys.setprofile(previous)
+            yield t
+
+    monkeypatch.setattr(modp, "walk", watched)
     return counts
 
 
@@ -185,6 +236,35 @@ def test_dependency_at_the_first_and_the_last_symbol(p, unit):
             for patterns, trie in family_grid(n):
                 got = both(blocks, patterns, unit, p, trie)
                 assert [t for t, rows in got if rows is None] == [t for t in patterns if fails(t)]
+
+
+@pytest.mark.parametrize("unit", [1, 2])
+@pytest.mark.parametrize("p", [2, 65521])
+def test_walk_at_the_lane_bound(p, unit):
+    # width independent vectors, vector k zero before lane k, then
+    # ``pivot`` and p - 1: every digit p - 1 (pivot p - 1), or rows that
+    # need no scaling (pivot 1), so a row operation with c = 1 adds
+    # (p-1)^2 to every later lane.  After the first r of them comes their
+    # rows' sum, a combination of the others, whose reduction reads c = 1
+    # at every pivot and so adds (p - 1) * row each time: r row operations
+    # before its one normalization.  Its last lane reaches A itself at
+    # p = 2, width 9 and r = width, and a lane outside the pivots at
+    # r = width - 1.  A leaf is dependent iff it takes that sum and the r
+    # vectors before it, so its last vector's reduction or a later
+    # vector's insert finds it
+    for pivot in sorted({p - 1, 1}):
+        later = 1 if pivot == p - 1 else p - 1  # a row's lanes after its pivot, scaled to 1
+        for width, split in ((4, (2, 2, 1)), (9, (4, 3, 3))):
+            vectors = [[0] * k + [pivot] + [p - 1] * (width - 1 - k) for k in range(width)]
+            rows = [[0] * k + [1] + [later] * (width - 1 - k) for k in range(width)]
+            for r in (width, width - 1):
+                stacked = vectors[:r] + [[sum(lane) % p for lane in zip(*rows[:r])]] + vectors[r:]
+                blocks = [stacked[sum(split[:i]) : sum(split[: i + 1])] for i in range(len(split))]
+                needed = [(i, k) for i, size in enumerate(split) for k in range(size)][: r + 1]
+                box = itertools.product(*(range(-(-size // unit) + 2) for size in split))
+                got = both(blocks, list(box), unit, p)
+                dependent = [t for t, _ in got if all(t[i] * unit > k for i, k in needed)]
+                assert [t for t, ech in got if ech is None] == dependent
 
 
 def test_all_zero_pattern_and_empty_blocks():
@@ -409,14 +489,15 @@ class TestSharing:
     BLOCKS = [[[1, 0, 0], [1, 0, 0]], [[0, 1, 0], [0, 0, 1]]]
 
     def calls(self, monkeypatch, patterns, blocks=BLOCKS, unit=1, trie=None):
-        """(t, inserts, reduces) per dependent leaf the walk yields, the
-        ``Echelon`` calls made since the last yield, then ("end", inserts,
-        reduces) for the rest of the walk."""
+        """(t, reads, appends) per dependent leaf the walk yields, the
+        vectors read (each one insert or one reduction) and the rows
+        appended since the last yield, then ("end", reads, appends) for the
+        rest of the walk."""
         packed, lay = packed_blocks(blocks, 3)
-        counts = counting(monkeypatch)
+        counts = watching(monkeypatch)
 
         def made():
-            out = (len(counts["insert"]), len(counts["reduce"]))
+            out = (len(counts["reads"]), len(counts["appends"]))
             for calls in counts.values():
                 calls.clear()
             return out
@@ -426,7 +507,7 @@ class TestSharing:
 
     def test_failed_prefix_kept_by_the_next_pattern_inserts_nothing(self, monkeypatch):
         got = self.calls(monkeypatch, [(2, 0), (2, 1), (2, 2)])
-        assert got == [((2, 0), 2, 0), ((2, 1), 0, 0), ((2, 2), 0, 0), ("end", 0, 0)]
+        assert got == [((2, 0), 2, 1), ((2, 1), 0, 0), ((2, 2), 0, 0), ("end", 0, 0)]
         both(self.BLOCKS, [(2, 0), (2, 1), (2, 2)], 1, 3)
 
     def test_failed_level_inserts_nothing_for_larger_values(self, monkeypatch):
@@ -435,7 +516,7 @@ class TestSharing:
         blocks = [[[1, 0, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1]], [[0, 1, 0, 0], [0, 0, 1, 0]]]
         patterns = [(1, 2), (2, 0), (2, 1), (3, 0), (3, 2)]
         got = self.calls(monkeypatch, patterns, blocks)
-        assert got == [((2, 0), 3, 1), ((2, 1), 0, 0), ((3, 0), 0, 0), ((3, 2), 0, 0), ("end", 0, 0)]
+        assert got == [((2, 0), 4, 2), ((2, 1), 0, 0), ((3, 0), 0, 0), ((3, 2), 0, 0), ("end", 0, 0)]
         both(blocks, patterns, 1, 3)
 
     def test_pattern_that_leaves_the_failed_prefix_inserts_its_own(self, monkeypatch):
@@ -444,7 +525,7 @@ class TestSharing:
         # inserts block 0's, and (1, 1) only reduces block 1's first
         blocks = [[[1, 0], [1, 0]], [[0, 1], [0, 1]]]
         got = self.calls(monkeypatch, [(0, 2), (1, 0), (1, 1)], blocks)
-        assert got == [((0, 2), 1, 1), ("end", 1, 1)]
+        assert got == [((0, 2), 2, 1), ("end", 2, 1)]
         both(blocks, [(0, 2), (1, 0), (1, 1)], 1, 3)
 
     def test_shared_rows_are_kept_not_rebuilt(self, monkeypatch):
@@ -453,7 +534,7 @@ class TestSharing:
         # e1 and reduces e2, (1, 0) inserts e0, (1, 1) reduces e1, (1, 2)
         # inserts e1 and reduces e2
         got = self.calls(monkeypatch, [(0, 2), (1, 0), (1, 1), (1, 2)])
-        assert got == [("end", 3, 3)]
+        assert got == [("end", 6, 3)]
 
     @pytest.mark.parametrize("unit", [1, 2])
     def test_leaf_whose_last_vector_alone_is_dependent(self, monkeypatch, unit):
@@ -466,7 +547,7 @@ class TestSharing:
         blocks = [e[:unit], e[unit:] + [e[0]]]
         patterns = [(1, 2), (1, 3)] if unit == 1 else [(1, 1), (1, 2)]
         got = self.calls(monkeypatch, patterns, blocks, unit)
-        assert got == [(patterns[1], 2 * unit + 1, 2), ("end", 0, 0)]
+        assert got == [(patterns[1], 2 * unit + 3, 2 * unit + 1), ("end", 0, 0)]
         assert [rows is None for _, rows in both(blocks, patterns, unit, 3)] == [False, True]
 
     def test_leaf_followed_by_a_non_leaf_sibling(self, monkeypatch):
@@ -478,7 +559,7 @@ class TestSharing:
         trie = (lambda i, node: kids[i, node]), "root"
         patterns = [(1, 0), (2, 0), (2, 1)]
         got = self.calls(monkeypatch, patterns, blocks, trie=trie)
-        assert got == [((2, 1), 2, 2), ("end", 0, 0)]
+        assert got == [((2, 1), 4, 2), ("end", 0, 0)]
         both(blocks, patterns, 1, 3, trie)
         # in a sorted trie every leaf is at the last level: the leaf (0, 2)
         # inserts block 1's first vector and reduces its equal second, and
@@ -486,7 +567,7 @@ class TestSharing:
         # that row and inserts e0; (1, 1) then reduces block 1's first
         blocks = [[[1, 0]], [[1, 1], [1, 1]]]
         got = self.calls(monkeypatch, [(0, 2), (1, 1)], blocks)
-        assert got == [((0, 2), 1, 1), ("end", 1, 1)]
+        assert got == [((0, 2), 2, 1), ("end", 2, 1)]
         both(blocks, [(0, 2), (1, 1)], 1, 3)
 
     def test_block_shorter_than_the_leaf(self, monkeypatch):
@@ -496,7 +577,7 @@ class TestSharing:
         blocks = [[[1, 0, 0], [0, 1, 0], [1, 0, 0]], [[0, 0, 1]]]
         patterns = [(1, 1), (1, 2), (2, 0), (2, 1)]
         got = self.calls(monkeypatch, patterns, blocks, unit=2)
-        assert got == [((2, 0), 3, 2), ((2, 1), 0, 0), ("end", 0, 0)]
+        assert got == [((2, 0), 5, 2), ((2, 1), 0, 0), ("end", 0, 0)]
         assert [rows is None for _, rows in both(blocks, patterns, 2, 3)] == [False, False, True, True]
         # block 1's only vector repeats block 0's
         short = [[[1, 0]], [[1, 0]]]
@@ -534,30 +615,41 @@ class TestVerdictOrder:
 
 
 class TestInsertCounts:
-    """``Echelon.insert`` and ``Echelon.reduce`` calls of whole checks,
-    pinned apart: each stacked vector is inserted once per prefix that
-    first needs it below a leaf, a leaf's last vector is only reduced, and
-    no work follows a dependency at its level.  The field's construction
-    is counted apart, for its irreducibility test."""
+    """The work of whole checks, pinned apart: each stacked vector is
+    inserted once per prefix that first needs it below a leaf, a leaf's
+    last vector is only reduced, and no work follows a dependency at its
+    level.  A walk is counted in the vectors it reads (each one insert or
+    one reduction) and the rows it appends (the independent inserts); it
+    makes no ``Echelon`` call.  Greedy GV grows its echelons with
+    ``Echelon`` and is counted in its calls; the field's construction is
+    counted apart, for its irreducibility test."""
 
     @pytest.fixture
     def counts(self, monkeypatch):
         return counting(monkeypatch)
 
-    def test_trace_code_claim_and_refutation(self, counts):
-        # the claim's 784 maxima all pass, each with one reduction: 490
-        # inserts where an insert per leaf's last vector made 1,274
-        inserts, reduces = counts["insert"], counts["reduce"]
+    def test_trace_code_claim_and_refutation(self, monkeypatch):
+        # the claim's 784 maxima all pass, each with one reduction: 1,274
+        # reads, of which 490 append a row and 784 are the leaves'
+        # reductions, where an insert per leaf's last vector made 1,274
+        # appends.  The refutation's walk reads 579 vectors and appends
+        # 321 rows: its dependency is found by a leaf's reduction, and its
+        # witness then inserts the pattern's 6 tagged columns
         _, code = trace_instance()
         for i in range(code.n):
             code.block(i)
-        inserts.clear(), reduces.clear()
+        calls = counting(monkeypatch)
+        work = watching(monkeypatch)
+        reads, appends = work["reads"], work["appends"]
         assert is_correcting(code, code.claim).correcting
-        assert (len(inserts), len(reduces)) == (490, 784) == (490, len(list(maximal_patterns(code.claim))))
-        inserts.clear(), reduces.clear()
+        assert (len(reads), len(appends)) == (1274, 490)
+        assert len(reads) - len(appends) == len(list(maximal_patterns(code.claim))) == 784
+        assert (calls["insert"], calls["reduce"]) == ([], [])
+        reads.clear(), appends.clear()
         report = is_correcting(code, FullFamily(4, 6, 8))  # with its witness
         assert report.pattern == (0, 0, 1, 1, 1, 1, 1, 1)
-        assert (len(inserts), len(reduces)) == (327, 258)
+        assert (len(reads), len(appends)) == (579, 321)
+        assert (len(calls["insert"]), len(calls["reduce"])) == (6, 0)
 
     def test_greedy_gv(self, counts):
         # the grown echelons take, for each pattern of total 1 .. m - 1 on
@@ -582,10 +674,13 @@ class TestInsertCounts:
             greedy_gv_code(n, 3, m, ext, seed=0)
         assert (built, len(inserts) - built, len(reduces)) == (8, grown + 88 + 2, 1190)
 
-    def test_vontobel_set(self, counts):
-        # the trace code's claim walk on the digit rows of its UDM set
-        inserts, reduces = counts["insert"], counts["reduce"]
+    def test_vontobel_set(self, monkeypatch):
+        # the trace code's claim walk on the digit rows of its UDM set; the
+        # field's irreducibility test makes 2 inserts, and the walk none
+        calls = counting(monkeypatch)
+        work = watching(monkeypatch)
         field = make_field(7, 1, 0)
-        built = len(inserts)
+        assert (len(calls["insert"]), len(calls["reduce"])) == (2, 0)
         assert vontobel_udms(8, 4, 5, field).verdict.ok
-        assert (built, len(inserts) - built, len(reduces)) == (2, 490, 784)
+        assert (len(work["reads"]), len(work["appends"])) == (1274, 490)
+        assert (len(calls["insert"]), len(calls["reduce"])) == (2, 0)
