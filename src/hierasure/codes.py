@@ -13,15 +13,18 @@ columns changes under it: the independence of prefixes, the first kernel
 vector of a set of columns, and the solution of a system whose
 right-hand side is made of the same columns.  The unknowns are
 coordinates over omega in either spelling.  The power spelling needs no
-extension product: ``OrderedBasis.multiples`` gives all alpha * e
-products of one entry by one packed combination with a product table.
+extension product: each entry's alpha * e products are one packed
+combination with the code's product table (``expansion_table``).
+
+This module owns every packed layout of an expansion: the product table,
+the blocks, the decoder's tag lanes and their readout.  A basis is only
+the coordinate map they are read against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from operator import add
 from typing import Mapping
 
 from . import modp
@@ -30,23 +33,43 @@ from .fields import Element, ExtSpec, OrderedBasis
 from .patterns import PatternFamily
 
 
+def expansion_table(omega: OrderedBasis, lay: modp.Layout) -> tuple[modp.Layout, list[int]]:
+    """The product table of an expansion packed under ``lay`` (a layout
+    whose width is at least D = alpha * e, an expansion column's): D packed
+    ints P_u, one per power unit U_u = y^a * x^d (u = a*e + d), whose group
+    k, lanes [k*D, (k+1)*D), holds the power digits of U_u * w_k,
+    normalized, in lanes of ``lay.bits`` bits.  They are the extension's
+    power multiples of the w_k's power digits (the columns of omega's
+    ``_to_power``) packed as D groups, under a layout with ``lay``'s width
+    and terms (so its bits) and at least D * D lanes, returned with them.
+    P_0 (U_0 = 1) holds the power digits of the w_k themselves."""
+    ext = omega.ext
+    dl = ext.digit_layout
+    n = dl.width  # D
+    tlay = modp.layout(dl.p, lay.width, max(n * n - lay.width, 0), lay.terms)
+    v = tlay.pack([d for col in omega._to_power for d in dl.digits(col)])
+    return tlay, ext.power_multiples(v, tlay, n * n)
+
+
 def pack_column(
-    omega: OrderedBasis, column, lay: modp.Layout, width: int | None = None
+    table: tuple[modp.Layout, list[int]], column, width: int | None = None
 ) -> tuple[int, ...]:
     """The prime-field columns of column * w_k, w_k = omega_j * x^d for k =
-    j*e + d, each packed under ``lay`` (whose width is len(column) * alpha
-    * e): column k stacks, entry by entry, the alpha * e power digits of
-    each entry times w_k (``ExtSpec.digits``).  Only the first ``width``
-    columns are built; by default all alpha * e.
+    j*e + d, each packed in the lanes of the ``expansion_table`` given
+    (a layout of len(column) * alpha * e lanes): column k stacks, entry by
+    entry, the alpha * e power digits of each entry times w_k
+    (``ExtSpec.digits``).  Only the first ``width`` columns are built; by
+    default all alpha * e.
 
-    Each entry h gives one ``OrderedBasis.multiples``, whose group k holds
-    the power digits of h * w_k; column k is group k of every entry,
-    stacked by row.
+    Each entry h is one ``Layout.combination`` of its D power digits with
+    the table, whose group k holds the power digits of h * w_k; column k
+    is group k of every entry, stacked by row.
     """
-    n = omega.ext.digit_layout.width  # alpha * e
-    span = n * lay.bits
+    tlay, products = table
+    n = len(products)  # alpha * e
+    span = n * tlay.bits
     group = (1 << span) - 1
-    rows = [omega.multiples(h, lay) for h in column]
+    rows = [tlay.combination(h.spec.digits(h.coeffs), products) for h in column]
     return tuple(
         sum((v >> k * span & group) << i * span for i, v in enumerate(rows))
         for k in range(n if width is None else width)
@@ -87,19 +110,23 @@ class LinearCode:
     A * M, and one Barrett step, x - p * ((x * M >> s) & Q), then reduces
     every lane.  The echelons these columns enter keep
     append-only rows, so a walk rolls one back with ``del rows[s:]``.
-    Blocks are built on first use and kept on the code, in that packed
-    form only: every correctability check and every decode reads its
-    columns from there.
+    Blocks are built on first use from the code's product ``table``
+    (``expansion_table`` under ``layout``, built on first expansion) and
+    kept on the code, in that packed form only: every correctability
+    check and every decode reads its columns from there.
 
     The decoder reads two more caches, built on first decode.
     ``decode_columns`` is every block with tag lanes added under
     ``decode_layout`` (``layout`` plus n * alpha * e tag lanes, one group
     of alpha * e per symbol, in lanes of the same bits): column k of
-    symbol i carries the power digits of w_k in group i
-    (``OrderedBasis.decode_tags``).
+    symbol i carries the power digits of w_k in group i, read off the
+    table's P_0 as the columns are built, and kept nowhere else.
+    ``read_tags`` reads a tagged vector's tag lanes back as a word.
     ``decode_plan(t)`` is the echelon of pattern t's erased tagged columns,
     their free count and the list of its known tagged columns; at most
-    ``PLAN_CAP`` plans are kept, and the oldest is dropped first.
+    ``PLAN_CAP`` plans are kept, and the oldest is dropped first.  So a
+    code caches its table, blocks, tagged columns, plans and rank; its
+    basis caches none of them.
     """
 
     ext: ExtSpec
@@ -143,13 +170,18 @@ class LinearCode:
         d = ext.digit_layout.width  # alpha * e
         return modp.layout(ext.base.p, self.r * d, 0, self.n * d)
 
+    @cached_property
+    def table(self) -> tuple[modp.Layout, list[int]]:
+        """``expansion_table`` of omega under ``layout``, built on first
+        expansion."""
+        return expansion_table(self.omega, self.layout)
+
     def block(self, i: int) -> tuple[int, ...]:
         """Symbol i's block: ``pack_column`` of H[:, i], all alpha * e
         columns, computed on first use and memoized on the code."""
         block = self._expansion.get(i)
         if block is None:
-            column = [row[i] for row in self.H]
-            block = self._expansion[i] = pack_column(self.omega, column, self.layout)
+            block = self._expansion[i] = pack_column(self.table, [row[i] for row in self.H])
         return block
 
     @cached_property
@@ -164,9 +196,27 @@ class LinearCode:
         """Per symbol i, ``block(i)`` plus its tags: column k carries the
         power digits of w_k in tag group i, so the tags of a combination of
         columns are the power digits of the word whose coordinate digits
-        are its coefficients."""
-        tags = self.omega.decode_tags(self.decode_layout, self.n)
-        return tuple(tuple(map(add, self.block(i), tags[i])) for i in range(self.n))
+        are its coefficients.  The tags of symbol 0 are the groups of the
+        table's P_0 (U_0 = 1) moved past the pivot lanes; symbol i's are
+        those moved up i groups."""
+        lay = self.decode_layout
+        _, products = self.table
+        span = len(products) * lay.bits  # a group: alpha * e lanes
+        group = (1 << span) - 1
+        at = lay.width * lay.bits
+        tags = [(products[0] >> k * span & group) << at for k in range(len(products))]
+        return tuple(
+            tuple([v + (tag << i * span) for v, tag in zip(self.block(i), tags)])
+            for i in range(self.n)
+        )
+
+    def read_tags(self, x: int) -> tuple[Element, ...]:
+        """The word whose power digits are x's tag lanes under
+        ``decode_layout``, alpha * e per symbol: one pass over the lanes,
+        e digits per base raw and alpha raws per Element."""
+        ext, lay = self.ext, self.decode_layout
+        raws = zip(*[iter(lay.digits(x, lay.width))] * ext.base.e)
+        return tuple([Element(ext, raw) for raw in zip(*[raws] * ext.alpha)])
 
     def decode_plan(self, t: tuple[int, ...]) -> tuple[modp.Echelon, int, list[int]]:
         """Pattern t's plan (echelon, free, known).  ``echelon`` holds the

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 from . import linalg, modp
 from .bounds import gv_existence_base
-from .codes import LinearCode, code_from_rows, pack_column
+from .codes import LinearCode, code_from_rows, expansion_table, pack_column
 from .errors import ConstructionError, ParameterError
 from .fields import (
     Element,
@@ -539,6 +539,7 @@ def greedy_gv_code(
     k_max = min(alpha, m)
     width = k_max * e  # a candidate is erased in at most k_max coordinates
     lay = modp.layout(p, r * alpha * e)
+    table = expansion_table(omega, lay)
     rows = [[ext.one() if j == i else ext.zero() for j in range(r)] for i in range(r)]
 
     sweep_from = 0  # where the next deterministic sweep starts
@@ -560,13 +561,13 @@ def greedy_gv_code(
     # by_total[b]: the echelon of every total-b pattern on the accepted prefix
     by_total = [[modp.Echelon(lay)]] + [[] for _ in range(m - 1)]
     for column in list(zip(*rows))[: n - 1]:
-        _grow(by_total, pack_column(omega, column, lay, width), alpha, e)
+        _grow(by_total, pack_column(table, column, width), alpha, e)
     for col in range(r, n):
         checks = [  # (how many candidate columns, prefix echelon)
             (k * e, ech) for k in range(1, k_max + 1) for ech in by_total[m - k]
         ]
         for g in candidates():
-            cols = pack_column(omega, g, lay, width)  # packed once, read by every check
+            cols = pack_column(table, g, width)  # packed once, read by every check
             for i, (k_e, ech) in enumerate(checks):
                 if not _extends(ech, cols, k_e):
                     checks.insert(0, checks.pop(i))

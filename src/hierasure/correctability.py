@@ -30,7 +30,9 @@ digits times their tagged columns against the pattern's plan
 built once per code and pattern; the tags left are the power digits of
 the whole codeword, with no solve and no basis conversion (see
 ``decode``).  A witness is the first dependent erased tagged column,
-reduced: a codeword whose power digits are its tags.
+reduced: a codeword whose power digits are its tags.  The code lays out
+the tags and reads them back (``LinearCode.read_tags``); this module
+reads no tag lane itself.
 """
 
 from __future__ import annotations
@@ -145,17 +147,8 @@ def _pattern_witness(code: LinearCode, t) -> tuple[Element, ...]:
         for v in block[: ti * e]:
             left = ech.insert(v)
             if left is not None:
-                return _symbols(code, left)
+                return code.read_tags(left)
     raise ParameterError(f"pattern {t} is correctable; no witness exists")
-
-
-def _symbols(code: LinearCode, left: int) -> tuple[Element, ...]:
-    # the codeword whose power digits are left's tag lanes, alpha * e per
-    # symbol: one pass over the lanes, e digits per base raw and alpha
-    # raws per Element
-    ext, lay = code.ext, code.decode_layout
-    raws = zip(*[iter(lay.digits(left, lay.width))] * ext.base.e)
-    return tuple([Element(ext, raw) for raw in zip(*[raws] * ext.alpha)])
 
 
 def is_correcting(
@@ -214,9 +207,9 @@ def decode(code: LinearCode, received: ReceivedWord) -> DecodeResult:
     erased columns that cancels the syndrome; the erased digits x satisfy
     col_E * x = -col_K * d, so x = -y, and subtracting y's tags adds the
     erased symbols' power digits: the tags are the whole codeword's power
-    digits, read into ``Element``s in one pass.  A unique solution
-    reproduces the codeword; anything else is reported rather than
-    guessed.  Each known element must lie in the code's base field, and
+    digits, read into ``Element``s in one pass (``LinearCode.read_tags``).
+    A unique solution reproduces the codeword; anything else is reported
+    rather than guessed.  Each known element must lie in the code's base field, and
     the word's basis must be the code's.
     """
     omega = received.omega
@@ -241,4 +234,4 @@ def decode(code: LinearCode, received: ReceivedWord) -> DecodeResult:
     if free:
         # the F_p kernel of an F_q-linear map has e times its F_q dimension
         return DecodeResult("ambiguous", None, free // base.e)
-    return DecodeResult("decoded", _symbols(code, left))
+    return DecodeResult("decoded", code.read_tags(left))

@@ -13,10 +13,11 @@ in the package is built on that spelling.  Each field also has one
 packed step, ``power_multiples``: the products of a packed value by the
 field's power units (x^d in the base field, y^a * x^d in the extension),
 made by lane shifts with the folds read off the moduli.  Every F_p
-matrix of multiplication by an element comes from it: basis tables,
-``linalg`` blocks, UDM digit rows and both matrices of the
-irreducibility test.  Multiplication with prime-field coefficients (the
-base field, and an extension of a prime field) is one packed multiply:
+matrix of multiplication by an element comes from it: the product
+tables of code expansions (``codes.expansion_table``), ``linalg``
+blocks, UDM digit rows and both matrices of the irreducibility test.
+Multiplication with prime-field coefficients (the base field, and an
+extension of a prime field) is one packed multiply:
 both factors packed one coefficient per lane, the product's high lanes
 folded back in with the rows z^k mod the modulus (``_PackedProduct``);
 over a non-prime base it is one packed combination of a's digits with
@@ -40,11 +41,9 @@ A basis omega of the extension over F_q (``OrderedBasis``) keeps one
 coordinate transform, over the prime field: the digits of x's
 coordinates over omega, each base-field coordinate spelled as its e
 digits.  Every coordinate question, including whether a tuple is a
-basis at all, goes through that one integer map.  For the expansion of
-a code, a basis also keeps a packed product table, built on first use:
-the power digits of every power unit times every omega_j * x^d, the
-extension's power multiples of those elements, so an expansion needs no
-extension product.
+basis at all, goes through that one integer map.  A basis keeps nothing
+else: the packed layouts a code reads against it (its product table,
+blocks and decode tags) are built and kept by the code (``codes``).
 
 Deterministic search orders are part of the contract: modulus searches
 shuffle the positions of the candidates with a seeded RNG, while element
@@ -815,19 +814,10 @@ class OrderedBasis:
     index j*e + d); ``coordinates`` / ``combine`` group those digits into
     base-field elements.  Both matrices are kept as columns packed under
     the extension's ``digit_layout``, so a conversion is one packed
-    matrix-vector product (``modp.mat_vec``).
-
-    ``multiples`` gives the power digits of h * w_k for every k at once,
-    from a product table built on first use per layout width and terms
-    (which fix its lanes' bits): D = alpha * e packed ints
-    P_u, one per power unit U_u = y^a * x^d (u = a*e + d), whose group k
-    of D lanes holds the power digits of U_u * w_k: the extension's power
-    multiples of ``_to_power`` packed as D groups.
-
-    ``decode_tags`` gives, per symbol of a code, the tag lanes the decoder
-    adds to that symbol's expansion columns: the power digits of each
-    w_k, shifted to the symbol's group.  They are kept per tag layout
-    and code length, next to the product tables.
+    matrix-vector product (``modp.mat_vec``).  Column k of ``_to_power``
+    is the power digits of w_k, which a code's product table is built
+    from (``codes.expansion_table``); the basis caches no table and no
+    tags.
     """
 
     def __init__(self, ext: ExtSpec, elements: Sequence[Element]):
@@ -848,55 +838,7 @@ class OrderedBasis:
             self._from_power = modp.inverse(self._to_power, lay)
         except ParameterError:
             raise InvalidBasisError("elements are linearly dependent over the base field")
-        self._tables: dict = {}
-        self._tags: dict = {}
         self._hash = hash((ext, tuple(el.coeffs for el in elems)))
-
-    def multiples(self, h: Element, lay: modp.Layout) -> int:
-        """The power digits of h * w_k for every k, packed: group k, lanes
-        [k*D, (k+1)*D), holds those of h * w_k, normalized, in lanes of
-        ``lay.bits`` bits.  ``lay`` is a layout whose width is at least D
-        (an expansion column's); one ``Layout.combination`` of h's D power
-        digits with the product table makes all D groups."""
-        self.ext._check_same(h)
-        tlay, table = self._table(lay)
-        return tlay.combination(self.ext.digits(h.coeffs), table)
-
-    def _table(self, lay: modp.Layout):
-        # the product table P_0 .. P_(D-1) in lanes of lay.bits bits, under
-        # a layout with lay's width and terms (so its bits) and at least
-        # D * D lanes
-        key = lay.width, lay.terms
-        got = self._tables.get(key)
-        if got is None:
-            ext = self.ext
-            dl = ext.digit_layout
-            n = dl.width  # D
-            tlay = modp.layout(dl.p, lay.width, max(n * n - lay.width, 0), lay.terms)
-            v = tlay.pack([d for col in self._to_power for d in dl.digits(col)])
-            got = self._tables[key] = (tlay, ext.power_multiples(v, tlay, n * n))
-        return got
-
-    def decode_tags(self, lay: modp.Layout, n: int) -> list[list[int]]:
-        """Per symbol i < n, the D = alpha * e tags of its columns under
-        ``lay``: tag k holds the power digits of w_k, normalized, in lanes
-        [width + i*D, width + (i+1)*D), and zero elsewhere.  So the tags of
-        sum_k x_k * (column k + tag k) are the power digits of sum_k x_k *
-        w_k, symbol i's value with coordinate digits x."""
-        got = self._tags.get((lay, n))
-        if got is None:
-            # group k of the product table's P_0 (U_0 = 1) holds the power
-            # digits of w_k in lanes of lay.bits bits
-            tlay, table = self._table(lay)
-            b, n_digits = tlay.bits, self.ext.digit_layout.width
-            span = n_digits * b
-            group = (1 << span) - 1
-            at = lay.width * b
-            got = self._tags[lay, n] = [
-                [(table[0] >> k * span & group) << at + i * span for k in range(n_digits)]
-                for i in range(n)
-            ]
-        return got
 
     def coordinate_digits(self, x: Element) -> list[int]:
         """Prime-field digits of the coordinates of x (see the class notes)."""

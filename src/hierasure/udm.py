@@ -164,20 +164,15 @@ def vontobel_udms(
 
 def trace_check_matrix(u: UdmSet, mu: OrderedBasis) -> list[list[Element]]:
     """The m x n extension-field matrix whose column i is A_i transposed
-    applied to the basis column: entry (l, i) = sum_r A_i[r][l] * mu_r."""
+    applied to the basis column: entry (l, i) = sum_r A_i[r][l] * mu_r,
+    the element whose coordinates over mu are column l of A_i."""
     ext = mu.ext
     if u.alpha != ext.alpha or u.field != ext.base:
         raise ParameterError("matrix set and basis live over different fields")
-    rows = []
-    for ell in range(u.m):
-        row = []
-        for mat in u.matrices:
-            acc = ext.zero()
-            for r in range(u.alpha):
-                acc = acc + ext.lift(mat[r][ell]) * mu.elements[r]
-            row.append(acc)
-        rows.append(row)
-    return rows
+    return [
+        [mu.combine([mat[r][ell] for r in range(u.alpha)]) for mat in u.matrices]
+        for ell in range(u.m)
+    ]
 
 
 def udms_to_check_vector(u: UdmSet, omega: OrderedBasis) -> tuple[Element, ...]:
@@ -195,12 +190,8 @@ def udms_to_check_vector(u: UdmSet, omega: OrderedBasis) -> tuple[Element, ...]:
         raise ParameterError("matrix set and basis live over different fields")
     h = []
     for idx, mat in enumerate(u.matrices):
-        image = []
-        for row in mat:
-            acc = ext.zero()
-            for a, w in zip(row, omega.elements):
-                acc = acc + ext.lift(a) * w
-            image.append(acc)
+        # row j's image sum_k A[j][k] * omega_k has coordinates row j
+        image = [omega.combine(row) for row in mat]
         scalar = image[0] / omega.elements[0]
         for img, w in zip(image, omega.elements):
             if img != scalar * w:

@@ -7,13 +7,13 @@ import random
 import pytest
 
 from hierasure import (
-    OrderedBasis,
     b_symmetric_basis,
     code_from_rows,
     dual_basis,
     find_quadratic_root,
     is_correcting,
 )
+from hierasure import codes, modp
 from hierasure.codes import pack_column
 from reference import reference_expand_column
 from test_differential import TOWERS, random_code
@@ -39,45 +39,58 @@ def _digits(code, i):
 
 
 def test_trace_code_rank_expands_each_coordinate_once(monkeypatch):
-    # verify-trace's code: r = 5, n = 8 over GF(7^4), rank 5.  Each of the
-    # 40 entries of H is expanded by one ``OrderedBasis.multiples`` call,
+    # verify-trace's code: r = 5, n = 8 over GF(7^4), rank 5.  The code
+    # builds one product table, and each of the 40 entries of H is
+    # expanded by one combination of its power digits with that table,
     # once across the rank and a full correctability check that reuses
     # the stored blocks.
     _, code = trace_instance()
-    calls = []
-    real = OrderedBasis.multiples
-    monkeypatch.setattr(
-        OrderedBasis, "multiples", lambda omega, h, lay: calls.append(h) or real(omega, h, lay)
-    )
+    tables, calls = [], []
+    real_table, real_combination = codes.expansion_table, modp.Layout.combination
+
+    def table(omega, lay):
+        tables.append(real_table(omega, lay))
+        return tables[-1]
+
+    def combination(lay, coeffs, vectors):
+        if any(vectors is products for _, products in tables):
+            calls.append(list(coeffs))
+        return real_combination(lay, coeffs, vectors)
+
+    monkeypatch.setattr(codes, "expansion_table", table)
+    monkeypatch.setattr(modp.Layout, "combination", combination)
     assert (code.rank, code.dim) == (5, 3)
     assert is_correcting(code, code.claim).correcting
+    assert len(tables) == 1 and code.table is tables[0]
     assert len(calls) == 40
-    assert calls == [row[i] for i in range(code.n) for row in code.H]
+    assert calls == [code.ext.digits(row[i].coeffs) for i in range(code.n) for row in code.H]
 
 
 @pytest.mark.parametrize("p,e,alpha", ORACLE_TOWERS)
 def test_blocks_match_element_products(p, e, alpha):
     # every block equals the Element products h * omega_j * x^d in power
-    # digits, for codes of 1 to 3 rows sharing one basis (so one basis
-    # keeps product tables for several column widths), with zero entries
+    # digits, for codes of 1 to 3 rows sharing one basis (so each code
+    # builds its own product table, for its own column width), with zero
+    # entries
     ext = tower(p, e, alpha)
     rng = random.Random(f"{p}/{e}/{alpha}")
-    for name, shared in _bases(ext).items():
-        # a fresh copy: the tower's polynomial basis is shared across tests
-        omega = OrderedBasis(ext, shared.elements)
-        assert omega._tables == {}  # built on first expansion, not with the basis
+    for name, omega in _bases(ext).items():
         for r in (1, 2, 3):
             rows = [[ext.from_index(rng.randrange(ext.order)) for _ in range(3)] for _ in range(r)]
             rows[0][1] = ext.zero()
             code = code_from_rows(ext, rows, omega)
+            assert "table" not in vars(code)  # built on first expansion, not with the code
             for i in range(code.n):
                 column = [row[i] for row in code.H]
                 want = reference_expand_column(omega, column)
                 assert _digits(code, i) == want, (name, r, i)
                 lay = code.layout
-                assert pack_column(omega, column, lay, e) == tuple(map(lay.pack, want[:e]))
-        # one table per (width, terms): each code's lanes hold its n * alpha * e terms
-        assert sorted(omega._tables) == [(r * alpha * e, 3 * alpha * e) for r in (1, 2, 3)]
+                assert pack_column(code.table, column, e) == tuple(map(lay.pack, want[:e]))
+            # the table's lanes hold the code's n * alpha * e terms, in the code's bits
+            tlay, products = code.table
+            assert (tlay.width, tlay.terms, tlay.bits) == (r * alpha * e, 3 * alpha * e, lay.bits)
+            assert len(products) == alpha * e
+        assert vars(omega).keys() == {"ext", "elements", "_to_power", "_from_power", "_hash"}
 
 
 @pytest.mark.parametrize("expanded_first", [False, True], ids=["fresh", "expanded"])

@@ -18,6 +18,8 @@ and towers with e = 2 and e = 3, all against ``reference_decode`` and
 
 import itertools
 import random
+import sys
+import tracemalloc
 
 import pytest
 
@@ -41,7 +43,7 @@ from hierasure import (
 )
 from reference import reference_correctable, reference_decode, reference_witness
 from test_differential import random_code, random_codeword
-from towers import tower
+from towers import long_code, tower
 
 PRIMES = [2, 3, 7, 11, 251, 65521]
 # (p, e, alpha): a prime tower per prime, then the differential grid's
@@ -187,7 +189,10 @@ class TestTaggedColumns:
         # lanes that hold a product per known digit a word can have, shared
         # by the blocks, the tagged columns and the product table
         assert lay.terms == code.layout.terms == 3 * span
-        assert lay.bits == code.layout.bits == code.omega._table(code.layout)[0].bits
+        tlay, products = code.table
+        assert lay.bits == code.layout.bits == tlay.bits
+        # group k of the code's own P_0 holds the power digits of w_k
+        groups = tlay.digits(products[0])
         for i, block in enumerate(code.decode_columns):
             for k, col in enumerate(block):
                 j, d = divmod(k, e)
@@ -195,8 +200,25 @@ class TestTaggedColumns:
                 want = ext.digits((code.omega.elements[j] * x_d).coeffs)
                 tags = lay.digits(col, lay.width)
                 assert tags[i * span : (i + 1) * span] == want, (i, k)
+                assert groups[k * span : (k + 1) * span] == want, k
                 assert not any(tags[: i * span] + tags[(i + 1) * span :])
                 assert col & lay.pivots == code.block(i)[k]
+
+    @pytest.mark.parametrize("n", [300, 600])
+    def test_tagged_state_is_held_once(self, n):
+        # the tagged columns of the GF(4) parity code grow as n^2, and
+        # building them leaves little else allocated beside them: no second
+        # copy of their tags is kept, on the code or on its basis
+        code = long_code(n)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            cols = code.decode_columns
+            grown = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        size = sum(sys.getsizeof(v) for block in cols for v in block)
+        assert size <= grown <= 1.2 * size, (grown, size)
 
     def test_plan_lists_the_known_columns_themselves(self):
         code = nonzero_code(tower(2, 2, 3), 4, 1, random.Random(26))

@@ -31,7 +31,7 @@ from hierasure import (
     modp,
     serialize,
 )
-from hierasure.codes import pack_column
+from hierasure.codes import expansion_table, pack_column
 from hierasure.constructions import _extends, _grow
 from reference import reference_greedy_gv_code, reference_prefix_echelons
 from towers import tower
@@ -135,7 +135,8 @@ def test_grown_echelons_match_walk(instance):
     code = greedy_gv_code(n, r, m, ext, seed=0)
     alpha, e = ext.alpha, ext.base.e
     lay = modp.layout(ext.base.p, r * alpha * e)
-    columns = [pack_column(code.omega, col, lay) for col in zip(*code.H)]
+    table = expansion_table(code.omega, lay)
+    columns = [pack_column(table, col) for col in zip(*code.H)]
     digits = [[lay.digits(v) for v in block] for block in columns]
     by_total = [[modp.Echelon(lay)]] + [[] for _ in range(m - 1)]
     for length in range(1, n):
@@ -161,7 +162,7 @@ def test_grow_rejects_a_dependent_prefix():
     # a repeated column makes the pattern erasing one coordinate of each dependent
     ext = tower(2, 1, 2)
     lay = modp.layout(2, 2 * 2)
-    column = pack_column(ext.polynomial_basis(), [ext.one(), ext.one()], lay)
+    column = pack_column(expansion_table(ext.polynomial_basis(), lay), [ext.one(), ext.one()])
     by_total = [[modp.Echelon(lay)], [], []]
     _grow(by_total, column, 2, 1)
     assert [len(echs) for echs in by_total] == [1, 1, 1]
@@ -179,8 +180,12 @@ def test_builds_one_code(monkeypatch):
         original(self)
 
     monkeypatch.setattr(LinearCode, "__post_init__", counted)
+    tables = []
+    table = constructions.expansion_table
+    monkeypatch.setattr(constructions, "expansion_table", lambda *a: tables.append(a) or table(*a))
     code = greedy_gv_code(10, 3, 3, tower(2, 1, 2), seed=0)
     assert inits == [code]
+    assert len(tables) == 1  # one product table per call, read by every candidate
 
 
 @pytest.mark.parametrize("p", PRIMES)

@@ -9,8 +9,10 @@ from hierasure import (
     ParameterError,
     UdmSet,
     check_vector_to_udms,
+    dual_basis,
     find_quadratic_root,
     is_correcting,
+    trace_check_matrix,
     udms_to_check_vector,
     verify_udm,
     vontobel_udms,
@@ -193,6 +195,15 @@ class TestEigenvectorBridge:
             h = tuple(ext.from_index(rng.randrange(1, ext.order)) for _ in range(2))
             u = check_vector_to_udms(h, omega)
             assert udms_to_check_vector(u, omega) == h
+        # over non-prime bases too, against the polynomial basis and its dual
+        for p, e, alpha in ((3, 2, 2), (2, 2, 3), (2, 3, 2)):
+            ext = tower(p, e, alpha)
+            poly = ext.polynomial_basis()
+            for omega in (poly, dual_basis(poly)):
+                for _ in range(4):
+                    h = tuple(ext.from_index(rng.randrange(1, ext.order)) for _ in range(3))
+                    u = check_vector_to_udms(h, omega)
+                    assert udms_to_check_vector(u, omega) == h
 
     def test_unit_check_vector_gives_identities(self):
         ext = tower(3, 1, 2)
@@ -215,6 +226,26 @@ class TestEigenvectorBridge:
                 correcting = is_correcting(code, fam).correcting
                 u = check_vector_to_udms(h, omega)
                 assert verify_udm(u).ok == correcting
+
+
+@pytest.mark.parametrize("p, e, alpha, n, m", [(2, 2, 2, 4, 3), (3, 2, 2, 3, 3), (2, 2, 3, 3, 4)])
+def test_trace_check_matrix_is_the_defining_sum(p, e, alpha, n, m):
+    # entry (l, i) = sum_r A_i[r][l] * mu_r, over non-prime bases and for
+    # the polynomial basis and its dual
+    ext = tower(p, e, alpha)
+    u = vontobel_udms(n, alpha, m, ext.base)
+    poly = ext.polynomial_basis()
+    for mu in (poly, dual_basis(poly)):
+        want = []
+        for ell in range(m):
+            row = []
+            for mat in u.matrices:
+                acc = ext.zero()
+                for r in range(alpha):
+                    acc = acc + ext.lift(mat[r][ell]) * mu.elements[r]
+                row.append(acc)
+            want.append(row)
+        assert trace_check_matrix(u, mu) == want
 
 
 class TestUdmCodeEquivalence:
