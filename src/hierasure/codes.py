@@ -14,11 +14,12 @@ vector of a set of columns, and the solution of a system whose
 right-hand side is made of the same columns.  The unknowns are
 coordinates over omega in either spelling.  The power spelling needs no
 extension product: each entry's alpha * e products are one packed
-combination with the code's product table (``expansion_table``).
+combination with the code's product table (``LinearCode.table``).
 
-This module owns every packed layout of an expansion: the product table,
-the blocks, the decoder's tag lanes and their readout.  A basis is only
-the coordinate map they are read against.
+A code owns every packed layout of its expansion: the product table, the
+blocks, the decoder's tag lanes and their readout, and only the code
+reads its table and its tagged columns.  A basis is only the coordinate
+map they are read against.
 """
 
 from __future__ import annotations
@@ -31,49 +32,6 @@ from . import modp
 from .errors import ParameterError, require_int
 from .fields import Element, ExtSpec, OrderedBasis
 from .patterns import PatternFamily
-
-
-def expansion_table(omega: OrderedBasis, lay: modp.Layout) -> tuple[modp.Layout, list[int]]:
-    """The product table of an expansion packed under ``lay`` (a layout
-    whose width is at least D = alpha * e, an expansion column's): D packed
-    ints P_u, one per power unit U_u = y^a * x^d (u = a*e + d), whose group
-    k, lanes [k*D, (k+1)*D), holds the power digits of U_u * w_k,
-    normalized, in lanes of ``lay.bits`` bits.  They are the extension's
-    power multiples of the w_k's power digits (the columns of omega's
-    ``_to_power``) packed as D groups, under a layout with ``lay``'s width
-    and terms (so its bits) and at least D * D lanes, returned with them.
-    P_0 (U_0 = 1) holds the power digits of the w_k themselves."""
-    ext = omega.ext
-    dl = ext.digit_layout
-    n = dl.width  # D
-    tlay = modp.layout(dl.p, lay.width, max(n * n - lay.width, 0), lay.terms)
-    v = tlay.pack([d for col in omega._to_power for d in dl.digits(col)])
-    return tlay, ext.power_multiples(v, tlay, n * n)
-
-
-def pack_column(
-    table: tuple[modp.Layout, list[int]], column, width: int | None = None
-) -> tuple[int, ...]:
-    """The prime-field columns of column * w_k, w_k = omega_j * x^d for k =
-    j*e + d, each packed in the lanes of the ``expansion_table`` given
-    (a layout of len(column) * alpha * e lanes): column k stacks, entry by
-    entry, the alpha * e power digits of each entry times w_k
-    (``ExtSpec.digits``).  Only the first ``width`` columns are built; by
-    default all alpha * e.
-
-    Each entry h is one ``Layout.combination`` of its D power digits with
-    the table, whose group k holds the power digits of h * w_k; column k
-    is group k of every entry, stacked by row.
-    """
-    tlay, products = table
-    n = len(products)  # alpha * e
-    span = n * tlay.bits
-    group = (1 << span) - 1
-    rows = [tlay.combination(h.spec.digits(h.coeffs), products) for h in column]
-    return tuple(
-        sum((v >> k * span & group) << i * span for i, v in enumerate(rows))
-        for k in range(n if width is None else width)
-    )
 
 
 # decode plans kept per code, as many as ``modp.layout`` keeps layouts
@@ -111,11 +69,11 @@ class LinearCode:
     every lane.  The echelons these columns enter keep
     append-only rows, so a walk rolls one back with ``del rows[s:]``.
     Blocks are built on first use from the code's product ``table``
-    (``expansion_table`` under ``layout``, built on first expansion) and
-    kept on the code, in that packed form only: every correctability
-    check and every decode reads its columns from there.
+    (built under ``layout`` on first expansion) and kept on the code, in
+    that packed form only: every correctability check, witness and
+    decode reads its columns from there.
 
-    The decoder reads two more caches, built on first decode.
+    Only the decoder reads two more caches, built on first decode.
     ``decode_columns`` is every block with tag lanes added under
     ``decode_layout`` (``layout`` plus n * alpha * e tag lanes, one group
     of alpha * e per symbol, in lanes of the same bits): column k of
@@ -172,16 +130,38 @@ class LinearCode:
 
     @cached_property
     def table(self) -> tuple[modp.Layout, list[int]]:
-        """``expansion_table`` of omega under ``layout``, built on first
-        expansion."""
-        return expansion_table(self.omega, self.layout)
+        """The product table, built on first expansion: D = alpha * e
+        packed ints P_u, one per power unit U_u = y^a * x^d (u = a*e + d),
+        whose group k, lanes [k*D, (k+1)*D), holds the power digits of U_u *
+        w_k, normalized.  They are the extension's power multiples of the
+        w_k's power digits (the columns of omega's ``_to_power``) packed as
+        D groups, under a layout with ``layout``'s width and terms (so its
+        bits) and at least D * D lanes, returned with them.  P_0 (U_0 = 1)
+        holds the power digits of the w_k themselves."""
+        ext, lay = self.ext, self.layout
+        dl = ext.digit_layout
+        d = dl.width
+        tlay = modp.layout(dl.p, lay.width, max(d * d - lay.width, 0), lay.terms)
+        v = tlay.pack([digit for col in self.omega._to_power for digit in dl.digits(col)])
+        return tlay, ext.power_multiples(v, tlay, d * d)
 
     def block(self, i: int) -> tuple[int, ...]:
-        """Symbol i's block: ``pack_column`` of H[:, i], all alpha * e
-        columns, computed on first use and memoized on the code."""
+        """Symbol i's block, computed on first use and memoized on the
+        code: column k stacks, entry by entry of H[:, i], the alpha * e
+        power digits of the entry times w_k.  Each entry h is one
+        ``Layout.combination`` of its D power digits with the ``table``,
+        whose group k holds the power digits of h * w_k; column k is group
+        k of every entry, stacked by row."""
         block = self._expansion.get(i)
         if block is None:
-            block = self._expansion[i] = pack_column(self.table, [row[i] for row in self.H])
+            tlay, products = self.table
+            d = len(products)  # alpha * e
+            span = d * tlay.bits
+            group = (1 << span) - 1
+            rows = [tlay.combination(self.ext.digits(row[i].coeffs), products) for row in self.H]
+            block = self._expansion[i] = tuple(
+                sum((v >> k * span & group) << j * span for j, v in enumerate(rows)) for k in range(d)
+            )
         return block
 
     @cached_property

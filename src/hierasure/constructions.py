@@ -32,16 +32,17 @@ from dataclasses import dataclass
 
 from . import linalg, modp
 from .bounds import gv_existence_base
-from .codes import LinearCode, code_from_rows, expansion_table, pack_column
+from .codes import LinearCode, code_from_rows
 from .errors import ConstructionError, ParameterError
 from .fields import (
     Element,
     ExtSpec,
     OrderedBasis,
     QuadraticRoot,
-    _subfield_echelon,
     dual_basis,
     find_quadratic_root,
+    first_outside,
+    in_subfield,
     quadratic_root_with_constant,
     subfield_basis,
 )
@@ -73,7 +74,7 @@ def b_symmetric_basis(ext: ExtSpec, root: QuadraticRoot) -> OrderedBasis:
     current = current + [b * w for w in reversed(current)]
     size = 2 * ell
     while size < alpha:
-        gamma = _first_outside(ext, 2 * size, size)
+        gamma = first_outside(ext, 2 * size, size)
         half = size // 2
         doubled = []
         for i in range(half):
@@ -87,25 +88,6 @@ def b_symmetric_basis(ext: ExtSpec, root: QuadraticRoot) -> OrderedBasis:
         if basis.elements[alpha - i - 1] != b * basis.elements[i]:
             raise ConstructionError("mirror relation failed; construction bug")
     return basis
-
-
-def _first_outside(ext: ExtSpec, big_d: int, small_d: int) -> Element:
-    # lexicographically first member of the degree big_d subfield outside
-    # the degree small_d one: the members sum c_k v_k over the big echelon
-    # basis sort as their vectors c do, and with v_j the last basis vector
-    # outside, the answer is the first nonzero scalar times v_j
-    for v in reversed(_subfield_echelon(ext, big_d)):
-        if not _in_subfield(ext, v, small_d):
-            first_nonzero = next(c for c in ext.base.lex_elements() if c)
-            return ext.lift(first_nonzero) * v
-    raise ConstructionError("nested subfields are equal; tower bug")  # pragma: no cover
-
-
-def _in_subfield(ext: ExtSpec, el: Element, d: int) -> bool:
-    # el is fixed by x -> x^(q^d): one packed map of its digits
-    lay = ext.digit_layout
-    digits = ext.digits(el.coeffs)
-    return lay.combination(digits, ext._frobenius_power(d)) == lay.pack(digits)
 
 
 def length2_code(ext: ExtSpec) -> LinearCode:
@@ -252,14 +234,14 @@ def subfield_chain_basis(ext: ExtSpec) -> SubfieldChainBasis:
     beta = alpha.bit_length() - 1
     steps = []
     for i in range(1, beta + 1):
-        steps.append(_first_outside(ext, 1 << i, 1 << (i - 1)))
+        steps.append(first_outside(ext, 1 << i, 1 << (i - 1)))
     word = [ext.one()]
     for gen in steps:
         word = word + [gen * w for w in word]
     basis = OrderedBasis(ext, word)
     for i in range(beta + 1):
         d = alpha >> i
-        if not all(_in_subfield(ext, w, d) for w in word[:d]):
+        if not all(in_subfield(ext, w, d) for w in word[:d]):
             raise ConstructionError("prefix left its subfield; construction bug")
     return SubfieldChainBasis(tuple(steps), basis)
 
@@ -537,9 +519,9 @@ def greedy_gv_code(
     rng = random.Random(seed)
     p, e = ext.base.p, ext.base.e
     k_max = min(alpha, m)
-    width = k_max * e  # a candidate is erased in at most k_max coordinates
+    # over the polynomial basis w_k = y^j * x^d is the power unit U_k, so a
+    # column's expansion is its multiplication columns, with no product table
     lay = modp.layout(p, r * alpha * e)
-    table = expansion_table(omega, lay)
     rows = [[ext.one() if j == i else ext.zero() for j in range(r)] for i in range(r)]
 
     sweep_from = 0  # where the next deterministic sweep starts
@@ -561,13 +543,13 @@ def greedy_gv_code(
     # by_total[b]: the echelon of every total-b pattern on the accepted prefix
     by_total = [[modp.Echelon(lay)]] + [[] for _ in range(m - 1)]
     for column in list(zip(*rows))[: n - 1]:
-        _grow(by_total, pack_column(table, column, width), alpha, e)
+        _grow(by_total, ext.multiplication_columns(column, lay), alpha, e)
     for col in range(r, n):
         checks = [  # (how many candidate columns, prefix echelon)
             (k * e, ech) for k in range(1, k_max + 1) for ech in by_total[m - k]
         ]
         for g in candidates():
-            cols = pack_column(table, g, width)  # packed once, read by every check
+            cols = ext.multiplication_columns(g, lay)  # packed once, read by every check
             for i, (k_e, ech) in enumerate(checks):
                 if not _extends(ech, cols, k_e):
                     checks.insert(0, checks.pop(i))

@@ -18,21 +18,27 @@ spelling exactly when it does in the other, with the same coefficients.
 Those coefficients are coordinates over omega.  Only ``pattern_system``,
 a view for inspection, maps the rows back to coordinates.
 
-The decoder and the witness read those coefficients out through tag
-lanes instead (``LinearCode.decode_columns``): column k of symbol i
-carries the power digits of w_k = omega_j * x^d in symbol i's group of
-alpha * e tag lanes.  Any combination of tagged columns then carries, in
-its tags, the power digits of the word whose coordinate digits are its
+A witness is the first kernel vector of the pattern's erased columns,
+taken untagged from the blocks (``modp.kernel`` tags them one lane per
+erased column): its coefficients are the coordinate digits over omega of
+the erased symbols, made into codeword symbols by
+``OrderedBasis.from_coordinate_digits``.  So a refutation holds state of
+the size of its pattern beside the blocks the walk reads, and never
+builds the decoder's tagged columns.
+
+The decoder reads the coefficients out through the code's tag lanes
+instead (``LinearCode.decode_columns``): column k of symbol i carries
+the power digits of w_k = omega_j * x^d in symbol i's group of alpha * e
+tag lanes.  Any combination of tagged columns then carries, in its
+tags, the power digits of the word whose coordinate digits are its
 coefficients; elimination is linear mod p and treats tag lanes like any
 other, so the tags survive every reduction.  A decode reduces the known
 digits times their tagged columns against the pattern's plan
 (``LinearCode.decode_plan``), the echelon of its erased tagged columns,
 built once per code and pattern; the tags left are the power digits of
 the whole codeword, with no solve and no basis conversion (see
-``decode``).  A witness is the first dependent erased tagged column,
-reduced: a codeword whose power digits are its tags.  The code lays out
-the tags and reads them back (``LinearCode.read_tags``); this module
-reads no tag lane itself.
+``decode``).  The code lays out the tags and reads them back
+(``LinearCode.read_tags``); this module reads none of them itself.
 """
 
 from __future__ import annotations
@@ -136,19 +142,26 @@ def _pattern_witness(code: LinearCode, t) -> tuple[Element, ...]:
     earlier ones raises the F_p rank by a full e, so the first dependent
     F_p column is digit 0 of the first dependent F_q column, and the F_p
     coefficients on each independent earlier block are the e digits of
-    its unique F_q coefficient.  Inserting the erased tagged columns
-    (``LinearCode.decode_columns``) in order, the first dependent one
-    reduces to that dependency, with its tags the power digits of the
-    codeword it spells.
+    its unique F_q coefficient.  ``modp.kernel`` of the erased columns,
+    untagged, in blocks of e, gives those coefficients; they are the
+    coordinate digits over omega of each symbol's erased coordinates, and
+    every other coordinate is 0.
     """
     e = code.ext.base.e
-    ech = modp.Echelon(code.decode_layout)
-    for block, ti in zip(code.decode_columns, t):
-        for v in block[: ti * e]:
-            left = ech.insert(v)
-            if left is not None:
-                return code.read_tags(left)
-    raise ParameterError(f"pattern {t} is correctable; no witness exists")
+    erased = [v for i, ti in enumerate(t) if ti for v in code.block(i)[: ti * e]]
+    x = next((v for v in modp.kernel(erased, code.layout, e) if v is not None), None)
+    if x is None:
+        raise ParameterError(f"pattern {t} is correctable; no witness exists")
+    ext, omega = code.ext, code.omega
+    pad = ext.alpha * e
+    word, at = [], 0
+    for ti in t:
+        if ti:
+            word.append(omega.from_coordinate_digits(x[at : at + ti * e] + [0] * (pad - ti * e)))
+            at += ti * e
+        else:
+            word.append(ext.zero())
+    return tuple(word)
 
 
 def is_correcting(

@@ -14,8 +14,10 @@ packed step, ``power_multiples``: the products of a packed value by the
 field's power units (x^d in the base field, y^a * x^d in the extension),
 made by lane shifts with the folds read off the moduli.  Every F_p
 matrix of multiplication by an element comes from it: the product
-tables of code expansions (``codes.expansion_table``), ``linalg``
-blocks, UDM digit rows and both matrices of the irreducibility test.
+tables of code expansions (``codes.LinearCode.table``), the columns of
+multiplication by a column of elements (``multiplication_columns``:
+``linalg`` blocks, UDM digit rows and greedy GV's candidates) and both
+matrices of the irreducibility test.
 Multiplication with prime-field coefficients (the base field, and an
 extension of a prime field) is one packed multiply:
 both factors packed one coefficient per lane, the product's high lanes
@@ -292,6 +294,15 @@ class _Field:
         if _rank(moved, lay) != n - c:
             return False
         return _rank(self.power_multiples(lay.pack(df), lay, n), lay) == n
+
+    def multiplication_columns(self, column: Sequence["Element"], lay: modp.Layout) -> list[int]:
+        """The F_p columns of multiplication by each power unit U_u on a
+        column of the field's elements: the entries' digits stacked and
+        packed under ``lay``, and their ``power_multiples``, so column u
+        stacks the digits of U_u * h, entry by entry.  A K-matrix column
+        becomes these ``digit_layout.width`` columns over F_p."""
+        digits = [d for h in column for d in self.digits(h.coeffs)]
+        return self.power_multiples(lay.pack(digits), lay, len(digits))
 
     # -- raw arithmetic ----------------------------------------------------
 
@@ -816,7 +827,7 @@ class OrderedBasis:
     the extension's ``digit_layout``, so a conversion is one packed
     matrix-vector product (``modp.mat_vec``).  Column k of ``_to_power``
     is the power digits of w_k, which a code's product table is built
-    from (``codes.expansion_table``); the basis caches no table and no
+    from (``codes.LinearCode.table``); the basis caches no table and no
     tags.
     """
 
@@ -957,6 +968,29 @@ def _subfield_echelon(ext: ExtSpec, d: int) -> list[Element]:
     # reversed subfield map is 1 at its free column, 0 at the other free
     # columns and after it, so read back to front it is an echelon row
     return [Element(ext, ext.from_digits(v)[::-1]) for v in reversed(_subfield_kernel(ext, d, reverse=True))]
+
+
+def in_subfield(ext: ExtSpec, el: Element, d: int) -> bool:
+    """True when el lies in the subfield with q^d elements: el is fixed by
+    x -> x^(q^d), one packed map of its digits."""
+    lay = ext.digit_layout
+    digits = ext.digits(el.coeffs)
+    return lay.combination(digits, ext._frobenius_power(d)) == lay.pack(digits)
+
+
+def first_outside(ext: ExtSpec, big_d: int, small_d: int) -> Element:
+    """The lexicographically first member of the degree big_d subfield
+    outside the degree small_d one.
+
+    The members sum c_k v_k over the big subfield's echelon basis sort as
+    their vectors c do, and with v_j the last basis vector outside, the
+    answer is the first nonzero scalar times v_j.
+    """
+    for v in reversed(_subfield_echelon(ext, big_d)):
+        if not in_subfield(ext, v, small_d):
+            first_nonzero = next(c for c in ext.base.lex_elements() if c)
+            return ext.lift(first_nonzero) * v
+    raise ConstructionError("nested subfields are equal; tower bug")  # pragma: no cover
 
 
 @dataclass(frozen=True, slots=True)

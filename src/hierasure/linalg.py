@@ -10,8 +10,8 @@ its columns packed one per int.
 A field K of the tower has a prime-field basis of ``deg`` power units
 (x^d for the base field, y^a x^d for the extension), the first of them
 1, and each column of a K-matrix becomes a block of ``deg`` F_p columns,
-the column times each power unit: the field's ``power_multiples`` of the
-column's digits, packed.  The blocks are inserted left to right.  A
+the column times each power unit (the field's
+``multiplication_columns``).  The blocks are inserted left to right.  A
 column in the K-span of the columns before it is found by its digit-0
 F_p column alone: that column then reduces to zero, and its tags hold,
 digit by digit, the coefficients of the column's canonical kernel vector.
@@ -33,12 +33,10 @@ def _linearize(rows: Sequence[Sequence], ncols: int, spec):
     """The layout, deg and the packed F_p columns of the matrix, a block of
     deg per column."""
     deg = spec.digit_layout.width
-    height = len(rows) * deg
-    lay = modp.layout(spec.digit_layout.p, height)
+    lay = modp.layout(spec.digit_layout.p, len(rows) * deg)
     columns = []
     for j in range(ncols):
-        column = lay.pack([d for row in rows for d in spec.digits(row[j].coeffs)])
-        columns += spec.power_multiples(column, lay, height)
+        columns += spec.multiplication_columns([row[j] for row in rows], lay)
     return lay, deg, columns
 
 

@@ -89,19 +89,9 @@ def element_to_json(el: Element) -> list:
     return [int(x) for x in el.coeffs]
 
 
-@_loader("element")
-def base_element_from_json(field: FieldSpec, obj) -> Element:
-    return field.element(tuple(obj))
-
-
-@_loader("element")
-def ext_element_from_json(ext: ExtSpec, obj) -> Element:
-    return ext.element(tuple(tuple(c) for c in obj))
-
-
-# The payload loaders build their elements through these two: each
-# element as the public loader above builds it, with one error handler per
-# list instead of one per element, so a bad element reads the same.
+# Every payload loader builds its elements through these two: each
+# element checked whole by its field's ``element``, with one error handler
+# per list instead of one per element.
 
 
 @_loader("element")

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field as dc_field
 from functools import cached_property
 from typing import Mapping, Sequence
 
-from . import linalg, modp
+from . import modp
 from .errors import ConstructionError, MissingEigenvectorError, ParameterError
 from .fields import Element, FieldSpec, OrderedBasis, lucas_binom
 from .patterns import ErasurePattern, FullFamily, family_trie
@@ -71,13 +71,12 @@ class UdmSet:
 
 
 def _digit_rows(u: UdmSet) -> tuple[modp.Layout, list[list[int]]]:
-    # per matrix, its rows as linalg linearizes the columns of its
-    # transpose: each F_q row v becomes the e prime-field rows x^d * v (the
-    # field's power multiples of v), so a prefix of t_i rows becomes a
-    # prefix of t_i * e digit rows, each packed under the layout of m * e
-    # digits
-    linear = [linalg._linearize(tuple(zip(*mat)), u.alpha, u.field) for mat in u.matrices]
-    return linear[0][0], [columns for _, _, columns in linear]
+    # per matrix, its rows over F_p: each F_q row v becomes the e
+    # prime-field rows x^d * v (the field's multiplication columns of v),
+    # so a prefix of t_i rows becomes a prefix of t_i * e digit rows, each
+    # packed under the layout of m * e digits
+    lay = modp.layout(u.field.p, u.m * u.field.e)
+    return lay, [[v for row in mat for v in u.field.multiplication_columns(row, lay)] for mat in u.matrices]
 
 
 def verify_udm(u: UdmSet) -> UdmCheck:

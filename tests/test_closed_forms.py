@@ -2,7 +2,7 @@
 
 ``maximal_patterns`` generates the balanced and power maxima directly,
 ``enumerate_family`` walks only balanced and power members, and
-``constructions._first_outside`` reads the lexicographically first member
+``fields.first_outside`` reads the lexicographically first member
 of one subfield outside a smaller one off the bigger subfield's echelon
 basis; the references in ``reference.py`` are the dominance filter over
 every family member, the filter of the bounded simplex, and a scan of the
@@ -25,8 +25,7 @@ from hierasure import (
     maximal_patterns,
     subfield_chain_basis,
 )
-from hierasure.constructions import _first_outside, _in_subfield
-from hierasure.fields import _subfield_echelon, subfield_basis
+from hierasure.fields import _subfield_echelon, first_outside, in_subfield, subfield_basis
 from reference import _in_subfield as reference_in_subfield
 from reference import (
     reference_enumerate_family,
@@ -108,7 +107,7 @@ class TestSubfieldWalk:
         pairs = _nested_pairs(ext)
         assert pairs
         for big, small in pairs:
-            assert _first_outside(ext, big, small) == reference_first_outside(ext, big, small), (big, small)
+            assert first_outside(ext, big, small) == reference_first_outside(ext, big, small), (big, small)
 
     @pytest.mark.parametrize("p,e,alpha", SUBFIELD_TOWERS + [(11, 1, 8)])
     def test_chain_steps_match_reference(self, p, e, alpha):
@@ -138,12 +137,12 @@ class TestSubfieldMembership:
             ]
             for el in basis + _subfield_echelon(ext, d) + combos:
                 assert reference_in_subfield(ext, el, d)
-                assert _in_subfield(ext, el, d)
+                assert in_subfield(ext, el, d)
             if d < alpha:
                 assert not reference_in_subfield(ext, y, d)
-                assert not _in_subfield(ext, y, d)
+                assert not in_subfield(ext, y, d)
             for el in others:
-                assert _in_subfield(ext, el, d) == reference_in_subfield(ext, el, d), (d, el)
+                assert in_subfield(ext, el, d) == reference_in_subfield(ext, el, d), (d, el)
 
 
 class TestSubfieldBases:

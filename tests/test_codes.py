@@ -13,8 +13,7 @@ from hierasure import (
     find_quadratic_root,
     is_correcting,
 )
-from hierasure import codes, modp
-from hierasure.codes import pack_column
+from hierasure import modp
 from reference import reference_expand_column
 from test_differential import TOWERS, random_code
 import element_linalg
@@ -45,23 +44,19 @@ def test_trace_code_rank_expands_each_coordinate_once(monkeypatch):
     # once across the rank and a full correctability check that reuses
     # the stored blocks.
     _, code = trace_instance()
-    tables, calls = [], []
-    real_table, real_combination = codes.expansion_table, modp.Layout.combination
-
-    def table(omega, lay):
-        tables.append(real_table(omega, lay))
-        return tables[-1]
+    assert "table" not in vars(code)
+    calls = []
+    real_combination = modp.Layout.combination
 
     def combination(lay, coeffs, vectors):
-        if any(vectors is products for _, products in tables):
-            calls.append(list(coeffs))
+        calls.append((vectors, list(coeffs)))
         return real_combination(lay, coeffs, vectors)
 
-    monkeypatch.setattr(codes, "expansion_table", table)
     monkeypatch.setattr(modp.Layout, "combination", combination)
     assert (code.rank, code.dim) == (5, 3)
     assert is_correcting(code, code.claim).correcting
-    assert len(tables) == 1 and code.table is tables[0]
+    _, products = code.table
+    calls = [coeffs for vectors, coeffs in calls if vectors is products]
     assert len(calls) == 40
     assert calls == [code.ext.digits(row[i].coeffs) for i in range(code.n) for row in code.H]
 
@@ -85,7 +80,9 @@ def test_blocks_match_element_products(p, e, alpha):
                 want = reference_expand_column(omega, column)
                 assert _digits(code, i) == want, (name, r, i)
                 lay = code.layout
-                assert pack_column(code.table, column, e) == tuple(map(lay.pack, want[:e]))
+                if name == "polynomial":
+                    # w_k is the power unit U_k: the table is the identity map
+                    assert code.ext.multiplication_columns(column, lay) == list(map(lay.pack, want))
             # the table's lanes hold the code's n * alpha * e terms, in the code's bits
             tlay, products = code.table
             assert (tlay.width, tlay.terms, tlay.bits) == (r * alpha * e, 3 * alpha * e, lay.bits)

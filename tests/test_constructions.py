@@ -31,7 +31,7 @@ from hierasure import (
     verify_udm,
     vontobel_udms,
 )
-from hierasure.constructions import _in_subfield
+from hierasure.fields import in_subfield
 import element_linalg
 from reference import reference_subfield_members
 from towers import tower
@@ -235,7 +235,7 @@ class TestSubfieldChain:
             prefix = chain.omega.elements[:d]
             # inside the subfield, and spanning it
             for w in prefix:
-                assert _in_subfield(ext, w, d)
+                assert in_subfield(ext, w, d)
             rows = [list(ext.polynomial_basis().coordinates(w)) for w in prefix]
             assert element_linalg.rank(rows, base) == d
 
@@ -243,8 +243,8 @@ class TestSubfieldChain:
         ext = tower(3, 1, 4)
         chain = subfield_chain_basis(ext)
         for i, s in enumerate(chain.steps, start=1):
-            assert _in_subfield(ext, s, 1 << i)
-            assert not _in_subfield(ext, s, 1 << (i - 1))
+            assert in_subfield(ext, s, 1 << i)
+            assert not in_subfield(ext, s, 1 << (i - 1))
 
     def test_kronecker_structure(self):
         ext = tower(5, 1, 4)
@@ -396,7 +396,7 @@ class TestBalancedCode:
             # entries stay inside the subfield the fold has reached
             for row in matrix:
                 for entry in row:
-                    assert _in_subfield(ext, entry, 1 << level)
+                    assert in_subfield(ext, entry, 1 << level)
             matrix = fold_halves(matrix, chain.steps[level])
             level += 1
 

@@ -5,15 +5,19 @@ plan, the echelon of a pattern's erased tagged columns, built once per
 (code, pattern) and kept on the code with the list of the pattern's
 known tagged columns.  A column's tag lanes carry the power digits of
 its basis element w_k, so the tag lanes of the reduced vector are the
-codeword's power digits, and the same tagged columns give the witness
-of a pattern that is not correctable.  The tests pin that sign, and
-check plan reuse (no insert on a second word, tampered and honest words
-through one plan, separate plans per code, the cap), the tower check on
-each known element, the zero codeword, and words that drive the
-right-hand side's lanes to their bound (every known digit p - 1 under the
-zero pattern is one sum of exactly the terms the lanes hold), over the primes of ``test_modp``
-and towers with e = 2 and e = 3, all against ``reference_decode`` and
-``reference_witness``.
+codeword's power digits.  The witness of a pattern that is not
+correctable needs no tagged column: it is the first kernel vector of the
+pattern's erased block columns, read as coordinates over omega, and a
+refutation builds none of the decoder's tagged state, so its memory
+grows linearly in n.  The tests pin the decode's sign, and check plan
+reuse (no insert on a second word, tampered and honest words through
+one plan, separate plans per code, the cap), the tower check on each
+known element, the zero codeword, and words that drive the right-hand
+side's lanes to their bound (every known digit p - 1 under the zero
+pattern is one sum of exactly the terms the lanes hold), over the primes
+of ``test_modp`` and towers with e = 2 and e = 3, all against
+``reference_decode`` and ``reference_witness`` (witnesses also over the
+dual basis).
 """
 
 import itertools
@@ -37,7 +41,9 @@ from hierasure import (
     codes,
     correctability,
     decode,
+    dual_basis,
     enumerate_family,
+    is_correcting,
     kernel_basis,
     modp,
 )
@@ -341,20 +347,47 @@ class TestLanesAtTheirBound:
         assert statuses == {"decoded", "ambiguous", "inconsistent"}
 
 
-@pytest.mark.parametrize("p", PRIMES)
-def test_witnesses_match_reference(p):
+@pytest.mark.parametrize(
+    "p, e",
+    [pytest.param(p, 1, id=str(p)) for p in PRIMES] + [pytest.param(2, e, id=f"2^{e}") for e in (2, 3)],
+)
+def test_witnesses_match_reference(p, e):
     # every pattern of a full family on small random codes, some with a
-    # zero column or a dependent row, so many patterns fail
-    rng = random.Random(f"witness/{p}")
-    ext = tower(p, 1, 2)
+    # zero column or a dependent row, so many patterns fail; each code over
+    # its own basis (polynomial or random) and over the dual of the
+    # polynomial basis, on prime towers and over GF(4) and GF(8)
+    rng = random.Random(f"witness/{p}" if e == 1 else f"witness/{p}^{e}")
+    ext = tower(p, e, 2)
+    dual = dual_basis(ext.polynomial_basis())
     failing = 0
     for k in range(4):
         code = random_code(ext, rng.randrange(2, 4), rng.randrange(1, 3), rng, k % 2 == 1, k >= 2)
-        for t in enumerate_family(FullFamily(2, 2 * code.r, code.n)):
-            if reference_correctable(code, t):
-                with pytest.raises(ParameterError):
-                    correctability._pattern_witness(code, t)
-            else:
-                assert correctability._pattern_witness(code, t) == reference_witness(code, t)
-                failing += 1
+        for code in (code, code_from_rows(ext, code.H, dual)):
+            for t in enumerate_family(FullFamily(2, 2 * code.r, code.n)):
+                if reference_correctable(code, t):
+                    with pytest.raises(ParameterError):
+                        correctability._pattern_witness(code, t)
+                else:
+                    assert correctability._pattern_witness(code, t) == reference_witness(code, t)
+                    failing += 1
     assert failing > 0
+
+
+def test_refutation_state_is_linear():
+    # full:3 fails on the GF(4) parity code (the last two symbols' first
+    # coordinates cancel), and the refutation reads the pattern's erased
+    # columns untagged: its peak memory grows with n, and the decoder's
+    # n^2 tagged columns are never built
+    peaks = []
+    for n in (600, 1200):
+        code = long_code(n)
+        tracemalloc.start()
+        try:
+            report = is_correcting(code, FullFamily(2, 3, n))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert not report.correcting
+        assert sum(1 for c in report.witness if c) == 2
+        assert "decode_columns" not in code.__dict__
+    assert peaks[1] <= 2.5 * peaks[0], peaks

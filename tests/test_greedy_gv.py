@@ -23,15 +23,14 @@ import pytest
 
 from hierasure import (
     ConstructionError,
+    ExtSpec,
     FullFamily,
     LinearCode,
-    constructions,
     greedy_gv_code,
     maximal_patterns,
     modp,
     serialize,
 )
-from hierasure.codes import expansion_table, pack_column
 from hierasure.constructions import _extends, _grow
 from reference import reference_greedy_gv_code, reference_prefix_echelons
 from towers import tower
@@ -85,8 +84,8 @@ def test_sweep_resumes_where_the_last_one_stopped(monkeypatch):
     # are packed, against 127 when every sweep starts at index 0, plus one
     # pack per identity column; the code is the reference's
     packed = []
-    pack = constructions.pack_column
-    monkeypatch.setattr(constructions, "pack_column", lambda *a, **k: packed.append(1) or pack(*a, **k))
+    pack = ExtSpec.multiplication_columns
+    monkeypatch.setattr(ExtSpec, "multiplication_columns", lambda *a: packed.append(1) or pack(*a))
     with pytest.warns(UserWarning, match="field size"):
         greedy_gv_code(10, 3, 3, tower(2, 1, 2), budget=0)
     assert len(packed) == 3 + 40
@@ -135,8 +134,7 @@ def test_grown_echelons_match_walk(instance):
     code = greedy_gv_code(n, r, m, ext, seed=0)
     alpha, e = ext.alpha, ext.base.e
     lay = modp.layout(ext.base.p, r * alpha * e)
-    table = expansion_table(code.omega, lay)
-    columns = [pack_column(table, col) for col in zip(*code.H)]
+    columns = [ext.multiplication_columns(col, lay) for col in zip(*code.H)]
     digits = [[lay.digits(v) for v in block] for block in columns]
     by_total = [[modp.Echelon(lay)]] + [[] for _ in range(m - 1)]
     for length in range(1, n):
@@ -162,7 +160,7 @@ def test_grow_rejects_a_dependent_prefix():
     # a repeated column makes the pattern erasing one coordinate of each dependent
     ext = tower(2, 1, 2)
     lay = modp.layout(2, 2 * 2)
-    column = pack_column(expansion_table(ext.polynomial_basis(), lay), [ext.one(), ext.one()])
+    column = ext.multiplication_columns([ext.one(), ext.one()], lay)
     by_total = [[modp.Echelon(lay)], [], []]
     _grow(by_total, column, 2, 1)
     assert [len(echs) for echs in by_total] == [1, 1, 1]
@@ -180,12 +178,11 @@ def test_builds_one_code(monkeypatch):
         original(self)
 
     monkeypatch.setattr(LinearCode, "__post_init__", counted)
-    tables = []
-    table = constructions.expansion_table
-    monkeypatch.setattr(constructions, "expansion_table", lambda *a: tables.append(a) or table(*a))
     code = greedy_gv_code(10, 3, 3, tower(2, 1, 2), seed=0)
     assert inits == [code]
-    assert len(tables) == 1  # one product table per call, read by every candidate
+    # over the polynomial basis a column's expansion is its multiplication
+    # columns, so no product table is built
+    assert "table" not in vars(code)
 
 
 @pytest.mark.parametrize("p", PRIMES)

@@ -8,6 +8,7 @@ from hierasure import (
     FullFamily,
     ParameterError,
     PowerFamily,
+    UdmSet,
     apply_erasure,
     balanced_code,
     fields,
@@ -27,15 +28,18 @@ def canon(payload):
 
 class TestElements:
     def test_nested_coefficient_arrays(self):
+        # elements load only inside payloads: an extension element in a
+        # codeword, a base element in a UDM set
         ext = tower(2, 2, 2)
         el = ext.from_index(7)
-        payload = serialize.element_to_json(el)
-        assert serialize.ext_element_from_json(ext, payload) == el
+        payload = serialize.codeword_to_json([el])
+        assert payload == [serialize.element_to_json(el)] == [[[1, 1], [1, 0]]]
+        assert serialize.codeword_from_json(ext, payload) == (el,)
         base_el = ext.base.from_index(3)
-        assert (
-            serialize.base_element_from_json(ext.base, serialize.element_to_json(base_el))
-            == base_el
-        )
+        u = UdmSet(ext.base, 1, 1, (((base_el,),),))
+        payload = serialize.udms_to_json(u)
+        assert payload["matrices"] == [[[serialize.element_to_json(base_el)]]] == [[[[1, 1]]]]
+        assert serialize.udms_from_json(payload).matrices == (((base_el,),),)
 
 
 class TestFamilies:
