@@ -2,19 +2,50 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
+import time
 from pathlib import Path
 
 import pytest
 
-from hierasure import FullFamily, code_from_rows, find_quadratic_root, serialize
+from hierasure import FullFamily, ReceivedWord, code_from_rows, find_quadratic_root, serialize
 from hierasure import apply_erasure, b_symmetric_basis, kernel_basis, length2_code, maximal_patterns
 from hierasure import fields, make_tower
 from hierasure.cli import main
-from towers import long_code, tower
+from towers import LONG, long_code, tower
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run(*argv):
     return main(list(argv))
+
+
+def construct(tmp_path, *argv):
+    out = tmp_path / "code.json"
+    assert run("construct", *argv, "--out", str(out)) == 0
+    return out
+
+
+def run_child(*argv, timeout):
+    """Run ``python -m hierasure ARGV`` in a child process with src on the
+    path, killed after ``timeout`` seconds; return its exit code, its
+    stdout and its own max RSS in MiB.  The RSS is ``os.wait4``'s for that
+    one child: ``RUSAGE_CHILDREN`` here would report the largest child of
+    the whole test run."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    with tempfile.TemporaryFile("w+") as out:
+        proc = subprocess.Popen([sys.executable, "-m", "hierasure", *argv], stdout=out, env=env)
+        deadline = time.monotonic() + timeout
+        while not (done := os.wait4(proc.pid, os.WNOHANG))[0]:
+            if time.monotonic() > deadline:
+                proc.kill()
+                proc.wait()
+                pytest.fail(f"hierasure {' '.join(argv)} ran past {timeout} s")
+            time.sleep(0.01)
+        proc.returncode = os.waitstatus_to_exitcode(done[1])
+        out.seek(0)
+        return proc.returncode, out.read(), done[2].ru_maxrss / 1024
 
 
 class TestConstructVerify:
@@ -33,16 +64,24 @@ class TestConstructVerify:
         assert run("verify", "--code", str(out), "--family", "full:2") == 0
         assert run("verify", "--code", str(out), "--family", "full:1") == 0
 
-    def test_verify_failure_exit_code_and_counterexample(self, tmp_path, capsys):
-        ext = tower(2, 1, 2)
-        omega = b_symmetric_basis(ext, find_quadratic_root(ext))
-        bad = code_from_rows(ext, [[ext.one(), ext.one()]], omega, FullFamily(2, 2, 2))
-        path = tmp_path / "bad.json"
-        path.write_text(json.dumps(serialize.code_to_json(bad)))
-        assert run("verify", "--code", str(path), "--json") == 1
+    @pytest.mark.parametrize(
+        "balanced,family,counterexample",
+        [
+            pytest.param((), (), [1, 1], id="parity-pair"),
+            # over GF(3^2) the walk takes unit e = 2 vectors down the power family's trie
+            pytest.param(("--p", "3", "--e", "2", "--alpha", "4", "--n", "4"), ("--family", "power"), [1, 1, 0, 2],
+                         id="balanced-gf3^2-power"),
+        ],
+    )
+    def test_verify_failure_exit_code_and_counterexample(
+        self, tmp_path, refuted_code, capsys, balanced, family, counterexample
+    ):
+        path = str(construct(tmp_path, "balanced", *balanced)) if balanced else refuted_code
+        capsys.readouterr()
+        assert run("verify", "--code", path, *family, "--json") == 1
         report = json.loads(capsys.readouterr().out)
         assert report["correcting"] is False
-        assert report["counterexample"] == [1, 1]
+        assert report["counterexample"] == counterexample
         assert report["witness"] is not None
 
     def test_verify_code_longer_than_the_recursion_limit(self, tmp_path, capsys):
@@ -52,6 +91,32 @@ class TestConstructVerify:
         path.write_text(json.dumps(serialize.code_to_json(long_code())))
         assert run("verify", "--code", str(path)) == 0
         assert "correcting: True" in capsys.readouterr().out
+        # pattern lists, walked as one trie over index ranges of the sorted
+        # list: single erasures are corrected, and the last two symbols'
+        # first coordinates cancel
+        pats = tmp_path / "pats.json"
+        single = [[int(k == i) for k in range(LONG)] for i in (0, LONG - 1, 550)]
+        last_two = [int(k >= LONG - 2) for k in range(LONG)]
+        for listed, rc in ((single, 0), ([single[0], last_two], 1)):
+            pats.write_text(json.dumps(listed))
+            assert run("verify", "--code", str(path), "--patterns", str(pats)) == rc
+
+    def test_ten_thousand_symbols_in_bounded_time_and_memory(self, tmp_path):
+        # full:1's trie ends each path where the budget is spent, so the walk
+        # is linear in the length: each child takes under 1 s on 2 cores,
+        # and a walk of every level of every leaf about 26 s.  full:3 fails,
+        # the last two symbols' first coordinates cancelling; the witness is
+        # read from the pattern's erased columns (the decoder's n^2 tagged
+        # columns peaked near 1 GiB)
+        path = tmp_path / "long10k.json"
+        path.write_text(json.dumps(serialize.code_to_json(long_code(10_000))))
+        assert run_child("verify", "--code", str(path), timeout=10)[0] == 0
+        rc, out, rss = run_child("verify", "--code", str(path), "--family", "full:3", "--json", timeout=10)
+        assert rc == 1
+        report = json.loads(out)
+        assert {i: v for i, v in enumerate(report["counterexample"]) if v} == {9998: 1, 9999: 2}
+        assert sum(1 for w in report["witness"] if any(map(any, w))) == 2
+        assert rss <= 200, rss
 
     def test_verify_pattern_file(self, tmp_path):
         out = tmp_path / "code.json"
@@ -105,15 +170,26 @@ class TestConstructVerify:
     @pytest.mark.parametrize(
         "kind,args",
         [
-            ("trace", ["--n", "3", "--m", "2"]),
-            ("n2ext", []),
-            ("gabidulin", ["--n", "2", "--r", "1"]),
+            ("trace", ["--p", "2", "--alpha", "2", "--n", "3", "--m", "2"]),
+            ("n2ext", ["--p", "2", "--alpha", "2"]),
+            ("gabidulin", ["--p", "2", "--alpha", "2", "--n", "2", "--r", "1"]),
+            pytest.param("balanced", ["--p", "3", "--e", "2", "--alpha", "4", "--n", "4"], id="balanced-gf3^2"),
+            pytest.param("balanced", ["--p", "11", "--alpha", "8", "--n", "8"], id="balanced-gf11^8"),
+            pytest.param("balanced", ["--p", "65521", "--alpha", "4", "--n", "4"], id="balanced-gf65521^4"),
+            pytest.param("length2", ["--p", "3", "--e", "2", "--alpha", "2"], id="length2-gf3^2"),
+            # two doubling steps of the mirrored basis, each subfield
+            # representative in closed form
+            pytest.param("length2", ["--p", "65521", "--alpha", "8"], id="length2-gf65521^8"),
+            # m = 5 > alpha = 3: totals up to 4, each column erased in up to
+            # alpha coordinates
+            pytest.param("gv", ["--p", "2", "--alpha", "3", "--n", "8", "--r", "3", "--m", "5", "--seed", "0"],
+                         id="gv-m-above-alpha"),
         ],
     )
     def test_other_constructions(self, tmp_path, kind, args):
-        out = tmp_path / "code.json"
-        assert run("construct", kind, "--p", "2", "--alpha", "2", *args, "--out", str(out)) == 0
-        assert run("verify", "--code", str(out)) == 0
+        out = str(construct(tmp_path, kind, *args))
+        assert run("verify", "--code", out) == 0
+        assert run("verify", "--code", out, "--all-patterns") == 0
 
     def test_gv_construction(self, tmp_path):
         out = tmp_path / "code.json"
@@ -126,18 +202,27 @@ class TestConstructVerify:
         )
         assert run("verify", "--code", str(out)) == 0
 
-    def test_gv_warning_and_failure_are_one_line_each(self, tmp_path, capsys):
-        # GF(2^3) is below the existence threshold at n = 12: the library
-        # warns, then the search gives up; stderr holds exactly those two
-        # lines, with no file path, line number or source line
+    @pytest.mark.parametrize(
+        "kind,args,rc,prefixes",
+        [
+            # GF(2^3) is below the existence threshold at n = 12: the library
+            # warns, then the search gives up
+            pytest.param("gv", ["--p", "2", "--alpha", "3", "--n", "12", "--r", "3", "--m", "5", "--seed", "0"], 1,
+                         ["warning: field size 2 ", "construction failed: "], id="gv-n12"),
+            # GF(5) has exactly n = 5 elements: the default nodes take the zero node
+            pytest.param("balanced", ["--p", "5", "--alpha", "2", "--n", "5"], 0,
+                         ["warning: field has exactly n elements"], id="balanced-q5"),
+        ],
+    )
+    def test_warnings_and_failures_are_one_line_each(self, tmp_path, capsys, kind, args, rc, prefixes):
+        # stderr holds exactly these lines, with no file path, line number or
+        # source line
         out = tmp_path / "code.json"
-        args = ["--p", "2", "--alpha", "3", "--n", "12", "--r", "3", "--m", "5", "--seed", "0"]
-        assert run("construct", "gv", *args, "--out", str(out)) == 1
+        assert run("construct", kind, *args, "--out", str(out)) == rc
         lines = capsys.readouterr().err.splitlines()
-        assert len(lines) == 2, lines
-        assert lines[0].startswith("warning: field size 2 ")
-        assert lines[1].startswith("construction failed: ")
-        assert not out.exists()
+        assert len(lines) == len(prefixes), lines
+        assert all(line.startswith(prefix) for line, prefix in zip(lines, prefixes)), lines
+        assert out.exists() == (rc == 0)
 
     def test_power_with_explicit_nodes(self, tmp_path):
         out = tmp_path / "code.json"
@@ -200,6 +285,42 @@ class TestDecodeCommand:
         report = json.loads(capsys.readouterr().out)
         assert report["status"] == "decoded"
         assert report["codeword"] == serialize.codeword_to_json(word)
+
+    @pytest.mark.parametrize(
+        "tower,pattern,tampered",
+        [
+            (("--p", "3", "--e", "2", "--alpha", "4", "--n", "4"), (2, 0, 0, 0), (3, 0)),
+            # every extension product is one packed multiply of 8 lanes
+            (("--p", "11", "--alpha", "8", "--n", "8"), (2, 2, 2, 0, 0, 0, 0, 0), (7, 0)),
+            # n * alpha * e = 16 products of (p - 1)^2 each: the right-hand side
+            # sums the 15 known digits in the widest lanes of the suite
+            (("--p", "65521", "--alpha", "4", "--n", "4"), (1, 0, 0, 0), (3, 3)),
+        ],
+        ids=["gf3^2", "gf11^8", "gf65521^4"],
+    )
+    def test_honest_word_decodes_and_tampered_word_is_inconsistent(
+        self, tmp_path, capsys, tower, pattern, tampered
+    ):
+        # the codeword is the sum of the kernel basis; the tampered word moves
+        # known coordinate j of symbol i by one
+        code_path = construct(tmp_path, "balanced", *tower)
+        code = serialize.code_from_json(json.loads(code_path.read_text()))
+        word = tuple(sum(s[1:], s[0]) for s in zip(*kernel_basis(code)))
+        honest = apply_erasure(word, pattern, code.omega)
+        known = [list(s) for s in honest.known]
+        i, j = tampered
+        known[i][j] += code.ext.base.one()
+        bad = ReceivedWord(code.omega, honest.pattern, tuple(map(tuple, known)))
+        rw_path = tmp_path / "rw.json"
+        for rw, rc, want in (
+            (honest, 0, {"status": "decoded", "codeword": serialize.codeword_to_json(word)}),
+            (bad, 1, {"status": "inconsistent"}),
+        ):
+            rw_path.write_text(json.dumps(serialize.received_to_json(rw)))
+            capsys.readouterr()
+            assert run("decode", "--code", str(code_path), "--received", str(rw_path), "--json") == rc
+            report = json.loads(capsys.readouterr().out)
+            assert {k: report[k] for k in want} == want
 
     def test_ambiguous_exits_1(self, tmp_path):
         ext = tower(2, 1, 2)
@@ -307,29 +428,41 @@ class TestParserReuse:
             "command": "verify", "code": str(code), "all_patterns": False, "out": str(b),
         }
         fresh = tmp_path / "fresh.json"
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-        proc = subprocess.run(
-            [sys.executable, "-m", "hierasure", "verify", "--code", str(code), "--out", str(fresh)],
-            capture_output=True, text=True, env=env, timeout=60,
-        )
-        assert proc.returncode == 0, proc.stderr
+        assert run_child("verify", "--code", str(code), "--out", str(fresh), timeout=60)[0] == 0
         assert b.read_bytes() == fresh.read_bytes()
         fresh_manifest = json.loads((tmp_path / "fresh.json.manifest.json").read_text())
         assert fresh_manifest["parameters"] == {**manifest["parameters"], "out": str(fresh)}
 
 
 class TestUdmCommands:
-    def test_build_then_verify(self, tmp_path):
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("--p", "3", "--alpha", "2", "--m", "3", "--n", "3"),
+            # the classical (8, 4, 5) set
+            ("--p", "7", "--alpha", "4", "--m", "5", "--n", "8"),
+            # each entry is a pair of GF(3) digits, so the walk takes unit
+            # e = 2 vectors per row
+            ("--p", "3", "--e", "2", "--alpha", "3", "--m", "4", "--n", "6"),
+        ],
+        ids=["gf3", "gf7", "gf3^2"],
+    )
+    def test_build_then_verify(self, tmp_path, capsys, argv):
         out = tmp_path / "udm.json"
-        assert (
-            run(
-                "udm", "build", "--p", "3", "--alpha", "2", "--m", "3",
-                "--n", "3", "--out", str(out),
-            )
-            == 0
-        )
+        assert run("udm", "build", *argv, "--out", str(out)) == 0
         assert run("udm", "verify", "--udm", str(out)) == 0
+        # entry (0, 0) of matrix 0 set to 0 makes that matrix's first row
+        # zero, so every pattern that takes it is dependent
+        u = json.loads(out.read_text())
+        row = u["matrices"][0][0]
+        unit = [1] + [0] * (len(row[0]) - 1)
+        assert row == [unit] + [[0] * len(unit)] * (len(row) - 1), row
+        row[0] = [0] * len(unit)
+        out.write_text(json.dumps(u))
+        capsys.readouterr()
+        assert run("udm", "verify", "--udm", str(out), "--json") == 1
+        report = json.loads(capsys.readouterr().out)
+        assert report["ok"] is False and report["counterexample"][0] >= 1, report
 
     def test_build_json_prints_outcome(self, tmp_path, capsys):
         out = tmp_path / "udm.json"
@@ -389,24 +522,19 @@ class TestBoundsCommands:
 class TestModuleEntryPoint:
     def test_python_m_runs_the_cli(self):
         # ``python -m hierasure`` works from a checkout, with only src on the path
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-        proc = subprocess.run(
-            [sys.executable, "-m", "hierasure", "bounds", "--help"],
-            capture_output=True,
-            text=True,
-            env=env,
-            timeout=60,
-        )
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.startswith("usage: hierasure bounds")
+        rc, out, _ = run_child("bounds", "--help", timeout=60)
+        assert rc == 0 and out.startswith("usage: hierasure bounds")
 
 
 class TestDemo:
-    def test_storage_scenario_round_trips(self, capsys):
-        assert run("demo", "storage-straggler", "--seed", "3") == 0
-        out = capsys.readouterr().out
-        assert "round trip exact: True" in out
+    @pytest.mark.parametrize(
+        "argv",
+        [("storage-straggler", "--seed", "3"), ("storage-straggler",), ("check-node",)],
+        ids=["storage-straggler-seed3", "storage-straggler", "check-node"],
+    )
+    def test_scenario_round_trips(self, capsys, argv):
+        assert run("demo", *argv) == 0
+        assert "round trip exact: True" in capsys.readouterr().out
 
     def test_check_node_scenario(self, tmp_path, capsys):
         assert run("demo", "check-node", "--seed", "1", "--out", str(tmp_path / "demo")) == 0
