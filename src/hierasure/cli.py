@@ -219,7 +219,7 @@ def _cmd_udm(args) -> int:
     started = time.perf_counter()
     if args.action == "build":
         field = make_field(args.p, args.e, args.seed)
-        u = vontobel_udms(args.n, args.alpha, args.m, field, index_convention=args.convention)
+        u = vontobel_udms(args.n, args.alpha, args.m, field)
         out = Path(args.out)
         _write_json(out, serialize.udms_to_json(u))
         outcome = {"n": u.n}
@@ -386,7 +386,6 @@ def build_parser() -> argparse.ArgumentParser:
     _tower_args(ub)
     ub.add_argument("--m", type=int, required=True)
     ub.add_argument("--n", type=int, required=True)
-    ub.add_argument("--convention", choices=["zero_based", "one_based"], default="zero_based")
     ub.add_argument("--out", required=True)
     ub.add_argument("--json", action="store_true")
     ub.set_defaults(func=_cmd_udm, action="build")

@@ -4,7 +4,7 @@ A code stores the expansion of H over the prime field against its
 decoding basis omega: for each symbol i, the alpha * e columns of
 H[:, i] * w_k with w_k = omega_j * x^d (k = j*e + d), which every
 correctability check and every decode reads.  A column's rows are the
-power digits of those products (``ExtSpec.digits``: y-power major, then
+power digits of those products (their raws: y-power major, then
 x-power), not their coordinates over omega.  Coordinates are the power
 digits under one invertible F_p map F per entry (``OrderedBasis``'s
 ``_from_power``), so the two spellings of every column differ by the same
@@ -158,7 +158,7 @@ class LinearCode:
             d = len(products)  # alpha * e
             span = d * tlay.bits
             group = (1 << span) - 1
-            rows = [tlay.combination(self.ext.digits(row[i].coeffs), products) for row in self.H]
+            rows = [tlay.combination(row[i].coeffs, products) for row in self.H]
             block = self._expansion[i] = tuple(
                 sum((v >> k * span & group) << j * span for j, v in enumerate(rows)) for k in range(d)
             )
@@ -193,10 +193,10 @@ class LinearCode:
     def read_tags(self, x: int) -> tuple[Element, ...]:
         """The word whose power digits are x's tag lanes under
         ``decode_layout``, alpha * e per symbol: one pass over the lanes,
-        e digits per base raw and alpha raws per Element."""
+        each symbol's digits its raw."""
         ext, lay = self.ext, self.decode_layout
-        raws = zip(*[iter(lay.digits(x, lay.width))] * ext.base.e)
-        return tuple([Element(ext, raw) for raw in zip(*[raws] * ext.alpha)])
+        digits = iter(lay.digits(x, lay.width))
+        return tuple([Element(ext, raw) for raw in zip(*[digits] * ext.digit_layout.width)])
 
     def decode_plan(self, t: tuple[int, ...]) -> tuple[modp.Echelon, int, list[int]]:
         """Pattern t's plan (echelon, free, known).  ``echelon`` holds the

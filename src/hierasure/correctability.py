@@ -102,7 +102,7 @@ def pattern_system(code: LinearCode, t) -> ExpandedSystem:
             d
             for row in range(code.r)
             for d in omega.coordinate_digits(
-                Element(ext, ext.from_digits(digits[row * n : (row + 1) * n]))
+                Element(ext, tuple(digits[row * n : (row + 1) * n]))
             )
         ])
     matrix = tuple(

@@ -1,31 +1,32 @@
 """Exact arithmetic in a two-level tower of finite fields.
 
-The base field F_q = F_p[x]/(f) stores an element as a length-e tuple of
-integers modulo p, ascending powers of x.  The extension F_{q^alpha} =
-F_q[y]/(g) stores an element as a length-alpha tuple of base-field tuples.
-Scalars never leave this nested-tuple form, so every value is hashable and
-immutable, and every operation is a pure function; contexts and elements
-can be shared between threads without synchronization.
+The base field F_q = F_p[x]/(f) has q = p^e elements and the extension
+F_{q^alpha} = F_q[y]/(g) has q^alpha.  Every element of either field is
+spelled one way: the tuple of its prime-field digits, its raw value.  A
+base raw is e ints mod p, the coefficients of ascending powers of x; an
+extension raw is alpha * e ints, y-power major, so digit a*e + d is the
+x^d digit of the y^a coefficient.  Raws are immutable and hashable, and
+every operation is a pure function; contexts and elements can be shared
+between threads without synchronization.  Nested coefficient lists exist
+only in the JSON wire format (``serialize``) and in the extension's
+modulus, which is a polynomial over the base field.
 
-Each field spells its elements as prime-field digits (``digits`` /
-``from_digits``; y-power major in the extension), and every F_p matrix
-in the package is built on that spelling.  Each field also has one
-packed step, ``power_multiples``: the products of a packed value by the
-field's power units (x^d in the base field, y^a * x^d in the extension),
-made by lane shifts with the folds read off the moduli.  Every F_p
-matrix of multiplication by an element comes from it: the product
-tables of code expansions (``codes.LinearCode.table``), the columns of
-multiplication by a column of elements (``multiplication_columns``:
-``linalg`` blocks, UDM digit rows and greedy GV's candidates) and both
-matrices of the irreducibility test.
-Multiplication with prime-field coefficients (the base field, and an
-extension of a prime field) is one packed multiply:
+Sums, differences and negatives are digit by digit mod p, the same in
+both fields (``_Field``).  Each field has one packed step,
+``power_multiples``: the products of a packed value by the field's power
+units (x^d in the base field, y^a * x^d in the extension), made by lane
+shifts with the folds read off the moduli.  Every F_p matrix of
+multiplication by an element comes from it: the product tables of code
+expansions (``codes.LinearCode.table``), the columns of multiplication
+by a column of elements (``multiplication_columns``: ``linalg`` blocks,
+UDM digit rows and greedy GV's candidates) and both matrices of the
+irreducibility test.  Multiplication with prime-field coefficients (the
+base field, and an extension of a prime field) is one packed multiply:
 both factors packed one coefficient per lane, the product's high lanes
 folded back in with the rows z^k mod the modulus (``_PackedProduct``);
 over a non-prime base it is one packed combination of a's digits with
-the power multiples of b.  Sums over a prime base read the 1-tuples as
-plain ints.  Powers are square-and-multiply and the inverse is
-a^(order-2).
+the power multiples of b.  Powers are square-and-multiply and the
+inverse is a^(order-2).
 
 A modulus is irreducible by one test on the field's own arithmetic,
 Berlekamp's criterion: set up K[y]/(f) as if f were irreducible, and
@@ -50,8 +51,8 @@ blocks and decode tags) are built and kept by the code (``codes``).
 Deterministic search orders are part of the contract: modulus searches
 shuffle the positions of the candidates with a seeded RNG, while element
 searches (primitive elements, quadratic roots) run in lexicographic order
-over ascending-power coefficient tuples.  Subfield representatives, also
-lex-first, are read off a subfield's echelon basis with no search.
+over raws.  Subfield representatives, also lex-first, are read off a
+subfield's echelon basis with no search.
 """
 
 from __future__ import annotations
@@ -120,28 +121,25 @@ def lucas_binom(b: int, a: int, p: int) -> int:
 class _PackedProduct:
     """Products mod a monic degree-d modulus f(z) with prime-field
     coefficients (z is x in the base field, y in an extension of a prime
-    field), by Kronecker substitution: a and b are packed one coefficient
-    per lane and multiplied once, so lane k of the product is the
-    coefficient of z^k, at most d * (p-1)^2.  Its d - 1 high lanes, taken
-    mod p, fold back in times the rows z^k mod f, k = d .. 2d-2, which
-    adds at most (d-1) * (p-1)^2 to a low lane: a layout of 2d - 1 terms
-    holds the sum, and one normalization reduces it.  The layout and the
-    rows are made on the first product, row d = -f_low and each next one
-    the previous times z (``_times_unit``): a seeded modulus search sets
-    up a field per candidate and multiplies in few of them.
-
-    ``ints`` multiplies raws of d ints (a base field's), ``units`` raws
-    of d 1-tuples (an extension's over a prime base).
+    field), by Kronecker substitution: a and b, raws of d ints, are packed
+    one coefficient per lane and multiplied once, so lane k of the product
+    is the coefficient of z^k, at most d * (p-1)^2.  Its d - 1 high lanes,
+    taken mod p, fold back in times the rows z^k mod f, k = d .. 2d-2,
+    which adds at most (d-1) * (p-1)^2 to a low lane: a layout of 2d - 1
+    terms holds the sum, and one normalization reduces it.  The layout
+    and the rows are made on the first product, row d = -f_low and each
+    next one the previous times z (``_times_unit``): a seeded modulus
+    search sets up a field per candidate and multiplies in few of them.
     """
 
     __slots__ = ("p", "low", "layout", "shifts", "rows")
 
-    def __init__(self, p: int, low: Sequence[tuple]):
+    def __init__(self, p: int, low: Sequence[int]):
         self.p = p
-        self.low = low  # f_low, as 1-tuples of ints
+        self.low = low  # f_low
         self.rows = None
 
-    def ints(self, a, b) -> tuple:
+    def product(self, a, b) -> tuple:
         if self.rows is None:
             self._setup()
         bits = self.layout.bits
@@ -151,17 +149,6 @@ class _PackedProduct:
             y = y << bits | v
         x, lane = self._reduce(x * y), self.layout.lane
         return tuple([x >> s & lane for s in self.shifts])
-
-    def units(self, a, b) -> tuple:
-        if self.rows is None:
-            self._setup()
-        bits = self.layout.bits
-        x = y = 0
-        for (u,), (v,) in zip(reversed(a), reversed(b)):
-            x = x << bits | u
-            y = y << bits | v
-        x, lane = self._reduce(x * y), self.layout.lane
-        return tuple([(x >> s & lane,) for s in self.shifts])
 
     def _reduce(self, x: int) -> int:
         # the unreduced product's 2d - 1 lanes to its d lanes mod f, normalized
@@ -174,7 +161,7 @@ class _PackedProduct:
         p, d = self.p, len(self.low)
         self.layout = lay = modp.layout(p, 2 * d - 1)
         self.shifts = range(0, d * lay.bits, lay.bits)
-        fold = lay.pack([-c % p for (c,) in self.low])  # z^d = -f_low
+        fold = lay.pack([-c % p for c in self.low])  # z^d = -f_low
         rows = [fold] if d > 1 else []
         for _ in range(2, d):
             rows.append(_times_unit(rows[-1], lay, d, d, [fold]))
@@ -209,11 +196,6 @@ def _times_unit(v: int, lay: modp.Layout, lanes: int, period: int, folds: Sequen
     return lay.normalize(v)
 
 
-def _grouped(digits: Sequence[int], e: int) -> tuple:
-    """Consecutive e-tuples of the digits: base raws from their digits."""
-    return tuple(zip(*[iter(digits)] * e))
-
-
 def _rank(columns: Sequence[int], lay: modp.Layout) -> int:
     ech = modp.Echelon(lay)
     for col in columns:
@@ -229,20 +211,26 @@ class _Field:
     """Shared engine for a quotient field K[y]/(modulus) over a coefficient
     field K: F_p for ``FieldSpec``, the base field for ``ExtSpec``.
 
-    A subclass's ``_setup`` sets ``order``, ``modulus``, ``_kdigits``
-    (K's F_p digit count) and ``digit_layout`` (one lane per F_p digit of
-    the field), then calls ``_init_engine``.  The subclass defines the raw
-    arithmetic (radd, rsub, rneg, rmul, rcheck), the digit codec (digits,
-    from_digits), on which indices and lexicographic order are built, and
-    ``power_multiples``, the products by the power units.  The index of a
-    raw value is its digits read base p, so ``from_index(p**u)`` is the
-    power unit U_u, the unit whose digit u is 1.
+    A raw value is the tuple of the element's ``digit_layout.width``
+    prime-field digits, in both fields, so sums, differences, negatives,
+    the raw check, indices and lexicographic order are defined here once.
+    A subclass's ``_setup`` sets ``p``, ``order``, ``modulus``,
+    ``_mod_digits`` (the modulus's F_p digits, coefficient by coefficient),
+    ``_kdigits`` (K's F_p digit count), ``digit_layout`` (one lane per F_p
+    digit of the field) and ``_mulmod`` (the packed product over a
+    prime-field K, or None), then calls ``_init_engine``.  The subclass
+    defines ``power_multiples``, the products by the power units.  The
+    index of a raw value is its digits read base p, so ``from_index(p**u)``
+    is the power unit U_u, the unit whose digit u is 1.
     """
 
     _kdigits: int
+    _mod_digits: tuple
+    _mulmod: "_PackedProduct | None"
     digit_layout: modp.Layout
     modulus: tuple
     order: int
+    p: int
 
     @classmethod
     def _candidate(cls, *args):
@@ -252,11 +240,12 @@ class _Field:
         self._setup(*args)
         return self
 
-    def _init_engine(self, rzero, rone):
-        self.rzero = rzero
-        self.rone = rone
-        self._zero_el = Element(self, rzero)
-        self._one_el = Element(self, rone)
+    def _init_engine(self):
+        n = self.digit_layout.width
+        self.rzero = (0,) * n
+        self.rone = (1,) + (0,) * (n - 1)
+        self._zero_el = Element(self, self.rzero)
+        self._one_el = Element(self, self.rone)
         self._generator_raw = None
 
     def _irreducible(self) -> bool:
@@ -274,7 +263,7 @@ class _Field:
         lay = self.digit_layout
         p, n, c = lay.p, lay.width, self._kdigits
         # f' has (u + 1) * f_(u+1) at y^u, and f_deg = 1
-        df = [(k // c + 1) * d % p for k, d in enumerate(self.digits(self.modulus[1:]))]
+        df = [(k // c + 1) * d % p for k, d in enumerate(self._mod_digits[c:])]
         if not any(df):
             return False  # f is a p-th power
         # a -> a^|K| is K-linear and fixes K, so it sends the unit y^u * x^d
@@ -287,7 +276,7 @@ class _Field:
             for u in range(1, n // c):
                 if u > 1:
                     acc = self.rmul(acc, step)
-                col = lay.pack(self.digits(acc))
+                col = lay.pack(acc)
                 cols += self.base.power_multiples(col, lay, n) if c > 1 else [col]
         self._frobenius_columns = cols
         moved = [lay.normalize(col + (p - 1 << k * lay.bits)) for k, col in enumerate(cols)]
@@ -301,10 +290,40 @@ class _Field:
         packed under ``lay``, and their ``power_multiples``, so column u
         stacks the digits of U_u * h, entry by entry.  A K-matrix column
         becomes these ``digit_layout.width`` columns over F_p."""
-        digits = [d for h in column for d in self.digits(h.coeffs)]
+        digits = [d for h in column for d in h.coeffs]
         return self.power_multiples(lay.pack(digits), lay, len(digits))
 
-    # -- raw arithmetic ----------------------------------------------------
+    # -- raw arithmetic: sums are digit by digit in both fields ---------------
+
+    def radd(self, a, b):
+        p = self.p
+        return tuple([(x + y) % p for x, y in zip(a, b)])
+
+    def rsub(self, a, b):
+        p = self.p
+        return tuple([(x - y) % p for x, y in zip(a, b)])
+
+    def rneg(self, a):
+        p = self.p
+        return tuple([-x % p for x in a])
+
+    def rmul(self, a, b):
+        # one packed multiply over prime-field coefficients (``_mulmod``),
+        # else a * b = sum_u a_u * U_u * b over a's digits a_u
+        if self._mulmod is not None:
+            return self._mulmod.product(a, b)
+        lay = self.digit_layout
+        products = self.power_multiples(lay.pack(b), lay, lay.width)
+        return tuple(lay.digits(lay.combination(a, products)))
+
+    def rcheck(self, a) -> bool:
+        if not (isinstance(a, tuple) and len(a) == self.digit_layout.width):
+            return False
+        p = self.p
+        for c in a:
+            if not (isinstance(c, int) and not isinstance(c, bool) and 0 <= c < p):
+                return False
+        return True
 
     def rpow(self, a, k: int):
         if k < 0:
@@ -327,20 +346,18 @@ class _Field:
     # -- enumeration and encoding: an index is the digits read base p ---------
 
     def rfrom_index(self, k: int):
-        p = self.digit_layout.p
-        return self.from_digits([k // p**i % p for i in range(self.digit_layout.width)])
+        p = self.p
+        return tuple([k // p**i % p for i in range(self.digit_layout.width)])
 
     def rindex(self, a) -> int:
-        p = self.digit_layout.p
+        p = self.p
         k = 0
-        for d in reversed(self.digits(a)):
+        for d in reversed(a):
             k = k * p + d
         return k
 
     def riter_lex(self) -> Iterator:
-        # raws of one shape compare as their digits do
-        lay = self.digit_layout
-        return map(self.from_digits, itertools.product(range(lay.p), repeat=lay.width))
+        return itertools.product(range(self.p), repeat=self.digit_layout.width)
 
     # -- primitive elements ----------------------------------------------------
 
@@ -359,6 +376,8 @@ class _Field:
     # -- public element API ----------------------------------------------------
 
     def element(self, coeffs) -> "Element":
+        """The element whose raw value is ``coeffs``: its digits, flat,
+        y-power major in the extension; anything else is refused."""
         raw = tuple(coeffs)
         if not self.rcheck(raw):
             raise ParameterError(f"invalid coefficient vector for {self!r}: {coeffs!r}")
@@ -375,7 +394,7 @@ class _Field:
         return (Element(self, self.rfrom_index(k)) for k in range(self.order))
 
     def lex_elements(self) -> Iterator["Element"]:
-        """All elements in lexicographic order over coefficient tuples."""
+        """All elements in lexicographic order over their raws."""
         return (Element(self, raw) for raw in self.riter_lex())
 
     def from_index(self, k: int) -> "Element":
@@ -400,7 +419,7 @@ class _Field:
 
 class FieldSpec(_Field):
     """The base field F_q with q = p**e, as F_p[x]/(modulus); a raw value
-    is a length-e tuple of ints mod p."""
+    is its e digits, the coefficients of x^0 .. x^(e-1)."""
 
     def __init__(self, p: int, e: int, modulus: Sequence[int]):
         if not is_prime(require_int(p, "characteristic")):
@@ -417,34 +436,19 @@ class FieldSpec(_Field):
     def _setup(self, p: int, e: int, mod: tuple):
         self.p = p
         self.e = e
-        self.modulus = mod
+        self.modulus = self._mod_digits = mod
         self.order = p**e
         self._kdigits = 1
         self._minus_low = [-c % p for c in mod[:-1]]
-        self._mulmod = _PackedProduct(p, tuple(zip(mod[:-1]))) if e > 1 else None
+        self._mulmod = _PackedProduct(p, mod[:-1]) if e > 1 else None
         self.digit_layout = modp.layout(p, e)
-        self._init_engine((0,) * e, (1,) + (0,) * (e - 1))
+        self._init_engine()
         self._hash = hash(("FieldSpec", p, e, mod))
 
-    # -- raw arithmetic on int tuples ----------------------------------------
-
-    def radd(self, a, b):
-        p = self.p
-        return tuple((x + y) % p for x, y in zip(a, b))
-
-    def rsub(self, a, b):
-        p = self.p
-        return tuple((x - y) % p for x, y in zip(a, b))
-
-    def rneg(self, a):
-        p = self.p
-        return tuple(-x % p for x in a)
-
     def rmul(self, a, b):
-        p = self.p
         if self.e == 1:
-            return (a[0] * b[0] % p,)
-        return self._mulmod.ints(a, b)
+            return (a[0] * b[0] % self.p,)
+        return self._mulmod.product(a, b)
 
     def power_multiples(self, v: int, lay: modp.Layout, lanes: int) -> list[int]:
         """[v, x * v, ..., x^(e-1) * v]: each group of e digits packed side
@@ -457,23 +461,6 @@ class FieldSpec(_Field):
             for _ in range(1, self.e):
                 out.append(_times_unit(out[-1], lay, lanes, self.e, fold))
         return out
-
-    def rcheck(self, a) -> bool:
-        if not (isinstance(a, tuple) and len(a) == self.e):
-            return False
-        p = self.p
-        for c in a:
-            if not (isinstance(c, int) and not isinstance(c, bool) and 0 <= c < p):
-                return False
-        return True
-
-    def digits(self, raw) -> list[int]:
-        """The F_p digits of a raw value, x-power order."""
-        return list(raw)
-
-    def from_digits(self, digits: Sequence[int]) -> tuple:
-        """The raw value with the given F_p digits, x-power order."""
-        return tuple(digits)
 
     @property
     def q(self) -> int:
@@ -498,7 +485,9 @@ class FieldSpec(_Field):
 
 class ExtSpec(_Field):
     """The extension F_{q^alpha} = F_q[y]/(modulus) over a base FieldSpec;
-    a raw value is a length-alpha tuple of base raws."""
+    a raw value is its alpha * e digits, y-power major: digit a*e + d is
+    the x^d digit of the y^a coefficient.  The modulus is a polynomial
+    over the base, alpha + 1 base raws."""
 
     def __init__(self, base: FieldSpec, alpha: int, modulus: Sequence):
         if require_int(alpha, "alpha") < 1:
@@ -516,51 +505,21 @@ class ExtSpec(_Field):
     def _setup(self, base: FieldSpec, alpha: int, mod: tuple):
         self.base = base
         self.alpha = alpha
+        self.p = base.p
         self.modulus = mod
+        self._mod_digits = digits = tuple([d for c in mod for d in c])
         self.order = base.order**alpha
         self._kdigits = base.e
         # how the alpha * e prime-field digits of an element pack into one
         # int, for the Frobenius and basis matrices
         self.digit_layout = modp.layout(base.p, alpha * base.e)
-        # over a prime base a raw is alpha 1-tuples, which the raw arithmetic
-        # reads as plain ints mod p, and a product is one packed multiply
-        self._mulmod = _PackedProduct(base.p, mod[:-1]) if base.e == 1 else None
-        self._init_engine((base.rzero,) * alpha, (base.rone,) + (base.rzero,) * (alpha - 1))
+        # over a prime base a product is one packed multiply
+        self._mulmod = _PackedProduct(base.p, digits[:alpha]) if base.e == 1 else None
+        self._init_engine()
         self._hash = hash(("ExtSpec", base, alpha, mod))
         self._poly_basis = None
         self._y_folds: dict = {}
         self._frobenius_powers: dict = {}
-
-    # -- raw arithmetic over the base ----------------------------------------
-
-    def radd(self, a, b):
-        base = self.base
-        if self._mulmod is not None:
-            p = base.p
-            return tuple(((x + y) % p,) for (x,), (y,) in zip(a, b))
-        return tuple(base.radd(x, y) for x, y in zip(a, b))
-
-    def rsub(self, a, b):
-        base = self.base
-        if self._mulmod is not None:
-            p = base.p
-            return tuple(((x - y) % p,) for (x,), (y,) in zip(a, b))
-        return tuple(base.rsub(x, y) for x, y in zip(a, b))
-
-    def rneg(self, a):
-        base = self.base
-        if self._mulmod is not None:
-            p = base.p
-            return tuple((-x % p,) for (x,) in a)
-        return tuple(base.rneg(x) for x in a)
-
-    def rmul(self, a, b):
-        if self._mulmod is not None:
-            return self._mulmod.units(a, b)
-        # a * b = sum_u a_u * U_u * b over a's digits a_u
-        lay = self.digit_layout
-        products = self.power_multiples(lay.pack(self.digits(b)), lay, lay.width)
-        return self.from_digits(lay.digits(lay.combination(self.digits(a), products)))
 
     def power_multiples(self, v: int, lay: modp.Layout, lanes: int) -> list[int]:
         """The D = alpha * e products U_u * v, U_u = y^a * x^d for u = a*e +
@@ -585,35 +544,11 @@ class ExtSpec(_Field):
         folds = self._y_folds.get(lay.bits)
         if folds is None:
             dl = self.digit_layout
-            minus_g = dl.pack([-c % self.base.p for g in self.modulus[:-1] for c in g])
+            minus_g = dl.pack([-c % self.p for c in self._mod_digits[: dl.width]])
             folds = self._y_folds[lay.bits] = [
                 lay.pack(dl.digits(f)) for f in self.base.power_multiples(minus_g, dl, dl.width)
             ]
         return folds
-
-    def rcheck(self, a) -> bool:
-        base = self.base
-        if not (isinstance(a, tuple) and len(a) == self.alpha):
-            return False
-        if self._mulmod is None:
-            return all(base.rcheck(c) for c in a)
-        p = base.p
-        for c in a:
-            if not (isinstance(c, tuple) and len(c) == 1):
-                return False
-            (x,) = c
-            if not (isinstance(x, int) and not isinstance(x, bool) and 0 <= x < p):
-                return False
-        return True
-
-    def digits(self, raw) -> list[int]:
-        """The F_p digits of a raw value, y-power major: digit u*e + d is
-        the x^d digit of the y^u coefficient."""
-        return list(itertools.chain.from_iterable(raw))
-
-    def from_digits(self, digits: Sequence[int]) -> tuple:
-        """The raw value with the given alpha * e F_p digits, y-power major."""
-        return _grouped(digits, self.base.e)
 
     def __eq__(self, other):
         return (
@@ -632,15 +567,15 @@ class ExtSpec(_Field):
     def lift(self, el: "Element") -> "Element":
         """Embed a base-field element as a constant of the extension."""
         self.base._check_same(el)
-        raw = (el.coeffs,) + (self.base.rzero,) * (self.alpha - 1)
-        return Element(self, raw)
+        return Element(self, el.coeffs + self.rzero[self.base.e :])
 
     def as_base(self, el: "Element") -> "Element | None":
         """Project a constant extension element back to the base, else None."""
         self._check_same(el)
-        if any(c != self.base.rzero for c in el.coeffs[1:]):
+        e = self.base.e
+        if any(el.coeffs[e:]):
             return None
-        return Element(self.base, el.coeffs[0])
+        return Element(self.base, el.coeffs[:e])
 
     def frobenius(self, el: "Element") -> "Element":
         """x -> x^q, one prime-field matrix applied to the digits.
@@ -649,8 +584,7 @@ class ExtSpec(_Field):
         q-th powers of the alpha * e units y^u * x^d, packed; the
         irreducibility test builds them with the field.
         """
-        flat = modp.mat_vec(self._frobenius_columns, self.digits(el.coeffs), self.digit_layout)
-        return Element(self, self.from_digits(flat))
+        return Element(self, tuple(modp.mat_vec(self._frobenius_columns, el.coeffs, self.digit_layout)))
 
     def _frobenius_power(self, d: int) -> list[int]:
         """The packed columns of x -> x^(q^d), the Frobenius F to the d-th
@@ -682,18 +616,16 @@ class ExtSpec(_Field):
     def polynomial_basis(self) -> "OrderedBasis":
         """The basis (1, y, y^2, ..., y^(alpha-1))."""
         if self._poly_basis is None:
-            cz, co = self.base.rzero, self.base.rone
-            elems = tuple(
-                Element(self, tuple(co if i == j else cz for i in range(self.alpha)))
-                for j in range(self.alpha)
-            )
+            e = self.base.e
+            elems = tuple(self.from_index(self.p ** (j * e)) for j in range(self.alpha))
             self._poly_basis = OrderedBasis(self, elems)
         return self._poly_basis
 
 
 @dataclass(frozen=True, slots=True)
 class Element:
-    """A field value: a fixed-length coefficient tuple tagged with its field."""
+    """A field value: its raw value, the tuple of its prime-field digits
+    (``coeffs``; see the module notes), tagged with its field."""
 
     spec: Union[FieldSpec, ExtSpec]
     coeffs: tuple
@@ -752,11 +684,11 @@ def _seeded_modulus(setup, p: int, c: int, deg: int, seed: int, missing: str):
     ``missing`` if the search runs dry.
 
     ``low`` is the list of F_p digits of the modulus's ``deg`` low
-    coefficients, ``c`` per coefficient as ``digits`` spells them.  The
-    search shuffles the positions of all candidates in lexicographic order
-    with the given seed (sampling coefficients by index instead once the
-    space is large) and tests them in turn, so the result is reproducible
-    per seed and each candidate is tested once.
+    coefficients, ``c`` per coefficient as the coefficient field's raws
+    spell them.  The search shuffles the positions of all candidates in
+    lexicographic order with the given seed (sampling coefficients by
+    index instead once the space is large) and tests them in turn, so the
+    result is reproducible per seed and each candidate is tested once.
     """
     size = p**c
     if deg == 1:
@@ -797,7 +729,8 @@ def make_extension(base: FieldSpec, alpha: int, seed: int = 0) -> ExtSpec:
     if alpha < 1:
         raise ParameterError("alpha must be at least 1")
     return _seeded_modulus(
-        lambda low: ExtSpec._candidate(base, alpha, _grouped(low, base.e) + (base.rone,)),
+        # the low digits grouped into base raws, the modulus's coefficients
+        lambda low: ExtSpec._candidate(base, alpha, tuple(zip(*[iter(low)] * base.e)) + (base.rone,)),
         base.p, base.e, alpha, seed, f"extension modulus of degree {alpha}",
     )
 
@@ -843,7 +776,7 @@ class OrderedBasis:
         self._to_power = [
             v
             for w in elems
-            for v in ext.base.power_multiples(lay.pack(ext.digits(w.coeffs)), lay, lay.width)
+            for v in ext.base.power_multiples(lay.pack(w.coeffs), lay, lay.width)
         ]
         try:
             self._from_power = modp.inverse(self._to_power, lay)
@@ -854,7 +787,7 @@ class OrderedBasis:
     def coordinate_digits(self, x: Element) -> list[int]:
         """Prime-field digits of the coordinates of x (see the class notes)."""
         self.ext._check_same(x)
-        return modp.mat_vec(self._from_power, self.ext.digits(x.coeffs), self.ext.digit_layout)
+        return modp.mat_vec(self._from_power, x.coeffs, self.ext.digit_layout)
 
     def from_coordinate_digits(self, digits: Sequence[int]) -> Element:
         """Inverse of coordinate_digits; digits are read mod p."""
@@ -863,14 +796,14 @@ class OrderedBasis:
         if len(digits) != ext.alpha * e:
             raise ParameterError("coordinate digit vector has the wrong length")
         flat = modp.mat_vec(self._to_power, [d % p for d in digits], ext.digit_layout)
-        return Element(ext, ext.from_digits(flat))
+        return Element(ext, tuple(flat))
 
     def coordinates(self, x: Element) -> tuple:
         """Base-field coordinates of x with respect to this basis."""
         base = self.ext.base
         e = base.e
         digits = self.coordinate_digits(x)
-        return tuple(Element(base, base.from_digits(digits[k : k + e])) for k in range(0, len(digits), e))
+        return tuple(Element(base, tuple(digits[k : k + e])) for k in range(0, len(digits), e))
 
     def combine(self, coords: Sequence[Element]) -> Element:
         """Inverse of coordinates: sum coords[j] * basis[j]."""
@@ -921,7 +854,7 @@ def dual_basis(omega: OrderedBasis) -> OrderedBasis:
     ]
     inv = linalg.invert(t_rows, base)
     mu = tuple(
-        Element(ext, tuple(inv[k][j].coeffs for k in range(alpha)))
+        Element(ext, tuple([d for k in range(alpha) for d in inv[k][j].coeffs]))
         for j in range(alpha)
     )
     return OrderedBasis(ext, mu)
@@ -959,23 +892,28 @@ def subfield_basis(ext: ExtSpec, d: int) -> list[Element]:
     coordinates over the polynomial basis; the canonical kernel basis (one
     vector per free column) makes the result canonical.
     """
-    return [Element(ext, ext.from_digits(v)) for v in _subfield_kernel(ext, d)]
+    return [Element(ext, tuple(v)) for v in _subfield_kernel(ext, d)]
 
 
 def _subfield_echelon(ext: ExtSpec, d: int) -> list[Element]:
     # the degree-d subfield's basis in reduced row echelon form over the
     # base, pivots ascending: each vector of the canonical kernel of the
     # reversed subfield map is 1 at its free column, 0 at the other free
-    # columns and after it, so read back to front it is an echelon row
-    return [Element(ext, ext.from_digits(v)[::-1]) for v in reversed(_subfield_kernel(ext, d, reverse=True))]
+    # columns and after it, so read back to front, by blocks of e digits,
+    # it is an echelon row
+    e = ext.base.e
+    starts = range((ext.alpha - 1) * e, -1, -e)
+    return [
+        Element(ext, tuple([c for k in starts for c in v[k : k + e]]))
+        for v in reversed(_subfield_kernel(ext, d, reverse=True))
+    ]
 
 
 def in_subfield(ext: ExtSpec, el: Element, d: int) -> bool:
     """True when el lies in the subfield with q^d elements: el is fixed by
     x -> x^(q^d), one packed map of its digits."""
     lay = ext.digit_layout
-    digits = ext.digits(el.coeffs)
-    return lay.combination(digits, ext._frobenius_power(d)) == lay.pack(digits)
+    return lay.combination(el.coeffs, ext._frobenius_power(d)) == lay.pack(el.coeffs)
 
 
 def first_outside(ext: ExtSpec, big_d: int, small_d: int) -> Element:

@@ -16,17 +16,28 @@ column in the K-span of the columns before it is found by its digit-0
 F_p column alone: that column then reduces to zero, and its tags hold,
 digit by digit, the coefficients of the column's canonical kernel vector.
 Any other column raises the F_p rank by a full ``deg``, so a K-rank is a
-count of independent blocks.
+count of independent blocks.  A system M x = b is the same question with
+b's block appended: it is solvable iff that block depends on M's, and the
+tags of its digit-0 column then hold x, negated.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Sequence
 
 from . import modp
 from .errors import ParameterError
 from .fields import Element
-from .modp import SolveResult
+
+
+@dataclass(frozen=True)
+class SolveResult:
+    """Outcome of an exact linear solve."""
+
+    status: str  # "unique" | "ambiguous" | "inconsistent"
+    solution: list | None
+    free_count: int
 
 
 def _linearize(rows: Sequence[Sequence], ncols: int, spec):
@@ -41,7 +52,7 @@ def _linearize(rows: Sequence[Sequence], ncols: int, spec):
 
 
 def _vector(spec, deg: int, digits: Sequence[int]) -> list[Element]:
-    return [Element(spec, spec.from_digits(digits[k : k + deg])) for k in range(0, len(digits), deg)]
+    return [Element(spec, tuple(digits[k : k + deg])) for k in range(0, len(digits), deg)]
 
 
 def rank(rows: Sequence[Sequence], spec) -> int:
@@ -58,16 +69,25 @@ def right_kernel(rows: Sequence[Sequence], ncols: int, spec) -> list[list]:
 def solve(rows: Sequence[Sequence], rhs: Sequence, ncols: int, spec) -> SolveResult:
     """Solve M x = rhs; ambiguity and inconsistency are reported, not raised.
 
-    The solution is zero at every free column, as in reduced row echelon
-    form: the F_p solution is zero at every free F_p column, and a free
-    column's whole block is free.
+    The right-hand side is one more block of columns after M's.  If it is
+    independent of them the system is inconsistent.  Otherwise the tags of
+    its first column, reduced, are a kernel vector that is 1 on that column
+    and zero on every free column of M, since a dependent block is never
+    inserted: its entries on M's columns are the solution, negated, zero at
+    every free column as in reduced row echelon form.  The free count is
+    the number of dependent blocks of M.
     """
     if len(rows) != len(rhs):
         raise ParameterError("right-hand side length does not match row count")
     lay, deg, columns = _linearize(rows, ncols, spec)
-    out = modp.solve(columns, lay.pack([d for b in rhs for d in spec.digits(b.coeffs)]), lay)
-    solution = None if out.solution is None else _vector(spec, deg, out.solution)
-    return SolveResult(out.status, solution, out.free_count // deg)
+    columns += spec.multiplication_columns(rhs, lay)
+    *blocks, tail = modp.kernel(columns, lay, deg)
+    if tail is None:
+        return SolveResult("inconsistent", None, 0)
+    p = lay.p
+    free = len(blocks) - blocks.count(None)
+    solution = _vector(spec, deg, [-x % p for x in tail[: ncols * deg]])
+    return SolveResult("unique" if free == 0 else "ambiguous", solution, free)
 
 
 def invert(rows: Sequence[Sequence], spec) -> list[list]:

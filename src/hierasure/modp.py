@@ -32,8 +32,8 @@ of lane k+1's product, which Q, the low B - s bits of every lane, masks
 off.  Python ints make any p and terms fit.
 
 ``Echelon.insert`` is the elimination of decode plans, witnesses, greedy
-GV, code ranks, ``solve`` and ``inverse`` (``linalg`` answers its
-questions about Element matrices through it too): it keeps the inserted
+GV, code ranks, ``kernel`` and ``inverse`` (``linalg`` answers its
+questions about Element matrices through the last two): it keeps the inserted
 vectors in echelon form, each scaled to 1 at its pivot, the lowest
 non-zero lane of its first ``width`` lanes, and zero at the pivots of the
 vectors before it.  A row operation is ``x += (p - c) * row``, with c read
@@ -63,21 +63,11 @@ levels, not one per block.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from operator import mul
 from typing import Callable, Iterator, Sequence
 
 from .errors import ParameterError
-
-
-@dataclass(frozen=True)
-class SolveResult:
-    """Outcome of an exact linear solve."""
-
-    status: str  # "unique" | "ambiguous" | "inconsistent"
-    solution: list | None
-    free_count: int
 
 
 class Layout:
@@ -314,29 +304,6 @@ def tagged(columns: Sequence[int], lay: Layout) -> tuple[Layout, list[int]]:
     b, width = lay.bits, lay.width
     vectors = [col + (1 << (width + k) * b) for k, col in enumerate(columns)]
     return layout(lay.p, width, len(columns), lay.terms), vectors
-
-
-def solve(columns: Sequence[int], rhs: int, lay: Layout) -> SolveResult:
-    """Solve sum_k x_k columns[k] = rhs over Z/p, every vector packed under
-    ``lay`` and normalized.
-
-    Inconsistency is reported before ambiguity; a consistent system gets
-    the solution that is zero at every free column, and ``free_count`` is
-    the kernel dimension.
-    """
-    tags, vectors = tagged(columns, lay)
-    ech = Echelon(tags)
-    for v in vectors:
-        ech.insert(v)
-    left = ech.reduce(rhs)
-    if left & tags.pivots:
-        return SolveResult("inconsistent", None, 0)
-    # rhs - sum c_b b = 0 and each basis vector b carries its combination
-    # of columns in its tags, so the tags of the reduced rhs are -x
-    p = lay.p
-    solution = [-x % p for x in tags.digits(left, tags.width)]
-    free = len(columns) - len(ech.rows)
-    return SolveResult("unique" if free == 0 else "ambiguous", solution, free)
 
 
 def kernel(columns: Sequence[int], lay: Layout, deg: int) -> list[list[int] | None]:

@@ -3,7 +3,10 @@
 All payloads are plain integers, lists and objects, ascending-power
 coefficient arrays throughout, so round trips are bit exact:
 
-* element:  base [c0, ...], extension [[c0, ...], ...]
+* element:  base [c0, ...], extension [[c0, ...], ...], one base-field
+  coefficient per y-power; in memory an extension element is the same
+  digits flattened, y-power major (``fields``), and only this module
+  groups them
 * code:     {"field", "ext", "H", "omega", "claim", "provenance", "n"}
 * udms:     {"field", "alpha", "m", "matrices", "meta"}
 * received: {"field", "ext", "omega", "t", "known"}
@@ -84,9 +87,11 @@ def _tower_from_json(obj: dict) -> ExtSpec:
 
 
 def element_to_json(el: Element) -> list:
+    digits = [int(x) for x in el.coeffs]
     if isinstance(el.spec, ExtSpec):
-        return [[int(x) for x in c] for c in el.coeffs]
-    return [int(x) for x in el.coeffs]
+        e = el.spec.base.e
+        return [digits[k : k + e] for k in range(0, len(digits), e)]
+    return digits
 
 
 # Every payload loader builds its elements through these two: each
@@ -101,7 +106,16 @@ def _base_elements(field: FieldSpec, objs: list) -> list[Element]:
 
 @_loader("element")
 def _ext_elements(ext: ExtSpec, objs: list) -> list[Element]:
-    return [ext.element(tuple(map(tuple, obj))) for obj in objs]
+    # alpha coefficients of e digits each, flattened: a list of another
+    # shape is refused even when its digits number alpha * e
+    alpha, e = ext.alpha, ext.base.e
+    out = []
+    for obj in objs:
+        raw = tuple([d for c in obj for d in c])
+        if len(obj) != alpha or any(len(c) != e for c in obj) or not ext.rcheck(raw):
+            raise ParameterError(f"invalid coefficient vector for {ext!r}: {obj!r}")
+        out.append(Element(ext, raw))
+    return out
 
 
 def basis_to_json(basis: OrderedBasis) -> list:
@@ -200,10 +214,10 @@ def received_to_json(rw: ReceivedWord) -> dict:
 def _spells(obj: dict, like: OrderedBasis) -> bool:
     """Whether the "field", "ext" and "omega" of obj are exactly like's
     JSON: both sides as the C encoder writes them with sorted keys, a text
-    that tells 1 from 1.0 and from true.  like's omega is encoded from its
-    raws, whose tuples come out as the lists ``basis_to_json`` makes; a
-    value of obj the encoder cannot write is no match."""
-    theirs = {**_tower_to_json(like.ext), "omega": [w.coeffs for w in like.elements]}
+    that tells 1 from 1.0 and from true.  like's omega is grouped into
+    coefficients as ``basis_to_json`` writes it; a value of obj the
+    encoder cannot write is no match."""
+    theirs = {**_tower_to_json(like.ext), "omega": basis_to_json(like)}
     try:
         mine = _json_text({key: obj.get(key) for key in ("field", "ext", "omega")})
     except (TypeError, ValueError):

@@ -23,8 +23,6 @@ from .errors import ConstructionError, MissingEigenvectorError, ParameterError
 from .fields import Element, FieldSpec, OrderedBasis, lucas_binom
 from .patterns import ErasurePattern, FullFamily, family_trie
 
-INDEX_CONVENTIONS = ("zero_based", "one_based")
-
 
 @dataclass(frozen=True)
 class UdmCheck:
@@ -92,25 +90,16 @@ def verify_udm(u: UdmSet) -> UdmCheck:
     return u.verdict
 
 
-def vontobel_udms(
-    n: int,
-    alpha: int,
-    m: int,
-    field: FieldSpec,
-    index_convention: str = "zero_based",
-) -> UdmSet:
+def vontobel_udms(n: int, alpha: int, m: int, field: FieldSpec) -> UdmSet:
     """The classical UDM family: identity, anti-identity, binomial matrices.
 
     The first matrix takes the top alpha rows of the m x m identity, the
     second the top alpha rows of the anti-identity; matrix k >= 3 has
     entries binom(col, row) * gamma^((k-2)(col-row)) with gamma the
-    lexicographically first primitive element.  Whether the binomial uses
-    0-based or 1-based indices is selectable; the default passes
-    verification everywhere it was tested, and the choice is recorded in
-    the metadata.  The result is verified before being returned.
+    lexicographically first primitive element and 0-based row and column
+    indices, which the metadata records as ``index_convention``.  The
+    result is verified before being returned.
     """
-    if index_convention not in INDEX_CONVENTIONS:
-        raise ParameterError(f"index_convention must be one of {INDEX_CONVENTIONS}")
     if n < 1:
         raise ParameterError("need n >= 1")
     if m < alpha or alpha < 1:
@@ -135,10 +124,7 @@ def vontobel_udms(
         for a in range(alpha):
             row = []
             for b in range(m):
-                if index_convention == "zero_based":
-                    binom = lucas_binom(b, a, p)
-                else:
-                    binom = lucas_binom(b + 1, a + 1, p)
+                binom = lucas_binom(b, a, p)
                 if binom == 0:
                     row.append(zero)
                 else:
@@ -148,15 +134,14 @@ def vontobel_udms(
         mats.append(tuple(rows))
     meta = {
         "construction": "vontobel",
-        "index_convention": index_convention,
+        "index_convention": "zero_based",
         "gamma": list(gamma.coeffs) if gamma is not None else None,
     }
     result = UdmSet(field, alpha, m, tuple(mats), meta)
     check = verify_udm(result)
     if not check.ok:
         raise ConstructionError(
-            f"constructed matrices fail verification at pattern {check.counterexample}; "
-            f"index convention {index_convention!r} is wrong for these parameters"
+            f"constructed matrices fail verification at pattern {check.counterexample}"
         )
     return result
 

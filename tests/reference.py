@@ -27,9 +27,9 @@ stacked-prefix walk as it was before patterns shared their prefixes, on
 the prime-field kernel as it was before vectors were packed into ints:
 a fresh ``ListEchelon`` per pattern, whose rows are lists of digits
 reduced entry by entry.  It shares no code with ``modp``, so it checks
-both the trie walk's sharing of prefixes and the packed elimination.  ``reference_solve``,
+both the trie walk's sharing of prefixes and the packed elimination.
 ``reference_inverse`` and ``reference_mat_vec`` are the list kernel's
-tagged systems and products.  ``reference_expand_column``
+tagged inverse and products.  ``reference_expand_column``
 is the expansion of a column of H by extension products, which the packed
 product table replaced.  ``reference_is_irreducible``
 is the distinct-degree gcd test that Berlekamp's criterion replaced, on
@@ -266,7 +266,8 @@ def reference_first_outside(ext, big_d, small_d):
 
 def _coordinate_matrix(ext, elements):
     # column j: the F_q coefficients of elements[j] over 1, y, ..., y^(alpha-1)
-    return [[Element(ext.base, el.coeffs[k]) for el in elements] for k in range(ext.alpha)]
+    e = ext.base.e
+    return [[Element(ext.base, el.coeffs[k * e : k * e + e]) for el in elements] for k in range(ext.alpha)]
 
 
 def coordinate_inverse(ext, elements):
@@ -287,7 +288,9 @@ def reference_coordinates(omega, x, inverse=None):
     base = omega.ext.base
     if inverse is None:
         inverse = coordinate_inverse(omega.ext, omega.elements)
-    return tuple(element_linalg.mat_vec(inverse, [Element(base, c) for c in x.coeffs], base))
+    e = base.e
+    coeffs = [Element(base, x.coeffs[k : k + e]) for k in range(0, len(x.coeffs), e)]
+    return tuple(element_linalg.mat_vec(inverse, coeffs, base))
 
 
 def reference_combine(omega, coords):
@@ -323,7 +326,7 @@ def reference_expand_column(omega, column):
     base = ext.base
     units = [ext.lift(base.from_index(base.p**d)) for d in range(base.e)]
     return tuple(
-        tuple(digit for h in column for c in (h * w * x).coeffs for digit in c)
+        tuple(digit for h in column for digit in (h * w * x).coeffs)
         for w in omega.elements
         for x in units
     )
@@ -427,19 +430,6 @@ class ListEchelon:
 def _tagged(columns):
     k = len(columns)
     return [list(col) + [int(i == j) for i in range(k)] for j, col in enumerate(columns)]
-
-
-def reference_solve(columns, rhs, p):
-    """(status, solution, free count), as ``modp.solve`` reports them."""
-    height = len(rhs)
-    ech = ListEchelon(p, height)
-    for v in _tagged(columns):
-        ech.insert(v)
-    left = ech.reduce(list(rhs) + [0] * len(columns))
-    if any(left[:height]):
-        return "inconsistent", None, 0
-    free = len(columns) - len(ech.rows)
-    return "unique" if free == 0 else "ambiguous", [-x % p for x in left[height:]], free
 
 
 def reference_inverse(columns, p):

@@ -390,7 +390,7 @@ class TestDecodeTowerReuse:
             (lambda rw: rw.pop("ext"), "error: malformed received word payload: missing key 'ext'\n"),
             (lambda rw: rw["field"].update(p=5.0), "error: characteristic must be an integer, got 5.0\n"),
             (lambda rw: rw["omega"][0][0].__setitem__(0, True),
-             "error: invalid coefficient vector for GF(5^4)/GF(5): ((True,), (0,), (0,), (0,))\n"),
+             "error: invalid coefficient vector for GF(5^4)/GF(5): [[True], [0], [0], [0]]\n"),
             # a 1 spelled 1.0 or true equals 1 in Python, but the word is
             # not the code's JSON: it loads on its own and fails as such
             (lambda rw: rw["field"]["modulus"].__setitem__(-1, 1.0),
@@ -402,7 +402,7 @@ class TestDecodeTowerReuse:
             (lambda rw: rw["ext"]["modulus"][-1].__setitem__(0, True),
              "error: extension modulus has invalid coefficients\n"),
             (lambda rw: rw["omega"][0][0].__setitem__(0, 1.0),
-             "error: invalid coefficient vector for GF(5^4)/GF(5): ((1.0,), (0,), (0,), (0,))\n"),
+             "error: invalid coefficient vector for GF(5^4)/GF(5): [[1.0], [0], [0], [0]]\n"),
         ],
         ids=[
             "ext-modulus", "permuted-omega", "no-ext", "p-float", "omega-bool",
@@ -753,6 +753,37 @@ class TestInputBoundary:
         capsys.readouterr()
         rc = run("verify", "--code", str(path))
         assert (rc, capsys.readouterr().err) == (2, message)
+
+    @pytest.mark.parametrize(
+        "tower_args,coefficients",
+        [
+            (("--p", "2", "--e", "2", "--alpha", "2"), [[1, 0, 1], [1]]),
+            (("--p", "3", "--e", "2", "--alpha", "2"), [[1], [0], [1], [1]]),
+        ],
+        ids=["gf2^2", "gf3^2"],
+    )
+    def test_extension_coefficient_of_the_wrong_length(self, tmp_path, capsys, tower_args, coefficients):
+        # an element held as its alpha * e digits must still load only from
+        # alpha coefficients of e digits each: these lists flatten to 4 digits
+        code_path = construct(tmp_path, "length2", *tower_args)
+        payload = json.loads(code_path.read_text())
+        code = serialize.code_from_json(payload)
+        word = serialize.received_to_json(apply_erasure(kernel_basis(code)[0], (1, 1), code.omega))
+        bad_code = {**payload, "H": [[coefficients, *payload["H"][0][1:]]]}
+        bad_word = {**word, "omega": [coefficients, *word["omega"][1:]]}
+        paths = {}
+        for name, value in [("code", payload), ("word", word), ("bad_code", bad_code), ("bad_word", bad_word)]:
+            paths[name] = tmp_path / f"{name}.json"
+            paths[name].write_text(json.dumps(value))
+        error = f"error: invalid coefficient vector for {code.ext!r}: {coefficients!r}\n"
+        for argv in [
+            ("verify", "--code", paths["bad_code"]),
+            ("decode", "--code", paths["bad_code"], "--received", paths["word"]),
+            ("decode", "--code", paths["code"], "--received", paths["bad_word"]),
+        ]:
+            capsys.readouterr()
+            rc = run(*map(str, argv))
+            assert (rc, capsys.readouterr().err) == (2, error), argv
 
     @pytest.mark.parametrize("value", [True, 1.0])
     def test_received_non_integer_coefficient(self, tmp_path, code_file, received_file, capsys, value):

@@ -316,7 +316,7 @@ class TestBalancedCode:
         with pytest.warns(UserWarning) as record:
             code = balanced_code(3, ext)  # q = n, so the zero node participates
         assert [str(w.message) for w in record] == ["field has exactly n elements; the zero node participates"]
-        assert [e.coeffs for e in code.H[0]] == [((1,),)] * 3
+        assert [e.coeffs for e in code.H[0]] == [(1,)] * 3
         assert is_correcting(code, BalancedFamily(1, 3)).correcting
 
     def test_field_exactly_n_warns_and_works(self):

@@ -202,8 +202,8 @@ class TestTaggedColumns:
         for i, block in enumerate(code.decode_columns):
             for k, col in enumerate(block):
                 j, d = divmod(k, e)
-                x_d = ext.lift(Element(base, base.from_digits([int(m == d) for m in range(e)])))
-                want = ext.digits((code.omega.elements[j] * x_d).coeffs)
+                x_d = ext.lift(Element(base, tuple([int(m == d) for m in range(e)])))
+                want = list((code.omega.elements[j] * x_d).coeffs)
                 tags = lay.digits(col, lay.width)
                 assert tags[i * span : (i + 1) * span] == want, (i, k)
                 assert groups[k * span : (k + 1) * span] == want, k
@@ -298,7 +298,7 @@ class TestLanesAtTheirBound:
                 for fill in ([p - 1], [1], [1, p - 1]):
                     known = tuple(
                         tuple(
-                            Element(base, base.from_digits([rng.choice(fill) for _ in range(e)]))
+                            Element(base, tuple([rng.choice(fill) for _ in range(e)]))
                             for _ in range(alpha - ti)
                         )
                         for ti in t
@@ -324,7 +324,7 @@ class TestLanesAtTheirBound:
         rng = random.Random(f"headroom/{p}/{e}/{alpha}")
         ext = tower(p, e, alpha)
         base = ext.base
-        top = Element(base, base.from_digits([p - 1] * e))
+        top = Element(base, (p - 1,) * e)
         n, r = 5, 2
         statuses = set()
         for honest in (True, False):

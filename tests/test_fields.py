@@ -35,10 +35,13 @@ from towers import FIELDS, TOWERS, field, tower
 
 
 def w_elem(ext):
-    # the generator y of the extension, handy in F_4-style cases
-    return ext.element(
-        tuple(ext.base.rone if i == 1 else ext.base.rzero for i in range(ext.alpha))
-    )
+    # the generator y of the extension, handy in F_4-style cases: digit e is 1
+    return ext.from_index(ext.base.order)
+
+
+def coefficients(raw, e):
+    # an extension raw as its alpha base raws, the polynomial over the base
+    return [tuple(raw[k : k + e]) for k in range(0, len(raw), e)]
 
 
 class TestMakeField:
@@ -119,7 +122,7 @@ class TestArithmetic:
     def test_gf4_generator_square(self):
         ext = tower(2, 1, 2)
         w = w_elem(ext)
-        assert (w * w).coeffs == ((1,), (1,))
+        assert (w * w).coeffs == (1, 1)
 
     @pytest.mark.parametrize("p,e,alpha", [(2, 1, 2), (3, 1, 2), (2, 2, 2), (2, 1, 3)])
     def test_identities_and_inverses_exhaustive(self, p, e, alpha):
@@ -168,12 +171,13 @@ class TestArithmetic:
     @classmethod
     def _check_product_against_polynomials(cls, ext, seed):
         # the product of raws equals the reference's polynomial product
-        # over the base, reduced by the extension modulus
-        base, alpha = ext.base, ext.alpha
+        # over the base, reduced by the extension modulus, its coefficients
+        # flattened
+        base, alpha, e = ext.base, ext.alpha, ext.base.e
         for a, b in cls._operands(ext, seed):
-            want = _rem(_mul(list(a), list(b), base), list(ext.modulus), base)
+            want = _rem(_mul(coefficients(a, e), coefficients(b, e), base), list(ext.modulus), base)
             want = tuple(want) + (base.rzero,) * (alpha - len(want))
-            assert ext.rmul(a, b) == want
+            assert ext.rmul(a, b) == tuple(d for c in want for d in c)
 
     # alpha = 1, p = 2 at every alpha from 2 to 8, and p = 65521 at alpha =
     # 8, the widest lanes of any product here
@@ -212,24 +216,29 @@ class TestArithmetic:
 
     @pytest.mark.parametrize("p,alpha", [(2, 1), (2, 8), (11, 8), (65521, 8)])
     def test_prime_base_sums_match_base_operations(self, p, alpha):
-        # the raw sums of a prime-base extension read its 1-tuples as ints;
-        # they equal the base field's operations coefficient by coefficient
+        # the raw sums of an extension, digit by digit, equal the base
+        # field's operations coefficient by coefficient
         ext = tower(p, 1, alpha)
         base = ext.base
+
+        def each(op, *raws):
+            return tuple(d for cs in zip(*(coefficients(r, 1) for r in raws)) for d in op(*cs))
+
         for a, b in self._operands(ext, p + alpha):
-            assert ext.radd(a, b) == tuple(map(base.radd, a, b))
-            assert ext.rsub(a, b) == tuple(map(base.rsub, a, b))
-            assert ext.rneg(a) == tuple(map(base.rneg, a))
+            assert ext.radd(a, b) == each(base.radd, a, b)
+            assert ext.rsub(a, b) == each(base.rsub, a, b)
+            assert ext.rneg(a) == each(base.rneg, a)
 
     def test_prime_base_rcheck_matches_base_checks(self):
-        # the extension checks its 1-tuples itself, as the base checks each
+        # the extension checks its digits as the base checks each
+        # coefficient, and refuses the nested spelling
         ext = tower(5, 1, 2)
         base = ext.base
-        good = ((1,), (4,))
-        raws = [good, ((1,), (5,)), ((1,), (-1,)), ((1,), (True,)), ((1,), (1.0,)), ((1,), [4]),
-                ((1,), (4, 0)), ((1,), ()), ((1,),), [(1,), (4,)], ((1,), 4), ((1,), (4,), (0,))]
+        good = (1, 4)
+        raws = [good, (1, 5), (1, -1), (1, True), (1, 1.0), (1, [4]), (1, (4,)),
+                (1, 4, 0), (1,), [1, 4], ((1,), (4,)), ((1,), 4), ()]
         for raw in raws:
-            generic = isinstance(raw, tuple) and len(raw) == 2 and all(base.rcheck(c) for c in raw)
+            generic = isinstance(raw, tuple) and len(raw) == 2 and all(base.rcheck((c,)) for c in raw)
             assert ext.rcheck(raw) == generic, raw
         assert ext.rcheck(good) and not ext.rcheck(raws[1])
 
@@ -450,7 +459,7 @@ class TestIrreducibility:
             moved = [cand.rsub(cand.rpow(u, p), u) for u in units]
             ech = modp.Echelon(lay)
             for a in moved:
-                ech.insert(lay.pack(cand.digits(a)))
+                ech.insert(lay.pack(a))
             assert len(ech.rows) == d - 1
             assert not cand._irreducible()
         with pytest.raises(ParameterError, match="reducible"):
@@ -514,8 +523,8 @@ class TestDualBasis:
         mu = dual_basis(omega)
         assert tuple(mu.elements) == matches[0]
         # the known answer: (1+w, 1)
-        assert mu.elements[0].coeffs == ((1,), (1,))
-        assert mu.elements[1].coeffs == ((1,), (0,))
+        assert mu.elements[0].coeffs == (1, 1)
+        assert mu.elements[1].coeffs == (1, 0)
 
     @pytest.mark.parametrize("p,e,alpha", [(2, 1, 2), (3, 1, 2), (2, 2, 2), (2, 1, 4), (5, 1, 2)])
     def test_delta_table_and_involution(self, p, e, alpha):
@@ -557,7 +566,7 @@ class TestIsBasis:
     def test_gf4_pair(self):
         ext = tower(2, 1, 2)
         one = ext.one()
-        w1 = ext.element(((1,), (1,)))  # 1 + w
+        w1 = ext.element((1, 1))  # 1 + w
         assert is_basis(ext, (one, w1))
 
 
@@ -579,16 +588,16 @@ class TestPowerMultiples:
         for spec in (ext, ext.base):
             n = spec.digit_layout.width  # D
             units = [spec.from_index(p**u) for u in range(n)]
-            top = Element(spec, spec.from_digits([p - 1] * n))  # every digit at p - 1
+            top = Element(spec, (p - 1,) * n)  # every digit at p - 1
             values = [top, spec.zero(), top] + [spec.from_index(rng.randrange(spec.order)) for _ in range(3)]
             lanes = len(values) * n
             # a layout one group wider than the values, so lanes past them stay clear
             for lay in (modp.layout(p, lanes), modp.layout(p, lanes + n)):
-                v = lay.pack([d for el in values for d in spec.digits(el.coeffs)])
+                v = lay.pack([d for el in values for d in el.coeffs])
                 out = spec.power_multiples(v, lay, lanes)
                 assert len(out) == n
                 for u, prod in enumerate(out):
-                    want = [d for el in values for d in spec.digits((el * units[u]).coeffs)]
+                    want = [d for el in values for d in (el * units[u]).coeffs]
                     assert lay.digits(prod) == want + [0] * (lay.lanes - lanes), (spec, u)
 
     @pytest.mark.parametrize("p,e,alpha", [(2, 2, 3), (3, 2, 4), (7, 1, 3)])

@@ -204,7 +204,7 @@ class TestBlocks:
             lay, got_deg, columns = linalg._linearize(rows, 3, spec)
             assert (got_deg, len(columns), lay.lanes) == (deg, 3 * deg, r * deg)
             want = [
-                [d for row in rows for d in spec.digits((row[j] * u).coeffs)]
+                [d for row in rows for d in (row[j] * u).coeffs]
                 for j in range(3)
                 for u in units
             ]

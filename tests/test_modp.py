@@ -49,7 +49,6 @@ from reference import (
     reference_is_correcting,
     reference_mat_vec,
     reference_prefix_echelons,
-    reference_solve,
     reference_verify_udm,
 )
 from towers import LONG, trace_instance
@@ -335,23 +334,13 @@ def test_a_spent_budget_ends_the_path(monkeypatch):
 
 @pytest.mark.parametrize("p", PRIMES)
 def test_tagged_systems_match_reference(p):
-    # solve on rank-deficient systems, the right-hand side
-    # in the column span or not; inverse on square ones, some singular
+    # inverse on square systems, some singular (solves are answered by
+    # ``modp.kernel`` in ``linalg``, tested against Element elimination)
     rng = random.Random(f"tagged/{p}")
-    statuses, singular = set(), set()
+    singular = set()
     for _ in range(60):
-        height, ncols = rng.randrange(0, 7), rng.randrange(0, 7)
-        cols = random_columns(rng, p, height, ncols)
+        height = rng.randrange(0, 7)
         lay = modp.layout(p, height)
-        packed = [lay.pack(c) for c in cols]
-        if rng.randrange(2):
-            rhs = reference_mat_vec(cols, [rng.randrange(p) for _ in cols], p) or [0] * height
-        else:
-            rhs = [rng.randrange(p) for _ in range(height)]
-        out = modp.solve(packed, lay.pack(rhs), lay)
-        assert (out.status, out.solution, out.free_count) == reference_solve(cols, rhs, p)
-        statuses.add(out.status)
-
         cols = random_columns(rng, p, height, height)
         packed = [lay.pack(c) for c in cols]
         want = reference_inverse(cols, p)
@@ -361,7 +350,6 @@ def test_tagged_systems_match_reference(p):
                 modp.inverse(packed, lay)
         else:
             assert [lay.digits(c) for c in modp.inverse(packed, lay)] == want
-    assert statuses == {"unique", "ambiguous", "inconsistent"}
     assert singular == {True, False}
 
 

@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 
@@ -19,7 +20,7 @@ from hierasure import (
     serialize,
     vontobel_udms,
 )
-from towers import field, tower
+from towers import TOWERS, field, tower
 
 
 def canon(payload):
@@ -40,6 +41,19 @@ class TestElements:
         payload = serialize.udms_to_json(u)
         assert payload["matrices"] == [[[serialize.element_to_json(base_el)]]] == [[[[1, 1]]]]
         assert serialize.udms_from_json(payload).matrices == (((base_el,),),)
+
+    @pytest.mark.parametrize("key", sorted(TOWERS), ids=str)
+    def test_codeword_round_trip_is_byte_identical(self, key):
+        # in memory an extension element is its digits flattened; the wire
+        # keeps one list per coefficient, so a load and a write give back
+        # the same text on every tower
+        ext = tower(*key)
+        p, e, alpha = ext.p, ext.base.e, ext.alpha
+        rng = random.Random(str(key))
+        word = [[[rng.randrange(p) for _ in range(e)] for _ in range(alpha)] for _ in range(3)]
+        word += [[[0] * e] * alpha, [[p - 1] * e] * alpha]
+        text = json.dumps(word)
+        assert json.dumps(serialize.codeword_to_json(serialize.codeword_from_json(ext, json.loads(text)))) == text
 
 
 class TestFamilies:

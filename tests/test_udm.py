@@ -3,7 +3,6 @@ import random
 import pytest
 
 from hierasure import (
-    ConstructionError,
     MissingEigenvectorError,
     OrderedBasis,
     ParameterError,
@@ -45,11 +44,6 @@ class TestVontobel:
     def test_q3_alpha2_m3(self):
         u = vontobel_udms(3, 2, 3, field(3, 1))
         assert verify_udm(u).ok
-
-    def test_one_based_convention_fails_somewhere(self):
-        # the alternative indexing degenerates the third matrix to identity here
-        with pytest.raises(ConstructionError):
-            vontobel_udms(3, 2, 2, field(2, 1), index_convention="one_based")
 
     def test_precondition_grid(self):
         # q in {2,3,4,5}, n <= 4, alpha <= 3, alpha <= m <= 4, q >= n-1
