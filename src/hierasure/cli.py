@@ -4,7 +4,9 @@ Artifacts are JSON only; human-readable summaries go to stdout unless
 ``--json`` asks for machine output.  Every run that writes a primary
 artifact also writes a replayable manifest next to it (same command,
 parameters and seed reproduce byte-identical primary outputs; only the
-recorded duration varies).  Exit codes: 0 success, 1 semantic failure
+recorded duration varies).  ``_write_json`` is the one writer of both: it
+rewrites a file in place and cuts it only when the old file was longer.
+Exit codes: 0 success, 1 semantic failure
 (verification false, decode not unique, construction gave up), 2 usage
 or parameter errors and internal errors (no verdict: one line on stderr,
 no traceback).  A library warning is one ``warning: <message>`` line on
@@ -16,10 +18,14 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
+import random
+import stat
 import sys
 import time
 import warnings
 from fractions import Fraction
+from itertools import chain, repeat
 from pathlib import Path
 
 from . import __version__, serialize
@@ -42,16 +48,107 @@ from .correctability import decode as decode_word
 from .correctability import is_correcting, kernel_basis, patterns_correctable
 from .errors import ConstructionError, ParameterError
 from .fields import make_field, make_tower
-from .patterns import apply_erasure, maximal_patterns, parse_family
+from .patterns import ReceivedWord, apply_erasure, maximal_patterns, parse_family
 from .udm import verify_udm, vontobel_udms
 
-import random
+_string = json.encoder.encode_basestring_ascii
+_int = int.__repr__
+
+
+def _json_text(payload) -> str:
+    """``json.dumps(payload, indent=2, sort_keys=True) + "\\n"``, byte for byte.
+
+    json's indented encoder runs in pure Python; this one writes a list of
+    plain ints, and a list of such lists, with one join each, and that is
+    where almost all of an artifact's lines are (element JSON).  Keys must
+    be strings, and any type json would refuse raises ``TypeError``.
+    """
+    parts = []
+    _emit(payload, "\n", parts.append)
+    parts.append("\n")
+    return "".join(parts)
+
+
+def _int_rows(items, nl):
+    """items as one indented JSON text when every item is a plain int, or
+    every item is a nonempty list or tuple of plain ints; else None."""
+    inner = nl + "  "
+    kinds = set(map(type, items))
+    if kinds == {int}:
+        return "[" + inner + ("," + inner).join(map(_int, items)) + nl + "]"
+    if kinds <= {list, tuple} and all(items) and set(map(type, chain.from_iterable(items))) == {int}:
+        leaf = inner + "  "
+        rows = map(("," + leaf).join, map(map, repeat(_int), items))
+        return "[" + inner + "[" + leaf + (inner + "]," + inner + "[" + leaf).join(rows) + inner + "]" + nl + "]"
+    return None
+
+
+def _emit(obj, nl, put) -> None:
+    """Put obj's indented JSON, whose own line starts after nl."""
+    if isinstance(obj, str):
+        put(_string(obj))
+    elif obj is None:
+        put("null")
+    elif obj is True:
+        put("true")
+    elif obj is False:
+        put("false")
+    elif isinstance(obj, int):
+        put(_int(obj))
+    elif isinstance(obj, float):
+        put(json.dumps(obj))
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            put("[]")
+            return
+        rows = _int_rows(obj, nl)
+        if rows is not None:
+            put(rows)
+            return
+        inner = nl + "  "
+        sep = "[" + inner
+        for item in obj:
+            put(sep)
+            _emit(item, inner, put)
+            sep = "," + inner
+        put(nl + "]")
+    elif isinstance(obj, dict):
+        if not obj:
+            put("{}")
+            return
+        inner = nl + "  "
+        sep = "{" + inner
+        for key in sorted(obj):
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            put(sep + _string(key) + ": ")
+            _emit(obj[key], inner, put)
+            sep = "," + inner
+        put(nl + "}")
+    else:
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
+def _in_place(path, flags):
+    # "wb" without O_TRUNC: truncating an existing file costs more than
+    # writing it, so _write_json cuts only the tail it did not overwrite
+    return os.open(path, flags & ~os.O_TRUNC, 0o666)
 
 
 def _write_json(path: Path, payload) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    """Write payload's indented JSON to path, in place.
+
+    An existing regular file is overwritten from its start and truncated
+    only when it was longer than the new text; a FIFO, tty or ``/dev/null``
+    is never truncated.
+    """
+    data = _json_text(payload).encode("ascii")
     try:
-        path.write_text(text, encoding="utf-8")
+        with open(path, "wb", opener=_in_place) as f:
+            old = os.fstat(f.fileno())
+            f.write(data)
+            if stat.S_ISREG(old.st_mode) and old.st_size > len(data):
+                f.truncate()
     except OSError as exc:
         raise ParameterError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
@@ -336,8 +433,6 @@ def _cmd_demo(args) -> int:
 
 
 def _tamper(received):
-    from .patterns import ReceivedWord
-
     base = received.omega.ext.base
     known = [list(suffix) for suffix in received.known]
     for i, suffix in enumerate(known):

@@ -1,9 +1,13 @@
+import enum
 import json
 import os
+import random
 import subprocess
 import sys
 import tempfile
+import threading
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -11,7 +15,7 @@ import pytest
 from hierasure import FullFamily, ReceivedWord, code_from_rows, find_quadratic_root, serialize
 from hierasure import apply_erasure, b_symmetric_basis, kernel_basis, length2_code, maximal_patterns
 from hierasure import fields, make_tower
-from hierasure.cli import main
+from hierasure.cli import _json_text, _write_json, main
 from towers import LONG, long_code, tower
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -562,22 +566,24 @@ class TestDemo:
         assert "--json" in capsys.readouterr().err
 
 
+@pytest.fixture
+def code_file(tmp_path):
+    out = tmp_path / "code.json"
+    run("construct", "length2", "--p", "2", "--alpha", "2", "--out", str(out))
+    return str(out)
+
+
+@pytest.fixture
+def received_file(tmp_path, code_file):
+    code = serialize.code_from_json(json.loads(open(code_file).read()))
+    word = kernel_basis(code)[0]
+    path = tmp_path / "rw.json"
+    path.write_text(json.dumps(serialize.received_to_json(apply_erasure(word, (1, 1), code.omega))))
+    return str(path)
+
+
 class TestInputBoundary:
     """Bad input exits 2 with one ``error:`` line and no traceback."""
-
-    @pytest.fixture
-    def code_file(self, tmp_path):
-        out = tmp_path / "code.json"
-        run("construct", "length2", "--p", "2", "--alpha", "2", "--out", str(out))
-        return str(out)
-
-    @pytest.fixture
-    def received_file(self, tmp_path, code_file):
-        code = serialize.code_from_json(json.loads(open(code_file).read()))
-        word = kernel_basis(code)[0]
-        path = tmp_path / "rw.json"
-        path.write_text(json.dumps(serialize.received_to_json(apply_erasure(word, (1, 1), code.omega))))
-        return str(path)
 
     def assert_usage_error(self, capsys, rc):
         err = capsys.readouterr().err
@@ -865,3 +871,176 @@ class TestInputBoundary:
     def test_decode_still_works(self, code_file, received_file, capsys):
         assert run("decode", "--code", code_file, "--received", received_file, "--json") == 0
         assert json.loads(capsys.readouterr().out)["status"] == "decoded"
+
+
+# each writing command, with {out} its --out: (argv, the artifacts it writes)
+WRITERS = {
+    "construct": (("construct", "length2", "--p", "2", "--alpha", "2", "--out", "{out}"), ["{out}"]),
+    "verify": (("verify", "--code", "{code}", "--out", "{out}"), ["{out}"]),
+    "decode": (("decode", "--code", "{code}", "--received", "{rw}", "--out", "{out}"), ["{out}"]),
+    "bounds": (("bounds", "asymptotic", "--regime", "n_large", "--c1", "1", "--out", "{out}"), ["{out}"]),
+    "udm": (("udm", "build", "--p", "3", "--alpha", "2", "--m", "2", "--n", "3", "--out", "{out}"), ["{out}"]),
+    "demo": (
+        ("demo", "check-node", "--seed", "1", "--out", "{out}"),
+        ["{out}/code.json", "{out}/received.json", "{out}/decoded.json"],
+    ),
+}
+
+
+class TestArtifactWrites:
+    """Artifacts are rewritten in place, and a failed write is one ``error:`` line."""
+
+    @staticmethod
+    def writer(command, out, code_file, received_file):
+        """The command's argv for --out out, its artifact paths and its manifest path."""
+        argv, artifacts = WRITERS[command]
+        fill = {"out": out, "code": code_file, "rw": received_file}
+        manifest = out / "run.manifest.json" if command == "demo" else Path(f"{out}.manifest.json")
+        return [a.format(**fill) for a in argv], [Path(a.format(**fill)) for a in artifacts], manifest
+
+    @pytest.mark.parametrize("command", ["construct", "verify", "decode", "bounds"])
+    @pytest.mark.parametrize("case", ["out-is-a-directory", "out-in-a-missing-directory", "manifest-is-a-directory"])
+    def test_write_failure_is_one_error_line(self, tmp_path, code_file, received_file, capsys, command, case):
+        out = tmp_path / ("missing" if case == "out-in-a-missing-directory" else "") / "report.json"
+        argv, _, manifest = self.writer(command, out, code_file, received_file)
+        failed = manifest if case == "manifest-is-a-directory" else out
+        if case != "out-in-a-missing-directory":
+            failed.mkdir()
+        capsys.readouterr()
+        rc = run(*argv)
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.err.startswith(f"error: cannot write {failed}: ") and captured.err.count("\n") == 1, captured.err
+        assert "Traceback" not in captured.out + captured.err
+        if case == "manifest-is-a-directory":
+            # the artifact was written before its manifest failed
+            assert json.loads(out.read_text())
+
+    @pytest.mark.parametrize("command", sorted(WRITERS))
+    def test_rewrites_longer_and_shorter_files_in_place(self, tmp_path, code_file, received_file, command):
+        argv, fresh, _ = self.writer(command, tmp_path / "fresh", code_file, received_file)
+        rc = run(*argv)
+        out = tmp_path / "reused"
+        if command == "demo":
+            out.mkdir()
+        argv, artifacts, manifest = self.writer(command, out, code_file, received_file)
+        files = artifacts + [manifest]
+        for junk in (b"\xff" * 65536, b"[0]"):
+            for path in files:
+                path.write_bytes(junk)
+            inodes = [path.stat().st_ino for path in files]
+            assert run(*argv) == rc
+            for path, want in zip(artifacts, fresh):
+                assert path.read_bytes() == want.read_bytes(), path
+            assert json.loads(manifest.read_bytes())["command"].startswith(command)
+            assert [path.stat().st_ino for path in files] == inodes
+
+    def test_device_is_written_without_a_truncate(self):
+        # ftruncate on /dev/null fails, so this passes only if it is skipped
+        _write_json(Path(os.devnull), {"a": [1, 2]})
+
+    def test_fifo_receives_the_text(self, tmp_path):
+        fifo = tmp_path / "pipe"
+        os.mkfifo(fifo)
+        got = []
+        reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()))
+        reader.start()
+        try:
+            _write_json(fifo, {"a": [1, 2]})
+        finally:
+            reader.join(10)
+        assert got == [b'{\n  "a": [\n    1,\n    2\n  ]\n}\n']
+
+
+class Colour(enum.IntEnum):
+    RED = 1
+    GREEN = 2
+
+
+ODD_TEXT = ["", "plain", "café αβ", "\U0001f600", "\ud800", 'say "hi"', "back\\slash",
+            "\x00\x01\x1f\x7f", "tab\tnew\nline\r", "</script>", "  "]
+ODD_FLOATS = [float("nan"), float("inf"), float("-inf"), -0.0, 0.0, 1e300, 0.1, 1.5, -2.25e-308, 5e-324]
+
+
+def random_payload(rng, depth=0):
+    kind = rng.randrange(11 if depth < 6 else 6)
+    if kind == 0:
+        return rng.choice(ODD_TEXT) + rng.choice(ODD_TEXT)
+    if kind == 1:
+        return rng.choice([0, -1, 7, 2**70, -(2**65), Colour.GREEN, True, False, None])
+    if kind == 2:
+        return rng.choice(ODD_FLOATS + [rng.uniform(-1e6, 1e6)])
+    if kind == 3:
+        return [rng.randrange(-50, 10**6) for _ in range(rng.randrange(5))]
+    if kind == 4:
+        return [[rng.randrange(11) for _ in range(rng.randrange(4))] for _ in range(rng.randrange(5))]
+    if kind == 5:
+        row = [rng.randrange(11) for _ in range(rng.randrange(1, 5))]
+        row[rng.randrange(len(row))] = rng.choice([True, False, Colour.RED, 1.0, None, "1"])
+        return rng.choice([row, [row], [[3], row], tuple(row)])
+    if kind in (6, 7):
+        return [random_payload(rng, depth + 1) for _ in range(rng.randrange(4))]
+    if kind == 8:
+        return tuple(random_payload(rng, depth + 1) for _ in range(rng.randrange(4)))
+    return {rng.choice(ODD_TEXT) + str(k): random_payload(rng, depth + 1) for k in range(rng.randrange(5))}
+
+
+def deep(levels):
+    payload = [1, [2, 3]]
+    for k in range(levels):
+        payload = {"k": payload, "z": []} if k % 2 else [payload, {}]
+    return payload
+
+
+class TestJsonText:
+    """The artifact encoder writes json.dumps(indent=2, sort_keys=True)'s text, byte for byte."""
+
+    @staticmethod
+    def expected(payload):
+        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_random_payloads(self, seed):
+        rng = random.Random(seed)
+        for _ in range(50):
+            payload = random_payload(rng)
+            assert _json_text(payload) == self.expected(payload), payload
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {text: text for text in ODD_TEXT},
+            ODD_FLOATS,
+            {"floats": [[x] for x in ODD_FLOATS]},
+            [1, True, 2],
+            [[1, 2], [True]],
+            [[0, 1], [], [2]],
+            [[]],
+            [Colour.RED, 2],
+            {"colour": Colour.GREEN, "rows": [(1, Colour.RED)]},
+            ((1, 2), (3,)),
+            [],
+            {},
+            {"a": [], "b": {}, "c": [[], {}]},
+            deep(30),
+            "top-level text",
+            17,
+            None,
+        ],
+        ids=lambda payload: type(payload).__name__,
+    )
+    def test_edge_payloads(self, payload):
+        assert _json_text(payload) == self.expected(payload)
+
+    @pytest.mark.parametrize(
+        "path", sorted((Path(__file__).parent / "golden").rglob("*.json")), ids=lambda path: path.parent.name + "/" + path.name
+    )
+    def test_golden_files(self, path):
+        text = path.read_text()
+        payload = json.loads(text)
+        assert _json_text(payload) == self.expected(payload) == text
+
+    @pytest.mark.parametrize("payload", [{1: 2}, {"a": {None: 1}}, {"a": Fraction(1, 2)}, [{1, 2}], b"x"])
+    def test_types_the_cli_never_writes_are_refused(self, payload):
+        with pytest.raises(TypeError):
+            _json_text(payload)
