@@ -19,20 +19,23 @@ shifts with the folds read off the moduli.  Every F_p matrix of
 multiplication by an element comes from it: the product tables of code
 expansions (``codes.LinearCode.table``), the columns of multiplication
 by a column of elements (``multiplication_columns``: ``linalg`` blocks,
-UDM digit rows and greedy GV's candidates) and both matrices of the
-irreducibility test.  Multiplication with prime-field coefficients (the
-base field, and an extension of a prime field) is one packed multiply:
-both factors packed one coefficient per lane, the product's high lanes
-folded back in with the rows z^k mod the modulus (``_PackedProduct``);
-over a non-prime base it is one packed combination of a's digits with
-the power multiples of b.  Powers are square-and-multiply and the
-inverse is a^(order-2).
+UDM digit rows and greedy GV's candidates) and the Frobenius matrix of
+the irreducibility test over a non-prime base.  Multiplication with
+prime-field coefficients (the base field, and an extension of a prime
+field) is one packed multiply: both factors packed one coefficient per
+lane, the product's high lanes folded back in with the rows z^k mod the
+modulus (``_PackedProduct``); over a non-prime base it is one packed
+combination of a's digits with the power multiples of b.  Powers are
+square-and-multiply and the inverse is a^(order-2).
 
 A modulus is irreducible by one test on the field's own arithmetic,
 Berlekamp's criterion: set up K[y]/(f) as if f were irreducible, and
-check by two prime-field ranks that a -> a^|K| - a has a kernel of one
-K-dimension and that f' is a unit.  The constructors run it, and the
-seeded searches run it once per candidate on the field they return.
+check by two prime-field ranks of the matrix Q of a -> a^|K| that Q is
+nonsingular, which holds exactly when f is squarefree (K[y]/(f) then
+has no nilpotents), and that Q - I has a kernel of one K-dimension.
+Over prime-field coefficients Q's columns are the powers of y^p, each
+one packed product.  The constructors run the test, and the seeded
+searches run it once per candidate on the field they return.
 The images of a -> a^|K| are the matrix of the Frobenius x -> x^q,
 which is F_q-linear, so the extension keeps them for ``frobenius`` and
 ``trace``, and beside them the packed columns of each power x -> x^(q^d)
@@ -43,8 +46,9 @@ columns off it.
 A basis omega of the extension over F_q (``OrderedBasis``) keeps one
 coordinate transform, over the prime field: the digits of x's
 coordinates over omega, each base-field coordinate spelled as its e
-digits.  Every coordinate question, including whether a tuple is a
-basis at all, goes through that one integer map.  A basis keeps nothing
+digits.  Whether a tuple is a basis at all is the rank of that map's
+matrix, and its inverse, which converts power digits to coordinates, is
+made on the first conversion that needs it.  A basis keeps nothing
 else: the packed layouts a code reads against it (its product table,
 blocks and decode tags) are built and kept by the code (``codes``).
 
@@ -60,6 +64,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from operator import mul
 from typing import Iterator, Sequence, Union
 
@@ -126,22 +131,24 @@ class _PackedProduct:
     is the coefficient of z^k, at most d * (p-1)^2.  Its d - 1 high lanes,
     taken mod p, fold back in times the rows z^k mod f, k = d .. 2d-2,
     which adds at most (d-1) * (p-1)^2 to a low lane: a layout of 2d - 1
-    terms holds the sum, and one normalization reduces it.  The layout
-    and the rows are made on the first product, row d = -f_low and each
-    next one the previous times z (``_times_unit``): a seeded modulus
-    search sets up a field per candidate and multiplies in few of them.
+    terms holds the sum, and one normalization reduces it.  Row d is
+    -f_low and each next one the previous times z (``_times_unit``).
     """
 
-    __slots__ = ("p", "low", "layout", "shifts", "rows")
+    __slots__ = ("low", "layout", "shifts", "rows")
 
     def __init__(self, p: int, low: Sequence[int]):
-        self.p = p
+        d = len(low)
         self.low = low  # f_low
-        self.rows = None
+        self.layout = lay = modp.layout(p, 2 * d - 1)
+        self.shifts = range(0, d * lay.bits, lay.bits)
+        fold = lay.pack([-c % p for c in low])  # z^d = -f_low
+        rows = [fold] if d > 1 else []
+        for _ in range(2, d):
+            rows.append(_times_unit(rows[-1], lay, d, d, [fold]))
+        self.rows = rows
 
     def product(self, a, b) -> tuple:
-        if self.rows is None:
-            self._setup()
         bits = self.layout.bits
         x = y = 0
         for u, v in zip(reversed(a), reversed(b)):
@@ -156,16 +163,6 @@ class _PackedProduct:
         p, bits, lane = lay.p, lay.bits, lay.lane
         high = [(x >> s & lane) % p for s in range(cut, cut + len(rows) * bits, bits)]
         return lay.normalize((x & (1 << cut) - 1) + sum(map(mul, high, rows)))
-
-    def _setup(self):
-        p, d = self.p, len(self.low)
-        self.layout = lay = modp.layout(p, 2 * d - 1)
-        self.shifts = range(0, d * lay.bits, lay.bits)
-        fold = lay.pack([-c % p for c in self.low])  # z^d = -f_low
-        rows = [fold] if d > 1 else []
-        for _ in range(2, d):
-            rows.append(_times_unit(rows[-1], lay, d, d, [fold]))
-        self.rows = rows
 
 
 def _times_unit(v: int, lay: modp.Layout, lanes: int, period: int, folds: Sequence[int]) -> int:
@@ -196,11 +193,10 @@ def _times_unit(v: int, lay: modp.Layout, lanes: int, period: int, folds: Sequen
     return lay.normalize(v)
 
 
-def _rank(columns: Sequence[int], lay: modp.Layout) -> int:
+def _independent(columns: Sequence[int], lay: modp.Layout) -> bool:
+    # stops at the first dependent column
     ech = modp.Echelon(lay)
-    for col in columns:
-        ech.insert(col)
-    return len(ech.rows)
+    return all(ech.insert(col) is None for col in columns)
 
 
 # ---------------------------------------------------------------------------
@@ -250,39 +246,51 @@ class _Field:
 
     def _irreducible(self) -> bool:
         """Berlekamp's criterion for the modulus f (Knuth, TAOCP vol. 2,
-        4.6.2).
+        4.6.2), with squarefreeness read off the same matrix.
 
-        In R = K[y]/(f) the fixed points of a -> a^|K| form a K-space whose
-        dimension is the number of distinct irreducible factors of f, and f
-        is squarefree exactly when its derivative is a unit of R.  So f is
-        irreducible iff, as F_p-linear maps of R's D digits, a -> a^|K| - a
-        has rank D - c, with c the digit count of K, and multiplication by
-        f' has rank D: its matrix is the power multiples of f'.  The images
-        of a -> a^|K| are kept as the packed ``_frobenius_columns``.
+        In R = K[y]/(f) the map a -> a^|K| is K-linear, and when f is
+        squarefree its fixed points form a K-space whose dimension is the
+        number of distinct irreducible factors of f.  f is squarefree
+        exactly when the map is injective: a squarefree f makes R a product
+        of fields, which has no nilpotents, while f = g^2 h gives a = g h,
+        not 0 in R, with a^2 and so a^|K| divisible by f.  So f is
+        irreducible iff, as F_p-linear maps of R's D digits, a -> a^|K| has
+        rank D and a -> a^|K| - a has rank D - c, with c the digit count
+        of K.  The images of a -> a^|K| are kept as the packed
+        ``_frobenius_columns``.
         """
         lay = self.digit_layout
         p, n, c = lay.p, lay.width, self._kdigits
-        # f' has (u + 1) * f_(u+1) at y^u, and f_deg = 1
-        df = [(k // c + 1) * d % p for k, d in enumerate(self._mod_digits[c:])]
-        if not any(df):
-            return False  # f is a p-th power
         # a -> a^|K| is K-linear and fixes K, so it sends the unit y^u * x^d
         # to (y^|K|)^u * x^d: the units x^d themselves for u = 0, then K's
         # power multiples of each power of y^|K| (digit c is y; K = F_p,
         # c = 1, has the one power unit 1)
         cols = [1 << d * lay.bits for d in range(c)]
-        if n > c:
+        if n > c and self._mulmod is not None:
+            # prime-field coefficients: (y^p)^u, u = 1 .. n-1, chained as
+            # packed products, each repacked under the field's layout.
+            # y^p is one reduction of the packed unit while it has at most
+            # the product's 2n - 1 lanes
+            mm = self._mulmod
+            if p <= 2 * n - 2:
+                step = acc = mm._reduce(1 << p * mm.layout.bits)
+            else:
+                step = acc = mm.layout.pack(self.rpow(self.rfrom_index(p), p))
+            for u in range(1, n):
+                if u > 1:
+                    acc = mm._reduce(acc * step)
+                cols.append(lay.pack(mm.layout.digits(acc, 0, n)))
+        elif n > c:
             step = acc = self.rpow(self.rfrom_index(p**c), p**c)
             for u in range(1, n // c):
                 if u > 1:
                     acc = self.rmul(acc, step)
-                col = lay.pack(acc)
-                cols += self.base.power_multiples(col, lay, n) if c > 1 else [col]
+                cols += self.base.power_multiples(lay.pack(acc), lay, n)
         self._frobenius_columns = cols
-        moved = [lay.normalize(col + (p - 1 << k * lay.bits)) for k, col in enumerate(cols)]
-        if _rank(moved, lay) != n - c:
-            return False
-        return _rank(self.power_multiples(lay.pack(df), lay, n), lay) == n
+        # Q - I sends K's c units to 0, so its rank is n - c iff its other
+        # columns are independent
+        moved = [lay.normalize(cols[k] + (p - 1 << k * lay.bits)) for k in range(c, n)]
+        return _independent(moved, lay) and _independent(cols, lay)
 
     def multiplication_columns(self, column: Sequence["Element"], lay: modp.Layout) -> list[int]:
         """The F_p columns of multiplication by each power unit U_u on a
@@ -748,11 +756,13 @@ class OrderedBasis:
     """An ordered basis of the extension over its base field.
 
     The basis keeps one change-of-coordinates transform, over the prime
-    field, built at construction: the ``alpha * e`` elements
-    ``w_k = omega_j * x^d`` (k = j*e + d) form an F_p-basis exactly when
-    omega is an F_q-basis, so a singular digit matrix is the basis check.
+    field: the ``alpha * e`` elements ``w_k = omega_j * x^d`` (k = j*e +
+    d) form an F_p-basis exactly when omega is an F_q-basis, so the rank
+    of their digit matrix is the basis check, made at construction.
     Their power digits are the base's power multiples of omega's, with no
-    extension products.
+    extension products.  The inverse matrix, from power digits to
+    coordinates, is made on the first conversion that needs it: loading
+    and checking a code or a received word converts nothing.
     ``coordinate_digits`` / ``from_coordinate_digits`` convert between an
     element and its digits against the w_k (digit d of coordinate j at
     index j*e + d); ``coordinates`` / ``combine`` group those digits into
@@ -778,11 +788,14 @@ class OrderedBasis:
             for w in elems
             for v in ext.base.power_multiples(lay.pack(w.coeffs), lay, lay.width)
         ]
-        try:
-            self._from_power = modp.inverse(self._to_power, lay)
-        except ParameterError:
+        if not _independent(self._to_power, lay):
             raise InvalidBasisError("elements are linearly dependent over the base field")
         self._hash = hash((ext, tuple(el.coeffs for el in elems)))
+
+    @cached_property
+    def _from_power(self) -> list[int]:
+        # the columns of the inverse transform, made on first use
+        return modp.inverse(self._to_power, self.ext.digit_layout)
 
     def coordinate_digits(self, x: Element) -> list[int]:
         """Prime-field digits of the coordinates of x (see the class notes)."""

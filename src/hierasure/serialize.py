@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-import json
+from itertools import chain
 from typing import Any
 
 from .codes import LinearCode, code_from_rows
@@ -213,22 +213,29 @@ def received_to_json(rw: ReceivedWord) -> dict:
 
 def _spells(obj: dict, like: OrderedBasis) -> bool:
     """Whether the "field", "ext" and "omega" of obj are exactly like's
-    JSON: both sides as the C encoder writes them with sorted keys, a text
-    that tells 1 from 1.0 and from true.  like's omega is grouped into
-    coefficients as ``basis_to_json`` writes it; a value of obj the
-    encoder cannot write is no match."""
+    JSON, ``basis_to_json``'s grouping of omega included: equal values of
+    equal types at every level, so 1 matches neither 1.0, true nor "1",
+    and dict keys may come in any order."""
     theirs = {**_tower_to_json(like.ext), "omega": basis_to_json(like)}
-    try:
-        mine = _json_text({key: obj.get(key) for key in ("field", "ext", "omega")})
-    except (TypeError, ValueError):
+    return all(_same(obj.get(key), value) for key, value in theirs.items())
+
+
+def _same(mine, theirs) -> bool:
+    # theirs is like's JSON: dicts, ints, and lists whose entries nest
+    # lists to one depth above plain ints.  A list's == compares lengths
+    # and values in C, and only a list equals a list, but it lets 1 equal
+    # 1.0 and true: so the ints are then checked by type, flattened
+    if type(mine) is not type(theirs):
         return False
-    return mine == _json_text(theirs)
-
-
-def _json_text(value) -> str:
-    # a parsed payload has no cycles; a caller's cyclic value recurses to
-    # the interpreter's limit and raises RecursionError
-    return json.dumps(value, sort_keys=True, check_circular=False)
+    if type(theirs) is dict:
+        return mine.keys() == theirs.keys() and all(_same(mine[k], v) for k, v in theirs.items())
+    if type(theirs) is not list:
+        return mine == theirs
+    if mine != theirs:
+        return False
+    while theirs and type(theirs[0]) is list:
+        mine, theirs = [*chain.from_iterable(mine)], [*chain.from_iterable(theirs)]
+    return {*map(type, mine)} <= {int}
 
 
 @_loader("received word")

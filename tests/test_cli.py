@@ -1,5 +1,6 @@
 import enum
 import json
+import math
 import os
 import random
 import subprocess
@@ -383,6 +384,57 @@ class TestDecodeTowerReuse:
         rc, out = self.decode(tmp_path, code_path, payload, capsys)
         assert rc == 0 and json.loads(out.out) == {"codeword": word, "solution_space_dim": 0, "status": "decoded"}
         assert sorted(inits) == ["ExtSpec", "ExtSpec", "OrderedBasis", "OrderedBasis"]
+
+    def test_reordered_keys_reuse_the_tower(self, tmp_path, files, inits, capsys):
+        # a JSON object's keys have no order: "field" and "ext" written in
+        # reverse still spell the code's tower
+        code_path, payload, word = files
+        for key in ("field", "ext"):
+            payload[key] = dict(reversed(payload[key].items()))
+        assert list(payload["field"]) == ["modulus", "e", "p"]
+        rc, out = self.decode(tmp_path, code_path, payload, capsys)
+        assert rc == 0 and json.loads(out.out)["codeword"] == word
+        assert sorted(inits) == ["ExtSpec", "OrderedBasis"]
+
+    @pytest.mark.parametrize(
+        "edit,rc,error",
+        [
+            (lambda rw: rw["field"].update(extra=1), 0, ""),
+            (lambda rw: rw["ext"].update(extra=1), 0, ""),
+            (lambda rw: rw["field"]["modulus"].__setitem__(-1, "1"), 2,
+             "error: modulus coefficient must be an integer, got '1'\n"),
+            (lambda rw: rw["ext"]["modulus"][-1].__setitem__(0, "1"), 2,
+             "error: extension modulus must be monic of degree alpha\n"),
+            (lambda rw: rw["omega"][0][0].__setitem__(0, "1"), 2,
+             "error: invalid coefficient vector for GF(5^4)/GF(5): [['1'], [0], [0], [0]]\n"),
+            (lambda rw: rw.update(omega=[[c] for c in rw["omega"]]), 2,
+             "error: invalid coefficient vector for GF(5^4)/GF(5): [[[1], [0], [0], [0]]]\n"),
+            (lambda rw: rw["omega"].append(rw["omega"][0]), 2, "error: need 4 elements, got 5\n"),
+            (lambda rw: rw["field"]["modulus"].append(0), 2, "error: modulus must be monic of degree e\n"),
+            (lambda rw: rw["field"]["modulus"].__setitem__(0, math.nan), 2,
+             "error: modulus coefficient must be an integer, got nan\n"),
+            (lambda rw: rw["ext"]["modulus"][0].__setitem__(0, math.nan), 2,
+             "error: extension modulus has invalid coefficients\n"),
+        ],
+        ids=[
+            "field-extra-key", "ext-extra-key", "field-modulus-string", "ext-modulus-string", "omega-string",
+            "omega-nested-deeper", "omega-extra-element", "field-modulus-extra-coefficient", "field-modulus-nan",
+            "ext-modulus-nan",
+        ],
+    )
+    def test_near_spellings_load_their_own_tower(self, tmp_path, files, inits, capsys, edit, rc, error):
+        # a word that is not exactly the code's JSON, by an extra key, a
+        # list's length or the type of one value, loads in full: a well-formed one decodes
+        # on its own tower and basis, a malformed one fails as such
+        code_path, payload, word = files
+        edit(payload)
+        got, out = self.decode(tmp_path, code_path, payload, capsys)
+        assert (got, out.err) == (rc, error)
+        if rc == 0:
+            assert json.loads(out.out)["codeword"] == word
+            assert sorted(inits) == ["ExtSpec", "ExtSpec", "OrderedBasis", "OrderedBasis"]
+        else:
+            assert out.out == ""
 
     @pytest.mark.parametrize(
         "edit,error",

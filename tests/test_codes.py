@@ -7,6 +7,7 @@ import random
 import pytest
 
 from hierasure import (
+    OrderedBasis,
     b_symmetric_basis,
     code_from_rows,
     dual_basis,
@@ -66,10 +67,13 @@ def test_blocks_match_element_products(p, e, alpha):
     # every block equals the Element products h * omega_j * x^d in power
     # digits, for codes of 1 to 3 rows sharing one basis (so each code
     # builds its own product table, for its own column width), with zero
-    # entries
+    # entries.  Each basis is loaded afresh, as a code file's is: the
+    # expansion reads only its power digits, and its inverse is made on
+    # the first coordinate conversion
     ext = tower(p, e, alpha)
     rng = random.Random(f"{p}/{e}/{alpha}")
-    for name, omega in _bases(ext).items():
+    for name, shared in _bases(ext).items():
+        omega = OrderedBasis(ext, shared.elements)
         for r in (1, 2, 3):
             rows = [[ext.from_index(rng.randrange(ext.order)) for _ in range(3)] for _ in range(r)]
             rows[0][1] = ext.zero()
@@ -87,7 +91,11 @@ def test_blocks_match_element_products(p, e, alpha):
             tlay, products = code.table
             assert (tlay.width, tlay.terms, tlay.bits) == (r * alpha * e, 3 * alpha * e, lay.bits)
             assert len(products) == alpha * e
+        assert vars(omega).keys() == {"ext", "elements", "_to_power", "_hash"}
+        x = ext.from_index(rng.randrange(ext.order))
+        assert omega.from_coordinate_digits(omega.coordinate_digits(x)) == x
         assert vars(omega).keys() == {"ext", "elements", "_to_power", "_from_power", "_hash"}
+        assert omega._from_power == modp.inverse(omega._to_power, ext.digit_layout)
 
 
 @pytest.mark.parametrize("expanded_first", [False, True], ids=["fresh", "expanded"])

@@ -419,6 +419,22 @@ class TestIrreducibleCounts:
         assert count == _gauss_count(p * p, d)
 
 
+def _rank(columns, lay):
+    ech = modp.Echelon(lay)
+    for col in columns:
+        ech.insert(col)
+    return len(ech.rows)
+
+
+def _frobenius_by_powers(spec, q):
+    # Q's packed columns, the images a^q of the power units a, and the
+    # columns of Q - I
+    lay = spec.digit_layout
+    units = [spec.rfrom_index(spec.p**u) for u in range(lay.width)]
+    Q = [lay.pack(spec.rpow(u, q)) for u in units]
+    return Q, [lay.pack(spec.rsub(spec.rpow(u, q), u)) for u in units]
+
+
 class TestIrreducibility:
     """Berlekamp's criterion against the distinct-degree gcd test."""
 
@@ -453,19 +469,66 @@ class TestIrreducibility:
         K = field(p, 1)
         for cand in (FieldSpec._candidate(p, d, f), ExtSpec._candidate(K, d, tuple((c,) for c in f))):
             # a -> a^p - a by square-and-multiply has rank d - 1, as for an
-            # irreducible modulus: only the derivative condition rejects f
-            lay = cand.digit_layout
-            units = [cand.rfrom_index(p**k) for k in range(d)]
-            moved = [cand.rsub(cand.rpow(u, p), u) for u in units]
-            ech = modp.Echelon(lay)
-            for a in moved:
-                ech.insert(lay.pack(a))
-            assert len(ech.rows) == d - 1
+            # irreducible modulus; f = g^2 is rejected by Q alone: a^p = 0
+            # exactly for the multiples of g, so Q has rank deg g
+            Q, moved = _frobenius_by_powers(cand, p)
+            assert (_rank(moved, cand.digit_layout), _rank(Q, cand.digit_layout)) == (d - 1, d // 2)
             assert not cand._irreducible()
         with pytest.raises(ParameterError, match="reducible"):
             FieldSpec(p, d, f)
         with pytest.raises(ParameterError, match="reducible"):
             ExtSpec(K, d, tuple((c,) for c in f))
+
+    @pytest.mark.parametrize(
+        "p,e,d,k",
+        [(p, e, d, k) for p, e in [(2, 1), (3, 1), (2, 2), (3, 2)] for d in (2, 3, 4) for k in sorted({2, p})],
+    )
+    def test_prime_powers_are_refused_by_q_alone(self, p, e, d, k):
+        # f = g^k, g the pinned irreducible of degree d over K: R = K[y]/(f)
+        # is local, so a -> a^|K| fixes only K and Q - I has rank n - c as
+        # for an irreducible f; but a^|K| = 0 exactly when g divides a
+        # (k <= |K|), so Q has rank c * d < n
+        K = field(p, e)
+        f = tower(p, e, d).modulus
+        for _ in range(k - 1):
+            f = tuple(_mul(f, tower(p, e, d).modulus, K))
+        cands = [ExtSpec._candidate(K, d * k, f)]
+        if e == 1:
+            cands.append(FieldSpec._candidate(p, d * k, tuple(c for c, in f)))
+        for cand in cands:
+            lay, n = cand.digit_layout, d * k * e
+            Q, moved = _frobenius_by_powers(cand, K.order)
+            assert (_rank(moved, lay), _rank(Q, lay)) == (n - e, d * e)
+            assert not cand._irreducible()
+            assert cand._frobenius_columns == Q
+        with pytest.raises(ParameterError, match="reducible"):
+            ExtSpec(K, d * k, f)
+        if e == 1:
+            with pytest.raises(ParameterError, match="reducible"):
+                FieldSpec(p, d * k, tuple(c for c, in f))
+
+    @pytest.mark.parametrize("p,d,count", [(11, 8, 80), (65521, 2, 100)])
+    def test_sampled_prime_field_moduli_match_reference(self, p, d, count):
+        # degree 8 over GF(11) takes y^p in one reduction (p <= 2d - 2),
+        # degree 2 over GF(65521) by square-and-multiply
+        K = field(p, 1)
+        rng = random.Random(f"{p}^{d}")
+        verdicts = []
+        for _ in range(count):
+            f = tuple(rng.randrange(p) for _ in range(d)) + (1,)
+            want = reference_is_irreducible([(c,) for c in f], K)
+            assert _accepts(lambda: FieldSpec(p, d, f)) == want, f
+            assert _accepts(lambda: ExtSpec(K, d, tuple((c,) for c in f))) == want, f
+            verdicts.append(want)
+        assert 0 < sum(verdicts) < count
+
+    @pytest.mark.parametrize("key", sorted(FIELDS) + sorted(TOWERS), ids=str)
+    def test_frobenius_columns_are_powers_of_the_units(self, key):
+        # the columns the test keeps are the |K|-th powers of the power
+        # units, each by square-and-multiply on its own
+        spec = field(*key) if len(key) == 3 else tower(*key)
+        q = spec.base.order if isinstance(spec, ExtSpec) else spec.p
+        assert spec._frobenius_columns == _frobenius_by_powers(spec, q)[0]
 
     @pytest.fixture
     def tested(self, monkeypatch):

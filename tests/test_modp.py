@@ -645,8 +645,16 @@ class TestInsertCounts:
         # the echelon of the pattern cut before that column, copied, takes
         # that column's first t*e vectors.  A candidate's trial inserts each
         # of its vectors but the last and only reduces the last: 88 trial
-        # inserts and 1,188 trial reduces.  The other 2 inserts and 2
-        # reduces invert the decoding basis
+        # inserts and 1,188 trial reduces.  The other 2 inserts check that
+        # the decoding basis is one; nothing converts coordinates, so its
+        # inverse is never made.  The tower takes 11 inserts, each test
+        # inserting the columns of Q - I past K's units, then Q's, and
+        # stopping at the first dependent one: GF(2)'s modulus y has no
+        # column of Q - I and Q = (1), 1 insert; the seeded search then
+        # tries y^2 + 1 (Q - I: 1 + y, independent; Q: 1, 1, the second
+        # dependent: 3 inserts), y^2 (-y; 1, 0: 3), y^2 + y (Q = I, so the
+        # first column of Q - I is 0: 1) and y^2 + y + 1 (1; 1, y + 1:
+        # 3)
         inserts, reduces = counts["insert"], counts["reduce"]
         n, m, e = 14, 3, 1
         ext = make_tower(2, 1, 2, 0)
@@ -660,15 +668,16 @@ class TestInsertCounts:
         built = len(inserts)
         with pytest.warns(UserWarning):
             greedy_gv_code(n, 3, m, ext, seed=0)
-        assert (built, len(inserts) - built, len(reduces)) == (8, grown + 88 + 2, 1190)
+        assert (built, len(inserts) - built, len(reduces)) == (11, grown + 88 + 2, 1188)
 
     def test_vontobel_set(self, monkeypatch):
         # the trace code's claim walk on the digit rows of its UDM set; the
-        # field's irreducibility test makes 2 inserts, and the walk none
+        # field's irreducibility test makes 1 insert (GF(7)'s Q - I has no
+        # column past the unit 1, and Q = (1) takes one), and the walk none
         calls = counting(monkeypatch)
         work = watching(monkeypatch)
         field = make_field(7, 1, 0)
-        assert (len(calls["insert"]), len(calls["reduce"])) == (2, 0)
+        assert (len(calls["insert"]), len(calls["reduce"])) == (1, 0)
         assert vontobel_udms(8, 4, 5, field).verdict.ok
         assert (len(work["reads"]), len(work["appends"])) == (1274, 490)
-        assert (len(calls["insert"]), len(calls["reduce"])) == (2, 0)
+        assert (len(calls["insert"]), len(calls["reduce"])) == (1, 0)

@@ -40,6 +40,17 @@ FIELDS = {
     (7, 3, 0): 485,
     (11, 1, 0): 11,
     (11, 1, 1): 11,
+    # the base fields of the cli-pipeline benchmark's towers
+    (11, 1, 201): 11,
+    (11, 1, 202): 11,
+    (11, 1, 203): 11,
+    (11, 1, 204): 11,
+    (11, 1, 205): 11,
+    (11, 1, 206): 11,
+    (11, 1, 207): 11,
+    (11, 1, 208): 11,
+    (11, 1, 209): 11,
+    (11, 1, 210): 11,
     (13, 1, 0): 13,
     (251, 1, 0): 251,
     (251, 2, 0): 107686,
@@ -137,6 +148,17 @@ TOWERS = {
     (11, 1, 2, 0): 206,
     (11, 1, 2, 1): 174,
     (11, 1, 8, 0): 241397399,
+    # the cli-pipeline benchmark's towers, seeds 201 .. 210
+    (11, 1, 8, 201): 369349289,
+    (11, 1, 8, 202): 416209802,
+    (11, 1, 8, 203): 237246638,
+    (11, 1, 8, 204): 380103531,
+    (11, 1, 8, 205): 376401552,
+    (11, 1, 8, 206): 314342166,
+    (11, 1, 8, 207): 297252025,
+    (11, 1, 8, 208): 341427359,
+    (11, 1, 8, 209): 248993178,
+    (11, 1, 8, 210): 310061659,
     (13, 1, 1, 0): 13,
     (13, 1, 2, 0): 318,
     (13, 1, 4, 0): 55993,
