@@ -489,9 +489,9 @@ class TestIrreducibility:
         # for an irreducible f; but a^|K| = 0 exactly when g divides a
         # (k <= |K|), so Q has rank c * d < n
         K = field(p, e)
-        f = tower(p, e, d).modulus
+        g = f = tower(p, e, d).modulus
         for _ in range(k - 1):
-            f = tuple(_mul(f, tower(p, e, d).modulus, K))
+            f = tuple(_mul(f, g, K))
         cands = [ExtSpec._candidate(K, d * k, f)]
         if e == 1:
             cands.append(FieldSpec._candidate(p, d * k, tuple(c for c, in f)))
