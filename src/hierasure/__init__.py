@@ -57,7 +57,6 @@ from .fields import (
     make_extension,
     make_field,
     make_tower,
-    quadratic_root_with_constant,
     subfield_basis,
     trace,
 )

@@ -47,7 +47,8 @@ class LinearCode:
     ``claim`` names the pattern family the construction promises to
     correct.  ``rank`` is the actual rank of H, computed on first read
     from the expansion, and ``dim`` is n - rank, which may exceed n - r
-    when rows are dependent.  A 0-row H is legal (the whole space) but then
+    when rows are dependent.  The length, given or read off H, is an int
+    of at least 1.  A 0-row H is legal (the whole space) but then
     ``length`` must be given.
 
     ``block(i)`` is H's base-field expansion against ``omega`` over the
@@ -100,17 +101,17 @@ class LinearCode:
         rows = tuple(tuple(row) for row in self.H)
         object.__setattr__(self, "H", rows)
         n = self.length
-        if rows:
-            if n is None:
-                n = len(rows[0])
-            for row in rows:
-                if len(row) != n:
-                    raise ParameterError("parity-check rows have unequal lengths")
-                for entry in row:
-                    self.ext._check_same(entry)
-        elif n is None:
-            raise ParameterError("a 0-row parity check needs an explicit length")
-        require_int(n, "code length")
+        if n is None:
+            if not rows:
+                raise ParameterError("a 0-row parity check needs an explicit length")
+            n = len(rows[0])
+        if require_int(n, "code length") < 1:
+            raise ParameterError(f"code length must be at least 1, got {n}")
+        for row in rows:
+            if len(row) != n:
+                raise ParameterError("parity-check rows have unequal lengths")
+            for entry in row:
+                self.ext._check_same(entry)
         object.__setattr__(self, "length", n)
         if self.omega.ext != self.ext:
             raise ParameterError("decoding basis belongs to a different extension")

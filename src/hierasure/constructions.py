@@ -12,10 +12,10 @@ decoding basis and the pattern family it promises to correct:
 * ``square_trace_code``: the square case m = alpha = n, with the second
   matrix twisted by a lower-triangular factor so the check matrix drops
   rank and the code is guaranteed nontrivial.
-* ``balanced_code`` / ``power_code``: a Vandermonde matrix repeatedly
-  folded in half against a chain of subfield generators, giving a single
-  check row; corrects balanced (respectively dyadic-power) patterns over
-  the chain basis.
+* ``balanced_code`` / ``power_code``: a Vandermonde matrix on base-field
+  nodes folded in half once per generator of a subfield chain, giving a
+  single check row, made in its multiplied-out closed form; corrects
+  balanced (respectively dyadic-power) patterns over the chain basis.
 * ``gabidulin_code``: evaluations of low-degree linearized polynomials on
   basis points; corrects every pattern bounded by r per symbol.
 
@@ -43,7 +43,6 @@ from .fields import (
     find_quadratic_root,
     first_outside,
     in_subfield,
-    quadratic_root_with_constant,
     subfield_basis,
 )
 from .patterns import BalancedFamily, BoundedFamily, FullFamily, PowerFamily
@@ -123,8 +122,6 @@ def trace_code(u: UdmSet, mu: OrderedBasis) -> LinearCode:
             f"matrix set is not universally decodable (pattern {check.counterexample})"
         )
     ext = mu.ext
-    if u.alpha != ext.alpha or u.field != ext.base:
-        raise ParameterError("matrix set and basis live over different fields")
     rows = trace_check_matrix(u, mu)
     omega = dual_basis(mu)
     code = code_from_rows(
@@ -139,40 +136,32 @@ def trace_code(u: UdmSet, mu: OrderedBasis) -> LinearCode:
     return code
 
 
-def square_trace_udms(ext: ExtSpec, root: QuadraticRoot, n: int) -> UdmSet:
+def square_trace_udms(ext: ExtSpec, root: QuadraticRoot) -> UdmSet:
     """The square UDM set whose second matrix is twisted to share an eigenvector.
 
-    Starts from the classical set with m = alpha = n and multiplies the
+    Starts from the classical set with n = m = alpha and multiplies the
     second matrix on the left by the lower-triangular factor carrying the
-    quadratic's coefficients, which preserves universal decodability and
-    makes the mirrored basis a joint eigenvector of the first two
-    matrices (eigenvalues 1 and b).
+    quadratic's coefficients: the top half stays, and bottom row
+    alpha/2 + k - 1 becomes -a1 * row(alpha/2 - k) - a0 * row(alpha/2 + k - 1).
+    That preserves universal decodability and makes the mirrored basis a
+    joint eigenvector of the first two matrices (eigenvalues 1 and b).
     """
     alpha = ext.alpha
-    base = ext.base
-    if n != alpha or alpha % 2 != 0:
+    if alpha % 2 != 0:
         raise ParameterError("square construction needs even n = alpha = m")
-    u = vontobel_udms(n, alpha, alpha, base)
-    zero = base.zero()
+    u = vontobel_udms(alpha, alpha, alpha, ext.base)
     half = alpha // 2
-    neg_a0, neg_a1 = -base.element(root.a0.coeffs), -base.element(root.a1.coeffs)
-    factor = []
-    for i in range(half):
-        factor.append([base.one() if j == i else zero for j in range(alpha)])
-    for k in range(1, half + 1):
-        row = [zero] * alpha
-        row[half - k] = neg_a1
-        row[half + k - 1] = neg_a0
-        factor.append(row)
-    twisted = linalg.mat_mul(factor, [list(r) for r in u.matrices[1]], base)
-    mats = list(u.matrices)
-    mats[1] = tuple(tuple(r) for r in twisted)
+    second = u.matrices[1]
+    twisted = second[:half] + tuple(
+        tuple(-(root.a1 * x + root.a0 * y) for x, y in zip(second[half - k], second[half + k - 1]))
+        for k in range(1, half + 1)
+    )
     meta = dict(u.meta)
     meta.update(
         construction="square_trace",
         quadratic=[list(root.a0.coeffs), list(root.a1.coeffs)],
     )
-    out = UdmSet(base, alpha, alpha, tuple(mats), meta)
+    out = UdmSet(ext.base, alpha, alpha, (u.matrices[0], twisted, *u.matrices[2:]), meta)
     check = verify_udm(out)
     if not check.ok:
         raise ConstructionError(
@@ -181,7 +170,7 @@ def square_trace_udms(ext: ExtSpec, root: QuadraticRoot, n: int) -> UdmSet:
     return out
 
 
-def square_trace_code(ext: ExtSpec, n: int | None = None) -> LinearCode:
+def square_trace_code(ext: ExtSpec) -> LinearCode:
     """Square trace code (m = alpha = n even) with guaranteed dimension >= 1.
 
     The quadratic is chosen with constant term -1 (root norm -1): that is
@@ -189,14 +178,10 @@ def square_trace_code(ext: ExtSpec, n: int | None = None) -> LinearCode:
     too, so two check columns coincide up to the scale b and the check
     matrix provably drops rank at every even alpha, not just alpha = 2.
     """
-    alpha = ext.alpha
-    n = alpha if n is None else n
-    if n != alpha or alpha % 2 != 0:
+    if ext.alpha % 2 != 0:
         raise ParameterError("square construction needs even n = alpha = m")
-    if ext.base.order < n - 1:
-        raise ParameterError(f"field size {ext.base.order} is below n-1={n - 1}")
-    root = quadratic_root_with_constant(ext, -ext.base.one())
-    u = square_trace_udms(ext, root, n)
+    root = find_quadratic_root(ext, -ext.base.one())
+    u = square_trace_udms(ext, root)
     mu = b_symmetric_basis(ext, root)
     code = trace_code(u, mu)
     provenance = dict(code.provenance)
@@ -271,19 +256,39 @@ def _default_nonzero_nodes(ext: ExtSpec, n: int) -> list[Element]:
     return nodes
 
 
-def _folded_vandermonde(n: int, ext: ExtSpec, nu) -> tuple[list, SubfieldChainBasis]:
+def _folded_code(ext: ExtSpec, nu, family, construction: str) -> LinearCode:
+    # the Vandermonde matrix (nu_j^i), i < alpha, folded in half by
+    # fold_halves against steps[0], steps[1], ... in turn: a fold by
+    # steps[i-1] leaves row r as row r times (1 + steps[i-1] nu^(alpha/2^i)),
+    # so the single row left is that product over the chain, taken here
+    # directly.  The family is made after the chain, whose refusal of an
+    # alpha that is not a power of two comes first
     chain = subfield_chain_basis(ext)
-    matrix = [[ext.lift(v**i) for v in nu] for i in range(ext.alpha)]
-    for b in chain.steps:
-        matrix = fold_halves(matrix, b)
-    return matrix[0], chain
+    alpha = ext.alpha
+    one = ext.one()
+    h = []
+    for v in nu:
+        hj = one
+        for i, step in enumerate(chain.steps, start=1):
+            hj = hj * (one + step * ext.lift(v ** (alpha >> i)))
+        h.append(hj)
+    code = code_from_rows(
+        ext,
+        [h],
+        chain.omega,
+        family(alpha, len(nu)),
+        {"construction": construction, "nu": [list(v.coeffs) for v in nu]},
+    )
+    if code.rank != 1 or any(not hj for hj in h):
+        raise ConstructionError("folded check row degenerated; construction bug")
+    return code
 
 
 def balanced_code(n: int, ext: ExtSpec, nu=None) -> LinearCode:
     """Single-check code correcting every balanced pattern; dimension n - 1.
 
     The check row is a Vandermonde matrix on n distinct base-field nodes
-    folded down the subfield chain; its entries multiply out to
+    folded down the subfield chain, made in closed form: its entries are
     prod_i (1 + step_i * node^(alpha / 2^i)).
     """
     if n < 1:
@@ -298,17 +303,7 @@ def balanced_code(n: int, ext: ExtSpec, nu=None) -> LinearCode:
     _check_nodes(base, nu, n)
     if supplied and any(not v for v in nu):
         warnings.warn("zero node supplied; fold ratios degenerate on that column", stacklevel=2)
-    h, chain = _folded_vandermonde(n, ext, nu)
-    code = code_from_rows(
-        ext,
-        [h],
-        chain.omega,
-        BalancedFamily(ext.alpha, n),
-        {"construction": "balanced", "nu": [list(v.coeffs) for v in nu]},
-    )
-    if code.rank != 1 or any(not hj for hj in h):
-        raise ConstructionError("folded check row degenerated; construction bug")
-    return code
+    return _folded_code(ext, nu, BalancedFamily, "balanced")
 
 
 def power_code(n: int, ext: ExtSpec, nu=None) -> LinearCode:
@@ -342,17 +337,7 @@ def power_code(n: int, ext: ExtSpec, nu=None) -> LinearCode:
                     f"nodes {j} and {k} share the same power: "
                     f"{list(nu[j].coeffs)}^{half} = {list(nu[k].coeffs)}^{half}"
                 )
-    h, chain = _folded_vandermonde(n, ext, nu)
-    code = code_from_rows(
-        ext,
-        [h],
-        chain.omega,
-        PowerFamily(alpha, n),
-        {"construction": "power", "nu": [list(v.coeffs) for v in nu]},
-    )
-    if code.rank != 1 or any(not hj for hj in h):
-        raise ConstructionError("folded check row degenerated; construction bug")
-    return code
+    return _folded_code(ext, nu, PowerFamily, "power")
 
 
 def _check_nodes(base, nu, n: int):

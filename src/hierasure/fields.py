@@ -983,38 +983,27 @@ def _quadratic_root_in_plane(ext: ExtSpec, a0: Element, a1: Element) -> "Quadrat
     return None  # pragma: no cover
 
 
-def find_quadratic_root(ext: ExtSpec) -> QuadraticRoot:
+def find_quadratic_root(ext: ExtSpec, a0: Element | None = None) -> QuadraticRoot:
     """First irreducible monic quadratic over the base, with a root in the extension.
 
-    Scans (a0, a1) pairs lexicographically; the root is located inside the
-    canonical degree-2 subfield, so no cross-field embedding is needed.
-    Requires even alpha.
+    Scans (a0, a1) pairs lexicographically, with the constant a0 pinned
+    when given; the root is located inside the canonical degree-2
+    subfield, so no cross-field embedding is needed.  A pinned constant of
+    -1 makes the root's norm -1, which ``square_trace_code`` relies on;
+    such a quadratic exists over every base field.  Requires even alpha.
     """
     if ext.alpha % 2 != 0:
         raise ParameterError("quadratic roots exist in the extension only for even alpha")
     base = ext.base
-    for a0 in base.lex_elements():
-        if not a0:
+    if a0 is not None:
+        base._check_same(a0)
+    for c0 in base.lex_elements() if a0 is None else (a0,):
+        if not c0:
             continue  # x divides x^2 + a1 x
         for a1 in base.lex_elements():
-            root = _quadratic_root_in_plane(ext, a0, a1)
+            root = _quadratic_root_in_plane(ext, c0, a1)
             if root is not None:
                 return root
+    if a0 is not None:
+        raise ConstructionError(f"no irreducible quadratic with constant term {a0!r}")
     raise ConstructionError("no irreducible quadratic found")  # pragma: no cover
-
-
-def quadratic_root_with_constant(ext: ExtSpec, a0: Element) -> QuadraticRoot:
-    """Like find_quadratic_root but with the constant coefficient pinned.
-
-    A pinned constant of -1 makes the root's norm -1, which some
-    constructions rely on; such a quadratic exists over every base field.
-    """
-    if ext.alpha % 2 != 0:
-        raise ParameterError("quadratic roots exist in the extension only for even alpha")
-    base = ext.base
-    base._check_same(a0)
-    for a1 in base.lex_elements():
-        root = _quadratic_root_in_plane(ext, a0, a1)
-        if root is not None:
-            return root
-    raise ConstructionError(f"no irreducible quadratic with constant term {a0!r}")

@@ -100,20 +100,3 @@ def invert(rows: Sequence[Sequence], spec) -> list[list]:
     cols = [_vector(spec, deg, lay.digits(inv[r * deg])) for r in range(n)]
     return [list(row) for row in zip(*cols)]
 
-
-def mat_mul(a: Sequence[Sequence], b: Sequence[Sequence], spec) -> list[list]:
-    if not a:
-        return []
-    inner = len(b)
-    out = []
-    for row in a:
-        if len(row) != inner:
-            raise ParameterError("inner dimensions do not match")
-        out_row = []
-        for j in range(len(b[0]) if inner else 0):
-            acc = spec.zero()
-            for k in range(inner):
-                acc = acc + row[k] * b[k][j]
-            out_row.append(acc)
-        out.append(out_row)
-    return out

@@ -19,7 +19,7 @@ from functools import cached_property
 from typing import Mapping, Sequence
 
 from . import modp
-from .errors import ConstructionError, MissingEigenvectorError, ParameterError
+from .errors import ConstructionError, MissingEigenvectorError, ParameterError, require_int
 from .fields import Element, FieldSpec, OrderedBasis, lucas_binom
 from .patterns import ErasurePattern, FullFamily, family_trie
 
@@ -41,7 +41,7 @@ class UdmSet:
     meta: Mapping = dc_field(default_factory=dict)
 
     def __post_init__(self):
-        if self.m < self.alpha:
+        if require_int(self.alpha, "alpha") > require_int(self.m, "m"):
             raise ParameterError("universal decodability needs m >= alpha")
         mats = tuple(tuple(tuple(row) for row in mat) for mat in self.matrices)
         object.__setattr__(self, "matrices", mats)

@@ -24,6 +24,7 @@ from hierasure import (
     decode,
     dual_basis,
     enumerate_family,
+    find_quadratic_root,
     gabidulin_code,
     greedy_gv_code,
     gv_field_threshold,
@@ -34,7 +35,6 @@ from hierasure import (
     maximal_patterns,
     pattern_correctable,
     power_code,
-    quadratic_root_with_constant,
     square_trace_code,
     square_trace_udms,
     subfield_chain_basis,
@@ -150,8 +150,8 @@ def test_c04_square_trace_corollary():
         assert code.dim >= 1
         assert is_correcting(code, FullFamily(2, 2, 2)).correcting
         # the two shared-eigenvector relations, exactly
-        root = quadratic_root_with_constant(ext, -ext.base.one())
-        u = square_trace_udms(ext, root, 2)
+        root = find_quadratic_root(ext, -ext.base.one())
+        u = square_trace_udms(ext, root)
         mu = b_symmetric_basis(ext, root)
         eigenvalues = udms_to_check_vector(u, mu)
         assert eigenvalues == (ext.one(), root.b)

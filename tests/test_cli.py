@@ -542,6 +542,18 @@ class TestUdmCommands:
         report = json.loads(capsys.readouterr().out)
         assert report["counterexample"] == [1, 1]
 
+    def test_verify_text_names_the_counterexample(self, tmp_path, capsys):
+        from hierasure import UdmSet
+        from towers import field
+
+        f = field(2, 1)
+        one, zero = f.one(), f.zero()
+        ident = ((one, zero), (zero, one))
+        path = tmp_path / "udm.json"
+        path.write_text(json.dumps(serialize.udms_to_json(UdmSet(f, 2, 2, (ident, ident)))))
+        assert run("udm", "verify", "--udm", str(path)) == 1
+        assert capsys.readouterr().out == "universally decodable: False\ncounterexample pattern: [1, 1]\n"
+
 
 class TestBoundsCommands:
     def test_gv(self, capsys):
@@ -919,6 +931,128 @@ class TestInputBoundary:
         rc = run("bounds", "singleton", "--n", "4", "--k", "9", "--m", "1", "--alpha", "2")
         err = capsys.readouterr().err
         assert rc == 2 and err == "error: need k <= n\n", err
+
+    @pytest.mark.parametrize(
+        "edit,error",
+        [
+            (lambda c: c.update(H=[], n=-3), "code length must be at least 1, got -3"),
+            (lambda c: c.update(H=[], n=0), "code length must be at least 1, got 0"),
+            (lambda c: c.update(n=True), "code length must be an integer, got True"),
+        ],
+        ids=["negative", "zero", "bool-beside-rows"],
+    )
+    def test_code_length_is_a_positive_integer(self, tmp_path, code_file, capsys, edit, error):
+        # "H": [] with "n": -3 or 0 used to load as a code of that length,
+        # and an empty pattern list then verified it, exit 0; "n": true
+        # beside real rows was reported as rows of unequal lengths
+        payload = {**json.loads(Path(code_file).read_text()), "claim": None}
+        edit(payload)
+        path = tmp_path / "code.json"
+        path.write_text(json.dumps(payload))
+        patterns = tmp_path / "pats.json"
+        patterns.write_text("[]")
+        capsys.readouterr()
+        rc = run("verify", "--code", str(path), "--patterns", str(patterns))
+        assert (rc, capsys.readouterr().err) == (2, f"error: {error}\n")
+
+    @pytest.mark.parametrize(
+        "edit,error",
+        [
+            # "2" used to fail a comparison inside the loader, and 2.0 or true
+            # was blamed on a family's alpha or m, or on the matrix shape
+            (lambda u: u.update(alpha="2"), "alpha must be an integer, got '2'"),
+            (lambda u: u.update(alpha=2.0), "alpha must be an integer, got 2.0"),
+            (lambda u: u.update(alpha=True), "alpha must be an integer, got True"),
+            (lambda u: u.update(m="2"), "m must be an integer, got '2'"),
+            (lambda u: u.update(m=2.0), "m must be an integer, got 2.0"),
+            (lambda u: u.update(m=True), "m must be an integer, got True"),
+            (lambda u: u.update(m=1), "universal decodability needs m >= alpha"),
+            (lambda u: u["matrices"][0].__setitem__(0, u["matrices"][0][0][:1]), "every matrix must be alpha x m"),
+        ],
+        ids=["alpha-str", "alpha-float", "alpha-bool", "m-str", "m-float", "m-bool", "m-below-alpha", "ragged"],
+    )
+    def test_udm_payload_refusals(self, tmp_path, capsys, edit, error):
+        path = tmp_path / "u.json"
+        assert run("udm", "build", "--p", "3", "--alpha", "2", "--m", "2", "--n", "3", "--out", str(path)) == 0
+        payload = json.loads(path.read_text())
+        edit(payload)
+        path.write_text(json.dumps(payload))
+        capsys.readouterr()
+        rc = run("udm", "verify", "--udm", str(path))
+        assert (rc, capsys.readouterr().err) == (2, f"error: {error}\n")
+
+    @pytest.mark.parametrize(
+        "edit,error",
+        [
+            (lambda c: c["field"].update(p=4), "characteristic 4 is not prime"),
+            (lambda c: c["ext"].update(alpha=0), "alpha must be at least 1"),
+            (lambda c: c["H"].append(c["H"][0][:2]), "parity-check rows have unequal lengths"),
+            (lambda c: (c.update(H=[]), c.pop("n")), "a 0-row parity check needs an explicit length"),
+            (lambda c: c["claim"].update(n=5), "claimed family length does not match the code length"),
+            (lambda c: c["claim"].update(alpha=2), "family alpha does not match the code's extension degree"),
+        ],
+        ids=["p-not-prime", "alpha-zero", "ragged-H", "no-rows-no-n", "claim-n", "claim-alpha"],
+    )
+    def test_code_payload_refusals(self, tmp_path, capsys, balanced_payload, edit, error):
+        edit(balanced_payload)
+        path = tmp_path / "code.json"
+        path.write_text(json.dumps(balanced_payload))
+        capsys.readouterr()
+        rc = run("verify", "--code", str(path))
+        assert (rc, capsys.readouterr().err) == (2, f"error: {error}\n")
+
+    def test_claimless_code_needs_a_family_or_patterns(self, tmp_path, code_file, capsys):
+        path = tmp_path / "code.json"
+        path.write_text(json.dumps({**json.loads(Path(code_file).read_text()), "claim": None}))
+        capsys.readouterr()
+        rc = run("verify", "--code", str(path))
+        assert (rc, capsys.readouterr().err) == (2, "error: code carries no claim; pass --family or --patterns\n")
+
+    def test_bounded_radius_above_alpha(self, tmp_path, capsys):
+        # r = 3 < n = 4 makes the family itself valid; only the code's
+        # alpha = 2 refuses it
+        path = construct(tmp_path, "balanced", "--p", "5", "--alpha", "2", "--n", "4")
+        capsys.readouterr()
+        rc = run("verify", "--code", str(path), "--family", "bounded:3")
+        assert (rc, capsys.readouterr().err) == (2, "error: bounded family radius exceeds alpha\n")
+
+    @pytest.mark.parametrize(
+        "edit,error",
+        [
+            (lambda w: (w["t"].append(2), w["known"].append([])), "received word length does not match the code"),
+            (lambda w: w["known"].pop(), "known suffixes do not match the pattern length"),
+            (lambda w: w["known"][0].append(w["known"][0][0]), "suffix length must be alpha - t_i"),
+        ],
+        ids=["longer-word", "suffix-count", "suffix-length"],
+    )
+    def test_received_word_shape_refusals(self, tmp_path, code_file, received_file, capsys, edit, error):
+        payload = json.loads(Path(received_file).read_text())
+        edit(payload)
+        path = tmp_path / "rw.json"
+        path.write_text(json.dumps(payload))
+        capsys.readouterr()
+        rc = run("decode", "--code", code_file, "--received", str(path))
+        assert (rc, capsys.readouterr().err) == (2, f"error: {error}\n")
+
+    def test_node_index_out_of_range(self, tmp_path, capsys):
+        out = tmp_path / "c.json"
+        rc = run("construct", "balanced", "--p", "5", "--alpha", "4", "--n", "2", "--nu", "1,9", "--out", str(out))
+        assert (rc, capsys.readouterr().err) == (2, "error: index 9 out of range for GF(5)\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv,error",
+        [
+            (("gv", "--n", "1", "--m", "1", "--alpha", "2", "--r", "2"), "need n >= 2, alpha >= 1, r >= 1, m >= 0"),
+            (("rell", "--n", "3", "--m", "1", "--alpha", "2", "--q", "1"), "need n >= 2, alpha >= 1, q >= 2, m >= 0"),
+            (("singleton", "--n", "2", "--k", "3", "--m", "1", "--alpha", "2"), "need k <= n"),
+            (("asymptotic", "--regime", "n_large", "--c2", "0"), "need c1 >= 0 and c2 > 0"),
+        ],
+        ids=["gv", "rell", "singleton", "asymptotic"],
+    )
+    def test_bounds_refusals(self, capsys, argv, error):
+        rc = run("bounds", *argv)
+        assert (rc, capsys.readouterr().err) == (2, f"error: {error}\n")
 
     def test_decode_still_works(self, code_file, received_file, capsys):
         assert run("decode", "--code", code_file, "--received", received_file, "--json") == 0

@@ -11,19 +11,37 @@ Subfield membership, one packed map of x -> x^(q^d), is checked against
 d repeated q-th powers, and the subfield bases, kernels of that map taken
 on its packed columns, against ``linalg.right_kernel`` of the map's
 Element matrix built from d repeated q-th powers.
+
+The constructions' closed forms are checked the same way: the check rows
+of ``balanced_code`` and ``power_code`` against the lifted Vandermonde
+matrix folded by ``fold_halves`` once per chain step, the twisted second
+matrix of ``square_trace_udms`` against the product with its explicit
+lower-triangular factor, and ``find_quadratic_root`` with a pinned
+constant against ``reference_quadratic_root``.
 """
 
 import random
+import warnings
 
 import pytest
 
+import element_linalg
 from hierasure import (
     BalancedFamily,
+    ConstructionError,
+    ParameterError,
     linalg,
     PowerFamily,
+    balanced_code,
     enumerate_family,
+    find_quadratic_root,
+    fold_halves,
     maximal_patterns,
+    power_code,
+    square_trace_code,
+    square_trace_udms,
     subfield_chain_basis,
+    vontobel_udms,
 )
 from hierasure.fields import _subfield_echelon, first_outside, in_subfield, subfield_basis
 from reference import _in_subfield as reference_in_subfield
@@ -32,6 +50,7 @@ from reference import (
     reference_first_outside,
     reference_local_maxima,
     reference_maximal_patterns,
+    reference_quadratic_root,
 )
 from towers import TOWERS, tower
 
@@ -169,3 +188,109 @@ class TestSubfieldBases:
             flipped = linalg.right_kernel([row[::-1] for row in matrix], alpha, ext.base)
             echelon = [ext.element([x for c in reversed(v) for x in c.coeffs]) for v in reversed(flipped)]
             assert _subfield_echelon(ext, d) == echelon
+
+
+# e = 1, 2, 3 and alpha = 1, 2, 4, 8
+CONSTRUCTION_TOWERS = [
+    (p, e, alpha) for p, e in ((2, 1), (5, 1), (2, 2), (3, 2), (2, 3)) for alpha in (1, 2, 4, 8)
+] + [(13, 1, 4)]
+
+
+def _folded_row(ext, nu):
+    # the long way: the alpha x n Vandermonde matrix on the lifted nodes,
+    # folded in half by each chain step in turn down to one row
+    matrix = [[ext.lift(v**i) for v in nu] for i in range(ext.alpha)]
+    for step in subfield_chain_basis(ext).steps:
+        matrix = fold_halves(matrix, step)
+    assert len(matrix) == 1
+    return tuple(matrix[0])
+
+
+def _power_nodes(ext, rng, n):
+    # n random nonzero nodes with distinct (alpha/2)-th powers
+    half = ext.alpha // 2
+    nonzero = [el for el in ext.base.elements() if el]
+    rng.shuffle(nonzero)
+    nodes, powers = [], set()
+    for v in nonzero:
+        if (v**half).coeffs not in powers:
+            powers.add((v**half).coeffs)
+            nodes.append(v)
+    return nodes[:n]
+
+
+class TestConstructionClosedForms:
+    @pytest.mark.parametrize("p,e,alpha", CONSTRUCTION_TOWERS)
+    def test_folded_rows_match_repeated_folds(self, p, e, alpha):
+        ext = tower(p, e, alpha)
+        base = ext.base
+        q = base.order
+        rng = random.Random(1000 * p + 10 * e + alpha)
+        zero = base.zero()
+        sizes = sorted({1, min(q, 3), q})
+        # default nodes (zero among them when n = q), then seeded supplied
+        # sets, one of which always holds the zero node
+        cases = [(n, None) for n in sizes]
+        for n in sizes:
+            cases.append((n, [base.from_index(k) for k in rng.sample(range(q), n)]))
+            others = [base.from_index(k) for k in rng.sample(range(1, q), n - 1)]
+            cases.append((n, [*others[: n // 2], zero, *others[n // 2 :]]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            for n, nu in cases:
+                code = balanced_code(n, ext, nu)
+                nodes = [base.element(tuple(c)) for c in code.provenance["nu"]]
+                assert nu is None or nodes == nu
+                assert code.H == (_folded_row(ext, nodes),), (n, nu)
+                assert code.omega == subfield_chain_basis(ext).omega
+                assert code.claim == BalancedFamily(alpha, n)
+        half = alpha // 2
+        if alpha == 1 or (q - 1) % half:
+            return
+        most = 2 * (q - 1) // alpha
+        for n in sorted({1, min(most, 3), most}):
+            for nu in (None, _power_nodes(ext, rng, n)):
+                code = power_code(n, ext, nu)
+                nodes = [base.element(tuple(c)) for c in code.provenance["nu"]]
+                assert nu is None or nodes == nu
+                assert code.H == (_folded_row(ext, nodes),), (n, nu)
+                assert code.claim == PowerFamily(alpha, n)
+
+    @pytest.mark.parametrize("p,e,alpha", [t for t in CONSTRUCTION_TOWERS if t[2] > 1])
+    def test_twist_matches_the_lower_triangular_factor(self, p, e, alpha):
+        ext = tower(p, e, alpha)
+        base = ext.base
+        if base.order < alpha - 1:
+            # the classical set refuses the field, for the code as for the set
+            message = f"field size {base.order} is below n-1={alpha - 1}"
+            with pytest.raises(ParameterError, match=message):
+                square_trace_code(ext)
+            with pytest.raises(ParameterError, match=message):
+                square_trace_udms(ext, find_quadratic_root(ext))
+            return
+        classical = vontobel_udms(alpha, alpha, alpha, base)
+        half = alpha // 2
+        one, zero = base.one(), base.zero()
+        for root in (find_quadratic_root(ext), find_quadratic_root(ext, -one)):
+            factor = [[one if j == i else zero for j in range(alpha)] for i in range(half)]
+            for k in range(1, half + 1):
+                row = [zero] * alpha
+                row[half - k], row[half + k - 1] = -root.a1, -root.a0
+                factor.append(row)
+            twisted = element_linalg.mat_mul(factor, [list(r) for r in classical.matrices[1]], base)
+            u = square_trace_udms(ext, root)
+            assert u.matrices == (classical.matrices[0], tuple(map(tuple, twisted)), *classical.matrices[2:])
+
+    @pytest.mark.parametrize("p,e,alpha", [t for t in CONSTRUCTION_TOWERS if t[2] > 1])
+    def test_pinned_quadratic_root_matches_reference(self, p, e, alpha):
+        ext = tower(p, e, alpha)
+        base = ext.base
+        rng = random.Random(1000 * p + 10 * e + alpha)
+        constants = [-base.one(), *rng.sample(list(base.elements())[1:], min(base.order - 1, 3))]
+        for a0 in constants:
+            assert find_quadratic_root(ext, a0) == reference_quadratic_root(ext, a0), a0
+        # x divides x^2 + a1 x, so a zero constant has no root
+        with pytest.raises(ConstructionError):
+            find_quadratic_root(ext, base.zero())
+        with pytest.raises(ConstructionError):
+            reference_quadratic_root(ext, base.zero())

@@ -186,7 +186,7 @@ class TestSquareTrace:
     def test_eigen_relations(self, p):
         ext = tower(p, 1, 2)
         root = find_quadratic_root(ext)
-        u = square_trace_udms(ext, root, 2)
+        u = square_trace_udms(ext, root)
         mu = b_symmetric_basis(ext, root)
         # first matrix fixes mu, second scales it by the quadratic root
         assert udms_to_check_vector(u, mu) == (ext.one(), root.b)
@@ -202,12 +202,10 @@ class TestSquareTrace:
     def test_norm_minus_one_makes_transposed_relation_hold(self):
         # the rank drop comes from the transposed mirror relation, which the
         # pinned constant term buys at every even alpha
-        from hierasure import quadratic_root_with_constant
-
         for p, alpha in ((5, 4), (3, 4), (2, 2), (7, 2)):
             ext = tower(p, 1, alpha)
-            root = quadratic_root_with_constant(ext, -ext.base.one())
-            u = square_trace_udms(ext, root, alpha)
+            root = find_quadratic_root(ext, -ext.base.one())
+            u = square_trace_udms(ext, root)
             mu = b_symmetric_basis(ext, root)
             a2t = list(zip(*u.matrices[1]))
             for r in range(alpha):

@@ -163,7 +163,7 @@ class TestEigenvectorBridge:
     def test_twisted_pair_gives_one_and_b(self):
         ext = tower(2, 1, 2)
         root = find_quadratic_root(ext)
-        u = square_trace_udms(ext, root, 2)
+        u = square_trace_udms(ext, root)
         mu = b_symmetric_basis(ext, root)
         h = udms_to_check_vector(u, mu)
         assert h == (ext.one(), root.b)

@@ -1,13 +1,17 @@
 """CI runs the tier-1 suite and the benchmark self-test, and no check of its
 own: every check of the CLI is a tier-1 test, so every run of the suite
 makes it.  The workflow is read as text, since CI installs only pytest.
-Its oldest leg is Python 3.10, so every source file must parse as 3.10."""
+Its oldest leg is Python 3.10, so every source file must parse as 3.10,
+and ``pyproject.toml`` is read as text too, since 3.10 has no
+``tomllib``.  The README's library example runs as written."""
 
 import ast
 import re
 from pathlib import Path
 
 import pytest
+
+import hierasure
 
 ROOT = Path(__file__).resolve().parents[1]
 WORKFLOW = ROOT / ".github" / "workflows" / "tier1.yml"
@@ -31,3 +35,19 @@ def test_sources_parse_as_python_3_10():
     assert {path.relative_to(ROOT).parts[0] for path in paths} == {"src", "tests", "perfbench"}
     for path in paths:
         ast.parse(path.read_text(), filename=str(path), feature_version=(3, 10))
+
+
+def test_package_version_matches_pyproject():
+    # the [project] table runs to the next table header
+    text = (ROOT / "pyproject.toml").read_text()
+    project = re.search(r"^\[project\]$(.*?)(?=^\[|\Z)", text, re.MULTILINE | re.DOTALL).group(1)
+    versions = re.findall(r'^version\s*=\s*"([^"]*)"\s*$', project, re.MULTILINE)
+    assert versions == [hierasure.__version__]
+
+
+def test_readme_library_quick_start_runs():
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("## Library quick start", 1)[1].split("\n## ", 1)[0]
+    blocks = re.findall(r"^```python\n(.*?)^```$", section, re.MULTILINE | re.DOTALL)
+    assert len(blocks) == 1
+    exec(compile(blocks[0], "README.md", "exec"), {})

@@ -89,6 +89,7 @@ TOWERS = {
     (2, 2, 8, 1): 109034,
     (2, 2, 12, 0): 31687265,
     (2, 2, 12, 1): 22188643,
+    (2, 3, 1, 0): 8,
     (2, 3, 2, 0): 110,
     (2, 3, 2, 1): 75,
     (2, 3, 4, 0): 5882,
