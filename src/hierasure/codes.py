@@ -18,8 +18,9 @@ combination with the code's product table (``LinearCode.table``).
 
 A code owns every packed layout of its expansion: the product table, the
 blocks, the decoder's tag lanes and their readout, and only the code
-reads its table and its tagged columns.  A basis is only the coordinate
-map they are read against.
+reads its table and its tagged columns.  Its layouts have lanes of whole
+bytes (``modp``'s notes), so a decoded word's tags are read out at once.
+A basis is only the coordinate map they are read against.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from typing import Mapping
 
 from . import modp
 from .errors import ParameterError, require_int
-from .fields import Element, ExtSpec, OrderedBasis
+from .fields import Element, ExtSpec, OrderedBasis, _element
 from .patterns import PatternFamily
 
 
@@ -67,7 +68,11 @@ class LinearCode:
     that is more) and lanes stay at most A = (p-1) + terms * (p-1)^2; s is
     the bit length of A * (p-1), M = ceil(2^s / p) and B the bit length of
     A * M, and one Barrett step, x - p * ((x * M >> s) & Q), then reduces
-    every lane.  The echelons these columns enter keep
+    every lane.  Every layout of a code (``layout``, the ``table``'s and
+    ``decode_layout``) rounds B up to whole bytes, and so does every
+    ``modp.tagged`` layout made from one of them, so they share one B, and
+    a decoded word is read out of its tag lanes with one ``to_bytes``
+    (for p < 256).  The echelons these columns enter keep
     append-only rows, so a walk rolls one back with ``del rows[s:]``.
     Blocks are built on first use from the code's product ``table``
     (built under ``layout`` on first expansion) and kept on the code, in
@@ -127,7 +132,7 @@ class LinearCode:
         their columns are one sum."""
         ext = self.ext
         d = ext.digit_layout.width  # alpha * e
-        return modp.layout(ext.base.p, self.r * d, 0, self.n * d)
+        return modp.layout(ext.base.p, self.r * d, 0, self.n * d, whole=True)
 
     @cached_property
     def table(self) -> tuple[modp.Layout, list[int]]:
@@ -142,7 +147,7 @@ class LinearCode:
         ext, lay = self.ext, self.layout
         dl = ext.digit_layout
         d = dl.width
-        tlay = modp.layout(dl.p, lay.width, max(d * d - lay.width, 0), lay.terms)
+        tlay = modp.layout(dl.p, lay.width, max(d * d - lay.width, 0), lay.terms, whole=True)
         v = tlay.pack([digit for col in self.omega._to_power for digit in dl.digits(col)])
         return tlay, ext.power_multiples(v, tlay, d * d)
 
@@ -170,7 +175,7 @@ class LinearCode:
         """``layout`` with n * alpha * e tag lanes, one group per symbol;
         its terms, and so its lanes' bits, are ``layout``'s."""
         lay = self.layout
-        return modp.layout(lay.p, lay.width, self.n * self.ext.digit_layout.width, lay.terms)
+        return modp.layout(lay.p, lay.width, self.n * self.ext.digit_layout.width, lay.terms, whole=True)
 
     @cached_property
     def decode_columns(self) -> tuple[tuple[int, ...], ...]:
@@ -193,11 +198,12 @@ class LinearCode:
 
     def read_tags(self, x: int) -> tuple[Element, ...]:
         """The word whose power digits are x's tag lanes under
-        ``decode_layout``, alpha * e per symbol: one pass over the lanes,
-        each symbol's digits its raw."""
+        ``decode_layout``, alpha * e per symbol: one readout of the lanes
+        (one ``to_bytes`` for p < 256), each symbol's digits its raw.  x is
+        normalized, so the raws need no check."""
         ext, lay = self.ext, self.decode_layout
         digits = iter(lay.digits(x, lay.width))
-        return tuple([Element(ext, raw) for raw in zip(*[digits] * ext.digit_layout.width)])
+        return tuple([_element(ext, raw) for raw in zip(*[digits] * ext.digit_layout.width)])
 
     def decode_plan(self, t: tuple[int, ...]) -> tuple[modp.Echelon, int, list[int]]:
         """Pattern t's plan (echelon, free, known).  ``echelon`` holds the

@@ -675,6 +675,21 @@ class Element:
         return f"El{list(self.coeffs)}"
 
 
+_new = object.__new__
+_set_spec = Element.spec.__set__
+_set_coeffs = Element.coeffs.__set__
+
+
+def _element(spec: Union[FieldSpec, ExtSpec], raw: tuple) -> Element:
+    """``Element(spec, raw)`` for a raw the field has already produced,
+    without the frozen ``__init__``: a new object and its two slots set,
+    so the element is as immutable as any other."""
+    el = _new(Element)
+    _set_spec(el, spec)
+    _set_coeffs(el, raw)
+    return el
+
+
 def trace(el: Element) -> Element:
     """Trace of an extension element down to its base field."""
     if not isinstance(el.spec, ExtSpec):

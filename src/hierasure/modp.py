@@ -31,6 +31,16 @@ is floor(a_k / p) because a_k * (M*p - 2^s) < 2^s, under the top s bits
 of lane k+1's product, which Q, the low B - s bits of every lane, masks
 off.  Python ints make any p and terms fit.
 
+A *whole* layout rounds B up to whole bytes, which changes none of the
+above: each product still fits its lane, and Q masks the wider lanes'
+quotients the same way.  With p < 256 a normalized lane's digit is then
+its lowest byte and its other bytes are 0, so ``Layout.digits`` reads a
+window with one ``int.to_bytes`` and a strided slice instead of a shift
+per lane.  A code's layouts are whole (``codes.LinearCode``), so a
+decoded word's tags read out at once.  Every other layout keeps the
+narrowest B: greedy GV's short p = 2 vectors, say, would grow from 30 to
+48 bits and no longer fit in one CPython digit.
+
 ``Echelon.insert`` is the elimination of decode plans, witnesses, greedy
 GV, code ranks, ``kernel`` and ``inverse`` (``linalg`` answers its
 questions about Element matrices through the last two): it keeps the inserted
@@ -77,16 +87,23 @@ class Layout:
     sums between normalizations, at least the width, so a combination of
     up to ``terms`` vectors is one sum and one normalization.  B, M and s
     depend on p and terms only, so vectors packed for a width stay valid
-    with tag lanes added under the same terms."""
+    with tag lanes added under the same terms.  A ``whole`` layout rounds B
+    up to whole bytes (the module notes say why)."""
 
-    __slots__ = ("p", "width", "terms", "lanes", "bits", "lane", "pivots", "mul", "shift", "quot")
+    __slots__ = (
+        "p", "width", "terms", "whole", "lanes", "bits", "stride", "lane", "pivots", "mul", "shift", "quot"
+    )
 
-    def __init__(self, p: int, width: int, tags: int = 0, terms: int = 0):
+    def __init__(self, p: int, width: int, tags: int = 0, terms: int = 0, whole: bool = False):
         self.terms = terms = max(width, terms, 1)
         top = (p - 1) + terms * (p - 1) ** 2  # A: the largest lane between normalizations
         self.shift = (top * (p - 1)).bit_length()  # s
         self.mul = -(-(1 << self.shift) // p)  # M = ceil(2^s / p)
-        self.bits = bits = (top * self.mul).bit_length()  # B
+        bits = (top * self.mul).bit_length()  # B
+        self.whole = whole
+        self.bits = bits = -(-bits // 8) * 8 if whole else bits
+        # bytes per lane when a normalized lane's digit is its lowest byte
+        self.stride = bits // 8 if bits % 8 == 0 and p < 256 else 0
         self.p = p
         self.width = width
         self.lanes = lanes = width + tags
@@ -106,12 +123,17 @@ class Layout:
     def digits(self, x: int, start: int = 0, stop: int | None = None) -> list[int]:
         """Lanes start .. stop - 1 (by default all) of a normalized vector.
 
-        Each lane read shifts the whole int, so a layout of more than 64
-        lanes cuts out the window and splits it in halves until a piece
-        has at most 64 lanes: the readout is then linear in the lane
-        count, not quadratic."""
-        b, lane = self.bits, self.lane
+        When B is whole bytes and p < 256, a lane's digit is its lowest
+        byte and its other bytes are 0, so the window is one strided
+        slice of the vector's bytes.  Otherwise each lane read shifts the
+        whole int, so a layout of more than 64 lanes cuts out the window
+        and splits it in halves until a piece has at most 64 lanes: the
+        readout is then linear in the lane count, not quadratic."""
         stop = self.lanes if stop is None else stop
+        s = self.stride
+        if s:
+            return list(x.to_bytes(self.lanes * s, "little")[start * s : stop * s : s])
+        b, lane = self.bits, self.lane
         if self.lanes <= 64:
             return [x >> k & lane for k in range(start * b, stop * b, b)]
         out, count = [], stop - start
@@ -145,9 +167,9 @@ class Layout:
 
 
 @lru_cache(maxsize=1024)
-def layout(p: int, width: int, tags: int = 0, terms: int = 0) -> Layout:
-    """The shared ``Layout`` for (p, width, tags, terms)."""
-    return Layout(p, width, tags, terms)
+def layout(p: int, width: int, tags: int = 0, terms: int = 0, whole: bool = False) -> Layout:
+    """The shared ``Layout`` for (p, width, tags, terms, whole)."""
+    return Layout(p, width, tags, terms, whole)
 
 
 class Echelon:
@@ -297,13 +319,13 @@ def walk(blocks: Sequence, children: Callable, root, unit: int, lay: Layout) -> 
 
 
 def tagged(columns: Sequence[int], lay: Layout) -> tuple[Layout, list[int]]:
-    """The layout with lay's width and terms (so its lanes) and one tag
-    lane per column, and column k plus a 1 in tag lane k, so a reduced
-    vector's tags record the combination of input columns that produced
-    it."""
+    """The layout with lay's width, terms and rounding (so its lanes) and
+    one tag lane per column, and column k plus a 1 in tag lane k, so a
+    reduced vector's tags record the combination of input columns that
+    produced it."""
     b, width = lay.bits, lay.width
     vectors = [col + (1 << (width + k) * b) for k, col in enumerate(columns)]
-    return layout(lay.p, width, len(columns), lay.terms), vectors
+    return layout(lay.p, width, len(columns), lay.terms, lay.whole), vectors
 
 
 def kernel(columns: Sequence[int], lay: Layout, deg: int) -> list[list[int] | None]:

@@ -212,30 +212,41 @@ def received_to_json(rw: ReceivedWord) -> dict:
 
 
 def _spells(obj: dict, like: OrderedBasis) -> bool:
-    """Whether the "field", "ext" and "omega" of obj are exactly like's
-    JSON, ``basis_to_json``'s grouping of omega included: equal values of
-    equal types at every level, so 1 matches neither 1.0, true nor "1",
-    and dict keys may come in any order."""
-    theirs = {**_tower_to_json(like.ext), "omega": basis_to_json(like)}
-    return all(_same(obj.get(key), value) for key, value in theirs.items())
+    """Whether the "field", "ext" and "omega" of obj are exactly what
+    ``_tower_to_json`` and ``basis_to_json`` make of like, compared with
+    like's raws and no JSON built: lists nested as those spell them, with
+    plain int leaves, so 1 matches neither 1.0, true nor "1", and the
+    same dict keys in any order."""
+    ext = like.ext
+    base, alpha, e = ext.base, ext.alpha, ext.base.e
+    field, tower, omega = obj.get("field"), obj.get("ext"), obj.get("omega")
+    return (
+        type(field) is dict
+        and type(tower) is dict
+        and field.keys() == {"p", "e", "modulus"}
+        and tower.keys() == {"alpha", "modulus"}
+        and _ints([field["p"], field["e"], tower["alpha"]], (base.p, e, alpha))
+        and _ints(field["modulus"], base.modulus)
+        and _ints(_leaves(tower["modulus"], (len(ext.modulus), e)), [*chain.from_iterable(ext.modulus)])
+        and _ints(_leaves(omega, (alpha, alpha, e)), [d for el in like.elements for d in el.coeffs])
+    )
 
 
-def _same(mine, theirs) -> bool:
-    # theirs is like's JSON: dicts, ints, and lists whose entries nest
-    # lists to one depth above plain ints.  A list's == compares lengths
-    # and values in C, and only a list equals a list, but it lets 1 equal
-    # 1.0 and true: so the ints are then checked by type, flattened
-    if type(mine) is not type(theirs):
-        return False
-    if type(theirs) is dict:
-        return mine.keys() == theirs.keys() and all(_same(mine[k], v) for k, v in theirs.items())
-    if type(theirs) is not list:
-        return mine == theirs
-    if mine != theirs:
-        return False
-    while theirs and type(theirs[0]) is list:
-        mine, theirs = [*chain.from_iterable(mine)], [*chain.from_iterable(theirs)]
-    return {*map(type, mine)} <= {int}
+def _leaves(obj, sizes) -> list | None:
+    # obj's leaves when obj is lists nested len(sizes) deep, of these
+    # lengths level by level from the outside, else None
+    items = [obj]
+    for size in sizes:
+        if any(type(x) is not list or len(x) != size for x in items):
+            return None
+        items = [*chain.from_iterable(items)]
+    return items
+
+
+def _ints(mine, raw) -> bool:
+    # a list's == compares in C, but lets 1 equal 1.0 and true: so the
+    # types are checked after
+    return type(mine) is list and mine == [*raw] and {*map(type, mine)} <= {int}
 
 
 @_loader("received word")

@@ -41,7 +41,9 @@ class UdmSet:
     meta: Mapping = dc_field(default_factory=dict)
 
     def __post_init__(self):
-        if require_int(self.alpha, "alpha") > require_int(self.m, "m"):
+        if require_int(self.alpha, "alpha") < 1:
+            raise ParameterError(f"alpha must be at least 1, got {self.alpha}")
+        if self.alpha > require_int(self.m, "m"):
             raise ParameterError("universal decodability needs m >= alpha")
         mats = tuple(tuple(tuple(row) for row in mat) for mat in self.matrices)
         object.__setattr__(self, "matrices", mats)

@@ -20,6 +20,8 @@ from hierasure.cli import _json_text, _write_json, main
 from towers import LONG, long_code, tower
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+# a UDM payload of no rows and no columns, all but its alpha
+EMPTY_UDMS = {"field": {"p": 7, "e": 1, "modulus": [0, 1]}, "m": 0, "matrices": [[], []], "meta": {}}
 
 
 def run(*argv):
@@ -383,6 +385,16 @@ class TestDecodeTowerReuse:
         payload["field"]["modulus"][0] += 5
         rc, out = self.decode(tmp_path, code_path, payload, capsys)
         assert rc == 0 and json.loads(out.out) == {"codeword": word, "solution_space_dim": 0, "status": "decoded"}
+        assert sorted(inits) == ["ExtSpec", "ExtSpec", "OrderedBasis", "OrderedBasis"]
+
+    def test_one_omega_digit_off_loads_in_full(self, tmp_path, files, inits, capsys):
+        # omega_0 = 1 + y^2 instead of 1 is still a basis, but not the
+        # code's: the word loads its own tower and basis, and decode refuses it
+        code_path, payload, _ = files
+        assert payload["omega"][0] == [[1], [0], [0], [0]]
+        payload["omega"][0][2][0] = 1
+        rc, out = self.decode(tmp_path, code_path, payload, capsys)
+        assert (rc, out.err, out.out) == (2, "error: received word uses a different basis than the code\n", "")
         assert sorted(inits) == ["ExtSpec", "ExtSpec", "OrderedBasis", "OrderedBasis"]
 
     def test_reordered_keys_reuse_the_tower(self, tmp_path, files, inits, capsys):
@@ -968,8 +980,14 @@ class TestInputBoundary:
             (lambda u: u.update(m=True), "m must be an integer, got True"),
             (lambda u: u.update(m=1), "universal decodability needs m >= alpha"),
             (lambda u: u["matrices"][0].__setitem__(0, u["matrices"][0][0][:1]), "every matrix must be alpha x m"),
+            # alpha 0, with m 0 and empty matrices, would pass as universally decodable
+            (lambda u: u.update(EMPTY_UDMS, alpha=0), "alpha must be at least 1, got 0"),
+            (lambda u: u.update(EMPTY_UDMS, alpha=-1), "alpha must be at least 1, got -1"),
         ],
-        ids=["alpha-str", "alpha-float", "alpha-bool", "m-str", "m-float", "m-bool", "m-below-alpha", "ragged"],
+        ids=[
+            "alpha-str", "alpha-float", "alpha-bool", "m-str", "m-float", "m-bool", "m-below-alpha", "ragged",
+            "alpha-zero", "alpha-negative",
+        ],
     )
     def test_udm_payload_refusals(self, tmp_path, capsys, edit, error):
         path = tmp_path / "u.json"

@@ -17,7 +17,9 @@ side's lanes to their bound (every known digit p - 1 under the zero
 pattern is one sum of exactly the terms the lanes hold), over the primes
 of ``test_modp`` and towers with e = 2 and e = 3, all against
 ``reference_decode`` and ``reference_witness`` (witnesses also over the
-dual basis).
+dual basis).  A code's layouts share one lane width of whole bytes, and
+the elements of a decoded word, built without the frozen ``__init__``,
+behave as ``Element(spec, raw)`` does.
 
 A traced memory figure is taken after a full collection: ``tracemalloc``
 counts only blocks allocated while it traces, and CPython hands tuples,
@@ -29,6 +31,7 @@ across lengths also runs once untraced first, so state built once per
 process (the ``modp.layout`` cache) is charged to neither length.
 """
 
+import dataclasses
 import gc
 import itertools
 import random
@@ -53,6 +56,7 @@ from hierasure import (
     decode,
     dual_basis,
     enumerate_family,
+    fields,
     is_correcting,
     kernel_basis,
     modp,
@@ -203,10 +207,14 @@ class TestTaggedColumns:
         lay = code.decode_layout
         span = alpha * e
         # lanes that hold a product per known digit a word can have, shared
-        # by the blocks, the tagged columns and the product table
+        # by the blocks, the tagged columns, the product table and the
+        # tagged systems made from them (a witness's ``modp.kernel`` tags
+        # the blocks), rounded up to whole bytes
         assert lay.terms == code.layout.terms == 3 * span
         tlay, products = code.table
-        assert lay.bits == code.layout.bits == tlay.bits
+        tagged_blocks, _ = modp.tagged(code.block(0), code.layout)
+        assert lay.bits == code.layout.bits == tlay.bits == tagged_blocks.bits
+        assert lay.bits % 8 == 0 and lay.bits - 8 < modp.layout(p, lay.width, 0, lay.terms).bits
         # group k of the code's own P_0 holds the power digits of w_k
         groups = tlay.digits(products[0])
         for i, block in enumerate(code.decode_columns):
@@ -219,6 +227,27 @@ class TestTaggedColumns:
                 assert groups[k * span : (k + 1) * span] == want, k
                 assert not any(tags[: i * span] + tags[(i + 1) * span :])
                 assert col & lay.pivots == code.block(i)[k]
+
+    @pytest.mark.parametrize("p, e, alpha", LANE_TOWERS)
+    def test_read_tags_builds_plain_elements(self, p, e, alpha):
+        # read_tags builds its elements without the frozen __init__: they
+        # equal, hash and refuse assignment as Element(spec, raw) does
+        ext = tower(p, e, alpha)
+        rng = random.Random(f"elements/{p}/{e}/{alpha}")
+        code = nonzero_code(ext, 3, 1, rng)
+        word = random_codeword(code, rng, kernel_basis(code))
+        got = decode(code, apply_erasure(word, (alpha, 0, 0), code.omega))
+        assert got.codeword == word
+        for el in got.codeword:
+            twin = Element(ext, el.coeffs)
+            made = fields._element(ext, el.coeffs)
+            assert type(el) is type(made) is Element
+            assert made == twin == el and hash(made) == hash(twin) and repr(made) == repr(twin)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                made.coeffs = ext.rzero
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                made.spec = ext.base
+            assert made.spec is ext
 
     @pytest.mark.parametrize("n", [300, 600])
     def test_tagged_state_is_held_once(self, n):

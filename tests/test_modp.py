@@ -8,7 +8,9 @@ rows to (pivot, digits) and asks for the reference's rows exactly, over
 p in {2, 3, 7, 11, 251, 65521}, with rank-deficient blocks, tagged
 systems, and vectors that drive a lane to its largest value between
 normalizations, A = (p-1) + terms * (p-1)^2, by an elimination of
-``width`` pivots or by a combination of ``terms`` products.
+``width`` pivots or by a combination of ``terms`` products, on the
+narrowest lanes and on lanes rounded up to whole bytes.  Only a code's
+layouts round; greedy GV's and a UDM set's keep the narrowest lanes.
 
 ``modp.walk`` descends a pattern trie depth first on one echelon: a
 level keeps the rows of the prefix above it and inserts only its block's
@@ -32,6 +34,7 @@ from hierasure import (
     PowerFamily,
     UdmSet,
     enumerate_family,
+    fields,
     greedy_gv_code,
     is_correcting,
     make_field,
@@ -39,6 +42,7 @@ from hierasure import (
     maximal_patterns,
     modp,
     patterns,
+    udm,
     verify_udm,
     vontobel_udms,
 )
@@ -382,11 +386,15 @@ def test_lanes_at_their_maximum(p):
 def test_normalize_reduces_every_lane_up_to_the_bound(p):
     # the lane values next to A and next to each multiple of p below it,
     # where a quotient one too large or a product spilling into the next
-    # lane would show, and random ones
+    # lane would show, and random ones; on the narrowest lanes and on lanes
+    # rounded up to whole bytes, which keep the same Barrett constants
     rng = random.Random(f"normalize/{p}")
-    for width in (1, 3, 8, 64):
+    for width, whole in itertools.product((1, 3, 8, 64), (False, True)):
         a = top(p, width)
-        lay = modp.layout(p, width, 2)
+        lay = modp.layout(p, width, 2, whole=whole)
+        narrow = modp.layout(p, width, 2)
+        assert (lay.mul, lay.shift) == (narrow.mul, narrow.shift)
+        assert lay.bits == (-(-narrow.bits // 8) * 8 if whole else narrow.bits)
         edge = [a, a - 1, a - a % p - 1, a - a % p, p - 1, p, 0, (p - 1) ** 2]
         values = [v for v in edge if v >= 0] + [rng.randrange(a + 1) for _ in range(200)]
         for k in range(0, len(values), lay.lanes):
@@ -418,8 +426,9 @@ def test_combination_of_exactly_terms_products_at_their_maximum(p):
     # ``terms`` products reaches terms * (p - 1)^2 = A - (p - 1), the most a
     # single normalization takes; one product more, and twice as many plus
     # one, take a normalization per ``terms`` products
-    for width, terms in ((1, 1), (2, 9), (4, 16), (3, 64), (2, 2200)):
-        lay = modp.layout(p, width, 3, terms)
+    sizes = ((1, 1), (2, 9), (4, 16), (3, 64), (2, 2200))
+    for (width, terms), whole in itertools.product(sizes, (False, True)):
+        lay = modp.layout(p, width, 3, terms, whole)
         assert lay.terms == terms
         assert (terms * (p - 1) ** 2).bit_length() <= lay.bits
         col = [p - 1] * lay.lanes
@@ -434,10 +443,13 @@ def test_digits_reads_every_window_lane_by_lane(p):
     # past 64 lanes the readout splits the int in halves down to 64 lanes;
     # every window, the whole vector and ones that cross the halves (1,100,
     # 550, 275, ... of 2,200 lanes; 32 of 65), must read what one shift
-    # per lane reads
+    # per lane reads.  Lanes of whole bytes read one strided slice of the
+    # vector's bytes instead when p < 256
     rng = random.Random(f"digits/{p}")
-    for lanes in (1, 63, 64, 65, 2200):
-        lay = modp.layout(p, 1, lanes - 1)
+    for lanes, whole in itertools.product((1, 63, 64, 65, 2200), (False, True)):
+        lay = modp.layout(p, 1, lanes - 1, 0, whole)
+        assert lay.bits % 8 == 0 or not whole
+        assert bool(lay.stride) == (lay.bits % 8 == 0 and p < 256)
         digits = [rng.choice([0, p - 1, rng.randrange(p)]) for _ in range(lanes)]
         x = lay.pack(digits)
         cuts = {0, lanes, lanes // 2, lanes // 4, 32, 33, 64, 65, 137, 138, 550, 1100}
@@ -451,13 +463,33 @@ def test_digits_reads_every_window_lane_by_lane(p):
         assert lay.digits(x, lanes // 3) == digits[lanes // 3 :]
 
 
+def test_greedy_gv_and_udm_rows_keep_the_narrowest_lanes(monkeypatch):
+    # only a code's layouts round B up to whole bytes: greedy GV's p = 2
+    # candidates (6 lanes) and a UDM set's digit rows keep the narrowest
+    # B, 5 and 16 bits on the construct-gv benchmark's instances
+    seen = []
+    columns = fields.ExtSpec.multiplication_columns
+
+    def spy(ext, column, lay):
+        seen.append((lay.width, lay.bits, lay.whole))
+        return columns(ext, column, lay)
+
+    monkeypatch.setattr(fields.ExtSpec, "multiplication_columns", spy)
+    with pytest.warns(UserWarning, match="existence threshold"):
+        greedy_gv_code(14, 3, 3, make_tower(2, 1, 2), seed=0)
+    assert set(seen) == {(6, 5, False)}
+    lay, _ = udm._digit_rows(vontobel_udms(8, 4, 5, make_field(7, 1)))
+    assert (lay.width, lay.bits, lay.whole) == (5, 16, False)
+
+
 def test_tagged_keeps_the_lanes_of_its_layout():
     # a layout whose terms exceed its width: the tagged system's lanes have
-    # its bits, so the packed columns stay valid with their tags added
-    for p in PRIMES:
-        lay = modp.layout(p, 3, 0, 40)
+    # its bits, so the packed columns stay valid with their tags added, and
+    # a whole-byte layout stays whole
+    for p, whole in itertools.product(PRIMES, (False, True)):
+        lay = modp.layout(p, 3, 0, 40, whole)
         tags, vectors = modp.tagged([lay.pack([1, 2 % p, 0])], lay)
-        assert (tags.width, tags.terms, tags.bits, tags.lanes) == (3, 40, lay.bits, 4)
+        assert (tags.width, tags.terms, tags.bits, tags.lanes, tags.whole) == (3, 40, lay.bits, 4, whole)
         assert tags.digits(vectors[0]) == [1, 2 % p, 0, 1]
 
 
